@@ -8,13 +8,21 @@ import (
 
 // Counter is the adaptive software miner: it walks the same search tree
 // as Engine but is built for CPU throughput rather than hardware-model
-// fidelity. Three things distinguish it (and are why Count/CountParallel
+// fidelity. Five things distinguish it (and are why Count/CountParallel
 // route through it):
 //
-//   - adaptive kernel dispatch: every set operation picks merge,
-//     galloping, or dense-bitvector probing per call, from the input size
-//     ratio and whether the neighbor-list side belongs to a hub vertex
-//     with a precomputed bitset row (graph.HubIndex);
+//   - adaptive kernel dispatch: every set operation picks its kernel per
+//     call — probing v's stored row (graph.HybridAdj) with the candidate
+//     set, galloping the candidate set through a much longer N(v), or
+//     mark-and-probe;
+//   - mark-and-probe: every child of a search-tree node updates the
+//     node's candidate sets with its own neighbor list, so the first
+//     child to need a set marks it in a full-universe bitset, and each
+//     child then walks only its neighbor list against the marks instead
+//     of merging the set again;
+//   - lean schedules: a subtract reuses its sibling's intersection of the
+//     same set (S − N = S − (S ∩ N)), and steps whose results only matter
+//     below a child wait until the node's first child is found;
 //   - zero steady-state allocation: candidate sets live in per-level
 //     scratch buffers that are reused across siblings and roots, so after
 //     buffer capacities warm up, mining a root allocates nothing;
@@ -31,6 +39,7 @@ type Counter struct {
 	g     *graph.Graph
 	pl    *plan.Plan
 	sched [][]step
+	eager []int // per level, the count of leading non-lazy steps
 	hub   *graph.HubIndex
 	adj   *graph.HybridAdj
 	k     int
@@ -38,6 +47,9 @@ type Counter struct {
 	verts  []uint32
 	frames []frame
 	stats  KernelStats
+	// dirty is set while Root runs; finding it set on entry means an
+	// earlier Root panicked and may have left sets marked.
+	dirty bool
 }
 
 // frame is one level's scratch arena.
@@ -55,22 +67,37 @@ type frame struct {
 	alias []int64
 	// bufs[i] is step i's reusable result buffer; capacity only grows.
 	bufs [][]uint32
+	// scratch holds the intersection a mark-probed subtract removes when
+	// no sibling step computed it.
+	scratch []uint32
+
+	// marks[m] is the full-universe bitset of mark slot m (see
+	// step.mark), allocated on first use; marked[m] is the set marked in
+	// it, or nil. Marks are set lazily by the first child that probes
+	// and cleared when the node's children are done.
+	marks  [][]uint64
+	marked [][]uint32
 }
 
 // KernelStats counts kernel-dispatch decisions, split between
-// materializing operations and leaf counting. BmProbe/CountBmProbe are
+// materializing operations and leaf counting. Merge only counts the
+// postponed anti-subtractions of OpInit steps. BmProbe/CountBmProbe are
 // array×bitmap container probes; CountBmWord is the word-parallel
-// popcount leaf path over two stored rows.
+// popcount leaf path over two stored rows. Probe/CountProbe walk a
+// neighbor list against the marked candidate set; Subset subtracts a
+// sibling step's intersection; Marks counts the sets marked.
 type KernelStats struct {
-	Merge, Gallop, Bits, BmProbe                    uint64
-	CountMerge, CountGallop, CountBits, CountBmProbe uint64
+	Merge, Gallop, Bits, BmProbe, Probe, Subset      uint64
+	CountGallop, CountBits, CountBmProbe, CountProbe uint64
 	CountBmWord                                      uint64
+	Marks                                            uint64
 }
 
-// Total returns the number of dispatched operations.
+// Total returns the number of dispatched operations (marking a set is
+// not one).
 func (s KernelStats) Total() uint64 {
-	return s.Merge + s.Gallop + s.Bits + s.BmProbe +
-		s.CountMerge + s.CountGallop + s.CountBits + s.CountBmProbe +
+	return s.Merge + s.Gallop + s.Bits + s.BmProbe + s.Probe + s.Subset +
+		s.CountGallop + s.CountBits + s.CountBmProbe + s.CountProbe +
 		s.CountBmWord
 }
 
@@ -95,7 +122,7 @@ func NewCounterPolicy(g *graph.Graph, pl *plan.Plan, policy graph.StoragePolicy)
 	}
 	switch policy {
 	case graph.StorageArray:
-		// Pure merge/gallop: no dense rows, no bitmaps.
+		// Arrays only: no dense rows, no bitmaps.
 	case graph.StorageAdaptive:
 		c.adj = g.Hybrid()
 		c.hub = c.adj.Hub()
@@ -103,12 +130,29 @@ func NewCounterPolicy(g *graph.Graph, pl *plan.Plan, policy graph.StoragePolicy)
 		c.adj = graph.NewHybridAdj(g, policy, 0)
 		c.hub = c.adj.Hub()
 	}
+	c.eager = make([]int, len(c.sched))
+	for level, steps := range c.sched {
+		for _, st := range steps {
+			if !st.lazy {
+				c.eager[level]++
+			}
+		}
+	}
 	c.verts = make([]uint32, c.k)
 	c.frames = make([]frame, c.k-1)
 	for level := range c.frames {
-		c.frames[level].sets = make([][]uint32, c.k)
-		c.frames[level].alias = make([]int64, c.k)
-		c.frames[level].bufs = make([][]uint32, len(c.sched[level]))
+		f := &c.frames[level]
+		f.sets = make([][]uint32, c.k)
+		f.alias = make([]int64, c.k)
+		f.bufs = make([][]uint32, len(c.sched[level]))
+		if level+1 < len(c.sched) {
+			slots := 0
+			for _, st := range c.sched[level+1] {
+				slots = max(slots, st.mark+1)
+			}
+			f.marks = make([][]uint64, slots)
+			f.marked = make([][]uint32, slots)
+		}
 	}
 	return c
 }
@@ -147,7 +191,53 @@ func (c *Counter) Stats() KernelStats { return c.stats }
 // Root mines the search tree rooted at v0 and returns its embedding
 // count. After buffer warm-up it performs no heap allocation.
 func (c *Counter) Root(v0 uint32) uint64 {
-	return c.descend(0, v0)
+	if c.dirty {
+		c.clearMarks()
+	}
+	c.dirty = true
+	n := c.descend(0, v0)
+	c.dirty = false
+	return n
+}
+
+// clearMarks zeroes every mark bitset, recovering from a Root that
+// panicked with sets still marked.
+func (c *Counter) clearMarks() {
+	for level := range c.frames {
+		f := &c.frames[level]
+		for m := range f.marks {
+			clear(f.marks[m])
+			f.marked[m] = nil
+		}
+	}
+}
+
+// marksFor returns the bitset in which the parent set src of the update
+// st at the given level is marked, marking it now if no sibling has yet.
+// Marking and unmarking cost about one merge pass over src, which the
+// first probing child already recovers: probing skips the merge's
+// unpredictable branches, and later siblings skip src altogether.
+func (c *Counter) marksFor(level int, st *step, src []uint32) []uint64 {
+	p := &c.frames[level-1]
+	if p.marked[st.mark] == nil {
+		if p.marks[st.mark] == nil {
+			p.marks[st.mark] = make([]uint64, (c.g.NumVertices()+63)/64)
+		}
+		c.stats.Marks++
+		setops.Mark(p.marks[st.mark], src)
+		p.marked[st.mark] = src
+	}
+	return p.marks[st.mark]
+}
+
+// unmark clears every set the node's children marked in f.
+func (f *frame) unmark() {
+	for m, s := range f.marked {
+		if s != nil {
+			setops.Unmark(f.marks[m], s)
+			f.marked[m] = nil
+		}
+	}
 }
 
 func (c *Counter) descend(level int, v uint32) uint64 {
@@ -171,11 +261,12 @@ func (c *Counter) descend(level int, v uint32) uint64 {
 		if len(steps) == 1 && steps[0].op != plan.OpInit {
 			return c.leafCountUpdate(&steps[0], f, nv, v)
 		}
-		c.applySteps(f, steps, nv, v)
+		c.applySteps(level, f, steps, 0, nv, v)
 		return c.leafCountSet(f.sets[c.k-1])
 	}
 
-	c.applySteps(f, steps, nv, v)
+	eager := c.eager[level]
+	c.applySteps(level, f, steps[:eager], 0, nv, v)
 	set := f.sets[level+1]
 	a, b := c.window(level+1, set)
 	used := c.verts[:level+1]
@@ -184,14 +275,20 @@ func (c *Counter) descend(level int, v uint32) uint64 {
 		if containsVert(used, w) {
 			continue
 		}
+		if eager < len(steps) {
+			c.applySteps(level, f, steps, eager, nv, v)
+			eager = len(steps)
+		}
 		total += c.descend(level+1, w)
 	}
+	f.unmark()
 	return total
 }
 
-// applySteps executes one level's schedule into the frame's arenas.
-func (c *Counter) applySteps(f *frame, steps []step, nv []uint32, v uint32) {
-	for si := range steps {
+// applySteps executes steps[from:] of one level's schedule into the
+// frame's arenas.
+func (c *Counter) applySteps(level int, f *frame, steps []step, from int, nv []uint32, v uint32) {
+	for si := from; si < len(steps); si++ {
 		st := &steps[si]
 		var result []uint32
 		aliasVert := int64(-1)
@@ -213,7 +310,7 @@ func (c *Counter) applySteps(f *frame, steps []step, nv []uint32, v uint32) {
 			}
 		} else {
 			src := f.sets[st.src] // parent's value: targets not yet written
-			buf := c.updateInto(st.op, f.bufs[si][:0], src, nv, v)
+			buf := c.updateInto(level, f, st, f.bufs[si][:0], src, nv, v)
 			f.bufs[si] = buf
 			result = buf
 		}
@@ -224,12 +321,22 @@ func (c *Counter) applySteps(f *frame, steps []step, nv []uint32, v uint32) {
 	}
 }
 
-// updateInto computes op(src, N(v)) into dst with format-aware
-// dispatch: dense row, then compressed bitmap row, then the size-skew
-// choice between galloping and merge on the raw arrays.
-func (c *Counter) updateInto(op plan.OpKind, dst, src, nv []uint32, v uint32) []uint32 {
+// updateInto computes st's op(src, N(v)) into dst with format-aware
+// dispatch: a subtract whose sibling step already intersected the same
+// source removes that intersection; otherwise a dense row, then a
+// compressed bitmap row, is probed with src's elements. Two arrays
+// gallop src's elements through an N(v) many times longer, and
+// otherwise walk N(v) against the marked src.
+func (c *Counter) updateInto(level int, f *frame, st *step, dst, src, nv []uint32, v uint32) []uint32 {
+	if st.inter >= 0 {
+		c.stats.Subset++
+		return setops.SubtractSubsetInto(dst, src, f.bufs[st.inter])
+	}
+	if len(src) == 0 {
+		return dst
+	}
 	row, bm := c.rows(v)
-	if op == plan.OpIntersect {
+	if st.op == plan.OpIntersect {
 		switch {
 		case row != nil:
 			c.stats.Bits++
@@ -237,28 +344,31 @@ func (c *Counter) updateInto(op plan.OpKind, dst, src, nv []uint32, v uint32) []
 		case bm != nil:
 			c.stats.BmProbe++
 			return setops.IntersectArrayBitmapInto(dst, src, bm)
-		case skewed(src, nv):
-			c.stats.Gallop++
-			return setops.IntersectGallopingInto(dst, src, nv)
-		default:
-			c.stats.Merge++
-			return setops.IntersectInto(dst, src, nv)
+		}
+	} else {
+		switch {
+		case row != nil:
+			c.stats.Bits++
+			return setops.SubtractBitsInto(dst, src, row)
+		case bm != nil:
+			c.stats.BmProbe++
+			return setops.SubtractArrayBitmapInto(dst, src, bm)
 		}
 	}
-	switch {
-	case row != nil:
-		c.stats.Bits++
-		return setops.SubtractBitsInto(dst, src, row)
-	case bm != nil:
-		c.stats.BmProbe++
-		return setops.SubtractArrayBitmapInto(dst, src, bm)
-	case len(nv) >= setops.GallopSkewThreshold*len(src):
+	if len(nv) >= setops.GallopSkewThreshold*len(src) {
 		c.stats.Gallop++
+		if st.op == plan.OpIntersect {
+			return setops.IntersectGallopingInto(dst, src, nv)
+		}
 		return setops.SubtractGallopingInto(dst, src, nv)
-	default:
-		c.stats.Merge++
-		return setops.SubtractInto(dst, src, nv)
 	}
+	marks := c.marksFor(level, st, src)
+	c.stats.Probe++
+	if st.op == plan.OpIntersect {
+		return setops.IntersectBitsInto(dst, nv, marks)
+	}
+	f.scratch = setops.IntersectBitsInto(f.scratch[:0], nv, marks)
+	return setops.SubtractSubsetInto(dst, src, f.scratch)
 }
 
 // subtractNeighborsInto computes a − N(anc) into dst (the postponed
@@ -302,13 +412,6 @@ func (c *Counter) subtractNeighborsInPlace(a []uint32, anc uint32) []uint32 {
 	return setops.SubtractInPlace(a, ancN)
 }
 
-// skewed reports whether either input dwarfs the other enough for the
-// galloping kernels to engage.
-func skewed(a, b []uint32) bool {
-	return len(b) >= setops.GallopSkewThreshold*len(a) ||
-		len(a) >= setops.GallopSkewThreshold*len(b)
-}
-
 // leafCountUpdate counts op(src, N(v)) restricted to the final level's
 // symmetry-breaking window, excluding already-used vertices, without
 // materializing the result.
@@ -324,51 +427,65 @@ func (c *Counter) leafCountUpdate(st *step, f *frame, nv []uint32, v uint32) uin
 	}
 	a, b := c.window(c.k-1, src)
 	win := src[a:b]
+	if len(win) == 0 {
+		return 0
+	}
 	row, bm := c.rows(v)
-	used := c.verts[:c.k-1]
-	var cnt int
-	if st.op == plan.OpIntersect {
-		switch {
-		case row != nil:
-			c.stats.CountBits++
-			cnt = setops.IntersectCountBits(win, row)
-		case bm != nil:
-			c.stats.CountBmProbe++
-			cnt = setops.IntersectArrayBitmapCount(win, bm)
-		case skewed(win, nv):
-			c.stats.CountGallop++
-			cnt = setops.IntersectCountGalloping(win, nv)
-		default:
-			c.stats.CountMerge++
-			cnt = setops.IntersectCount(win, nv)
+	cnt, marks := c.leafIntersectCount(st, src, a, b, nv, row, bm)
+	if st.op != plan.OpIntersect {
+		cnt = len(win) - cnt
+	}
+	// Within [first, last], u ∈ win is one bit test when src is marked.
+	first, last := win[0], win[len(win)-1]
+	for _, u := range c.verts[:c.k-1] {
+		if u < first || u > last {
+			continue
 		}
-		for _, u := range used {
-			if setops.Contains(win, u) && c.leafMember(nv, row, bm, u) {
-				cnt--
+		if marks != nil {
+			if !setops.BitsContain(marks, u) {
+				continue
 			}
+		} else if !setops.Contains(win, u) {
+			continue
 		}
-	} else {
-		switch {
-		case row != nil:
-			c.stats.CountBits++
-			cnt = len(win) - setops.IntersectCountBits(win, row)
-		case bm != nil:
-			c.stats.CountBmProbe++
-			cnt = len(win) - setops.IntersectArrayBitmapCount(win, bm)
-		case skewed(win, nv):
-			c.stats.CountGallop++
-			cnt = len(win) - setops.IntersectCountGalloping(win, nv)
-		default:
-			c.stats.CountMerge++
-			cnt = len(win) - setops.IntersectCount(win, nv)
-		}
-		for _, u := range used {
-			if setops.Contains(win, u) && !c.leafMember(nv, row, bm, u) {
-				cnt--
-			}
+		if c.leafMember(nv, row, bm, u) == (st.op == plan.OpIntersect) {
+			cnt--
 		}
 	}
 	return uint64(cnt)
+}
+
+// leafIntersectCount returns |win ∩ N(v)| for the leaf update st, where
+// win = src[a:b] is a nonempty window of st's source: through v's stored
+// row when it has one, by galloping win's elements through an N(v) many
+// times longer, and otherwise by walking N(v) against the marked src.
+// It also returns the bitset src is marked in when it probed, nil
+// otherwise.
+func (c *Counter) leafIntersectCount(st *step, src []uint32, a, b int, nv []uint32, row []uint64, bm *setops.Bitmap) (int, []uint64) {
+	win := src[a:b]
+	switch {
+	case row != nil:
+		c.stats.CountBits++
+		return setops.IntersectCountBits(win, row), nil
+	case bm != nil:
+		c.stats.CountBmProbe++
+		return setops.IntersectArrayBitmapCount(win, bm), nil
+	}
+	// Clip N(v) to win's value range where the window cut src: there the
+	// marked src holds exactly win.
+	if a > 0 {
+		nv = nv[setops.LowerBound(nv, win[0]):]
+	}
+	if b < len(src) {
+		nv = nv[:setops.UpperBound(nv, win[len(win)-1])]
+	}
+	if len(nv) >= setops.GallopSkewThreshold*len(win) {
+		c.stats.CountGallop++
+		return setops.IntersectCountGalloping(win, nv), nil
+	}
+	marks := c.marksFor(c.k-2, st, src)
+	c.stats.CountProbe++
+	return setops.IntersectCountBits(nv, marks), marks
 }
 
 // leafCountRows counts op(N(u), N(v)) within the leaf window entirely

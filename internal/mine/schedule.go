@@ -1,7 +1,9 @@
 package mine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"fingers/internal/plan"
 )
@@ -20,6 +22,19 @@ type step struct {
 	src int
 	// targets are the levels whose candidate slots receive the result.
 	targets []int
+	// mark is the update's mark slot in the parent frame: updates of one
+	// level that read the same parent set share a slot, so the set is
+	// marked once for all of them (-1 for OpInit).
+	mark int
+	// inter is the index of an earlier OpIntersect step of the same level
+	// reading the same parent set, or -1. A subtract with such a sibling
+	// computes src − N(v) as src − (src ∩ N(v)) from the sibling's result.
+	inter int
+	// lazy marks a step none of whose targets is the next level's
+	// candidate slot: its result only matters below a child, so the
+	// counter runs it when the first child is visited, and never for a
+	// node without children. Lazy steps follow the eager ones.
+	lazy bool
 }
 
 // buildSchedule resolves the per-level operation groups statically. The
@@ -30,6 +45,9 @@ type step struct {
 // propagation symbolically once therefore yields the exact groups the
 // engine would form at every node, letting the hot loop skip the
 // per-task grouping work entirely.
+//
+// Within a level the steps are independent — each reads only its own
+// targets' parent values — so they are reordered eager-first.
 func buildSchedule(pl *plan.Plan) [][]step {
 	k := pl.K()
 	setID := make([]int32, k)
@@ -86,12 +104,22 @@ func buildSchedule(pl *plan.Plan) [][]step {
 			g.targets = append(g.targets, act.Target)
 		}
 		seen := make(map[int]bool, k)
+		markOf := map[int32]int{}
 		for _, g := range groups {
 			nextID++
-			st := step{op: g.op, pending: g.pending, targets: g.targets}
+			st := step{op: g.op, pending: g.pending, targets: g.targets, mark: -1, inter: -1}
 			if g.op != plan.OpInit {
 				st.src = g.targets[0]
+				m, ok := markOf[g.srcID]
+				if !ok {
+					m = len(markOf)
+					markOf[g.srcID] = m
+				}
+				st.mark = m
 			}
+			// The leaf level's steps all target the last slot, so only
+			// inner levels have lazy steps.
+			st.lazy = level < k-2 && !slices.Contains(g.targets, level+1)
 			for _, t := range g.targets {
 				// The counter reads update sources from the current frame
 				// after copying the parent's slots, which is only the
@@ -105,6 +133,28 @@ func buildSchedule(pl *plan.Plan) [][]step {
 			}
 			out[level] = append(out[level], st)
 		}
+		steps := out[level]
+		slices.SortStableFunc(steps, func(a, b step) int {
+			return cmp.Compare(btoi(a.lazy), btoi(b.lazy))
+		})
+		for i := range steps {
+			if steps[i].op != plan.OpSubtract {
+				continue
+			}
+			for j, prev := range steps[:i] {
+				if prev.op == plan.OpIntersect && prev.mark == steps[i].mark {
+					steps[i].inter = j
+					break
+				}
+			}
+		}
 	}
 	return out
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -13,7 +13,8 @@ import (
 
 // benchGraphs are the soft-mine workloads: the two densest dataset
 // analogues (Lj, Or) with the patterns whose cost is dominated by set
-// operations (tc) and by deep candidate reuse (4cl), plus a genuinely
+// operations (tc), by deep candidate reuse (4cl) and by subtraction (tt,
+// the vertex-induced tailed triangle), plus a genuinely
 // dense synthetic ("dense": 1024 vertices at ~38% edge density, tc
 // only — every row lands in a stored tier, the hybrid storage layer's
 // home turf).
@@ -37,7 +38,7 @@ func benchGraphs(b *testing.B) []struct {
 			name     string
 			g        *graph.Graph
 			patterns []string
-		}{gn, d.Graph(), []string{"tc", "4cl"}})
+		}{gn, d.Graph(), []string{"tc", "4cl", "tt"}})
 	}
 	out = append(out, struct {
 		name     string
