@@ -1,0 +1,161 @@
+package fingers_test
+
+import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"fingers"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/timing.golden.json from the current engine")
+
+// timingCell is one pinned simulation: every number the serial engine
+// reports for a graph × pattern × architecture run. A refactor that moves
+// any of them changes the model, not just the code.
+type timingCell struct {
+	Arch        string `json:"arch"`
+	Graph       string `json:"graph"`
+	Pattern     string `json:"pattern"`
+	Count       uint64 `json:"count"`
+	Tasks       int64  `json:"tasks"`
+	Cycles      int64  `json:"cycles"`
+	CacheHits   int64  `json:"cache_hits"`
+	CacheMisses int64  `json:"cache_misses"`
+	DRAMBytes   int64  `json:"dram_bytes"`
+	Compute     int64  `json:"compute"`
+	MemStall    int64  `json:"mem_stall"`
+	Overhead    int64  `json:"overhead"`
+	Idle        int64  `json:"idle"`
+}
+
+// Grid of the timing golden: small enough to run in a couple of seconds,
+// with a shared cache small enough that every graph evicts, and two PEs
+// so the event loop's interleaving of shared-cache accesses is pinned.
+const (
+	goldenPEs        = 2
+	goldenCacheBytes = 32 << 10
+)
+
+var goldenGraphs = []struct {
+	name string
+	g    func() *fingers.Graph
+}{
+	{"plc1500", func() *fingers.Graph { return fingers.GeneratePowerLawCluster(1500, 5, 0.5, 4) }},
+	{"plc2000", func() *fingers.Graph { return fingers.GeneratePowerLawCluster(2000, 4, 0.7, 9) }},
+	{"er800", func() *fingers.Graph { return fingers.GenerateErdosRenyi(800, 8000, 5) }},
+}
+
+var (
+	goldenPatterns = []string{"tc", "tt", "cyc"}
+	goldenArchs    = []fingers.Arch{fingers.ArchFingers, fingers.ArchFlexMiner, fingers.ArchSISA}
+)
+
+func timingGrid(t *testing.T) []timingCell {
+	t.Helper()
+	var cells []timingCell
+	for _, gg := range goldenGraphs {
+		g := gg.g()
+		for _, patName := range goldenPatterns {
+			pat, err := fingers.PatternByName(patName)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pl, err := fingers.CompilePlan(pat, fingers.PlanOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, arch := range goldenArchs {
+				rep, err := fingers.Simulate(arch, g, []*fingers.Plan{pl},
+					fingers.WithPEs(goldenPEs), fingers.WithSharedCache(goldenCacheBytes))
+				if err != nil {
+					t.Fatalf("%s/%s/%s: %v", arch, gg.name, patName, err)
+				}
+				r := rep.Result
+				cells = append(cells, timingCell{
+					Arch:        arch.String(),
+					Graph:       gg.name,
+					Pattern:     patName,
+					Count:       r.Count,
+					Tasks:       r.Tasks,
+					Cycles:      int64(r.Cycles),
+					CacheHits:   r.SharedCache.LineAccesses - r.SharedCache.LineMisses,
+					CacheMisses: r.SharedCache.LineMisses,
+					DRAMBytes:   r.DRAM.BytesMoved,
+					Compute:     int64(r.Breakdown.Compute),
+					MemStall:    int64(r.Breakdown.MemStall),
+					Overhead:    int64(r.Breakdown.Overhead),
+					Idle:        int64(r.Breakdown.Idle),
+				})
+			}
+		}
+	}
+	return cells
+}
+
+// TestTimingGolden pins the modelled timing of the serial engine — the
+// paper's result — cell by cell, so a refactor cannot move cycles
+// silently. Regenerate with `go test -run TestTimingGolden -update .`
+// only for a deliberate model change, and say so in the change log.
+func TestTimingGolden(t *testing.T) {
+	cells := timingGrid(t)
+	got, err := json.MarshalIndent(cells, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	path := filepath.Join("testdata", "timing.golden.json")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	var wantCells []timingCell
+	if err := json.Unmarshal(want, &wantCells); err != nil {
+		t.Fatalf("parse %s: %v", path, err)
+	}
+	if len(wantCells) != len(cells) {
+		t.Fatalf("grid has %d cells, golden has %d", len(cells), len(wantCells))
+	}
+	for i := range cells {
+		if cells[i] != wantCells[i] {
+			t.Errorf("cell %d moved:\n got  %+v\n want %+v", i, cells[i], wantCells[i])
+		}
+	}
+}
+
+// TestTimingPaperShape asserts the shape of the paper's Fig. 9 on the
+// golden grid: at equal PE count FINGERS finishes every graph × pattern
+// cell in fewer cycles than FlexMiner, with identical counts.
+func TestTimingPaperShape(t *testing.T) {
+	byKey := map[string]timingCell{}
+	for _, c := range timingGrid(t) {
+		byKey[fmt.Sprintf("%s/%s/%s", c.Arch, c.Graph, c.Pattern)] = c
+	}
+	for _, gg := range goldenGraphs {
+		for _, p := range goldenPatterns {
+			fi := byKey[fmt.Sprintf("FINGERS/%s/%s", gg.name, p)]
+			fm := byKey[fmt.Sprintf("FlexMiner/%s/%s", gg.name, p)]
+			if fi.Count != fm.Count {
+				t.Errorf("%s/%s: counts differ: FINGERS %d FlexMiner %d", gg.name, p, fi.Count, fm.Count)
+			}
+			if fi.Cycles >= fm.Cycles {
+				t.Errorf("%s/%s: FINGERS %d cycles does not beat FlexMiner %d", gg.name, p, fi.Cycles, fm.Cycles)
+			}
+		}
+	}
+}
