@@ -20,10 +20,10 @@ vet:
 # form (BENCH_softmine.txt — feed two of these to `benchstat old new`)
 # and mirrors the raw go-test output as JSON events in
 # BENCH_softmine.json for machine consumption. It then benchmarks the
-# simulator itself — serial event loop vs the bounded-lag parallel
-# engine on the quick grid — into BENCH_sim.json (wall time, simulated
-# cycles/sec, speedup, makespan divergence; wall-clock speedup needs a
-# multi-core host, determinism holds anywhere).
+# simulator itself — the serial event loop and 4-shard mode on the
+# quick grid — into BENCH_sim.json (wall time, simulated cycles/sec,
+# sharded speedup; the speedup needs a multi-core host, sharded counts
+# are bit-identical anywhere).
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkSoftMine -benchmem -count 5 \
 		./internal/mine/ | tee BENCH_softmine.txt

@@ -16,8 +16,6 @@
 //	-flex-pes N     FlexMiner chip size (default 40)
 //	-cache-kb N     shared-cache capacity override in kB
 //	-workers N      worker pool width for independent cells (0 = all cores)
-//	-sim-workers N  run each chip on the parallel engine with N host threads
-//	-sim-window Δ   parallel engine epoch width in simulated cycles
 //	-sim-shards N   partition roots across N independent engine instances
 //	-cpuprofile F   write a CPU profile to F
 //	-memprofile F   write a heap profile to F on exit
@@ -41,7 +39,6 @@ import (
 	"time"
 
 	"fingers"
-	"fingers/internal/accel"
 	"fingers/internal/exp"
 	"fingers/internal/telemetry"
 )
@@ -62,8 +59,6 @@ func realMain() int {
 	csvDir := flag.String("csv", "", "also write per-experiment CSV files into this directory")
 	jsonOut := flag.String("json", "", "append one JSONL run record per simulated chip run to this file")
 	runTag := flag.String("run-tag", "", "tag stamped into -json records so trend tooling can group this sweep")
-	simWorkers := flag.Int("sim-workers", 0, "run each simulated chip on the parallel engine with this many host threads (0 = serial event loop)")
-	simWindow := flag.Int64("sim-window", int64(accel.DefaultWindow), "parallel engine epoch window Δ in simulated cycles")
 	simShards := flag.Int("sim-shards", 0, "partition roots across this many independent engine instances (0/1 = unsharded)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile here")
 	memProfile := flag.String("memprofile", "", "write a heap profile here on exit")
@@ -75,17 +70,9 @@ func realMain() int {
 	// The engine knobs ride through a JobSpec so the CLI shares the
 	// daemon's validation and unit conversions instead of duplicating
 	// them.
-	spec := fingers.JobSpec{CacheKB: *cacheKB, SimWorkers: *simWorkers}
-	if *simWorkers > 0 {
-		spec.SimWindow = *simWindow
-	}
+	spec := fingers.JobSpec{CacheKB: *cacheKB}
 	if *simShards > 1 {
 		spec.SimShards = *simShards
-	}
-	pcfg, err := spec.ParallelSim()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		return 1
 	}
 	opts := exp.Options{
 		Quick:            *quick,
@@ -94,7 +81,6 @@ func realMain() int {
 		SharedCacheBytes: spec.CacheBytes(),
 		Workers:          *workers,
 		Ctx:              ctx,
-		SimParallel:      pcfg,
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

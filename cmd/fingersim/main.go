@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"fingers"
-	"fingers/internal/accel"
 	"fingers/internal/datasets"
 	"fingers/internal/exp"
 	"fingers/internal/graph"
@@ -65,8 +64,6 @@ func realMain() int {
 	jsonOut := flag.String("json", "", "append one JSONL run record per simulated architecture here")
 	runTag := flag.String("run-tag", "", "tag stamped into -json records so trend tooling can group this session")
 	progressEvery := flag.Int64("progress", 0, "print a progress line to stderr every N scheduler steps (0 = off)")
-	simWorkers := flag.Int("sim-workers", 0, "run the chip on the parallel engine with this many host threads (0 = serial event loop)")
-	simWindow := flag.Int64("sim-window", int64(accel.DefaultWindow), "parallel engine epoch window Δ in simulated cycles (results depend only on this; 1 = cycle-exact)")
 	simShards := flag.Int("sim-shards", 0, "partition roots across this many independent engine instances on separate OS threads (0/1 = unsharded; clamped to -pes)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile here")
 	memProfile := flag.String("memprofile", "", "write a heap profile here on exit")
@@ -86,18 +83,14 @@ func realMain() int {
 		return fail(fmt.Errorf("unknown -arch %q (valid values: fingers, flexminer, sisa, both, all)", *arch))
 	}
 	base := fingers.JobSpec{
-		Graph:      *graphArg,
-		Pattern:    *patternArg,
-		PEs:        *pes,
-		IUs:        *ius,
-		IsoArea:    isoArea,
-		PseudoDFS:  pseudoDFS,
-		CacheKB:    *cacheKB,
-		SimWorkers: *simWorkers,
-		RunTag:     *runTag,
-	}
-	if *simWorkers > 0 {
-		base.SimWindow = *simWindow
+		Graph:     *graphArg,
+		Pattern:   *patternArg,
+		PEs:       *pes,
+		IUs:       *ius,
+		IsoArea:   isoArea,
+		PseudoDFS: pseudoDFS,
+		CacheKB:   *cacheKB,
+		RunTag:    *runTag,
 	}
 	if *simShards > 1 {
 		base.SimShards = *simShards

@@ -1,14 +1,13 @@
 // Command simbench benchmarks the simulator itself: it runs the quick
 // experiment grid (small datasets × {tc, tt, cyc}) on the serial event
-// loop and on the bounded-lag parallel engine, and reports wall time,
-// simulated cycles per second, allocation and GC-pause totals, the
-// parallel/serial wall-clock speedup, the workers=1 engine overhead, and
-// the makespan divergence of the approximate parallel schedule.
+// loop and reports wall time, simulated cycles per second, and
+// allocation and GC-pause totals; with -shards it also measures the
+// sharded mode and its wall-clock speedup over serial.
 //
 // Usage:
 //
-//	simbench [-pes 8] [-sim-workers 8] [-sim-window 256] [-o BENCH_sim.json]
-//	         [-runs 1] [-reps 3] [-run-tag ci]
+//	simbench [-pes 8] [-shards 2] [-o BENCH_sim.json]
+//	         [-runs 1] [-reps 3] [-run-tag ci] [-min-shard-speedup 1.2]
 //	         [-baseline BENCH_sim.json] [-max-regress-pct 10]
 //
 // Each cell is measured -runs times (every measurement itself best-of
@@ -23,12 +22,12 @@
 // the baseline report and exits non-zero when it regressed by more than
 // -max-regress-pct — the CI guard against simulator slowdowns.
 //
-// The JSON report records the host core count: wall-clock speedup needs
-// real cores, while the determinism contract (counts bit-identical,
-// divergence bounded) holds on any host.
+// The JSON report records the host core count: the sharded speedup needs
+// real cores, while sharded counts are bit-identical on any host.
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -44,7 +43,6 @@ import (
 	"fingers/internal/exp"
 	fingerspe "fingers/internal/fingers"
 	"fingers/internal/graph"
-	"fingers/internal/mem"
 	"fingers/internal/plan"
 	"fingers/internal/simreport"
 	"fingers/internal/telemetry"
@@ -76,56 +74,30 @@ func measure(f func()) measured {
 	}
 }
 
-// measureCell runs one (graph, pattern) cell once: reps timed
-// repetitions per engine, keeping the best time of each. shards > 1
-// additionally measures the sharded mode (shards independent chips on
-// separate OS threads, serial event loop inside each).
-func measureCell(g *graph.Graph, plans []*plan.Plan, pes, reps, shards int, pcfg, w1cfg accel.ParallelConfig) (simreport.Cell, error) {
+// measureCell runs one (graph, pattern) cell once: reps timed serial
+// repetitions, keeping the best time. shards > 1 additionally measures
+// the sharded mode (shards independent chips on separate OS threads,
+// serial event loop inside each).
+func measureCell(g *graph.Graph, plans []*plan.Plan, pes, reps, shards int) (simreport.Cell, error) {
 	var cell simreport.Cell
-	var serial, par accel.Result
+	var serial accel.Result
 	cell.SerialWallNS = int64(math.MaxInt64)
-	cell.ParallelWallNS = int64(math.MaxInt64)
-	cell.Workers1WallNS = int64(math.MaxInt64)
-	cell.ShardedWallNS = int64(math.MaxInt64)
 	for r := 0; r < reps; r++ {
 		chip, err := fingerspe.NewChipErr(fingerspe.DefaultConfig(), pes, 0, g, plans)
 		if err != nil {
 			return cell, err
 		}
-		m := measure(func() { serial = chip.Run() })
+		m := measure(func() { serial, err = chip.Run(context.Background(), 0, nil) })
+		if err != nil {
+			return cell, err
+		}
 		if m.ns < cell.SerialWallNS {
 			cell.SerialWallNS = m.ns
 			cell.SerialAllocs, cell.SerialAllocBytes, cell.SerialGCPauseNS = m.allocs, m.bytes, m.pause
 		}
-
-		chip, err = fingerspe.NewChipErr(fingerspe.DefaultConfig(), pes, 0, g, plans)
-		if err != nil {
-			return cell, err
-		}
-		m = measure(func() {
-			par, err = chip.RunParallel(pcfg)
-		})
-		if err != nil {
-			return cell, err
-		}
-		if m.ns < cell.ParallelWallNS {
-			cell.ParallelWallNS = m.ns
-			cell.ParAllocs, cell.ParAllocBytes, cell.ParGCPauseNS = m.allocs, m.bytes, m.pause
-		}
-
-		chip, err = fingerspe.NewChipErr(fingerspe.DefaultConfig(), pes, 0, g, plans)
-		if err != nil {
-			return cell, err
-		}
-		t0 := time.Now()
-		if _, err := chip.RunParallel(w1cfg); err != nil {
-			return cell, err
-		}
-		if ns := time.Since(t0).Nanoseconds(); ns < cell.Workers1WallNS {
-			cell.Workers1WallNS = ns
-		}
 	}
 	if shards > 1 {
+		cell.ShardedWallNS = int64(math.MaxInt64)
 		for r := 0; r < reps; r++ {
 			var rep fingers.SimReport
 			var err error
@@ -147,22 +119,16 @@ func measureCell(g *graph.Graph, plans []*plan.Plan, pes, reps, shards int, pcfg
 					rep.Result.Count, serial.Count)
 			}
 		}
-	} else {
-		cell.ShardedWallNS = 0
 	}
 	cell.SimCycles = serial.Cycles
-	cell.ParallelCycles = par.Cycles
-	cell.CountsIdentical = serial.Count == par.Count && serial.Tasks == par.Tasks
-	cell.DivergencePct = 100 * math.Abs(float64(par.Cycles)-float64(serial.Cycles)) / float64(serial.Cycles)
 	return cell, nil
 }
 
 // medianCell combines N independent measurements of one cell into the
-// reported cell: per engine, the median wall time (lower middle for
-// even N) with its allocation profile, derived ratios recomputed from
-// the chosen medians. Simulated results are deterministic, so cycles
-// and count-identity come from the first sample and must agree across
-// all of them.
+// reported cell: per mode, the median wall time (lower middle for even
+// N) with its allocation profile. Simulated results are deterministic,
+// so cycles come from the first sample and must agree across all of
+// them.
 func medianCell(samples []simreport.Cell) simreport.Cell {
 	cell := samples[0]
 	pick := func(key func(simreport.Cell) int64) simreport.Cell {
@@ -173,10 +139,6 @@ func medianCell(samples []simreport.Cell) simreport.Cell {
 	s := pick(func(c simreport.Cell) int64 { return c.SerialWallNS })
 	cell.SerialWallNS = s.SerialWallNS
 	cell.SerialAllocs, cell.SerialAllocBytes, cell.SerialGCPauseNS = s.SerialAllocs, s.SerialAllocBytes, s.SerialGCPauseNS
-	p := pick(func(c simreport.Cell) int64 { return c.ParallelWallNS })
-	cell.ParallelWallNS = p.ParallelWallNS
-	cell.ParAllocs, cell.ParAllocBytes, cell.ParGCPauseNS = p.ParAllocs, p.ParAllocBytes, p.ParGCPauseNS
-	cell.Workers1WallNS = pick(func(c simreport.Cell) int64 { return c.Workers1WallNS }).Workers1WallNS
 	if cell.ShardedWallNS > 0 {
 		sh := pick(func(c simreport.Cell) int64 { return c.ShardedWallNS })
 		cell.ShardedWallNS = sh.ShardedWallNS
@@ -186,13 +148,10 @@ func medianCell(samples []simreport.Cell) simreport.Cell {
 	return cell
 }
 
-// finishCell derives the ratio fields from the (possibly median)
-// wall times.
+// finishCell derives the rate and ratio fields from the (possibly
+// median) wall times.
 func finishCell(cell *simreport.Cell) {
-	cell.Speedup = float64(cell.SerialWallNS) / float64(cell.ParallelWallNS)
-	cell.Workers1Factor = float64(cell.SerialWallNS) / float64(cell.Workers1WallNS)
 	cell.SerialCyclesSec = float64(cell.SimCycles) / (float64(cell.SerialWallNS) / 1e9)
-	cell.ParCyclesSec = float64(cell.ParallelCycles) / (float64(cell.ParallelWallNS) / 1e9)
 	if cell.ShardedWallNS > 0 {
 		cell.ShardedSpeedup = float64(cell.SerialWallNS) / float64(cell.ShardedWallNS)
 	}
@@ -200,8 +159,6 @@ func finishCell(cell *simreport.Cell) {
 
 func main() {
 	pes := flag.Int("pes", 8, "simulated chip PE count")
-	workers := flag.Int("sim-workers", runtime.GOMAXPROCS(0), "parallel engine host threads")
-	window := flag.Int64("sim-window", int64(accel.DefaultWindow), "parallel engine epoch window Δ (simulated cycles)")
 	shards := flag.Int("shards", 0, "also measure the sharded mode with this many independent engine instances (0 = off; clamped to -pes)")
 	minShardSpeed := flag.Float64("min-shard-speedup", 0, "fail when the sharded speedup geomean is at or below this (0 = no gate); the CI multi-core scaling guard")
 	reps := flag.Int("reps", 3, "timed repetitions per measurement (best-of)")
@@ -215,13 +172,6 @@ func main() {
 	if *runs < 1 {
 		fatal(fmt.Errorf("-runs must be >= 1, got %d", *runs))
 	}
-	pcfg := accel.ParallelConfig{Window: mem.Cycles(*window), Workers: *workers}
-	if err := pcfg.Validate(); err != nil {
-		fatal(err)
-	}
-	w1cfg := pcfg
-	w1cfg.Workers = 1
-
 	effShards := *shards
 	if effShards > *pes {
 		effShards = *pes // mirrors the façade's own clamp
@@ -234,25 +184,22 @@ func main() {
 	meta.RunTag = *runTag
 	started := time.Now()
 	rep := simreport.Report{
-		Schema:  simreport.Schema,
-		Meta:    meta,
-		PEs:     *pes,
-		Workers: *workers,
-		Window:  pcfg.Window,
-		Runs:    *runs,
-		Shards:  effShards,
-		Note: "wall-clock speedup requires free host cores (workers > 1 on a multi-core host); " +
-			"simulated results are deterministic in the window on any host",
+		Schema: simreport.Schema,
+		Meta:   meta,
+		PEs:    *pes,
+		Runs:   *runs,
+		Shards: effShards,
+		Note: "the sharded speedup requires free host cores; " +
+			"sharded counts are bit-identical to serial on any host",
 	}
 	if meta.HostCores == 1 || meta.GoMaxProcs == 1 {
 		rep.Warning = fmt.Sprintf(
-			"single-core measurement (host_cores=%d, gomaxprocs=%d): every wall-clock speedup below is an artifact of time slicing and says nothing about the engine; rerun on a multi-core host for a scaling verdict",
+			"single-core measurement (host_cores=%d, gomaxprocs=%d): every wall-clock speedup below is an artifact of time slicing; rerun on a multi-core host for a scaling verdict",
 			meta.HostCores, meta.GoMaxProcs)
 		fmt.Fprintf(os.Stderr, "simbench: WARNING: %s\n", rep.Warning)
 	}
 
-	logSpeed, logW1, logCPS, logDiv, nDiv := 0.0, 0.0, 0.0, 0.0, 0
-	logShard := 0.0
+	logCPS, logShard := 0.0, 0.0
 	for _, d := range datasets.Small() {
 		g := d.Graph()
 		for _, pat := range []string{"tc", "tt", "cyc"} {
@@ -262,11 +209,11 @@ func main() {
 			}
 			samples := make([]simreport.Cell, *runs)
 			for i := range samples {
-				samples[i], err = measureCell(g, plans, *pes, *reps, effShards, pcfg, w1cfg)
+				samples[i], err = measureCell(g, plans, *pes, *reps, effShards)
 				if err != nil {
 					fatal(err)
 				}
-				if samples[i].SimCycles != samples[0].SimCycles || samples[i].CountsIdentical != samples[0].CountsIdentical {
+				if samples[i].SimCycles != samples[0].SimCycles {
 					fatal(fmt.Errorf("%s/%s: run %d disagrees with run 0 on simulated results", d.Name, pat, i))
 				}
 			}
@@ -282,50 +229,26 @@ func main() {
 			cell.HybridBytes = fp.HybridBytes()
 			rep.Cells = append(rep.Cells, cell)
 
-			logSpeed += math.Log(cell.Speedup)
-			logW1 += math.Log(cell.Workers1Factor)
 			logCPS += math.Log(cell.SerialCyclesSec)
-			if cell.ShardedSpeedup > 0 {
-				logShard += math.Log(cell.ShardedSpeedup)
-			}
-			if cell.DivergencePct > rep.MaxDivPct {
-				rep.MaxDivPct = cell.DivergencePct
-			}
-			// Geomean over non-zero divergences only (log of 0 is -inf);
-			// exact cells pull the geomean to 0 via nDiv weighting below.
-			if cell.DivergencePct > 0 {
-				logDiv += math.Log(cell.DivergencePct)
-				nDiv++
-			}
-
 			shardCol := ""
 			if cell.ShardedSpeedup > 0 {
-				shardCol = fmt.Sprintf("  shard %5.2fx", cell.ShardedSpeedup)
+				logShard += math.Log(cell.ShardedSpeedup)
+				shardCol = fmt.Sprintf("  sharded %8.1fms  shard %5.2fx", float64(cell.ShardedWallNS)/1e6, cell.ShardedSpeedup)
 			}
-			fmt.Printf("%-3s %-4s serial %8.1fms  parallel %8.1fms  speedup %5.2fx  w1 %5.2fx%s  div %.3f%%  allocs %d  counts-ok %v  dense %d  bm %d  hyb %.1fKB\n",
-				d.Name, pat, float64(cell.SerialWallNS)/1e6, float64(cell.ParallelWallNS)/1e6,
-				cell.Speedup, cell.Workers1Factor, shardCol, cell.DivergencePct, cell.SerialAllocs, cell.CountsIdentical,
+			fmt.Printf("%-3s %-4s serial %8.1fms%s  allocs %d  dense %d  bm %d  hyb %.1fKB\n",
+				d.Name, pat, float64(cell.SerialWallNS)/1e6, shardCol, cell.SerialAllocs,
 				cell.DenseRows, cell.BitmapRows, float64(cell.HybridBytes)/1024)
-
-			if !cell.CountsIdentical {
-				fatal(fmt.Errorf("%s/%s: parallel counts diverge from serial", d.Name, pat))
-			}
 		}
 	}
 	n := float64(len(rep.Cells))
-	rep.GeomeanSpeed = math.Exp(logSpeed / n)
-	rep.GeomeanW1 = math.Exp(logW1 / n)
 	rep.GeomeanSerCPS = math.Exp(logCPS / n)
-	if nDiv > 0 {
-		rep.GeomeanDivPc = math.Exp(logDiv / float64(nDiv))
-	}
 	if effShards > 1 {
 		rep.GeomeanShardSpeed = math.Exp(logShard / n)
 	}
 	rep.WallNS = time.Since(started).Nanoseconds()
 
-	fmt.Printf("geomean speedup %.2fx, workers=1 factor %.2fx, serial %.0f cycles/sec (host cores %d, workers %d, runs %d), geomean divergence %.3f%%, max %.3f%%\n",
-		rep.GeomeanSpeed, rep.GeomeanW1, rep.GeomeanSerCPS, rep.HostCores, rep.Workers, rep.Runs, rep.GeomeanDivPc, rep.MaxDivPct)
+	fmt.Printf("serial %.0f cycles/sec geomean (host cores %d, runs %d)\n",
+		rep.GeomeanSerCPS, rep.HostCores, rep.Runs)
 	if effShards > 1 {
 		fmt.Printf("geomean sharded speedup %.2fx (%d shards over %d PEs)\n", rep.GeomeanShardSpeed, effShards, *pes)
 	}

@@ -42,7 +42,7 @@ import (
 )
 
 // SimError is the structured failure of a simulation or mining run: it
-// names the engine ("serial", "parallel", "miner", "facade"), the PE or
+// names the engine ("serial", "miner", "facade"), the PE or
 // worker, the simulated cycle, and the root vertex being mined, and
 // wraps the underlying cause — a recovered panic (with the goroutine
 // stack) or the context error of a cancelled run — so errors.Is(err,
@@ -96,12 +96,6 @@ type PlanOptions = plan.Options
 // SimResult is the outcome of one accelerator simulation.
 type SimResult = accel.Result
 
-// ParallelConfig parameterizes the bounded-lag parallel simulation
-// engine (WithParallelSim): Window is the epoch width Δ in simulated
-// cycles (results depend only on it; Window=1 reproduces the serial
-// engine exactly), Workers the number of host threads.
-type ParallelConfig = accel.ParallelConfig
-
 // AcceleratorConfig parameterizes a FINGERS processing element.
 type AcceleratorConfig = fingerspe.Config
 
@@ -113,7 +107,7 @@ type IUStats = fingerspe.IUStats
 
 // CycleBreakdown attributes simulated cycles to compute, exposed memory
 // stall, pipeline overhead, and idle; SimResult carries the chip-wide
-// rollup and PE-level detail is available from the traced variants.
+// rollup and SimReport.PerPE the PE-level detail (WithTracer, WithStats).
 type CycleBreakdown = telemetry.Breakdown
 
 // Cycles counts simulated accelerator clock cycles — the unit every
@@ -208,79 +202,6 @@ func DefaultAcceleratorConfig() AcceleratorConfig { return fingerspe.DefaultConf
 
 // DefaultBaselineConfig returns the FlexMiner PE configuration.
 func DefaultBaselineConfig() BaselineConfig { return flexminer.DefaultConfig() }
-
-// DefaultParallelConfig returns the tuned parallel-engine default: the
-// divergence-validated epoch window and one worker per host CPU.
-func DefaultParallelConfig() ParallelConfig { return accel.DefaultParallelConfig() }
-
-// SimulateFingers runs the FINGERS accelerator timing model with numPEs
-// processing elements; sharedCacheBytes = 0 keeps the 4 MB default. The
-// returned count is exact.
-//
-// Deprecated: use Simulate with ArchFingers.
-func SimulateFingers(cfg AcceleratorConfig, numPEs int, sharedCacheBytes int64, g *Graph, plans ...*Plan) SimResult {
-	rep, err := Simulate(ArchFingers, g, plans,
-		WithAcceleratorConfig(cfg), WithPEs(numPEs), WithSharedCache(sharedCacheBytes))
-	if err != nil {
-		panic(err)
-	}
-	return rep.Result
-}
-
-// SimulateFlexMiner runs the FlexMiner baseline timing model.
-//
-// Deprecated: use Simulate with ArchFlexMiner.
-func SimulateFlexMiner(cfg BaselineConfig, numPEs int, sharedCacheBytes int64, g *Graph, plans ...*Plan) SimResult {
-	rep, err := Simulate(ArchFlexMiner, g, plans,
-		WithBaselineConfig(cfg), WithPEs(numPEs), WithSharedCache(sharedCacheBytes))
-	if err != nil {
-		panic(err)
-	}
-	return rep.Result
-}
-
-// SimulateFingersWithStats runs the FINGERS model and also returns the
-// aggregated IU utilization statistics (Table 3's rates).
-//
-// Deprecated: use Simulate with ArchFingers and WithStats.
-func SimulateFingersWithStats(cfg AcceleratorConfig, numPEs int, sharedCacheBytes int64, g *Graph, plans ...*Plan) (SimResult, IUStats) {
-	rep, err := Simulate(ArchFingers, g, plans,
-		WithAcceleratorConfig(cfg), WithPEs(numPEs), WithSharedCache(sharedCacheBytes), WithStats())
-	if err != nil {
-		panic(err)
-	}
-	return rep.Result, rep.IU
-}
-
-// SimulateFingersTraced runs the FINGERS model with an event tracer
-// attached (nil is allowed and costs nothing) and returns the result,
-// the per-PE cycle records — each PE's compute/stall/overhead/idle
-// buckets sum to the makespan — and the IU utilization rates.
-//
-// Deprecated: use Simulate with ArchFingers, WithTracer and WithStats.
-func SimulateFingersTraced(cfg AcceleratorConfig, numPEs int, sharedCacheBytes int64, g *Graph, tr Tracer, plans ...*Plan) (SimResult, []PECycleRecord, IUStats) {
-	rep, err := Simulate(ArchFingers, g, plans,
-		WithAcceleratorConfig(cfg), WithPEs(numPEs), WithSharedCache(sharedCacheBytes),
-		WithTracer(tr), WithStats())
-	if err != nil {
-		panic(err)
-	}
-	return rep.Result, rep.PerPE, rep.IU
-}
-
-// SimulateFlexMinerTraced runs the FlexMiner baseline with an event
-// tracer attached (nil is allowed) and returns the result and the
-// per-PE cycle records.
-//
-// Deprecated: use Simulate with ArchFlexMiner and WithTracer.
-func SimulateFlexMinerTraced(cfg BaselineConfig, numPEs int, sharedCacheBytes int64, g *Graph, tr Tracer, plans ...*Plan) (SimResult, []PECycleRecord) {
-	rep, err := Simulate(ArchFlexMiner, g, plans,
-		WithBaselineConfig(cfg), WithPEs(numPEs), WithSharedCache(sharedCacheBytes), WithTracer(tr))
-	if err != nil {
-		panic(err)
-	}
-	return rep.Result, rep.PerPE
-}
 
 // IsoAreaPEs returns the FINGERS PE count that fits the area budget of
 // flexPEs FlexMiner PEs (the paper compares 20 vs 40).

@@ -114,10 +114,8 @@ type peEntry struct {
 }
 
 // peHeap orders PEs by local time so shared-resource accesses interleave
-// in approximately global time order. Ties break by PE index, making the
-// serial schedule the exact (cycle, PE-id) order the parallel epoch
-// engine commits in — the property the Window=1 equivalence oracle
-// depends on.
+// in approximately global time order. Ties break by PE index, so the
+// schedule is a total (cycle, PE-id) order and runs are deterministic.
 type peHeap []peEntry
 
 func (h peHeap) Len() int { return len(h) }
@@ -169,8 +167,8 @@ func (r Result) String() string {
 		r.Cycles, r.Count, r.Tasks, 100*r.SharedCache.MissRate())
 }
 
-// Progress is a snapshot of the event loop handed to the progress
-// callback of RunWithProgress.
+// Progress is a snapshot of the event loop handed to Run's progress
+// callback.
 type Progress struct {
 	// Steps is the number of scheduling quanta executed so far.
 	Steps int64
@@ -181,7 +179,7 @@ type Progress struct {
 }
 
 // CancelCheckQuantum is how many scheduling quanta the serial event loop
-// executes between context checks: a cancelled RunCtx returns within this
+// executes between context checks: a cancelled Run returns within this
 // many PE steps of the context firing. The value keeps the check off the
 // per-step hot path while bounding the cancellation latency to well under
 // a millisecond of host time.
@@ -190,7 +188,7 @@ const CancelCheckQuantum = 64
 // RootHolder is an optional PE capability: a PE that can report the root
 // vertex of the search tree it is currently mining, for failure
 // attribution and partial-progress reporting. Both accelerator PE models
-// implement it; the engines fall back to simerr.NoRoot when absent.
+// implement it; Run falls back to simerr.NoRoot when absent.
 type RootHolder interface {
 	CurrentRoot() (root uint32, ok bool)
 }
@@ -219,40 +217,18 @@ func safeStep(pe PE, id int, engine string) (alive bool, err error) {
 
 // Run drives the PEs in event order until all are idle and returns the
 // makespan. Each heap pop selects the PE with the smallest local clock so
-// shared cache and DRAM state evolve in near-global order. A panic inside
-// a PE step propagates as a panicking *simerr.SimError; use RunCtx to
-// receive it as an error instead.
-func Run(pes []PE) mem.Cycles { return RunWithProgress(pes, 0, nil) }
-
-// RunWithProgress is Run with a periodic observer: every `every`
-// scheduling quanta it calls fn with a Progress snapshot (every <= 0 or
-// fn == nil disables the callback, reducing to Run). The callback must
-// not mutate simulation state.
-func RunWithProgress(pes []PE, every int64, fn func(Progress)) mem.Cycles {
-	makespan, err := RunCtxWithProgress(context.Background(), pes, every, fn)
-	if err != nil {
-		// Unreachable for a background context unless a PE step panicked;
-		// preserve the legacy crash contract of the ctx-less entry point.
-		panic(err)
-	}
-	return makespan
-}
-
-// RunCtx is Run with cancellation and panic recovery: the loop checks ctx
-// every CancelCheckQuantum scheduling quanta, and a fired context stops
-// the run within that bound. The returned makespan is then the partially
-// simulated horizon (the largest local clock reached) alongside a
-// *simerr.SimError wrapping ctx.Err(); shared cache, DRAM, and per-PE
-// state remain consistent and inspectable — graceful degradation, not
-// data loss. A panic inside a PE step likewise returns as a *SimError
-// attributed to the PE, cycle, and root.
-func RunCtx(ctx context.Context, pes []PE) (mem.Cycles, error) {
-	return RunCtxWithProgress(ctx, pes, 0, nil)
-}
-
-// RunCtxWithProgress is RunCtx with the periodic observer of
-// RunWithProgress.
-func RunCtxWithProgress(ctx context.Context, pes []PE, every int64, fn func(Progress)) (mem.Cycles, error) {
+// shared cache and DRAM state evolve in near-global order.
+//
+// Every `every` scheduling quanta Run calls fn with a Progress snapshot
+// (every <= 0 or fn == nil disables the callback); the callback must not
+// mutate simulation state. The loop checks ctx every CancelCheckQuantum
+// quanta, and a fired context stops the run within that bound. The
+// returned makespan is then the partially simulated horizon (the largest
+// local clock reached) alongside a *simerr.SimError wrapping ctx.Err();
+// shared cache, DRAM, and per-PE state remain consistent and inspectable.
+// A panic inside a PE step likewise returns as a *SimError attributed to
+// the PE, cycle, and root.
+func Run(ctx context.Context, pes []PE, every int64, fn func(Progress)) (mem.Cycles, error) {
 	h := make(peHeap, 0, len(pes))
 	var makespan mem.Cycles
 	for i, pe := range pes {

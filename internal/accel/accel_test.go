@@ -1,6 +1,7 @@
 package accel
 
 import (
+	"context"
 	"testing"
 
 	"fingers/internal/mem"
@@ -46,18 +47,28 @@ func (f *fakePE) Step() bool {
 	return true
 }
 
+// mustRun runs the PEs to completion under a background context.
+func mustRun(t *testing.T, pes []PE, every int64, fn func(Progress)) mem.Cycles {
+	t.Helper()
+	got, err := Run(context.Background(), pes, every, fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
 func TestRunReturnsMakespan(t *testing.T) {
 	pes := []PE{
 		&fakePE{step: 10, left: 3}, // finishes at 30
 		&fakePE{step: 7, left: 10}, // finishes at 70
 	}
-	if got := Run(pes); got != 70 {
+	if got := mustRun(t, pes, 0, nil); got != 70 {
 		t.Errorf("makespan = %d, want 70", got)
 	}
 }
 
 func TestRunEmpty(t *testing.T) {
-	if got := Run(nil); got != 0 {
+	if got := mustRun(t, nil, 0, nil); got != 0 {
 		t.Errorf("empty makespan = %d", got)
 	}
 }
@@ -111,7 +122,7 @@ func TestRunInterleavesInEventOrder(t *testing.T) {
 		&orderedPE{step: 3, left: 10, log: &log},
 		&orderedPE{step: 11, left: 3, log: &log},
 	}
-	Run(pes)
+	mustRun(t, pes, 0, nil)
 	for i := 1; i < len(log); i++ {
 		if log[i] < log[i-1] {
 			t.Fatalf("steps out of order at %d: %v", i, log)
@@ -145,7 +156,7 @@ func TestRunWithProgressFiresPeriodically(t *testing.T) {
 		&fakePE{step: 7, left: 10},
 	}
 	var snaps []Progress
-	got := RunWithProgress(pes, 4, func(p Progress) { snaps = append(snaps, p) })
+	got := mustRun(t, pes, 4, func(p Progress) { snaps = append(snaps, p) })
 	if got != 70 {
 		t.Fatalf("makespan = %d, want 70", got)
 	}
@@ -163,8 +174,8 @@ func TestRunWithProgressFiresPeriodically(t *testing.T) {
 	}
 }
 
-// TestRunWithProgressDisabled checks every disabled combination reduces
-// to Run.
+// TestRunWithProgressDisabled checks every disabled combination runs
+// silently to completion.
 func TestRunWithProgressDisabled(t *testing.T) {
 	for _, every := range []int64{0, -1, 5} {
 		pes := []PE{&fakePE{step: 5, left: 4}}
@@ -172,8 +183,25 @@ func TestRunWithProgressDisabled(t *testing.T) {
 		if every == 5 {
 			fn = nil // explicit nil fn with a period must also be silent
 		}
-		if got := RunWithProgress(pes, every, fn); got != 20 {
+		if got := mustRun(t, pes, every, fn); got != 20 {
 			t.Errorf("every=%d: makespan = %d, want 20", every, got)
 		}
 	}
+}
+
+// TestRunWithProgressNowNeverRegresses: Progress.Now is the simulation
+// frontier; successive snapshots must be monotonically non-decreasing.
+func TestRunWithProgressNowNeverRegresses(t *testing.T) {
+	pes := []PE{
+		&fakePE{step: 13, left: 40},
+		&fakePE{step: 7, left: 80},
+		&fakePE{step: 29, left: 11},
+	}
+	var prev mem.Cycles
+	mustRun(t, pes, 3, func(p Progress) {
+		if p.Now < prev {
+			t.Fatalf("Now regressed: %d after %d (steps=%d)", p.Now, prev, p.Steps)
+		}
+		prev = p.Now
+	})
 }

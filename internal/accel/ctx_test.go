@@ -50,7 +50,7 @@ func TestRunCtxAlreadyCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	pes := []PE{&fakePE{step: 10, left: 100}}
-	got, err := RunCtx(ctx, pes)
+	got, err := Run(ctx, pes, 0, nil)
 	if err == nil {
 		t.Fatal("expected an error from a cancelled context")
 	}
@@ -77,7 +77,7 @@ func TestRunCtxCancelWithinQuantum(t *testing.T) {
 		cancelAt: 100,
 		cancel:   cancel,
 	}
-	got, err := RunCtx(ctx, []PE{pe})
+	got, err := Run(ctx, []PE{pe}, 0, nil)
 	if err == nil {
 		t.Fatal("expected cancellation error")
 	}
@@ -99,7 +99,7 @@ func TestRunCtxPanicBecomesSimError(t *testing.T) {
 		&fakePE{step: 5, left: 10},
 		&panicPE{fakePE: fakePE{step: 5, left: 100}, panicAt: 7, root: 42},
 	}
-	_, err := RunCtx(context.Background(), pes)
+	_, err := Run(context.Background(), pes, 0, nil)
 	if err == nil {
 		t.Fatal("expected the injected panic to surface as an error")
 	}
@@ -125,43 +125,4 @@ func TestRunCtxPanicBecomesSimError(t *testing.T) {
 	if !strings.Contains(err.Error(), "injected PE fault") {
 		t.Errorf("error %q does not mention the panic value", err)
 	}
-}
-
-// TestRunCtxMatchesRun: an uncancelled RunCtx is bit-identical to the
-// legacy Run — same makespan, no error.
-func TestRunCtxMatchesRun(t *testing.T) {
-	build := func() []PE {
-		return []PE{
-			&fakePE{step: 10, left: 3},
-			&fakePE{step: 7, left: 10},
-			&fakePE{step: 13, left: 5},
-		}
-	}
-	want := Run(build())
-	got, err := RunCtx(context.Background(), build())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("RunCtx = %d, Run = %d", got, want)
-	}
-}
-
-// TestRunWithProgressPanicsOnPEFault: the legacy ctx-less entry keeps
-// its crash contract — a PE fault propagates as a panicking *SimError.
-func TestRunWithProgressPanicsOnPEFault(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected Run to panic on a PE fault")
-		}
-		err, ok := r.(error)
-		if !ok {
-			t.Fatalf("panic value %T is not an error", r)
-		}
-		if _, ok := simerr.As(err); !ok {
-			t.Errorf("panic value %v is not a *simerr.SimError", err)
-		}
-	}()
-	Run([]PE{&panicPE{fakePE: fakePE{step: 5, left: 10}, panicAt: 2}})
 }

@@ -167,7 +167,7 @@ func AblateRootOrder(opts Options) *AblationResult {
 	var base mem.Cycles
 	for i, pol := range policies {
 		chip := fingers.NewChipWithScheduler(fingers.DefaultConfig(), pes, opts.cacheBytes(), g, plans, pol.sched())
-		r, _ := opts.runChip(chip.RunCtx, chip.RunParallelCtx)
+		r, _ := opts.runChip(chip)
 		if i == 0 {
 			base = r.Cycles
 		}

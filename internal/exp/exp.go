@@ -48,15 +48,10 @@ type Options struct {
 	Log *telemetry.RunLog
 	// Workers bounds the worker pool the experiments fan their
 	// independent (dataset, pattern, arch) cells across; zero or negative
-	// uses GOMAXPROCS. Unless SimParallel is also set, the simulated
-	// chips themselves stay single-threaded — parallelism is across
-	// cells only, so cycle results are identical to a serial run.
+	// uses GOMAXPROCS. The simulated chips themselves stay
+	// single-threaded — parallelism is across cells only, so cycle
+	// results are identical to a serial run.
 	Workers int
-	// SimParallel, when non-nil, runs every simulated chip on the
-	// bounded-lag parallel engine with this configuration. Results are
-	// deterministic in the window (never the worker count); Window=1
-	// reproduces the serial engine exactly.
-	SimParallel *accel.ParallelConfig
 	// Ctx, when non-nil, cancels a sweep early: in-flight cells finish,
 	// remaining cells are skipped and left out of the result. Nil means
 	// run to completion.
@@ -106,12 +101,14 @@ func PlansFor(name string) ([]*plan.Plan, error) {
 
 // RunFingers simulates a FINGERS chip on one benchmark cell.
 func RunFingers(cfg fingers.Config, pes int, cacheBytes int64, g *graph.Graph, plans []*plan.Plan) accel.Result {
-	return newFingersChip(cfg, pes, cacheBytes, g, plans).Run()
+	res, _ := Options{}.runChip(newFingersChip(cfg, pes, cacheBytes, g, plans))
+	return res
 }
 
 // RunFlexMiner simulates a FlexMiner chip on one benchmark cell.
 func RunFlexMiner(pes int, cacheBytes int64, g *graph.Graph, plans []*plan.Plan) accel.Result {
-	return newFlexChip(pes, cacheBytes, g, plans).Run()
+	res, _ := Options{}.runChip(newFlexChip(pes, cacheBytes, g, plans))
+	return res
 }
 
 // RunSISA simulates the set-centric FlexMiner variant (ArchSISA) on one
@@ -125,7 +122,8 @@ func RunSISA(pes int, cacheBytes int64, g *graph.Graph, plans []*plan.Plan) acce
 	if err != nil {
 		panic(fmt.Sprintf("exp: chip construction: %v", err))
 	}
-	return chip.Run()
+	res, _ := Options{}.runChip(chip)
+	return res
 }
 
 // newFingersChip constructs a FINGERS chip through the validating
@@ -205,22 +203,20 @@ func logWrite(log *telemetry.RunLog, rec telemetry.RunRecord) {
 	}
 }
 
-// runChip executes one chip run on the engine Options selects — the
-// serial event loop, or with SimParallel the bounded-lag parallel
-// engine — threading Options.Ctx through so a cancelled sweep stops the
-// in-flight chip within one cancellation quantum rather than letting it
-// run to completion. A cancelled run returns its partial result with
-// partial=true; any other simulation error (a recovered engine panic,
-// an invalid SimParallel configuration) panics, because it signals a
-// defect rather than a shutdown.
-func (o Options) runChip(serial func(context.Context) (accel.Result, error), parallel func(context.Context, accel.ParallelConfig) (accel.Result, error)) (res accel.Result, partial bool) {
+// chipRunner is the run entry point both chip models share.
+type chipRunner interface {
+	Run(ctx context.Context, every int64, fn func(accel.Progress)) (accel.Result, error)
+}
+
+// runChip executes one chip run, threading Options.Ctx through so a
+// cancelled sweep stops the in-flight chip within one cancellation
+// quantum rather than letting it run to completion. A cancelled run
+// returns its partial result with partial=true; any other simulation
+// error (a recovered engine panic) panics, because it signals a defect
+// rather than a shutdown.
+func (o Options) runChip(chip chipRunner) (res accel.Result, partial bool) {
 	ctx := o.ctx()
-	var err error
-	if o.SimParallel == nil {
-		res, err = serial(ctx)
-	} else {
-		res, err = parallel(ctx, *o.SimParallel)
-	}
+	res, err := chip.Run(ctx, 0, nil)
 	if err != nil {
 		if ctx.Err() == nil {
 			panic(fmt.Sprintf("exp: simulation: %v", err))
@@ -235,7 +231,7 @@ func (o Options) runChip(serial func(context.Context) (accel.Result, error), par
 func (o Options) simFingers(experiment, graphName, patternName string, cfg fingers.Config, pes int, cacheBytes int64, g *graph.Graph, plans []*plan.Plan) accel.Result {
 	chip := newFingersChip(cfg, pes, cacheBytes, g, plans)
 	start := time.Now()
-	res, partial := o.runChip(chip.RunCtx, chip.RunParallelCtx)
+	res, partial := o.runChip(chip)
 	wall := time.Since(start)
 	if o.Log != nil {
 		rec := NewRunRecord("fingers", experiment, graphName, patternName, pes, cfg.NumIUs, cacheBytes, g, res, chip.PERecords())
@@ -254,7 +250,7 @@ func (o Options) simFingers(experiment, graphName, patternName string, cfg finge
 func (o Options) simFlex(experiment, graphName, patternName string, pes int, cacheBytes int64, g *graph.Graph, plans []*plan.Plan) accel.Result {
 	chip := newFlexChip(pes, cacheBytes, g, plans)
 	start := time.Now()
-	res, partial := o.runChip(chip.RunCtx, chip.RunParallelCtx)
+	res, partial := o.runChip(chip)
 	wall := time.Since(start)
 	if o.Log != nil {
 		rec := NewRunRecord("flexminer", experiment, graphName, patternName, pes, 0, cacheBytes, g, res, chip.PERecords())

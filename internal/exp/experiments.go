@@ -335,7 +335,7 @@ func Table3(opts Options) *Table3Result {
 			panic(err)
 		}
 		chip := newFingersChip(fingers.DefaultConfig(), 1, opts.cacheBytes(), g, plans)
-		runRes, _ := opts.runChip(chip.RunCtx, chip.RunParallelCtx)
+		runRes, _ := opts.runChip(chip)
 		st := chip.AggregateStats()
 		if opts.Log != nil {
 			rec := NewRunRecord("fingers", "table3", d.Name, name, 1, fingers.DefaultConfig().NumIUs, opts.cacheBytes(), g, runRes, chip.PERecords())

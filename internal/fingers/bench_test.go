@@ -17,7 +17,7 @@ func BenchmarkSinglePE(b *testing.B) {
 	b.ReportAllocs()
 	var cycles int64
 	for i := 0; i < b.N; i++ {
-		res := mustChip(b, DefaultConfig(), 1, 0, g, pls).Run()
+		res := mustRun(b, mustChip(b, DefaultConfig(), 1, 0, g, pls))
 		cycles = int64(res.Cycles)
 	}
 	b.ReportMetric(float64(cycles), "sim-cycles")
@@ -29,7 +29,7 @@ func BenchmarkChip20PE(b *testing.B) {
 	pls := []*plan.Plan{mustPlan(b, "tc")}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		mustChip(b, DefaultConfig(), 20, 0, g, pls).Run()
+		mustRun(b, mustChip(b, DefaultConfig(), 20, 0, g, pls))
 	}
 }
 
@@ -52,7 +52,7 @@ func BenchmarkSinglePENilTracer(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		chip := mustChip(b, DefaultConfig(), 1, 0, g, pls)
 		chip.SetTracer(nil)
-		chip.Run()
+		mustRun(b, chip)
 	}
 }
 
@@ -65,6 +65,6 @@ func BenchmarkSinglePECountingTracer(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		chip := mustChip(b, DefaultConfig(), 1, 0, g, pls)
 		chip.SetTracer(&telemetry.Counting{})
-		chip.Run()
+		mustRun(b, chip)
 	}
 }

@@ -23,16 +23,8 @@ type Chip struct {
 	makespan mem.Cycles
 }
 
-// NewChip builds a FINGERS chip with numPEs PEs mining the given plans.
-// sharedCacheBytes = 0 keeps the paper's 4 MB default.
-//
-// Deprecated: NewChip panics on a degenerate configuration; prefer
-// NewChipErr at any boundary that ingests untrusted configurations.
-func NewChip(cfg Config, numPEs int, sharedCacheBytes int64, g *graph.Graph, plans []*plan.Plan) *Chip {
-	return NewChipWithScheduler(cfg, numPEs, sharedCacheBytes, g, plans, nil)
-}
-
-// NewChipErr is NewChip with validation instead of panics: a
+// NewChipErr builds a FINGERS chip with numPEs PEs mining the given
+// plans; sharedCacheBytes = 0 keeps the paper's 4 MB default. A
 // non-positive PE count, a nil graph, an empty or nil-holding plan list,
 // or a plan failing plan.Validate is reported as an error. This is the
 // constructor the Simulate façade uses.
@@ -116,75 +108,20 @@ func (c *Chip) SetTracer(t telemetry.Tracer) {
 	c.Hier.DRAM.SetObserver(t)
 }
 
-// Run simulates the chip to completion.
-func (c *Chip) Run() accel.Result { return c.RunWithProgress(0, nil) }
-
-// RunWithProgress simulates the chip to completion, invoking fn with a
-// progress snapshot every `every` scheduling quanta (0 disables).
-func (c *Chip) RunWithProgress(every int64, fn func(accel.Progress)) accel.Result {
+// Run simulates the chip to completion, invoking fn with a progress
+// snapshot every `every` scheduling quanta (every <= 0 or a nil fn
+// disables it). A fired context stops the run within
+// accel.CancelCheckQuantum scheduling quanta and returns the partial
+// Result assembled from everything simulated so far (cycles reached,
+// counts, cache/DRAM state, per-PE breakdowns) alongside a
+// *simerr.SimError wrapping ctx.Err(). A panic inside a PE step returns
+// the same way instead of crashing.
+func (c *Chip) Run(ctx context.Context, every int64, fn func(accel.Progress)) (accel.Result, error) {
 	pes := make([]accel.PE, len(c.PEs))
 	for i, pe := range c.PEs {
 		pes[i] = pe
 	}
-	return c.assemble(accel.RunWithProgress(pes, every, fn))
-}
-
-// RunCtx simulates the chip with cancellation and panic recovery: a
-// fired context stops the run within accel.CancelCheckQuantum scheduling
-// quanta and returns the partial Result assembled from everything
-// simulated so far (cycles reached, counts, cache/DRAM state, per-PE
-// breakdowns) alongside a *simerr.SimError wrapping ctx.Err(). A panic
-// inside a PE step returns the same way instead of crashing.
-func (c *Chip) RunCtx(ctx context.Context) (accel.Result, error) {
-	return c.RunCtxWithProgress(ctx, 0, nil)
-}
-
-// RunCtxWithProgress is RunCtx with the periodic observer of
-// RunWithProgress.
-func (c *Chip) RunCtxWithProgress(ctx context.Context, every int64, fn func(accel.Progress)) (accel.Result, error) {
-	pes := make([]accel.PE, len(c.PEs))
-	for i, pe := range c.PEs {
-		pes[i] = pe
-	}
-	makespan, err := accel.RunCtxWithProgress(ctx, pes, every, fn)
-	return c.assemble(makespan), err
-}
-
-// RunParallel simulates the chip to completion on the bounded-lag
-// parallel engine. Results depend only on pcfg.Window, never on
-// pcfg.Workers; Window=1 matches Run exactly (accel.RunParallel).
-func (c *Chip) RunParallel(pcfg accel.ParallelConfig) (accel.Result, error) {
-	return c.RunParallelWithProgress(pcfg, 0, nil)
-}
-
-// RunParallelWithProgress is RunParallel with a progress callback fired
-// at epoch barriers, at least every `every` committed quanta.
-func (c *Chip) RunParallelWithProgress(pcfg accel.ParallelConfig, every int64, fn func(accel.Progress)) (accel.Result, error) {
-	return c.RunParallelCtxWithProgress(context.Background(), pcfg, every, fn)
-}
-
-// RunParallelCtx is RunParallel with cancellation and panic recovery: a
-// fired context stops the run within one epoch window, returning the
-// partial Result of everything committed so far alongside a
-// *simerr.SimError wrapping ctx.Err(); engine goroutine panics return
-// the same way instead of crashing the host.
-func (c *Chip) RunParallelCtx(ctx context.Context, pcfg accel.ParallelConfig) (accel.Result, error) {
-	return c.RunParallelCtxWithProgress(ctx, pcfg, 0, nil)
-}
-
-// RunParallelCtxWithProgress is RunParallelCtx with the progress
-// callback of RunParallelWithProgress.
-func (c *Chip) RunParallelCtxWithProgress(ctx context.Context, pcfg accel.ParallelConfig, every int64, fn func(accel.Progress)) (accel.Result, error) {
-	pes := make([]accel.SpecPE, len(c.PEs))
-	for i, pe := range c.PEs {
-		pes[i] = pe
-	}
-	makespan, err := accel.RunParallelCtxWithProgress(ctx, pes, c.Hier, c.ports, pcfg, every, fn)
-	if err != nil && makespan == 0 {
-		// Config-validation failures happen before any simulation; keep
-		// the legacy zero Result so callers can't mistake them for runs.
-		return accel.Result{}, err
-	}
+	makespan, err := accel.Run(ctx, pes, every, fn)
 	return c.assemble(makespan), err
 }
 

@@ -30,26 +30,13 @@ func (p *panicTracer) CacheAccess(pe int, at mem.Cycles, bytes, lines, misses in
 }
 func (p *panicTracer) DRAMBurst(start, done mem.Cycles, addr, bytes int64) {}
 
-func TestChipRunCtxMatchesRun(t *testing.T) {
-	g := gen.PowerLawCluster(200, 4, 0.5, 31)
-	pls := plansFor(t, "tt")
-	want := mustChip(t, DefaultConfig(), 4, 0, g, pls).Run()
-	got, err := mustChip(t, DefaultConfig(), 4, 0, g, pls).RunCtx(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("RunCtx result diverges from Run:\n%+v\n%+v", got, want)
-	}
-}
-
 func TestChipRunCtxAlreadyCancelled(t *testing.T) {
 	g := gen.PowerLawCluster(200, 4, 0.5, 31)
 	pls := plansFor(t, "tc")
 	chip := mustChip(t, DefaultConfig(), 2, 0, g, pls)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := chip.RunCtx(ctx)
+	res, err := chip.Run(ctx, 0, nil)
 	if err == nil {
 		t.Fatal("expected a cancellation error")
 	}
@@ -75,7 +62,7 @@ func TestChipRunCtxCancelMidRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var steps int64
-	res, err := chip.RunCtxWithProgress(ctx, 1, func(p accel.Progress) {
+	res, err := chip.Run(ctx, 1, func(p accel.Progress) {
 		steps = p.Steps
 		if steps == 500 {
 			cancel()
@@ -104,65 +91,13 @@ func TestChipRunCtxCancelMidRun(t *testing.T) {
 	}
 }
 
-func TestChipRunParallelCtxAlreadyCancelled(t *testing.T) {
-	g := gen.PowerLawCluster(200, 4, 0.5, 41)
-	pls := plansFor(t, "tc")
-	chip := mustChip(t, DefaultConfig(), 4, 0, g, pls)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	pcfg := accel.ParallelConfig{Window: 64, Workers: 2}
-	_, err := chip.RunParallelCtx(ctx, pcfg)
-	if err == nil {
-		t.Fatal("expected a cancellation error")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("error %v does not wrap context.Canceled", err)
-	}
-	se, ok := simerr.As(err)
-	if !ok || se.Engine != "parallel" || !se.IsCancellation() {
-		t.Errorf("error %v is not a parallel-engine cancellation SimError", err)
-	}
-}
-
-// TestChipRunParallelCtxCancelMidEpoch cancels from the epoch-barrier
-// progress callback while worker goroutines are active; run under -race
-// this doubles as the engine-shutdown data-race check.
-func TestChipRunParallelCtxCancelMidEpoch(t *testing.T) {
-	g := gen.PowerLawCluster(400, 5, 0.6, 43)
-	pls := plansFor(t, "tt")
-	chip := mustChip(t, DefaultConfig(), 4, 0, g, pls)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	fired := false
-	res, err := chip.RunParallelCtxWithProgress(ctx, accel.ParallelConfig{Window: 64, Workers: 4}, 200,
-		func(p accel.Progress) {
-			if !fired && p.Steps >= 200 {
-				fired = true
-				cancel()
-			}
-		})
-	if !fired {
-		t.Skip("run completed before the cancellation point")
-	}
-	if err == nil {
-		t.Fatal("expected a cancellation error")
-	}
-	se, ok := simerr.As(err)
-	if !ok || se.Engine != "parallel" || !se.IsCancellation() {
-		t.Fatalf("error %v is not a parallel-engine cancellation SimError", err)
-	}
-	if res.Cycles == 0 {
-		t.Error("partial result is missing its committed horizon")
-	}
-}
-
 func TestChipPanicSurfacesAsSimErrorSerial(t *testing.T) {
 	g := gen.PowerLawCluster(200, 4, 0.5, 47)
 	pls := plansFor(t, "tc")
 	chip := mustChip(t, DefaultConfig(), 2, 0, g, pls)
 	tr := &panicTracer{armed: true}
 	chip.SetTracer(tr)
-	_, err := chip.RunCtx(context.Background())
+	_, err := chip.Run(context.Background(), 0, nil)
 	if err == nil {
 		t.Fatal("expected the injected panic to surface as an error")
 	}
@@ -172,27 +107,6 @@ func TestChipPanicSurfacesAsSimErrorSerial(t *testing.T) {
 	}
 	if se.Engine != "serial" || se.PE < 0 {
 		t.Errorf("SimError = %+v, want serial engine with PE attribution", se)
-	}
-	if se.IsCancellation() {
-		t.Error("a panic must not be classified as cancellation")
-	}
-}
-
-func TestChipPanicSurfacesAsSimErrorParallel(t *testing.T) {
-	g := gen.PowerLawCluster(200, 4, 0.5, 53)
-	pls := plansFor(t, "tc")
-	chip := mustChip(t, DefaultConfig(), 4, 0, g, pls)
-	chip.SetTracer(&panicTracer{armed: true})
-	_, err := chip.RunParallelCtx(context.Background(), accel.ParallelConfig{Window: 64, Workers: 4})
-	if err == nil {
-		t.Fatal("expected the injected panic to surface as an error")
-	}
-	se, ok := simerr.As(err)
-	if !ok {
-		t.Fatalf("error %T is not a *simerr.SimError", err)
-	}
-	if se.Engine != "parallel" {
-		t.Errorf("Engine = %q, want parallel", se.Engine)
 	}
 	if se.IsCancellation() {
 		t.Error("a panic must not be classified as cancellation")

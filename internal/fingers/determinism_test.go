@@ -15,8 +15,8 @@ func TestSimulationDeterministic(t *testing.T) {
 	g := gen.PowerLawCluster(300, 5, 0.6, 71)
 	pls := plansFor(t, "tt")
 	run := func() (a, b interface{}) {
-		fi := mustChip(t, DefaultConfig(), 4, 0, g, pls).Run()
-		fm := mustFlexChip(t, flexminer.DefaultConfig(), 4, 0, g, pls).Run()
+		fi := mustRun(t, mustChip(t, DefaultConfig(), 4, 0, g, pls))
+		fm := mustRun(t, mustFlexChip(t, flexminer.DefaultConfig(), 4, 0, g, pls))
 		return fi, fm
 	}
 	fi1, fm1 := run()
@@ -36,9 +36,9 @@ func TestTasksMatchAcrossDesigns(t *testing.T) {
 	g := gen.PowerLawCluster(300, 5, 0.6, 73)
 	for _, name := range []string{"tc", "tt", "cyc"} {
 		pls := plansFor(t, name)
-		fi1 := mustChip(t, DefaultConfig(), 1, 0, g, pls).Run()
-		fi8 := mustChip(t, DefaultConfig(), 8, 0, g, pls).Run()
-		fm := mustFlexChip(t, flexminer.DefaultConfig(), 3, 0, g, pls).Run()
+		fi1 := mustRun(t, mustChip(t, DefaultConfig(), 1, 0, g, pls))
+		fi8 := mustRun(t, mustChip(t, DefaultConfig(), 8, 0, g, pls))
+		fm := mustRun(t, mustFlexChip(t, flexminer.DefaultConfig(), 3, 0, g, pls))
 		if fi1.Tasks != fi8.Tasks || fi1.Tasks != fm.Tasks {
 			t.Errorf("%s: task counts diverge: %d / %d / %d", name, fi1.Tasks, fi8.Tasks, fm.Tasks)
 		}
@@ -49,10 +49,10 @@ func TestTasksMatchAcrossDesigns(t *testing.T) {
 func TestTinyPrivateCacheStillCorrect(t *testing.T) {
 	g := gen.PowerLawCluster(300, 8, 0.5, 79)
 	pls := plansFor(t, "tt")
-	want := mustChip(t, DefaultConfig(), 1, 0, g, pls).Run()
+	want := mustRun(t, mustChip(t, DefaultConfig(), 1, 0, g, pls))
 	cfg := DefaultConfig()
 	cfg.PrivateCacheBytes = 64
-	small := mustChip(t, cfg, 1, 0, g, pls).Run()
+	small := mustRun(t, mustChip(t, cfg, 1, 0, g, pls))
 	if small.Count != want.Count {
 		t.Fatalf("spill path changed the answer: %d vs %d", small.Count, want.Count)
 	}
@@ -65,7 +65,7 @@ func TestTinyPrivateCacheStillCorrect(t *testing.T) {
 func TestDegenerateConfigs(t *testing.T) {
 	g := gen.PowerLawCluster(150, 4, 0.5, 83)
 	pls := plansFor(t, "tc")
-	want := mustChip(t, DefaultConfig(), 1, 0, g, pls).Run().Count
+	want := mustRun(t, mustChip(t, DefaultConfig(), 1, 0, g, pls)).Count
 	cases := []Config{
 		DefaultConfig().WithIUs(1),
 		DefaultConfig().WithIUsUnlimited(64),
@@ -75,7 +75,7 @@ func TestDegenerateConfigs(t *testing.T) {
 		func() Config { c := DefaultConfig(); c.LongSegLen = 1; c.ShortSegLen = 1; return c }(),
 	}
 	for i, cfg := range cases {
-		res := mustChip(t, cfg, 2, 0, g, pls).Run()
+		res := mustRun(t, mustChip(t, cfg, 2, 0, g, pls))
 		if res.Count != want {
 			t.Errorf("config %d: count %d, want %d", i, res.Count, want)
 		}

@@ -1,8 +1,10 @@
 package fingers
 
 import (
+	"context"
 	"testing"
 
+	"fingers/internal/accel"
 	"fingers/internal/flexminer"
 	"fingers/internal/graph"
 	"fingers/internal/graph/gen"
@@ -25,8 +27,7 @@ func plansFor(t *testing.T, names ...string) []*plan.Plan {
 }
 
 // mustChip builds a chip through the validating constructor, failing the
-// test on error. Only the panic-contract tests still call the deprecated
-// NewChip directly.
+// test on error.
 func mustChip(tb testing.TB, cfg Config, numPEs int, sharedCacheBytes int64, g *graph.Graph, plans []*plan.Plan) *Chip {
 	tb.Helper()
 	chip, err := NewChipErr(cfg, numPEs, sharedCacheBytes, g, plans)
@@ -43,6 +44,21 @@ func mustFlexChip(tb testing.TB, cfg flexminer.Config, numPEs int, sharedCacheBy
 		tb.Fatal(err)
 	}
 	return chip
+}
+
+// runner is the chip surface mustRun drives, satisfied by both models.
+type runner interface {
+	Run(context.Context, int64, func(accel.Progress)) (accel.Result, error)
+}
+
+// mustRun simulates a chip to completion, failing the test on error.
+func mustRun(tb testing.TB, c runner) accel.Result {
+	tb.Helper()
+	res, err := c.Run(context.Background(), 0, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
 }
 
 var simGraphs = []struct {
@@ -64,7 +80,7 @@ func TestChipCountsMatchSoftware(t *testing.T) {
 			want := mine.Count(tc.g, pls[0])
 			for _, pes := range []int{1, 4} {
 				chip := mustChip(t, DefaultConfig(), pes, 0, tc.g, pls)
-				res := chip.Run()
+				res := mustRun(t, chip)
 				if res.Count != want {
 					t.Errorf("%s/%s FINGERS %d PEs: count = %d, want %d",
 						tc.name, name, pes, res.Count, want)
@@ -83,7 +99,7 @@ func TestFlexMinerCountsMatchSoftware(t *testing.T) {
 			pls := plansFor(t, name)
 			want := mine.Count(tc.g, pls[0])
 			chip := mustFlexChip(t, flexminer.DefaultConfig(), 4, 0, tc.g, pls)
-			res := chip.Run()
+			res := mustRun(t, chip)
 			if res.Count != want {
 				t.Errorf("%s/%s FlexMiner: count = %d, want %d", tc.name, name, res.Count, want)
 			}
@@ -103,11 +119,11 @@ func TestMultiPatternCounts(t *testing.T) {
 		want += c
 	}
 	chip := mustChip(t, DefaultConfig(), 2, 0, g, mp.Plans)
-	if res := chip.Run(); res.Count != want {
+	if res := mustRun(t, chip); res.Count != want {
 		t.Errorf("3-motif on chip = %d, want %d", res.Count, want)
 	}
 	fchip := mustFlexChip(t, flexminer.DefaultConfig(), 2, 0, g, mp.Plans)
-	if res := fchip.Run(); res.Count != want {
+	if res := mustRun(t, fchip); res.Count != want {
 		t.Errorf("3-motif on FlexMiner = %d, want %d", res.Count, want)
 	}
 }
@@ -119,8 +135,8 @@ func TestSinglePESpeedup(t *testing.T) {
 	g := gen.PowerLawCluster(500, 8, 0.6, 17)
 	for _, name := range []string{"tc", "4cl", "tt", "cyc", "dia"} {
 		pls := plansFor(t, name)
-		fm := mustFlexChip(t, flexminer.DefaultConfig(), 1, 0, g, pls).Run()
-		fi := mustChip(t, DefaultConfig(), 1, 0, g, pls).Run()
+		fm := mustRun(t, mustFlexChip(t, flexminer.DefaultConfig(), 1, 0, g, pls))
+		fi := mustRun(t, mustChip(t, DefaultConfig(), 1, 0, g, pls))
 		if fi.Count != fm.Count {
 			t.Fatalf("%s: counts diverge (%d vs %d)", name, fi.Count, fm.Count)
 		}
@@ -139,8 +155,8 @@ func TestPseudoDFSHelps(t *testing.T) {
 	pls := plansFor(t, "tc")
 	off := DefaultConfig()
 	off.PseudoDFS = false
-	resOff := mustChip(t, off, 1, 0, g, pls).Run()
-	resOn := mustChip(t, DefaultConfig(), 1, 0, g, pls).Run()
+	resOff := mustRun(t, mustChip(t, off, 1, 0, g, pls))
+	resOn := mustRun(t, mustChip(t, DefaultConfig(), 1, 0, g, pls))
 	if resOn.Count != resOff.Count {
 		t.Fatalf("pseudo-DFS changed the answer: %d vs %d", resOn.Count, resOff.Count)
 	}
@@ -153,7 +169,7 @@ func TestGroupSizeAdapts(t *testing.T) {
 	g := gen.PowerLawCluster(300, 5, 0.5, 31)
 	pls := plansFor(t, "tc")
 	chip := mustChip(t, DefaultConfig(), 1, 0, g, pls)
-	chip.Run()
+	mustRun(t, chip)
 	pe := chip.PEs[0]
 	if pe.groupSize() < 1 || pe.groupSize() > pe.cfg.MaxGroupSize {
 		t.Errorf("group size out of range: %d", pe.groupSize())
@@ -177,7 +193,7 @@ func TestIUStatsSane(t *testing.T) {
 	g := gen.PowerLawCluster(400, 6, 0.6, 41)
 	pls := plansFor(t, "tt")
 	chip := mustChip(t, DefaultConfig(), 1, 0, g, pls)
-	chip.Run()
+	mustRun(t, chip)
 	st := chip.AggregateStats()
 	active, balance := st.ActiveRate(), st.BalanceRate()
 	if active <= 0 || active > 1 {
@@ -217,8 +233,8 @@ func TestWithIUsIsoArea(t *testing.T) {
 func TestMorePEsFaster(t *testing.T) {
 	g := gen.PowerLawCluster(600, 6, 0.5, 3)
 	pls := plansFor(t, "tc")
-	one := mustChip(t, DefaultConfig(), 1, 0, g, pls).Run()
-	eight := mustChip(t, DefaultConfig(), 8, 0, g, pls).Run()
+	one := mustRun(t, mustChip(t, DefaultConfig(), 1, 0, g, pls))
+	eight := mustRun(t, mustChip(t, DefaultConfig(), 8, 0, g, pls))
 	if eight.Count != one.Count {
 		t.Fatalf("PE count changed the answer")
 	}
@@ -233,8 +249,8 @@ func TestMorePEsFaster(t *testing.T) {
 func TestMoreIUsFasterWithinPE(t *testing.T) {
 	g := gen.PowerLawCluster(400, 8, 0.5, 11)
 	pls := plansFor(t, "tt")
-	slow := mustChip(t, DefaultConfig().WithIUsUnlimited(1), 1, 0, g, pls).Run()
-	fast := mustChip(t, DefaultConfig(), 1, 0, g, pls).Run()
+	slow := mustRun(t, mustChip(t, DefaultConfig().WithIUsUnlimited(1), 1, 0, g, pls))
+	fast := mustRun(t, mustChip(t, DefaultConfig(), 1, 0, g, pls))
 	if fast.Count != slow.Count {
 		t.Fatalf("IU count changed the answer")
 	}
@@ -246,8 +262,48 @@ func TestMoreIUsFasterWithinPE(t *testing.T) {
 func TestEmptyGraphRuns(t *testing.T) {
 	g := graph.NewBuilder(10).Build()
 	pls := plansFor(t, "tc")
-	res := mustChip(t, DefaultConfig(), 2, 0, g, pls).Run()
+	res := mustRun(t, mustChip(t, DefaultConfig(), 2, 0, g, pls))
 	if res.Count != 0 {
 		t.Errorf("count on edgeless graph = %d", res.Count)
+	}
+}
+
+// TestCustomRootOrderOnBothEngines: FINGERS and FlexMiner chips built with
+// a permuted root order find the same embeddings as the default ID-order
+// handout (counts are order-independent).
+func TestCustomRootOrderOnBothEngines(t *testing.T) {
+	g := gen.PowerLawCluster(250, 4, 0.5, 41)
+	pls := plansFor(t, "tt")
+	base := mustRun(t, mustChip(t, DefaultConfig(), 4, 0, g, pls))
+
+	order := make([]uint32, g.NumVertices())
+	for i := range order {
+		order[i] = uint32(len(order) - 1 - i) // reverse-ID handout
+	}
+	fi := mustRun(t, NewChipWithScheduler(DefaultConfig(), 4, 0, g, pls,
+		accel.NewRootSchedulerWithOrder(order)))
+	fm := mustRun(t, flexminer.NewChipWithScheduler(flexminer.DefaultConfig(), 4, 0, g, pls,
+		accel.NewRootSchedulerWithOrder(order)))
+	if fi.Count != base.Count || fm.Count != base.Count {
+		t.Errorf("custom order changed the count: fingers %d flexminer %d, want %d",
+			fi.Count, fm.Count, base.Count)
+	}
+}
+
+// TestNewChipRejectsNonPositivePEs: the scheduler-taking constructor must
+// fail fast with a descriptive message instead of building a chip that
+// silently mines nothing.
+func TestNewChipRejectsNonPositivePEs(t *testing.T) {
+	g := gen.PowerLawCluster(50, 3, 0.4, 7)
+	pls := plansFor(t, "tc")
+	for _, n := range []int{0, -3} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewChipWithScheduler with %d PEs did not panic", n)
+				}
+			}()
+			NewChipWithScheduler(DefaultConfig(), n, 0, g, pls, nil)
+		}()
 	}
 }

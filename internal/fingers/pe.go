@@ -85,17 +85,6 @@ type PE struct {
 	// the workload count is exactly that estimate after segmentation).
 	emaIUsPerTask float64
 
-	// staged holds a root reservation made at a parallel-engine epoch
-	// barrier; Step consumes it before pulling from the shared scheduler.
-	staged stagedRoot
-
-	// Undo journal (accel.SpecPE): while jactive, every stack mutation
-	// appends its inverse, and SpecSave checkpoints the scalar state.
-	jactive bool
-	journal []jEntry
-	saves   []peSave
-	nsaves  int
-
 	// Scratch reused across tasks.
 	iuBusy []mem.Cycles
 	opBusy []mem.Cycles
@@ -126,14 +115,6 @@ type member struct {
 	bytes int64
 	ready mem.Cycles
 	hit   bool
-}
-
-// stagedRoot is a pre-reserved root handout: the result the next root
-// request will observe.
-type stagedRoot struct {
-	set bool
-	v   uint32
-	ok  bool
 }
 
 // NewPE builds a FINGERS PE over the shared cache.
@@ -228,13 +209,10 @@ func (pe *PE) Step() bool {
 	for len(pe.stack) > 0 && pe.stack[len(pe.stack)-1].next >= len(pe.stack[len(pe.stack)-1].cands) {
 		fr := pe.stack[len(pe.stack)-1]
 		pe.stack = pe.stack[:len(pe.stack)-1]
-		if pe.jactive {
-			pe.journal = append(pe.journal, jEntry{kind: jPop, fr: fr})
-		}
 		pe.engines[fr.engine].Release(fr.node)
 	}
 	if len(pe.stack) == 0 {
-		v, ok := pe.takeRoot()
+		v, ok := pe.roots.Next()
 		if !ok {
 			return false
 		}
@@ -250,169 +228,9 @@ func (pe *PE) Step() bool {
 	group := top.cands[top.next : top.next+n]
 	engineIdx := top.engine
 	parent := top.node
-	if pe.jactive {
-		pe.journal = append(pe.journal, jEntry{kind: jNext, idx: int32(len(pe.stack) - 1), next: int32(top.next)})
-	}
 	top.next += n
 	pe.runGroup(engineIdx, parent, group)
 	return true
-}
-
-// takeRoot returns the PE's next root: the staged reservation when one
-// is pending (parallel engine), otherwise straight from the scheduler
-// (serial loop).
-func (pe *PE) takeRoot() (uint32, bool) {
-	if pe.staged.set {
-		pe.staged.set = false
-		return pe.staged.v, pe.staged.ok
-	}
-	return pe.roots.Next()
-}
-
-// WillTakeRoot reports whether the next Step would request a new root:
-// true when every stack frame is exhausted. Pure (accel.SpecPE).
-func (pe *PE) WillTakeRoot() bool {
-	for i := len(pe.stack) - 1; i >= 0; i-- {
-		if pe.stack[i].next < len(pe.stack[i].cands) {
-			return false
-		}
-	}
-	return true
-}
-
-// StageRoot reserves the PE's next root handout from the shared
-// scheduler (accel.SpecPE); a no-op when one is already staged.
-func (pe *PE) StageRoot() {
-	if pe.staged.set {
-		return
-	}
-	v, ok := pe.roots.Next()
-	pe.staged = stagedRoot{set: true, v: v, ok: ok}
-}
-
-// StagedRoot reports whether a reserved root is pending (accel.SpecPE).
-func (pe *PE) StagedRoot() bool { return pe.staged.set }
-
-// jKind distinguishes journal entries: each records how to undo one
-// stack mutation.
-type jKind uint8
-
-const (
-	jPop  jKind = iota // a frame was popped; undo re-appends fr
-	jPush              // a frame was pushed; undo truncates one
-	jNext              // frame idx advanced its cursor; undo restores next
-)
-
-// jEntry is one undo record. Frame heights replay consistently because
-// entries are undone strictly in reverse order.
-type jEntry struct {
-	kind jKind
-	idx  int32
-	next int32
-	fr   frame
-}
-
-// peSave checkpoints the PE's scalar state plus a journal position; the
-// stack itself is rewound by replaying the journal, not by copying.
-type peSave struct {
-	now    mem.Cycles
-	count  uint64
-	tasks  int64
-	groups int64
-	stats  IUStats
-	bd     telemetry.Breakdown
-	ema    float64
-	staged stagedRoot
-	jlen   int
-	marks  []int32
-	parks  []int
-}
-
-// SpecActivate implements accel.SpecPE: toggles undo journaling on the
-// PE and node parking on its engines for a speculative phase.
-func (pe *PE) SpecActivate(on bool) {
-	pe.jactive = on
-	for _, e := range pe.engines {
-		e.Speculate(on)
-	}
-}
-
-// SpecSave implements accel.SpecPE: checkpoints the scalar state and
-// marks the current journal position, returning a mark for SpecRewind.
-// Saves are stored in a reusable arena indexed by the mark.
-func (pe *PE) SpecSave() int {
-	idx := pe.nsaves
-	if idx == len(pe.saves) {
-		pe.saves = append(pe.saves, peSave{})
-	}
-	pe.nsaves++
-	s := &pe.saves[idx]
-	s.now, s.count, s.tasks, s.groups = pe.now, pe.count, pe.tasks, pe.groups
-	s.stats, s.bd, s.ema, s.staged = pe.stats, pe.bd, pe.emaIUsPerTask, pe.staged
-	s.jlen = len(pe.journal)
-	s.marks = s.marks[:0]
-	s.parks = s.parks[:0]
-	for _, e := range pe.engines {
-		s.marks = append(s.marks, e.Mark())
-		s.parks = append(s.parks, e.ParkMark())
-	}
-	return idx
-}
-
-// SpecRewind implements accel.SpecPE: undoes every stack mutation after
-// the mark in reverse order, restores the scalar state, and revives the
-// nodes the restored frames reference from the engines' park logs.
-func (pe *PE) SpecRewind(mark int) {
-	s := &pe.saves[mark]
-	for k := len(pe.journal) - 1; k >= s.jlen; k-- {
-		en := &pe.journal[k]
-		switch en.kind {
-		case jPop:
-			pe.stack = append(pe.stack, en.fr)
-		case jPush:
-			pe.stack = pe.stack[:len(pe.stack)-1]
-		case jNext:
-			pe.stack[en.idx].next = int(en.next)
-		}
-	}
-	pe.journal = pe.journal[:s.jlen]
-	pe.now, pe.count, pe.tasks, pe.groups = s.now, s.count, s.tasks, s.groups
-	pe.stats, pe.bd, pe.emaIUsPerTask, pe.staged = s.stats, s.bd, s.ema, s.staged
-	for i, e := range pe.engines {
-		e.Rewind(s.marks[i])
-		e.ReviveParked(s.parks[i])
-	}
-	pe.nsaves = mark
-}
-
-// SpecFlush implements accel.SpecPE: retires the journal and save marks
-// of a fully committed speculative phase and returns parked nodes to the
-// engine pools.
-func (pe *PE) SpecFlush() {
-	for i := range pe.journal {
-		pe.journal[i].fr = frame{}
-	}
-	pe.journal = pe.journal[:0]
-	pe.nsaves = 0
-	for _, e := range pe.engines {
-		e.FlushParked()
-	}
-}
-
-// SwapPort implements accel.SpecPE: replaces the PE's shared-memory
-// port, returning the previous one.
-func (pe *PE) SwapPort(p accel.MemPort) accel.MemPort {
-	old := pe.shared
-	pe.shared = p
-	return old
-}
-
-// SwapTracer implements accel.SpecPE: replaces the PE's event tracer,
-// returning the previous one.
-func (pe *PE) SwapTracer(t telemetry.Tracer) telemetry.Tracer {
-	old := pe.trc
-	pe.trc = t
-	return old
 }
 
 // startRoot begins the search tree rooted at v: one task per plan trunk,
@@ -509,9 +327,6 @@ func (pe *PE) finishTask(engineIdx int, e *mine.Engine, node *mine.Node) {
 		return
 	}
 	pe.stack = append(pe.stack, frame{engine: engineIdx, node: node, cands: cands})
-	if pe.jactive {
-		pe.journal = append(pe.journal, jEntry{kind: jPush})
-	}
 }
 
 // computeTask charges one task's compute phase: every distinct set

@@ -14,7 +14,7 @@ func TestBreakdownSumsToMakespan(t *testing.T) {
 	g := gen.PowerLawCluster(400, 5, 0.6, 11)
 	pls := plansFor(t, "tt")
 	chip := mustChip(t, DefaultConfig(), 4, 0, g, pls)
-	res := chip.Run()
+	res := mustRun(t, chip)
 	if res.Cycles == 0 {
 		t.Fatal("empty run")
 	}
@@ -48,12 +48,12 @@ func TestTracerDoesNotPerturbTiming(t *testing.T) {
 	g := gen.PowerLawCluster(300, 5, 0.6, 17)
 	pls := plansFor(t, "tt")
 
-	plain := mustChip(t, DefaultConfig(), 3, 0, g, pls).Run()
+	plain := mustRun(t, mustChip(t, DefaultConfig(), 3, 0, g, pls))
 
 	var cnt telemetry.Counting
 	chip := mustChip(t, DefaultConfig(), 3, 0, g, pls)
 	chip.SetTracer(&cnt)
-	traced := chip.Run()
+	traced := mustRun(t, chip)
 
 	if plain != traced {
 		t.Errorf("tracer changed the simulation:\nplain:  %+v\ntraced: %+v", plain, traced)
@@ -77,11 +77,11 @@ func TestNilTracerRecordsNothing(t *testing.T) {
 	chip := mustChip(t, DefaultConfig(), 2, 0, g, pls)
 	chip.SetTracer(&cnt)
 	chip.SetTracer(nil)
-	res := chip.Run()
+	res := mustRun(t, chip)
 	if cnt != (telemetry.Counting{}) {
 		t.Errorf("nil tracer still recorded events: %+v", cnt)
 	}
-	want := mustChip(t, DefaultConfig(), 2, 0, g, pls).Run()
+	want := mustRun(t, mustChip(t, DefaultConfig(), 2, 0, g, pls))
 	if res != want {
 		t.Errorf("nil-tracer run differs from plain run:\n%+v\n%+v", res, want)
 	}
@@ -97,7 +97,7 @@ func TestChromeTraceHasEventsPerPE(t *testing.T) {
 	chrome.StartProcess("FINGERS")
 	chip := mustChip(t, DefaultConfig(), numPEs, 0, g, pls)
 	chip.SetTracer(chrome)
-	chip.Run()
+	mustRun(t, chip)
 
 	perPE := map[int]int{}
 	for _, e := range chrome.Events() {
@@ -119,7 +119,7 @@ func TestMultiTracerFansOut(t *testing.T) {
 	var a, b telemetry.Counting
 	chip := mustChip(t, DefaultConfig(), 2, 0, g, pls)
 	chip.SetTracer(telemetry.Multi{&a, &b})
-	chip.Run()
+	mustRun(t, chip)
 	if a == (telemetry.Counting{}) || a != b {
 		t.Errorf("fan-out mismatch: a=%+v b=%+v", a, b)
 	}

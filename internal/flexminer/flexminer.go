@@ -77,45 +77,6 @@ type PE struct {
 	// bd attributes every clock advance: Compute + MemStall + Overhead
 	// == now at all times (Idle is filled by the chip rollup).
 	bd telemetry.Breakdown
-
-	// staged holds a root reservation made at a parallel-engine epoch
-	// barrier; Step consumes it before pulling from the shared scheduler.
-	staged stagedRoot
-
-	// Undo journal (accel.SpecPE): while jactive, every stack mutation
-	// appends its inverse, and SpecSave checkpoints the scalar state.
-	jactive bool
-	journal []jEntry
-	saves   []peSave
-	nsaves  int
-}
-
-// jEntry is one undo record for the DFS stack: n == -1 undoes a pop by
-// re-appending item; n > 0 undoes a batch of n pushes by truncation.
-type jEntry struct {
-	item workItem
-	n    int32
-}
-
-// peSave checkpoints the PE's scalar state plus a journal position; the
-// stack itself is rewound by replaying the journal, not by copying.
-type peSave struct {
-	now    mem.Cycles
-	count  uint64
-	tasks  int64
-	bd     telemetry.Breakdown
-	staged stagedRoot
-	jlen   int
-	marks  []int32
-	parks  []int
-}
-
-// stagedRoot is a pre-reserved root handout: the result the next root
-// request will observe.
-type stagedRoot struct {
-	set bool
-	v   uint32
-	ok  bool
 }
 
 // NewPE builds a PE mining the given plans (one for single-pattern runs,
@@ -147,34 +108,6 @@ func (pe *PE) Breakdown() telemetry.Breakdown { return pe.bd }
 // SetTracer attaches (or, with nil, detaches) an event tracer.
 func (pe *PE) SetTracer(t telemetry.Tracer) { pe.trc = t }
 
-// takeRoot returns the PE's next root: the staged reservation when one
-// is pending (parallel engine), otherwise straight from the scheduler
-// (serial loop).
-func (pe *PE) takeRoot() (uint32, bool) {
-	if pe.staged.set {
-		pe.staged.set = false
-		return pe.staged.v, pe.staged.ok
-	}
-	return pe.roots.Next()
-}
-
-// WillTakeRoot reports whether the next Step would request a new root:
-// true exactly when the DFS stack is empty. Pure (accel.SpecPE).
-func (pe *PE) WillTakeRoot() bool { return len(pe.stack) == 0 }
-
-// StageRoot reserves the PE's next root handout from the shared
-// scheduler (accel.SpecPE); a no-op when one is already staged.
-func (pe *PE) StageRoot() {
-	if pe.staged.set {
-		return
-	}
-	v, ok := pe.roots.Next()
-	pe.staged = stagedRoot{set: true, v: v, ok: ok}
-}
-
-// StagedRoot reports whether a reserved root is pending (accel.SpecPE).
-func (pe *PE) StagedRoot() bool { return pe.staged.set }
-
 // CurrentRoot reports the root vertex of the search tree the PE is
 // mining right now (accel.RootHolder): the root of the bottommost DFS
 // work item. ok is false between search trees, when a failure cannot be
@@ -193,89 +126,6 @@ func (pe *PE) CurrentRoot() (uint32, bool) {
 	return 0, false
 }
 
-// SpecActivate implements accel.SpecPE: toggles undo journaling on the
-// PE and node parking on its engines for a speculative phase.
-func (pe *PE) SpecActivate(on bool) {
-	pe.jactive = on
-	for _, e := range pe.engines {
-		e.Speculate(on)
-	}
-}
-
-// SpecSave implements accel.SpecPE: checkpoints the scalar state and
-// marks the current journal position, returning a mark for SpecRewind.
-func (pe *PE) SpecSave() int {
-	idx := pe.nsaves
-	if idx == len(pe.saves) {
-		pe.saves = append(pe.saves, peSave{})
-	}
-	pe.nsaves++
-	s := &pe.saves[idx]
-	s.now, s.count, s.tasks = pe.now, pe.count, pe.tasks
-	s.bd, s.staged = pe.bd, pe.staged
-	s.jlen = len(pe.journal)
-	s.marks = s.marks[:0]
-	s.parks = s.parks[:0]
-	for _, e := range pe.engines {
-		s.marks = append(s.marks, e.Mark())
-		s.parks = append(s.parks, e.ParkMark())
-	}
-	return idx
-}
-
-// SpecRewind implements accel.SpecPE: undoes every stack mutation after
-// the mark in reverse order, restores the scalar state, and revives the
-// parked nodes the restored work items reference.
-func (pe *PE) SpecRewind(mark int) {
-	s := &pe.saves[mark]
-	for k := len(pe.journal) - 1; k >= s.jlen; k-- {
-		en := &pe.journal[k]
-		if en.n < 0 {
-			pe.stack = append(pe.stack, en.item)
-		} else {
-			pe.stack = pe.stack[:len(pe.stack)-int(en.n)]
-		}
-	}
-	pe.journal = pe.journal[:s.jlen]
-	pe.now, pe.count, pe.tasks = s.now, s.count, s.tasks
-	pe.bd, pe.staged = s.bd, s.staged
-	for i, e := range pe.engines {
-		e.Rewind(s.marks[i])
-		e.ReviveParked(s.parks[i])
-	}
-	pe.nsaves = mark
-}
-
-// SpecFlush implements accel.SpecPE: retires the journal and save marks
-// of a fully committed speculative phase and returns parked nodes to the
-// engine pools.
-func (pe *PE) SpecFlush() {
-	for i := range pe.journal {
-		pe.journal[i].item = workItem{}
-	}
-	pe.journal = pe.journal[:0]
-	pe.nsaves = 0
-	for _, e := range pe.engines {
-		e.FlushParked()
-	}
-}
-
-// SwapPort implements accel.SpecPE: replaces the PE's shared-memory
-// port, returning the previous one.
-func (pe *PE) SwapPort(p accel.MemPort) accel.MemPort {
-	old := pe.shared
-	pe.shared = p
-	return old
-}
-
-// SwapTracer implements accel.SpecPE: replaces the PE's event tracer,
-// returning the previous one.
-func (pe *PE) SwapTracer(t telemetry.Tracer) telemetry.Tracer {
-	old := pe.trc
-	pe.trc = t
-	return old
-}
-
 // Step executes one task in DFS order.
 //
 // Node pooling: only nodes no remaining work item can reference — leaves
@@ -283,7 +133,7 @@ func (pe *PE) SwapTracer(t telemetry.Tracer) telemetry.Tracer {
 // pending sibling extensions and are left to the garbage collector.
 func (pe *PE) Step() bool {
 	if len(pe.stack) == 0 {
-		v, ok := pe.takeRoot()
+		v, ok := pe.roots.Next()
 		if !ok {
 			return false
 		}
@@ -293,16 +143,10 @@ func (pe *PE) Step() bool {
 		for i := len(pe.engines) - 1; i >= 0; i-- {
 			pe.stack = append(pe.stack, workItem{engine: i, start: true, root: v})
 		}
-		if pe.jactive {
-			pe.journal = append(pe.journal, jEntry{n: int32(len(pe.engines))})
-		}
 		return true
 	}
 	item := pe.stack[len(pe.stack)-1]
 	pe.stack = pe.stack[:len(pe.stack)-1]
-	if pe.jactive {
-		pe.journal = append(pe.journal, jEntry{item: item, n: -1})
-	}
 	e := pe.engines[item.engine]
 
 	var node *mine.Node
@@ -326,9 +170,6 @@ func (pe *PE) Step() bool {
 	}
 	for i := len(cands) - 1; i >= 0; i-- {
 		pe.stack = append(pe.stack, workItem{engine: item.engine, node: node, cand: cands[i]})
-	}
-	if pe.jactive {
-		pe.journal = append(pe.journal, jEntry{n: int32(len(cands))})
 	}
 	return true
 }
@@ -429,16 +270,8 @@ type Chip struct {
 	makespan mem.Cycles
 }
 
-// NewChip builds a FlexMiner chip with numPEs PEs. sharedCacheBytes = 0
-// keeps the paper's 4 MB default.
-//
-// Deprecated: NewChip panics on a degenerate configuration; prefer
-// NewChipErr at any boundary that ingests untrusted configurations.
-func NewChip(cfg Config, numPEs int, sharedCacheBytes int64, g *graph.Graph, plans []*plan.Plan) *Chip {
-	return NewChipWithScheduler(cfg, numPEs, sharedCacheBytes, g, plans, nil)
-}
-
-// NewChipErr is NewChip with validation instead of panics: a
+// NewChipErr builds a FlexMiner chip with numPEs PEs mining the given
+// plans; sharedCacheBytes = 0 keeps the paper's 4 MB default. A
 // non-positive PE count, a nil graph, an empty or nil-holding plan list,
 // or a plan failing plan.Validate is reported as an error. This is the
 // constructor the Simulate façade uses.
@@ -521,74 +354,19 @@ func (c *Chip) SetTracer(t telemetry.Tracer) {
 	c.Hier.DRAM.SetObserver(t)
 }
 
-// Run simulates the chip to completion.
-func (c *Chip) Run() accel.Result { return c.RunWithProgress(0, nil) }
-
-// RunWithProgress simulates the chip to completion, invoking fn with a
-// progress snapshot every `every` scheduling quanta (0 disables).
-func (c *Chip) RunWithProgress(every int64, fn func(accel.Progress)) accel.Result {
+// Run simulates the chip to completion, invoking fn with a progress
+// snapshot every `every` scheduling quanta (every <= 0 or a nil fn
+// disables it). A fired context stops the run within
+// accel.CancelCheckQuantum scheduling quanta and returns the partial
+// Result assembled from everything simulated so far alongside a
+// *simerr.SimError wrapping ctx.Err(). A panic inside a PE step returns
+// the same way instead of crashing.
+func (c *Chip) Run(ctx context.Context, every int64, fn func(accel.Progress)) (accel.Result, error) {
 	pes := make([]accel.PE, len(c.PEs))
 	for i, pe := range c.PEs {
 		pes[i] = pe
 	}
-	return c.assemble(accel.RunWithProgress(pes, every, fn))
-}
-
-// RunCtx simulates the chip with cancellation and panic recovery: a
-// fired context stops the run within accel.CancelCheckQuantum scheduling
-// quanta and returns the partial Result assembled from everything
-// simulated so far alongside a *simerr.SimError wrapping ctx.Err(). A
-// panic inside a PE step returns the same way instead of crashing.
-func (c *Chip) RunCtx(ctx context.Context) (accel.Result, error) {
-	return c.RunCtxWithProgress(ctx, 0, nil)
-}
-
-// RunCtxWithProgress is RunCtx with the periodic observer of
-// RunWithProgress.
-func (c *Chip) RunCtxWithProgress(ctx context.Context, every int64, fn func(accel.Progress)) (accel.Result, error) {
-	pes := make([]accel.PE, len(c.PEs))
-	for i, pe := range c.PEs {
-		pes[i] = pe
-	}
-	makespan, err := accel.RunCtxWithProgress(ctx, pes, every, fn)
-	return c.assemble(makespan), err
-}
-
-// RunParallel simulates the chip to completion on the bounded-lag
-// parallel engine. Results depend only on pcfg.Window, never on
-// pcfg.Workers; Window=1 matches Run exactly (accel.RunParallel).
-func (c *Chip) RunParallel(pcfg accel.ParallelConfig) (accel.Result, error) {
-	return c.RunParallelWithProgress(pcfg, 0, nil)
-}
-
-// RunParallelWithProgress is RunParallel with a progress callback fired
-// at epoch barriers, at least every `every` committed quanta.
-func (c *Chip) RunParallelWithProgress(pcfg accel.ParallelConfig, every int64, fn func(accel.Progress)) (accel.Result, error) {
-	return c.RunParallelCtxWithProgress(context.Background(), pcfg, every, fn)
-}
-
-// RunParallelCtx is RunParallel with cancellation and panic recovery: a
-// fired context stops the run within one epoch window, returning the
-// partial Result of everything committed so far alongside a
-// *simerr.SimError wrapping ctx.Err(); engine goroutine panics return
-// the same way instead of crashing the host.
-func (c *Chip) RunParallelCtx(ctx context.Context, pcfg accel.ParallelConfig) (accel.Result, error) {
-	return c.RunParallelCtxWithProgress(ctx, pcfg, 0, nil)
-}
-
-// RunParallelCtxWithProgress is RunParallelCtx with the progress
-// callback of RunParallelWithProgress.
-func (c *Chip) RunParallelCtxWithProgress(ctx context.Context, pcfg accel.ParallelConfig, every int64, fn func(accel.Progress)) (accel.Result, error) {
-	pes := make([]accel.SpecPE, len(c.PEs))
-	for i, pe := range c.PEs {
-		pes[i] = pe
-	}
-	makespan, err := accel.RunParallelCtxWithProgress(ctx, pes, c.Hier, c.ports, pcfg, every, fn)
-	if err != nil && makespan == 0 {
-		// Config-validation failures happen before any simulation; keep
-		// the legacy zero Result so callers can't mistake them for runs.
-		return accel.Result{}, err
-	}
+	makespan, err := accel.Run(ctx, pes, every, fn)
 	return c.assemble(makespan), err
 }
 

@@ -1,8 +1,10 @@
 package flexminer
 
 import (
+	"context"
 	"testing"
 
+	"fingers/internal/accel"
 	"fingers/internal/graph"
 	"fingers/internal/graph/gen"
 	"fingers/internal/mine"
@@ -20,8 +22,7 @@ func compiled(t *testing.T, name string) []*plan.Plan {
 }
 
 // mustChip builds a chip through the validating constructor, failing the
-// test on error. Only the panic-contract test still calls the deprecated
-// NewChip directly.
+// test on error.
 func mustChip(tb testing.TB, cfg Config, numPEs int, sharedCacheBytes int64, g *graph.Graph, plans []*plan.Plan) *Chip {
 	tb.Helper()
 	chip, err := NewChipErr(cfg, numPEs, sharedCacheBytes, g, plans)
@@ -31,13 +32,23 @@ func mustChip(tb testing.TB, cfg Config, numPEs int, sharedCacheBytes int64, g *
 	return chip
 }
 
+// mustRun simulates a chip to completion, failing the test on error.
+func mustRun(tb testing.TB, c *Chip) accel.Result {
+	tb.Helper()
+	res, err := c.Run(context.Background(), 0, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 func TestChipCountMatchesReference(t *testing.T) {
 	g := gen.PowerLawCluster(350, 5, 0.5, 99)
 	for _, name := range []string{"tc", "4cl", "tt", "cyc", "dia"} {
 		pls := compiled(t, name)
 		want := mine.Count(g, pls[0])
 		for _, pes := range []int{1, 3, 8} {
-			res := mustChip(t, DefaultConfig(), pes, 0, g, pls).Run()
+			res := mustRun(t, mustChip(t, DefaultConfig(), pes, 0, g, pls))
 			if res.Count != want {
 				t.Errorf("%s with %d PEs: count = %d, want %d", name, pes, res.Count, want)
 			}
@@ -48,7 +59,7 @@ func TestChipCountMatchesReference(t *testing.T) {
 func TestTimeAdvancesMonotonically(t *testing.T) {
 	g := gen.ErdosRenyi(100, 400, 7)
 	pls := compiled(t, "tc")
-	res := mustChip(t, DefaultConfig(), 2, 0, g, pls).Run()
+	res := mustRun(t, mustChip(t, DefaultConfig(), 2, 0, g, pls))
 	if res.Cycles <= 0 {
 		t.Errorf("cycles = %d", res.Cycles)
 	}
@@ -66,8 +77,8 @@ func TestRefetchPenalty(t *testing.T) {
 	big := DefaultConfig()
 	small := DefaultConfig()
 	small.PrivateCacheBytes = 16 // essentially no private cache
-	resBig := mustChip(t, big, 1, 0, g, pls).Run()
-	resSmall := mustChip(t, small, 1, 0, g, pls).Run()
+	resBig := mustRun(t, mustChip(t, big, 1, 0, g, pls))
+	resSmall := mustRun(t, mustChip(t, small, 1, 0, g, pls))
 	if resSmall.Count != resBig.Count {
 		t.Fatal("private cache size changed the answer")
 	}
@@ -80,8 +91,8 @@ func TestRefetchPenalty(t *testing.T) {
 func TestMorePEsScale(t *testing.T) {
 	g := gen.PowerLawCluster(500, 5, 0.5, 55)
 	pls := compiled(t, "tc")
-	one := mustChip(t, DefaultConfig(), 1, 0, g, pls).Run()
-	eight := mustChip(t, DefaultConfig(), 8, 0, g, pls).Run()
+	one := mustRun(t, mustChip(t, DefaultConfig(), 1, 0, g, pls))
+	eight := mustRun(t, mustChip(t, DefaultConfig(), 8, 0, g, pls))
 	if eight.Cycles >= one.Cycles {
 		t.Errorf("8 PEs (%d) not faster than 1 (%d)", eight.Cycles, one.Cycles)
 	}
@@ -90,11 +101,27 @@ func TestMorePEsScale(t *testing.T) {
 func TestSharedCacheStatsPopulated(t *testing.T) {
 	g := gen.PowerLawCluster(300, 5, 0.5, 77)
 	pls := compiled(t, "tc")
-	res := mustChip(t, DefaultConfig(), 2, 0, g, pls).Run()
+	res := mustRun(t, mustChip(t, DefaultConfig(), 2, 0, g, pls))
 	if res.SharedCache.LineAccesses == 0 {
 		t.Error("no shared-cache accesses recorded")
 	}
 	if res.DRAM.BytesMoved == 0 {
 		t.Error("no DRAM traffic recorded")
+	}
+}
+
+// TestFlexNewChipRejectsNonPositivePEs mirrors the fingers-side check.
+func TestFlexNewChipRejectsNonPositivePEs(t *testing.T) {
+	g := gen.PowerLawCluster(50, 3, 0.4, 7)
+	pls := compiled(t, "tc")
+	for _, n := range []int{0, -3} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewChipWithScheduler with %d PEs did not panic", n)
+				}
+			}()
+			NewChipWithScheduler(DefaultConfig(), n, 0, g, pls, nil)
+		}()
 	}
 }

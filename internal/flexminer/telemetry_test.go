@@ -14,7 +14,7 @@ func TestFlexBreakdownSumsToMakespan(t *testing.T) {
 	g := gen.PowerLawCluster(300, 5, 0.6, 31)
 	pls := compiled(t, "tt")
 	chip := mustChip(t, DefaultConfig(), 3, 0, g, pls)
-	res := chip.Run()
+	res := mustRun(t, chip)
 	var roll telemetry.Breakdown
 	for _, r := range chip.PERecords() {
 		bd := r.Breakdown
@@ -41,11 +41,11 @@ func TestFlexBreakdownSumsToMakespan(t *testing.T) {
 func TestFlexTracerSeesEventsWithoutPerturbing(t *testing.T) {
 	g := gen.PowerLawCluster(300, 5, 0.6, 37)
 	pls := compiled(t, "tc")
-	plain := mustChip(t, DefaultConfig(), 2, 0, g, pls).Run()
+	plain := mustRun(t, mustChip(t, DefaultConfig(), 2, 0, g, pls))
 	var cnt telemetry.Counting
 	chip := mustChip(t, DefaultConfig(), 2, 0, g, pls)
 	chip.SetTracer(&cnt)
-	traced := chip.Run()
+	traced := mustRun(t, chip)
 	if plain != traced {
 		t.Errorf("tracer changed the simulation:\n%+v\n%+v", plain, traced)
 	}

@@ -70,29 +70,21 @@ func NewDRAM(cfg DRAMConfig) *DRAM {
 	return &DRAM{cfg: cfg, nextFree: make([]Cycles, cfg.Channels)}
 }
 
-// schedule places one burst on its channel against the given occupancy
-// state, advancing it, and returns the burst's start and completion. It
-// is the single timing core behind both the live DRAM model and the
-// speculative views, so the two can never drift.
-func (cfg DRAMConfig) schedule(nextFree []Cycles, now Cycles, addr, bytes int64) (start, done Cycles) {
-	ch := int(uint64(addr) / 4096 % uint64(cfg.Channels))
-	start = now
-	if nextFree[ch] > start {
-		start = nextFree[ch]
+// Access requests bytes at addr at time now and returns the completion
+// cycle. Requests to a busy channel queue behind it (bandwidth model).
+func (d *DRAM) Access(now Cycles, addr int64, bytes int64) Cycles {
+	ch := int(uint64(addr) / 4096 % uint64(d.cfg.Channels))
+	start := now
+	if d.nextFree[ch] > start {
+		start = d.nextFree[ch]
 	}
-	perChannel := cfg.BytesPerCycle / float64(cfg.Channels)
+	perChannel := d.cfg.BytesPerCycle / float64(d.cfg.Channels)
 	transfer := Cycles(float64(bytes) / perChannel)
 	if transfer < 1 {
 		transfer = 1
 	}
-	nextFree[ch] = start + transfer
-	return start, start + transfer + cfg.LatencyCycles
-}
-
-// Access requests bytes at addr at time now and returns the completion
-// cycle. Requests to a busy channel queue behind it (bandwidth model).
-func (d *DRAM) Access(now Cycles, addr int64, bytes int64) Cycles {
-	start, done := d.cfg.schedule(d.nextFree, now, addr, bytes)
+	d.nextFree[ch] = start + transfer
+	done := start + transfer + d.cfg.LatencyCycles
 	d.stats.Accesses++
 	d.stats.BytesMoved += bytes
 	if d.obs != nil {
@@ -166,9 +158,7 @@ type Cache struct {
 	// O(lines × ways) scans with per-line address divisions. The table is
 	// direct-mapped (collisions replace — entries are hints, losing one
 	// only costs a slow walk), which keeps the per-access lookup a hash,
-	// a mask, and one key compare. Speculative views read the table
-	// concurrently during the parallel engine's speculative phase (the
-	// live cache is quiescent then); only the live cache writes it.
+	// a mask, and one key compare.
 	memo []memoEntry
 	// rec, when non-nil, receives one wayRef per line from look — the
 	// slow-walk recording that (re)builds a memo entry.
@@ -209,8 +199,7 @@ func memoHash(k memoKey) uint64 {
 }
 
 // memoFind returns the table's entry for key when it currently holds
-// key, nil otherwise. Read-only; safe for concurrent speculative views
-// while the live cache is quiescent.
+// key, nil otherwise. Read-only.
 func (c *Cache) memoFind(key memoKey) *memoEntry {
 	e := &c.memo[memoHash(key)&(memoTableSlots-1)]
 	if e.used && e.key == key {
@@ -253,8 +242,7 @@ func (c *Cache) tryMemo(e *memoEntry) bool {
 // state in place: a hit refreshes the line's stamp, a miss installs the
 // line over the LRU way (the last invalid way wins, otherwise the least
 // recently used). It returns the way the line now occupies, so callers
-// can memoize the location. It is the single replacement core behind both
-// the live cache and the speculative views.
+// can memoize the location.
 func touch(set []cacheLine, tag int64, clock int64) (hit bool, way int) {
 	victim := 0
 	for i := range set {
@@ -301,39 +289,6 @@ type memoEntry struct {
 	refs []wayRef
 }
 
-// ProvenResident reports whether the walk memo proves [addr, addr+bytes)
-// fully resident right now, without mutating anything. False means
-// "unproven" (no entry, or stale refs), not "absent".
-func (c *Cache) ProvenResident(addr, bytes int64) bool {
-	if bytes <= 0 {
-		return true
-	}
-	first := addr / c.cfg.LineBytes
-	e := c.memoFind(memoKey{first: first, lines: (addr+bytes-1)/c.cfg.LineBytes - first + 1})
-	if e == nil {
-		return false
-	}
-	for _, r := range e.refs {
-		ln := &c.sets[r.set][r.way]
-		if !ln.valid || ln.tag != r.tag {
-			return false
-		}
-	}
-	return true
-}
-
-// StampHitWalk replays the bookkeeping of an all-hit walk over a range
-// the caller just proved resident (ProvenResident, with no intervening
-// fills or evictions): line-access counters, LRU clock ticks, and
-// per-line stamps, bit-identical to the slow walk on an all-hit range.
-func (c *Cache) StampHitWalk(addr, bytes int64) {
-	first := addr / c.cfg.LineBytes
-	e := c.memoFind(memoKey{first: first, lines: (addr+bytes-1)/c.cfg.LineBytes - first + 1})
-	if e == nil || !c.tryMemo(e) {
-		panic("mem: StampHitWalk on an unproven range")
-	}
-}
-
 // resident reports whether tag is in the set, without touching LRU state.
 func resident(set []cacheLine, tag int64) bool {
 	for i := range set {
@@ -344,45 +299,32 @@ func resident(set []cacheLine, tag int64) bool {
 	return false
 }
 
-// lineWalker is what walkAccess drives: a per-line lookup (with
-// replacement side effects) and a backing-store charge for missed bytes.
-// The live Cache and the speculative SpecMem both implement it, sharing
-// one access-walk core.
-type lineWalker interface {
-	look(lineAddr int64) bool
-	charge(now Cycles, addr, bytes int64) Cycles
-}
-
-// walkAccess walks every line of [addr, addr+bytes) through w, then
-// charges the missed bytes to the backing store as one pipelined burst
-// starting at the first missed line. It returns the completion cycle and
-// the line/miss counts of this access.
-func walkAccess(cfg CacheConfig, w lineWalker, now Cycles, addr, bytes int64) (done Cycles, lines, misses int64) {
+// walkAccess walks every line of [addr, addr+bytes) through look, then
+// charges the missed bytes to DRAM as one pipelined burst starting at the
+// first missed line, and returns the completion cycle.
+func (c *Cache) walkAccess(now Cycles, addr, bytes int64) Cycles {
 	if bytes <= 0 {
-		return now + cfg.HitLatency, 0, 0
+		return now + c.cfg.HitLatency
 	}
-	first := addr / cfg.LineBytes
-	last := (addr + bytes - 1) / cfg.LineBytes
-	lines = last - first + 1
+	first := addr / c.cfg.LineBytes
+	last := (addr + bytes - 1) / c.cfg.LineBytes
 	missedBytes := int64(0)
 	firstMissAddr := int64(-1)
 	for line := first; line <= last; line++ {
-		if !w.look(line * cfg.LineBytes) {
-			misses++
-			missedBytes += cfg.LineBytes
+		if !c.look(line * c.cfg.LineBytes) {
+			missedBytes += c.cfg.LineBytes
 			if firstMissAddr < 0 {
-				firstMissAddr = line * cfg.LineBytes
+				firstMissAddr = line * c.cfg.LineBytes
 			}
 		}
 	}
-	done = now + cfg.HitLatency
 	if missedBytes > 0 {
-		done = w.charge(now+cfg.HitLatency, firstMissAddr, missedBytes)
+		return c.backing.Access(now+c.cfg.HitLatency, firstMissAddr, missedBytes)
 	}
-	return done, lines, misses
+	return now + c.cfg.HitLatency
 }
 
-// look implements lineWalker over the live sets.
+// look walks one line through its set, updating LRU state and counters.
 func (c *Cache) look(lineAddr int64) bool {
 	c.clock++
 	setIdx := (lineAddr / c.cfg.LineBytes) % c.numSets
@@ -400,11 +342,6 @@ func (c *Cache) look(lineAddr int64) bool {
 	return false
 }
 
-// charge implements lineWalker over the live DRAM.
-func (c *Cache) charge(now Cycles, addr, bytes int64) Cycles {
-	return c.backing.Access(now, addr, bytes)
-}
-
 // Access reads the byte range [addr, addr+bytes) at time now and returns
 // the completion cycle. Hit lines cost the hit latency; missing lines are
 // fetched from DRAM as one pipelined burst (a single exposed latency plus
@@ -420,7 +357,7 @@ func (c *Cache) Access(now Cycles, addr int64, bytes int64) Cycles {
 	}
 	e := c.memoClaim(key)
 	c.rec = &e.refs
-	done, _, _ := walkAccess(c.cfg, c, now, addr, bytes)
+	done := c.walkAccess(now, addr, bytes)
 	c.rec = nil
 	return done
 }

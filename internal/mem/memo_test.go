@@ -9,8 +9,7 @@ import (
 // recording and no fast path. Driving a second cache through it gives a
 // bit-exact reference for the memoized implementation.
 func refAccess(c *Cache, now Cycles, addr, bytes int64) Cycles {
-	done, _, _ := walkAccess(c.cfg, c, now, addr, bytes)
-	return done
+	return c.walkAccess(now, addr, bytes)
 }
 
 // refProbe replays the pre-memo Probe path.
@@ -145,89 +144,5 @@ func TestMemoSurvivesReset(t *testing.T) {
 	ref := NewCache(tinyCacheConfig(), NewDRAM(DefaultDRAMConfig()))
 	if g, w := c.Access(0, 0, 256), refAccess(ref, 0, 0, 256); g != w {
 		t.Fatalf("post-Reset access: got %d want %d", g, w)
-	}
-}
-
-// TestSpecMemMemoEquivalence compares a speculative view over a
-// memo-warmed base against a view over an identically-warmed base with an
-// empty memo table: every access and probe must resolve identically, and
-// so must the views' counters.
-func TestSpecMemMemoEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	warm := make([][2]int64, 400)
-	for i := range warm {
-		warm[i] = [2]int64{int64(rng.Intn(96)) * 32, int64(1 + rng.Intn(300))}
-	}
-
-	build := func(memoized bool) *Hierarchy {
-		h := &Hierarchy{DRAM: NewDRAM(DefaultDRAMConfig())}
-		h.Shared = NewCache(tinyCacheConfig(), h.DRAM)
-		now := Cycles(0)
-		for _, w := range warm {
-			if memoized {
-				h.Shared.Access(now, w[0], w[1])
-			} else {
-				refAccess(h.Shared, now, w[0], w[1])
-			}
-			now += 13
-		}
-		return h
-	}
-	hm, hr := build(true), build(false)
-	sameCacheState(t, hm.Shared, hr.Shared)
-	warmed := false
-	for i := range hm.Shared.memo {
-		if hm.Shared.memo[i].used {
-			warmed = true
-			break
-		}
-	}
-	if !warmed {
-		t.Fatal("warmup left the memo table empty")
-	}
-
-	sm, sr := hm.Speculate(), hr.Speculate()
-	now := Cycles(0)
-	for step := 0; step < 8000; step++ {
-		w := warm[rng.Intn(len(warm))]
-		addr, bytes := w[0], w[1]
-		if rng.Intn(6) == 0 { // occasional cold range to force overlay fills
-			addr, bytes = int64(8192+rng.Intn(4096)), int64(1+rng.Intn(200))
-		}
-		if rng.Intn(5) == 0 {
-			pg, pw := sm.Probe(addr, bytes), sr.Probe(addr, bytes)
-			if pg != pw {
-				t.Fatalf("step %d: spec Probe(%d,%d) = %v, reference %v", step, addr, bytes, pg, pw)
-			}
-			continue
-		}
-		dg, lg, mg := sm.Access(now, addr, bytes)
-		dw, lw, mw := sr.Access(now, addr, bytes)
-		if dg != dw || lg != lw || mg != mw {
-			t.Fatalf("step %d: spec Access(%d,%d,%d) = (%d,%d,%d), reference (%d,%d,%d)",
-				step, now, addr, bytes, dg, lg, mg, dw, lw, mw)
-		}
-		now += Cycles(rng.Intn(30))
-	}
-	if sm.Stats() != sr.Stats() {
-		t.Fatalf("spec cache stats diverged: got %+v want %+v", sm.Stats(), sr.Stats())
-	}
-	if sm.DRAMStats() != sr.DRAMStats() {
-		t.Fatalf("spec DRAM stats diverged: got %+v want %+v", sm.DRAMStats(), sr.DRAMStats())
-	}
-	if sm.clock != sr.clock {
-		t.Fatalf("spec clock diverged: got %d want %d", sm.clock, sr.clock)
-	}
-
-	// Reset must recycle overlays and resync both views to equal state.
-	sm.Reset()
-	sr.Reset()
-	if len(sm.touched) != 0 || len(sm.pool) == 0 {
-		t.Fatalf("Reset did not pool overlays: %d live, %d pooled", len(sm.touched), len(sm.pool))
-	}
-	dg, lg, mg := sm.Access(0, warm[0][0], warm[0][1])
-	dw, lw, mw := sr.Access(0, warm[0][0], warm[0][1])
-	if dg != dw || lg != lw || mg != mw {
-		t.Fatalf("post-Reset spec access diverged: (%d,%d,%d) vs (%d,%d,%d)", dg, lg, mg, dw, lw, mw)
 	}
 }

@@ -115,12 +115,7 @@ type Engine struct {
 	hub  *graph.HubIndex
 	root *Node // persistent level -1 parent for Start
 
-	// Node pool. While speculating, released nodes are parked instead of
-	// freed so a rewind can revive the frames that referenced them; see
-	// Speculate.
-	free   []*Node
-	parked []*Node
-	spec   bool
+	free []*Node // node pool
 
 	// Per-task scratch backing TaskInfo; valid until the next task.
 	ops     []SetOpExec
@@ -147,15 +142,6 @@ func (e *Engine) newID() int32 {
 	return e.nextID
 }
 
-// Mark returns the engine's set-ID allocation cursor. Together with
-// Rewind it lets a speculatively executed task be rolled back and
-// replayed with bit-identical IDs (the accelerator models' parallel
-// engine journals PEs around speculative steps).
-func (e *Engine) Mark() int32 { return e.nextID }
-
-// Rewind resets the set-ID allocation cursor to a Mark.
-func (e *Engine) Rewind(mark int32) { e.nextID = mark }
-
 // newNode takes a node from the pool, or allocates one.
 func (e *Engine) newNode() *Node {
 	if n := len(e.free); n > 0 {
@@ -174,42 +160,12 @@ func (e *Engine) newNode() *Node {
 // Release returns n's storage to the engine's pool. The caller must hold
 // no live references: in particular every child of n (whose sets alias
 // n's buffers) must have been released first — pseudo-DFS pop order
-// satisfies this naturally. Releasing nil is a no-op. While the engine is
-// speculating, the release is parked rather than made reusable, so a
-// rewind that revives n's frame stays safe.
+// satisfies this naturally. Releasing nil is a no-op.
 func (e *Engine) Release(n *Node) {
 	if n == nil || n == e.root {
 		return
 	}
-	if e.spec {
-		e.parked = append(e.parked, n)
-		return
-	}
 	e.free = append(e.free, n)
-}
-
-// Speculate toggles journaled-release mode. While on, Release parks nodes
-// instead of recycling them; ParkMark/ReviveParked rewind the park log in
-// step with the caller's own journal, and FlushParked retires it once the
-// speculative work is committed.
-func (e *Engine) Speculate(on bool) { e.spec = on }
-
-// ParkMark returns the parked-release cursor, to pair with ReviveParked.
-func (e *Engine) ParkMark() int { return len(e.parked) }
-
-// ReviveParked drops releases parked at or after mark: the caller has
-// rewound its state to the mark, so those nodes are live again (or
-// unreferenced, in which case the garbage collector takes them).
-func (e *Engine) ReviveParked(mark int) { e.parked = e.parked[:mark] }
-
-// FlushParked moves every parked release into the free pool — the
-// speculative work that released them has committed.
-func (e *Engine) FlushParked() {
-	e.free = append(e.free, e.parked...)
-	for i := range e.parked {
-		e.parked[i] = nil
-	}
-	e.parked = e.parked[:0]
 }
 
 // Start creates the root node for u_0 = v0 and performs the level-0 task.

@@ -53,42 +53,3 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 		t.Errorf("steady-state extend allocates %.1f objects per root, want 0", allocs)
 	}
 }
-
-// TestEngineReleaseParking checks the speculative park log: parked nodes
-// are not reused until flushed, and a revive returns them to live use
-// without entering the pool.
-func TestEngineReleaseParking(t *testing.T) {
-	g := gen.Complete(8)
-	pl := plan.MustCompile(pattern.Clique(3), plan.Options{})
-	e := NewEngine(g, pl)
-
-	root, _ := e.Start(0)
-	e.Speculate(true)
-	mark := e.ParkMark()
-	e.Release(root)
-	if got := e.ParkMark(); got != mark+1 {
-		t.Fatalf("park cursor = %d, want %d", got, mark+1)
-	}
-	if len(e.free) != 0 {
-		t.Fatalf("speculative release entered the free pool (%d nodes)", len(e.free))
-	}
-	// A rewind revives the node: it must not surface in the pool.
-	e.ReviveParked(mark)
-	if len(e.free) != 0 || len(e.parked) != 0 {
-		t.Fatalf("revive leaked nodes: free=%d parked=%d", len(e.free), len(e.parked))
-	}
-	// Committed releases flush to the pool and get reused.
-	e.Release(root)
-	e.Speculate(false)
-	e.FlushParked()
-	if len(e.free) != 1 {
-		t.Fatalf("flush left free=%d, want 1", len(e.free))
-	}
-	n2, _ := e.Start(1)
-	if n2 != root {
-		t.Error("flushed node was not reused")
-	}
-	if len(e.free) != 0 {
-		t.Errorf("pool not drained after reuse: free=%d", len(e.free))
-	}
-}

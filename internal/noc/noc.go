@@ -144,30 +144,3 @@ func (p *Port) Access(now mem.Cycles, addr, bytes int64) mem.Cycles {
 
 // Probe reports residency without timing or statistics side effects.
 func (p *Port) Probe(addr, bytes int64) bool { return p.Cache.Probe(addr, bytes) }
-
-// SpecPort is the deferred-access counterpart of a Port for the parallel
-// epoch engine: it routes one PE's accesses through a speculative memory
-// view instead of the live shared cache, preserving the port's NoC round
-// trip, and reports the line/miss geometry each access resolved to so the
-// engine can validate it against the live state at commit time.
-type SpecPort struct {
-	View *mem.SpecMem
-	Trip mem.Cycles
-	// PE is the owning PE's index, for event attribution.
-	PE int
-}
-
-// Speculative returns a speculative twin of the port over the given view.
-func (p *Port) Speculative(view *mem.SpecMem) *SpecPort {
-	return &SpecPort{View: view, Trip: p.Trip, PE: p.PE}
-}
-
-// Access reads the byte range through the view with the port's NoC
-// round trip applied exactly as Port.Access does.
-func (s *SpecPort) Access(now mem.Cycles, addr, bytes int64) (done mem.Cycles, lines, misses int64) {
-	done, lines, misses = s.View.Access(now+s.Trip/2, addr, bytes)
-	return done + s.Trip/2, lines, misses
-}
-
-// Probe reports residency in the view without side effects.
-func (s *SpecPort) Probe(addr, bytes int64) bool { return s.View.Probe(addr, bytes) }

@@ -148,41 +148,3 @@ func TestPortObserverDoesNotChangeTiming(t *testing.T) {
 		t.Errorf("observer changed timing: %d vs %d", plain, observed)
 	}
 }
-
-// TestSpecPortMirrorsPort: a speculative twin must resolve an access
-// sequence to exactly the timings the live port would, without touching
-// the live cache, and its probes must see speculative installs.
-func TestSpecPortMirrorsPort(t *testing.T) {
-	live := mem.NewHierarchy(0)
-	spec := mem.NewHierarchy(0)
-	n := New(DefaultConfig(), 4)
-	livePort := NewPort(n, 1, live.Shared)
-	specPort := NewPort(n, 1, spec.Shared).Speculative(spec.Speculate())
-
-	seq := []struct {
-		now   mem.Cycles
-		addr  int64
-		bytes int64
-	}{{0, 0, 200}, {500, 4096, 64}, {900, 0, 200}, {1400, 1 << 20, 128}}
-	for _, a := range seq {
-		want := livePort.Access(a.now, a.addr, a.bytes)
-		got, lines, _ := specPort.Access(a.now, a.addr, a.bytes)
-		if got != want {
-			t.Errorf("access %+v: spec done %d, live done %d", a, got, want)
-		}
-		if lines <= 0 {
-			t.Errorf("access %+v: lines = %d", a, lines)
-		}
-	}
-	// The speculative traffic never reached the twin's live cache...
-	if st := spec.Shared.Stats(); st.LineAccesses != 0 {
-		t.Errorf("live cache behind the view saw %d line accesses", st.LineAccesses)
-	}
-	// ...yet probes through the spec port see the overlay's installs.
-	if !specPort.Probe(0, 200) {
-		t.Error("spec probe missed a speculatively installed range")
-	}
-	if specPort.Probe(1<<30, 64) {
-		t.Error("spec probe hit an untouched range")
-	}
-}

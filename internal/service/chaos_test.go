@@ -145,6 +145,45 @@ func TestCrashWhileQueuedRequeues(t *testing.T) {
 	}
 }
 
+// TestReplayIgnoresRemovedParallelFields: a journal written while the
+// parallel simulation engine existed may hold a queued spec carrying
+// sim_workers/sim_window. Replay decodes specs leniently, so the job is
+// re-enqueued and finishes done on the serial engine, with the direct
+// simulation's count and cycles.
+func TestReplayIgnoresRemovedParallelFields(t *testing.T) {
+	dir := t.TempDir()
+	jn := openJournal(t, dir, journal.Options{})
+	old := []byte(`{"arch":"fingers","graph":"As","pattern":"tc","pes":2,"sim_workers":4,"sim_window":128}`)
+	if _, err := jn.Append(journal.Record{Job: "job-000001", Event: journal.EventSubmitted,
+		Attempt: 1, Client: "alice", Spec: old}); err != nil {
+		t.Fatal(err)
+	}
+	if err := jn.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	jn2 := openJournal(t, dir, journal.Options{})
+	m := NewManager(NewRegistry(), Config{Concurrency: 1, Journal: jn2})
+	defer m.Drain(time.Second)
+	if rs := m.Recovery(); rs.Requeued != 1 {
+		t.Fatalf("recovery %+v, want 1 requeued", rs)
+	}
+	j, ok := m.Get("job-000001")
+	if !ok {
+		t.Fatal("queued job not recovered")
+	}
+	waitDone(t, m, j.ID)
+	st := j.Status()
+	if st.State != StateDone {
+		t.Fatalf("recovered job state %s (err %q), want done", st.State, st.Error)
+	}
+	want := directResult(t, fingers.JobSpec{Arch: "fingers", Graph: "As", Pattern: "tc", PEs: 2})
+	if st.Record.Count != want.Count || st.Record.Cycles != want.Cycles {
+		t.Errorf("replayed run count=%d cycles=%d, direct count=%d cycles=%d",
+			st.Record.Count, st.Record.Cycles, want.Count, want.Cycles)
+	}
+}
+
 // TestCrashMidRunInterruptsAndRetries: a journal ending in a started
 // event means the process died mid-run. Replay must append the
 // interrupted record the crash swallowed, advance the attempt, mark

@@ -482,6 +482,34 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestRemovedParallelFields400: a body carrying a field of the removed
+// parallel simulation engine is a 400 whose message names the field,
+// says the engine was removed, and points at sim_shards.
+func TestRemovedParallelFields400(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, field := range []string{"sim_workers", "sim_window"} {
+		body := fmt.Sprintf(`{"arch":"fingers","graph":"As","pattern":"tc",%q:4}`, field)
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb errorBody
+		err = json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", field, resp.StatusCode)
+		}
+		for _, want := range []string{field, "parallel simulation engine was removed", "sim_shards"} {
+			if !strings.Contains(eb.Error, want) {
+				t.Errorf("%s: error %q does not mention %q", field, eb.Error, want)
+			}
+		}
+	}
+}
+
 func TestGraphsAndHealthEndpoints(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/v1/graphs")

@@ -25,6 +25,12 @@ import (
 // omitempty, so a v4 report without them is byte-compatible with v2 and
 // older readers ignore the extras; readers accept any
 // "fingers/simbench/" prefix.
+//
+// The parallel-engine columns (parallel cycles, wall times, speedups,
+// divergence, allocation profile, and the header's workers/window and
+// their geomeans) are read from reports written while the bounded-lag
+// parallel engine existed. The engine has been removed, so current
+// reports leave them out; they are omitempty for that reason.
 const Schema = "fingers/simbench/v4"
 
 // SchemaPrefix matches every vintage of simbench report.
@@ -35,26 +41,26 @@ type Cell struct {
 	Graph   string `json:"graph"`
 	Pattern string `json:"pattern"`
 
-	SimCycles       mem.Cycles `json:"sim_cycles"`        // serial makespan
-	ParallelCycles  mem.Cycles `json:"parallel_cycles"`   // parallel makespan
-	DivergencePct   float64    `json:"divergence_pct"`    // |par-serial|/serial × 100
-	CountsIdentical bool       `json:"counts_identical"`  // embedding counts bit-identical
-	SerialWallNS    int64      `json:"serial_wall_ns"`    // serial engine wall time
-	ParallelWallNS  int64      `json:"parallel_wall_ns"`  // parallel engine wall time
-	Workers1WallNS  int64      `json:"workers1_wall_ns"`  // parallel engine, Workers=1
-	Speedup         float64    `json:"speedup"`           // serial wall / parallel wall
-	Workers1Factor  float64    `json:"workers1_factor"`   // serial wall / workers=1 wall
-	SerialCyclesSec float64    `json:"serial_cycles_sec"` // simulated cycles per wall second
-	ParCyclesSec    float64    `json:"parallel_cycles_sec"`
+	SimCycles       mem.Cycles `json:"sim_cycles"`                 // serial makespan
+	ParallelCycles  mem.Cycles `json:"parallel_cycles,omitempty"`  // parallel makespan
+	DivergencePct   float64    `json:"divergence_pct,omitempty"`   // |par-serial|/serial × 100
+	CountsIdentical bool       `json:"counts_identical,omitempty"` // parallel counts bit-identical
+	SerialWallNS    int64      `json:"serial_wall_ns"`             // serial engine wall time
+	ParallelWallNS  int64      `json:"parallel_wall_ns,omitempty"` // parallel engine wall time
+	Workers1WallNS  int64      `json:"workers1_wall_ns,omitempty"` // parallel engine, Workers=1
+	Speedup         float64    `json:"speedup,omitempty"`          // serial wall / parallel wall
+	Workers1Factor  float64    `json:"workers1_factor,omitempty"`  // serial wall / workers=1 wall
+	SerialCyclesSec float64    `json:"serial_cycles_sec"`          // simulated cycles per wall second
+	ParCyclesSec    float64    `json:"parallel_cycles_sec,omitempty"`
 
 	// Allocation profile of the best-time repetition (runtime.MemStats
 	// deltas around the run: mallocs, bytes, and stop-the-world pause).
 	SerialAllocs     uint64 `json:"serial_allocs"`
 	SerialAllocBytes uint64 `json:"serial_alloc_bytes"`
 	SerialGCPauseNS  uint64 `json:"serial_gc_pause_ns"`
-	ParAllocs        uint64 `json:"parallel_allocs"`
-	ParAllocBytes    uint64 `json:"parallel_alloc_bytes"`
-	ParGCPauseNS     uint64 `json:"parallel_gc_pause_ns"`
+	ParAllocs        uint64 `json:"parallel_allocs,omitempty"`
+	ParAllocBytes    uint64 `json:"parallel_alloc_bytes,omitempty"`
+	ParGCPauseNS     uint64 `json:"parallel_gc_pause_ns,omitempty"`
 
 	// Sharded-mode columns (v3), present only when the run was measured
 	// with -shards > 1. ShardWallsNS is each shard's own wall time in
@@ -83,8 +89,8 @@ type Report struct {
 	Schema string `json:"schema"`
 	telemetry.Meta
 	PEs     int        `json:"pes"`
-	Workers int        `json:"workers"`
-	Window  mem.Cycles `json:"window"`
+	Workers int        `json:"workers,omitempty"`
+	Window  mem.Cycles `json:"window,omitempty"`
 	// Runs is the number of measured repetitions each cell is the
 	// median of (1 = single-shot, the pre-header behaviour).
 	Runs int `json:"runs,omitempty"`
@@ -92,16 +98,16 @@ type Report struct {
 	// (v3); zero when the run was not sharded.
 	Shards        int     `json:"shards,omitempty"`
 	Cells         []Cell  `json:"cells"`
-	GeomeanSpeed  float64 `json:"geomean_speedup"`
-	GeomeanW1     float64 `json:"geomean_workers1_factor"`
+	GeomeanSpeed  float64 `json:"geomean_speedup,omitempty"`
+	GeomeanW1     float64 `json:"geomean_workers1_factor,omitempty"`
 	GeomeanSerCPS float64 `json:"geomean_serial_cycles_sec"`
-	GeomeanDivPc  float64 `json:"geomean_divergence_pct"`
-	MaxDivPct     float64 `json:"max_divergence_pct"`
+	GeomeanDivPc  float64 `json:"geomean_divergence_pct,omitempty"`
+	MaxDivPct     float64 `json:"max_divergence_pct,omitempty"`
 	// GeomeanShardSpeed is the sharded/serial wall-clock speedup geomean
 	// (v3); zero when the run was not sharded.
 	GeomeanShardSpeed float64 `json:"geomean_shard_speedup,omitempty"`
 	Note              string  `json:"note"`
-	// Warning flags a measurement that cannot support an engine verdict
+	// Warning flags a measurement that cannot support a scaling verdict
 	// — today, a single-core host (host_cores or GOMAXPROCS of 1), where
 	// every wall-clock speedup is an artifact of time slicing.
 	Warning string `json:"warning,omitempty"`

@@ -7,11 +7,9 @@ import (
 	"strings"
 	"time"
 
-	"fingers/internal/accel"
 	"fingers/internal/datasets"
 	fingerspe "fingers/internal/fingers"
 	"fingers/internal/graph"
-	"fingers/internal/mem"
 	"fingers/internal/plan"
 )
 
@@ -24,8 +22,8 @@ import (
 // every entry point validates and decodes identically.
 //
 // Zero fields mean "the model's default": 1 PE, the paper's PE
-// configuration, the model's shared-cache capacity, the serial event
-// loop, and no deadline.
+// configuration, the model's shared-cache capacity, one shard, and no
+// deadline.
 type JobSpec struct {
 	// Arch selects the timing model: "fingers", "flexminer", or "sisa"
 	// (case-insensitive; the display names FINGERS/FlexMiner/SISA also
@@ -52,13 +50,6 @@ type JobSpec struct {
 	// CacheKB is the shared-cache capacity in kB; 0 keeps the model's
 	// default.
 	CacheKB int64 `json:"cache_kb,omitempty"`
-	// SimWorkers, when positive, runs the chip on the bounded-lag
-	// parallel engine with this many host threads.
-	SimWorkers int `json:"sim_workers,omitempty"`
-	// SimWindow is the parallel engine's epoch width Δ in simulated
-	// cycles; 0 means the tuned default. Results depend only on the
-	// window, never on SimWorkers.
-	SimWindow int64 `json:"sim_window,omitempty"`
 	// SimShards, when > 1, partitions root vertices across this many
 	// independent engine instances run on separate OS threads and merged
 	// deterministically (see WithShards). Embedding counts are identical
@@ -131,27 +122,6 @@ func (s JobSpec) AcceleratorConfig() AcceleratorConfig {
 	return cfg
 }
 
-// ParallelSim materializes the parallel-engine configuration, or nil
-// when SimWorkers is 0 (the serial event loop). A degenerate window or
-// worker count is reported as an error.
-func (s JobSpec) ParallelSim() (*ParallelConfig, error) {
-	if s.SimWorkers == 0 && s.SimWindow == 0 {
-		return nil, nil
-	}
-	if s.SimWorkers == 0 {
-		return nil, fmt.Errorf("fingers: JobSpec: sim_window set without sim_workers")
-	}
-	window := mem.Cycles(s.SimWindow)
-	if window == 0 {
-		window = accel.DefaultWindow
-	}
-	cfg := ParallelConfig{Window: window, Workers: s.SimWorkers}
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("fingers: JobSpec: %w", err)
-	}
-	return &cfg, nil
-}
-
 // Validate checks every field of the spec without touching the graph:
 // the architecture parses, graph and pattern are named, the pattern
 // compiles, and the numeric knobs are in range. ResolveGraph reports
@@ -179,17 +149,8 @@ func (s JobSpec) Validate() error {
 	if s.CacheKB < 0 {
 		return fmt.Errorf("fingers: JobSpec: cache_kb must be >= 0, got %d", s.CacheKB)
 	}
-	if s.SimWorkers < 0 {
-		return fmt.Errorf("fingers: JobSpec: sim_workers must be >= 0, got %d", s.SimWorkers)
-	}
-	if s.SimWindow < 0 {
-		return fmt.Errorf("fingers: JobSpec: sim_window must be >= 0, got %d", s.SimWindow)
-	}
 	if s.SimShards < 0 {
 		return fmt.Errorf("fingers: JobSpec: sim_shards must be >= 0, got %d", s.SimShards)
-	}
-	if _, err := s.ParallelSim(); err != nil {
-		return err
 	}
 	if s.TimeoutMS < 0 {
 		return fmt.Errorf("fingers: JobSpec: timeout_ms must be >= 0, got %d", s.TimeoutMS)
@@ -238,7 +199,7 @@ func (s JobSpec) ResolveGraph() (*Graph, error) {
 }
 
 // ToOptions bridges the spec to the Simulate option list: PEs, shared
-// cache, PE configuration, parallel engine, deadline, and stats. The
+// cache, PE configuration, shards, deadline, and stats. The
 // caller composes extras (WithContext, WithTracer, WithProgress) on
 // top. The spec is validated first, so an invalid spec never produces
 // a half-applied option set.
@@ -253,11 +214,6 @@ func (s JobSpec) ToOptions() ([]SimOption, error) {
 	if s.CacheKB > 0 {
 		opts = append(opts, WithSharedCache(s.CacheBytes()))
 	}
-	if pcfg, err := s.ParallelSim(); err != nil {
-		return nil, err
-	} else if pcfg != nil {
-		opts = append(opts, WithParallelSim(*pcfg))
-	}
 	if s.SimShards > 1 {
 		opts = append(opts, WithShards(s.SimShards))
 	}
@@ -270,6 +226,11 @@ func (s JobSpec) ToOptions() ([]SimOption, error) {
 	return opts, nil
 }
 
+// removedJobFields are the fields of the removed parallel simulation
+// engine. Older clients may still send them, so DecodeJobSpec names
+// them in its error instead of reporting a bare unknown field.
+var removedJobFields = []string{"sim_workers", "sim_window"}
+
 // DecodeJobSpec parses one JSON job spec, rejecting unknown fields so a
 // misspelled knob fails loudly instead of silently running defaults.
 func DecodeJobSpec(data []byte) (JobSpec, error) {
@@ -277,6 +238,11 @@ func DecodeJobSpec(data []byte) (JobSpec, error) {
 	dec.DisallowUnknownFields()
 	var s JobSpec
 	if err := dec.Decode(&s); err != nil {
+		for _, f := range removedJobFields {
+			if err.Error() == fmt.Sprintf("json: unknown field %q", f) {
+				return s, fmt.Errorf("fingers: JobSpec: %s is no longer accepted: the parallel simulation engine was removed; use sim_shards to spread a run over host cores", f)
+			}
+		}
 		return s, fmt.Errorf("fingers: JobSpec: %w", err)
 	}
 	return s, nil

@@ -3,6 +3,7 @@ package fingers
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -50,9 +51,6 @@ func TestJobSpecValidate(t *testing.T) {
 		"negative pes":           {Arch: "fingers", Graph: "Mi", Pattern: "tc", PEs: -1},
 		"negative ius":           {Arch: "fingers", Graph: "Mi", Pattern: "tc", IUs: -2},
 		"negative cache":         {Arch: "fingers", Graph: "Mi", Pattern: "tc", CacheKB: -1},
-		"negative workers":       {Arch: "fingers", Graph: "Mi", Pattern: "tc", SimWorkers: -1},
-		"negative window":        {Arch: "fingers", Graph: "Mi", Pattern: "tc", SimWindow: -5},
-		"window without workers": {Arch: "fingers", Graph: "Mi", Pattern: "tc", SimWindow: 64},
 		"negative timeout":       {Arch: "fingers", Graph: "Mi", Pattern: "tc", TimeoutMS: -1},
 		"negative shards":        {Arch: "fingers", Graph: "Mi", Pattern: "tc", SimShards: -1},
 	} {
@@ -90,18 +88,21 @@ func TestJobSpecDerivedValues(t *testing.T) {
 	}
 }
 
+// TestJobSpecParallelSim: the fields of the removed parallel simulation
+// engine are rejected by name, with a pointer at sharding, instead of as
+// a bare unknown field.
 func TestJobSpecParallelSim(t *testing.T) {
-	none := JobSpec{Arch: "fingers", Graph: "Mi", Pattern: "tc"}
-	if cfg, err := none.ParallelSim(); err != nil || cfg != nil {
-		t.Errorf("serial spec: cfg=%v err=%v", cfg, err)
-	}
-	par := JobSpec{Arch: "fingers", Graph: "Mi", Pattern: "tc", SimWorkers: 4}
-	cfg, err := par.ParallelSim()
-	if err != nil || cfg == nil {
-		t.Fatalf("parallel spec: %v", err)
-	}
-	if cfg.Workers != 4 || cfg.Window <= 0 {
-		t.Errorf("parallel config %+v, want 4 workers and the default window", cfg)
+	for _, field := range []string{"sim_workers", "sim_window"} {
+		body := fmt.Sprintf(`{"arch":"fingers","graph":"Mi","pattern":"tc",%q:4}`, field)
+		_, err := DecodeJobSpec([]byte(body))
+		if err == nil {
+			t.Fatalf("%s accepted", field)
+		}
+		for _, want := range []string{field, "parallel simulation engine was removed", "sim_shards"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not mention %q", field, err, want)
+			}
+		}
 	}
 }
 
@@ -152,7 +153,7 @@ func TestJobSpecJSONRoundTrip(t *testing.T) {
 	f := false
 	in := JobSpec{
 		Arch: "fingers", Graph: "Lj", Pattern: "4cl", PEs: 20, IUs: 48,
-		IsoArea: &f, CacheKB: 1024, SimWorkers: 4, SimWindow: 128,
+		IsoArea: &f, CacheKB: 1024,
 		SimShards: 4, TimeoutMS: 5000, Stats: true, RunTag: "sweep-1",
 	}
 	data, err := json.Marshal(in)
@@ -165,7 +166,6 @@ func TestJobSpecJSONRoundTrip(t *testing.T) {
 	}
 	if out.Arch != in.Arch || out.Graph != in.Graph || out.Pattern != in.Pattern ||
 		out.PEs != in.PEs || out.IUs != in.IUs || out.CacheKB != in.CacheKB ||
-		out.SimWorkers != in.SimWorkers || out.SimWindow != in.SimWindow ||
 		out.SimShards != in.SimShards ||
 		out.TimeoutMS != in.TimeoutMS || out.Stats != in.Stats || out.RunTag != in.RunTag {
 		t.Errorf("round trip mismatch: %+v != %+v", out, in)

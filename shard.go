@@ -15,8 +15,8 @@ import (
 )
 
 // WithShards partitions the run's root vertices across n independent
-// engine instances — each with its own chip, PE pool, cache/DRAM/NoC
-// model, and speculative-memory arenas — executed on separate OS
+// engine instances — each with its own chip, PE pool, and cache/DRAM/NoC
+// model, each on the serial event loop — executed on separate OS
 // threads and merged into one SimReport (DESIGN.md §14). The PE budget
 // is divided across shards, so WithShards(4) on a 8-PE run simulates
 // four 2-PE chips over disjoint contiguous root ranges, weighted by
@@ -27,9 +27,7 @@ import (
 // than one chip. Embedding counts, task totals, and traffic sums are
 // exactly the single-chip numbers regardless of shard count. n <= 1
 // (and the default 0) runs unsharded; n larger than the PE count is
-// clamped so every shard keeps at least one PE. Composes with
-// WithParallelSim: each shard runs its own bounded-lag engine with the
-// configured window and workers.
+// clamped so every shard keeps at least one PE.
 func WithShards(n int) SimOption { return func(c *simConfig) { c.shards = n } }
 
 // peOffsetTracer renames PE ids in a shard's telemetry stream to the
@@ -147,11 +145,7 @@ func runSharded(ctx context.Context, arch Arch, g *Graph, plans []*Plan, cfg sim
 	runShard := func(s int) {
 		t0 := time.Now()
 		var rerr error
-		if cfg.par != nil {
-			results[s], rerr = chips[s].RunParallelCtxWithProgress(ctx, *cfg.par, every, fn)
-		} else {
-			results[s], rerr = chips[s].RunCtxWithProgress(ctx, every, fn)
-		}
+		results[s], rerr = chips[s].Run(ctx, every, fn)
 		walls[s] = time.Since(t0).Nanoseconds()
 		if rerr != nil {
 			errMu.Lock()

@@ -53,7 +53,6 @@ type simConfig struct {
 	stats         bool
 	fiCfg         AcceleratorConfig
 	fmCfg         BaselineConfig
-	par           *ParallelConfig
 	shards        int
 	ctx           context.Context
 	timeout       time.Duration
@@ -93,19 +92,9 @@ func WithBaselineConfig(cfg BaselineConfig) SimOption {
 	return func(c *simConfig) { c.fmCfg = cfg }
 }
 
-// WithParallelSim runs the simulation on the bounded-lag parallel engine
-// instead of the serial event loop, using cfg.Workers host threads.
-// Results are deterministic: they depend only on cfg.Window, never on
-// cfg.Workers or host scheduling, and Window=1 reproduces the serial
-// engine exactly. Use DefaultParallelConfig for the tuned default.
-func WithParallelSim(cfg ParallelConfig) SimOption {
-	return func(c *simConfig) { c.par = &cfg }
-}
-
 // WithContext makes the run cancellable: when ctx fires, the simulation
 // stops within one cancellation quantum (accel.CancelCheckQuantum
-// scheduling steps on the serial engine, one epoch window on the
-// parallel engine) and Simulate returns the partial report — cycles
+// scheduling steps) and Simulate returns the partial report — cycles
 // reached, per-PE progress, dispatched-root counts, Partial set —
 // alongside a *SimError wrapping ctx.Err(). A nil ctx is ignored.
 func WithContext(ctx context.Context) SimOption {
@@ -125,8 +114,7 @@ func WithDeadline(d time.Time) SimOption {
 type SimProgress = accel.Progress
 
 // WithProgress invokes fn from the simulation loop every `every`
-// scheduler steps (serial engine) or epoch barriers (parallel engine),
-// for live status lines and streaming observers. The callback runs on
+// scheduler steps, for live status lines and streaming observers. The callback runs on
 // the simulation goroutine: keep it cheap and do not retain the
 // snapshot. every <= 0 or a nil fn disables reporting.
 func WithProgress(every int64, fn func(SimProgress)) SimOption {
@@ -183,25 +171,24 @@ type SimReport struct {
 // accelerator models.
 type simChip interface {
 	SetTracer(telemetry.Tracer)
-	RunCtxWithProgress(context.Context, int64, func(accel.Progress)) (accel.Result, error)
-	RunParallelCtxWithProgress(context.Context, accel.ParallelConfig, int64, func(accel.Progress)) (accel.Result, error)
+	Run(context.Context, int64, func(accel.Progress)) (accel.Result, error)
 	PERecords() []telemetry.PERecord
 	RootsTotal() int
 	RootsDispatched() int
 }
 
 // Simulate runs one accelerator timing model over the graph and plans
-// and returns its report. It subsumes the deprecated Simulate* variants:
+// and returns its report:
 //
 //	res, err := fingers.Simulate(fingers.ArchFingers, g, plans,
 //	        fingers.WithPEs(20), fingers.WithStats())
 //	fmt.Println(res.Result.Cycles, res.IU.ActiveRate())
 //
-// Defaults: 1 PE, the model's shared cache, no tracer, the serial event
-// loop, and the paper's default PE configuration for the chosen
-// architecture. Degenerate configurations (an unknown architecture, a
-// non-positive PE count, an invalid WithParallelSim window or worker
-// count, a nil graph, no plans, an invalid plan) are reported as errors.
+// Defaults: 1 PE, the model's shared cache, no tracer, one shard, and the
+// paper's default PE configuration for the chosen architecture.
+// Degenerate configurations (an unknown architecture, a non-positive PE
+// count, a negative shard count, a nil graph, no plans, an invalid plan)
+// are reported as errors.
 //
 // With WithContext, WithDeadline, or WithTimeout the run is
 // interruptible: on cancellation Simulate returns the partial report
@@ -226,11 +213,6 @@ func Simulate(arch Arch, g *Graph, plans []*Plan, opts ...SimOption) (rep SimRep
 	}
 	if cfg.pes < 1 {
 		return rep, fmt.Errorf("fingers: Simulate: number of PEs must be >= 1, got %d", cfg.pes)
-	}
-	if cfg.par != nil {
-		if err := cfg.par.Validate(); err != nil {
-			return rep, fmt.Errorf("fingers: Simulate: %w", err)
-		}
 	}
 	if cfg.shards < 0 {
 		return rep, fmt.Errorf("fingers: Simulate: number of shards must be >= 0, got %d", cfg.shards)
@@ -296,11 +278,7 @@ func Simulate(arch Arch, g *Graph, plans []*Plan, opts ...SimOption) (rep SimRep
 		every, fn = 0, nil
 	}
 	var runErr error
-	if cfg.par != nil {
-		rep.Result, runErr = chip.RunParallelCtxWithProgress(ctx, *cfg.par, every, fn)
-	} else {
-		rep.Result, runErr = chip.RunCtxWithProgress(ctx, every, fn)
-	}
+	rep.Result, runErr = chip.Run(ctx, every, fn)
 	rep.RootsTotal = chip.RootsTotal()
 	rep.RootsDone = chip.RootsDispatched()
 	if cfg.stats || cfg.tracer != nil || runErr != nil {

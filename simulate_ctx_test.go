@@ -25,7 +25,7 @@ func ctxFixture(t *testing.T) (*fingers.Graph, []*fingers.Plan) {
 
 // TestSimulateCancelledContext: an already-fired context returns a
 // partial report (Partial set, root progress populated) and a *SimError
-// wrapping ctx.Err(), on both architectures and both engines.
+// wrapping ctx.Err(), on both architectures, sharded or not.
 func TestSimulateCancelledContext(t *testing.T) {
 	g, plans := ctxFixture(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -35,8 +35,7 @@ func TestSimulateCancelledContext(t *testing.T) {
 		opts []fingers.SimOption
 	}{
 		{"fingers-serial", []fingers.SimOption{fingers.WithPEs(2)}},
-		{"fingers-parallel", []fingers.SimOption{fingers.WithPEs(4),
-			fingers.WithParallelSim(fingers.ParallelConfig{Window: 64, Workers: 2})}},
+		{"fingers-sharded", []fingers.SimOption{fingers.WithPEs(4), fingers.WithShards(2)}},
 		{"flexminer-serial", nil},
 	}
 	for _, c := range cases {

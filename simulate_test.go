@@ -57,77 +57,6 @@ func TestSimulateReportShape(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappersDelegate pins the compatibility contract: the old
-// entry points must return exactly what Simulate returns for the same
-// configuration.
-func TestDeprecatedWrappersDelegate(t *testing.T) {
-	g := fingers.GenerateErdosRenyi(300, 900, 5)
-	pat, err := fingers.PatternByName("tc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := fingers.CompilePlan(pat, fingers.PlanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plans := []*fingers.Plan{pl}
-
-	oldRes := fingers.SimulateFingers(fingers.DefaultAcceleratorConfig(), 2, 0, g, pl)
-	newRes, err := fingers.Simulate(fingers.ArchFingers, g, plans, fingers.WithPEs(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oldRes != newRes.Result {
-		t.Errorf("SimulateFingers diverged: %+v vs %+v", oldRes, newRes.Result)
-	}
-
-	oldFm := fingers.SimulateFlexMiner(fingers.DefaultBaselineConfig(), 2, 0, g, pl)
-	newFm, err := fingers.Simulate(fingers.ArchFlexMiner, g, plans, fingers.WithPEs(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oldFm != newFm.Result {
-		t.Errorf("SimulateFlexMiner diverged: %+v vs %+v", oldFm, newFm.Result)
-	}
-}
-
-// TestSimulateParallelMatchesSerial: the façade's parallel engine path
-// must agree with the serial path — exactly at Window=1, and on the
-// count at the tuned default window.
-func TestSimulateParallelMatchesSerial(t *testing.T) {
-	g := fingers.GeneratePowerLawCluster(300, 4, 0.5, 9)
-	pat, err := fingers.PatternByName("tt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := fingers.CompilePlan(pat, fingers.PlanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plans := []*fingers.Plan{pl}
-
-	serial, err := fingers.Simulate(fingers.ArchFingers, g, plans, fingers.WithPEs(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := fingers.Simulate(fingers.ArchFingers, g, plans, fingers.WithPEs(4),
-		fingers.WithParallelSim(fingers.ParallelConfig{Window: 1, Workers: 4}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exact.Result != serial.Result {
-		t.Errorf("Window=1 parallel diverges:\nserial %+v\npar    %+v", serial.Result, exact.Result)
-	}
-	def, err := fingers.Simulate(fingers.ArchFingers, g, plans, fingers.WithPEs(4),
-		fingers.WithParallelSim(fingers.DefaultParallelConfig()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if def.Result.Count != serial.Result.Count {
-		t.Errorf("default-window count diverges: %d vs %d", def.Result.Count, serial.Result.Count)
-	}
-}
-
 // TestSimulateRejectsDegenerateConfigs: every invalid configuration is
 // reported as an error, not a panic or a hang.
 func TestSimulateRejectsDegenerateConfigs(t *testing.T) {
@@ -164,16 +93,6 @@ func TestSimulateRejectsDegenerateConfigs(t *testing.T) {
 		}},
 		{"no plans", func() error {
 			_, err := fingers.Simulate(fingers.ArchFingers, g, nil)
-			return err
-		}},
-		{"zero window", func() error {
-			_, err := fingers.Simulate(fingers.ArchFingers, g, plans,
-				fingers.WithParallelSim(fingers.ParallelConfig{Window: 0, Workers: 2}))
-			return err
-		}},
-		{"zero workers", func() error {
-			_, err := fingers.Simulate(fingers.ArchFingers, g, plans,
-				fingers.WithParallelSim(fingers.ParallelConfig{Window: 64, Workers: 0}))
 			return err
 		}},
 	}
