@@ -206,10 +206,10 @@ func currentRoot(pe PE) int64 {
 // safeStep advances one PE, converting a panic inside the step into a
 // structured *simerr.SimError attributed to the PE, its local clock, and
 // the root it was mining.
-func safeStep(pe PE, id int, engine string) (alive bool, err error) {
+func safeStep(pe PE, id int) (alive bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = simerr.FromPanic(engine, id, int64(pe.Time()), currentRoot(pe), r)
+			err = simerr.FromPanic("serial", id, int64(pe.Time()), currentRoot(pe), r)
 		}
 	}()
 	return pe.Step(), nil
@@ -254,7 +254,7 @@ func Run(ctx context.Context, pes []PE, every int64, fn func(Progress)) (mem.Cyc
 			}
 		}
 		pe, id := h[0].pe, h[0].id
-		alive, err := safeStep(pe, id, "serial")
+		alive, err := safeStep(pe, id)
 		if err != nil {
 			return horizon(), err
 		}

@@ -58,10 +58,6 @@ type DRAM struct {
 // SetObserver attaches (or, with nil, detaches) a burst observer.
 func (d *DRAM) SetObserver(o DRAMObserver) { d.obs = o }
 
-// Observed reports whether a burst observer is attached — consumers that
-// would bypass the access path (and so skip its events) must not.
-func (d *DRAM) Observed() bool { return d.obs != nil }
-
 // NewDRAM builds a DRAM model from the config.
 func NewDRAM(cfg DRAMConfig) *DRAM {
 	if cfg.Channels < 1 {

@@ -1,12 +1,11 @@
 // Package simerr defines the structured failure type shared by every
-// execution engine in the repository: the serial event loop and the
-// bounded-lag parallel engine (internal/accel), the software miner
-// (internal/mine), and the public Simulate façade. A SimError pinpoints
-// where a run stopped — which engine, which PE or worker, at which
-// simulated cycle, mining which root — and wraps the underlying cause,
-// which is either a recovered panic (with the goroutine stack captured
-// at the recovery point) or a context error for a cancelled or
-// deadline-expired run.
+// execution engine in the repository: the serial event loop
+// (internal/accel), the software miner (internal/mine), and the public
+// Simulate façade. A SimError pinpoints where a run stopped — which
+// engine, which PE or worker, at which simulated cycle, mining which
+// root — and wraps the underlying cause, which is either a recovered
+// panic (with the goroutine stack captured at the recovery point) or a
+// context error for a cancelled or deadline-expired run.
 //
 // The package deliberately depends on nothing inside the repository so
 // every layer, from setops up to the façade, can use it without import
@@ -34,7 +33,7 @@ const (
 // context.Canceled) and friends keep working through it.
 type SimError struct {
 	// Engine names the execution engine that failed: "serial",
-	// "parallel", "miner", or "facade".
+	// "miner", or "facade".
 	Engine string
 	// PE is the processing-element (or miner-worker) index the failure
 	// is attributed to; NoPE when the failure is not PE-local.

@@ -43,16 +43,16 @@ func TestJobSpecValidate(t *testing.T) {
 		t.Fatalf("minimal valid spec rejected: %v", err)
 	}
 	for name, bad := range map[string]JobSpec{
-		"empty arch":             {Graph: "Mi", Pattern: "tc"},
-		"bad arch":               {Arch: "gpu", Graph: "Mi", Pattern: "tc"},
-		"empty graph":            {Arch: "fingers", Pattern: "tc"},
-		"empty pattern":          {Arch: "fingers", Graph: "Mi"},
-		"bad pattern":            {Arch: "fingers", Graph: "Mi", Pattern: "zzz"},
-		"negative pes":           {Arch: "fingers", Graph: "Mi", Pattern: "tc", PEs: -1},
-		"negative ius":           {Arch: "fingers", Graph: "Mi", Pattern: "tc", IUs: -2},
-		"negative cache":         {Arch: "fingers", Graph: "Mi", Pattern: "tc", CacheKB: -1},
-		"negative timeout":       {Arch: "fingers", Graph: "Mi", Pattern: "tc", TimeoutMS: -1},
-		"negative shards":        {Arch: "fingers", Graph: "Mi", Pattern: "tc", SimShards: -1},
+		"empty arch":       {Graph: "Mi", Pattern: "tc"},
+		"bad arch":         {Arch: "gpu", Graph: "Mi", Pattern: "tc"},
+		"empty graph":      {Arch: "fingers", Pattern: "tc"},
+		"empty pattern":    {Arch: "fingers", Graph: "Mi"},
+		"bad pattern":      {Arch: "fingers", Graph: "Mi", Pattern: "zzz"},
+		"negative pes":     {Arch: "fingers", Graph: "Mi", Pattern: "tc", PEs: -1},
+		"negative ius":     {Arch: "fingers", Graph: "Mi", Pattern: "tc", IUs: -2},
+		"negative cache":   {Arch: "fingers", Graph: "Mi", Pattern: "tc", CacheKB: -1},
+		"negative timeout": {Arch: "fingers", Graph: "Mi", Pattern: "tc", TimeoutMS: -1},
+		"negative shards":  {Arch: "fingers", Graph: "Mi", Pattern: "tc", SimShards: -1},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted %+v", name, bad)
