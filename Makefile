@@ -13,8 +13,10 @@ test:
 race:
 	$(GO) test -race ./...
 
+# bench/ is its own module, which the root ./... skips.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./... && $(GO) build ./...
 
 # bench runs the software-miner benchmarks in benchstat-friendly text
 # form (BENCH_softmine.txt — feed two of these to `benchstat old new`)

@@ -16,7 +16,6 @@
 //	-flex-pes N     FlexMiner chip size (default 40)
 //	-cache-kb N     shared-cache capacity override in kB
 //	-workers N      worker pool width for independent cells (0 = all cores)
-//	-sim-shards N   partition roots across N independent engine instances
 //	-cpuprofile F   write a CPU profile to F
 //	-memprofile F   write a heap profile to F on exit
 //
@@ -59,7 +58,6 @@ func realMain() int {
 	csvDir := flag.String("csv", "", "also write per-experiment CSV files into this directory")
 	jsonOut := flag.String("json", "", "append one JSONL run record per simulated chip run to this file")
 	runTag := flag.String("run-tag", "", "tag stamped into -json records so trend tooling can group this sweep")
-	simShards := flag.Int("sim-shards", 0, "partition roots across this many independent engine instances (0/1 = unsharded)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile here")
 	memProfile := flag.String("memprofile", "", "write a heap profile here on exit")
 	flag.Parse()
@@ -67,13 +65,9 @@ func realMain() int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// The engine knobs ride through a JobSpec so the CLI shares the
-	// daemon's validation and unit conversions instead of duplicating
-	// them.
+	// The cache size rides through a JobSpec so the CLI shares the
+	// daemon's unit conversion instead of duplicating it.
 	spec := fingers.JobSpec{CacheKB: *cacheKB}
-	if *simShards > 1 {
-		spec.SimShards = *simShards
-	}
 	opts := exp.Options{
 		Quick:            *quick,
 		FingersPEs:       *fiPEs,

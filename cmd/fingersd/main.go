@@ -1,8 +1,8 @@
 // Command fingersd serves graph-mining simulations over HTTP: a
 // long-lived daemon that loads and preprocesses each dataset once,
-// shares the immutable graph (CSR + hub index) across requests, and
-// runs fingers.JobSpec jobs through a bounded admission queue with
-// per-request deadlines.
+// shares the immutable graph (CSR + hybrid storage view) across
+// requests, and runs fingers.JobSpec jobs through a bounded admission
+// queue with per-request deadlines.
 //
 // Usage:
 //

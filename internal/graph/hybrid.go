@@ -10,10 +10,10 @@ import (
 // neighbor list is classified at construction into one of three tiers,
 // cheapest representation first —
 //
-//   - dense: hub vertices (degree ≥ the hub threshold) keep the
-//     HubIndex's full-universe bitset rows, one bit per vertex. The
-//     HubIndex *is* the dense tier; HybridAdj subsumes rather than
-//     replaces it.
+//   - dense: hub vertices (degree ≥ the hub threshold) get a
+//     full-universe bitset row, one bit per vertex, so a set operation
+//     against the hub's list is one bit probe per element of the other
+//     operand: O(|other|) instead of O(|other| + degree).
 //   - bitmap: vertices whose list is dense over its own span
 //     (setops.ChooseFormat) get a roaring-like compressed bitmap,
 //     materialized lazily per vertex on first use and published with a
@@ -28,10 +28,10 @@ import (
 type HybridAdj struct {
 	g      *Graph
 	policy StoragePolicy
-	hub    *HubIndex // dense tier; nil under forced policies
 
 	tiers      []tier
-	containers []int32 // per-vertex container count, bitmap tier only
+	dense      map[uint32][]uint64 // dense-tier rows, built eagerly
+	containers []int32             // per-vertex container count, bitmap tier only
 	rows       []atomic.Pointer[setops.Bitmap]
 
 	eligibleRows  int
@@ -40,6 +40,18 @@ type HybridAdj struct {
 	matRows  atomic.Int64
 	matBytes atomic.Int64
 }
+
+// hubMinDegree floors the default hub threshold so small graphs build
+// no dense rows at all (the lists are too short for bit probes to
+// matter).
+const hubMinDegree = 128
+
+// hubFraction sets the default hub threshold to NumVertices/hubFraction:
+// a row costs n/8 bytes versus 4·degree bytes for the list, so degree ≥
+// n/32 is the break-even point where the bitset is no larger than the
+// neighbor list it shadows. The dense tier's memory is then bounded by
+// 2E/threshold rows × n/8 bytes = E bytes.
+const hubFraction = 32
 
 // StoragePolicy selects how HybridAdj classifies neighbor lists. The
 // forced policies exist for differential testing and ablations; serving
@@ -80,25 +92,23 @@ const (
 )
 
 // NewHybridAdj classifies every vertex of g under the policy.
-// hubThreshold ≤ 0 selects the default hub threshold; it is ignored by
-// the forced policies, which build no dense tier.
+// hubThreshold ≤ 0 selects the default hub threshold, max(128, n/32);
+// it is ignored by the forced policies, which build no dense tier.
 func NewHybridAdj(g *Graph, policy StoragePolicy, hubThreshold int) *HybridAdj {
 	n := g.NumVertices()
 	h := &HybridAdj{
 		g:      g,
 		policy: policy,
 		tiers:  make([]tier, n),
+		dense:  map[uint32][]uint64{},
 	}
 	if policy == StorageArray {
 		return h
 	}
-	if policy == StorageAdaptive {
-		if hubThreshold <= 0 {
-			h.hub = g.Hubs()
-		} else {
-			h.hub = NewHubIndex(g, hubThreshold)
-		}
+	if hubThreshold <= 0 {
+		hubThreshold = max(hubMinDegree, n/hubFraction)
 	}
+	words := (n + 63) / 64
 	h.containers = make([]int32, n)
 	h.rows = make([]atomic.Pointer[setops.Bitmap], n)
 	for v := 0; v < n; v++ {
@@ -106,7 +116,10 @@ func NewHybridAdj(g *Graph, policy StoragePolicy, hubThreshold int) *HybridAdj {
 		if len(nv) == 0 {
 			continue
 		}
-		if h.hub != nil && h.hub.Row(uint32(v)) != nil {
+		if policy == StorageAdaptive && len(nv) >= hubThreshold {
+			row := make([]uint64, words)
+			setops.Mark(row, nv)
+			h.dense[uint32(v)] = row
 			h.tiers[v] = tierDense
 			continue
 		}
@@ -146,21 +159,14 @@ func (h *HybridAdj) Policy() StoragePolicy {
 	return h.policy
 }
 
-// Hub returns the dense tier's index (nil under forced policies).
-func (h *HybridAdj) Hub() *HubIndex {
-	if h == nil {
-		return nil
-	}
-	return h.hub
-}
-
 // DenseRow returns v's full-universe bitset when v is in the dense
-// tier, nil otherwise.
+// tier, nil otherwise. The returned slice is shared and must not be
+// modified.
 func (h *HybridAdj) DenseRow(v uint32) []uint64 {
-	if h == nil || h.hub == nil {
+	if h == nil || int(v) >= len(h.tiers) || h.tiers[v] != tierDense {
 		return nil
 	}
-	return h.hub.Row(v)
+	return h.dense[v]
 }
 
 // BitmapRow returns v's compressed bitmap, materializing it on first
@@ -194,7 +200,7 @@ func (h *HybridAdj) bitmapRow(v uint32) *setops.Bitmap {
 // bitset when v is in the dense tier, or its compressed bitmap
 // (materializing lazily) when in the bitmap tier; at most one is
 // non-nil. The tier check is a single slice load, so hot dispatch
-// loops can call this per operand without paying the HubIndex map
+// loops can call this per operand without paying the dense tier's map
 // hash for the common array-tier vertex.
 func (h *HybridAdj) Rows(v uint32) ([]uint64, *setops.Bitmap) {
 	if h == nil || int(v) >= len(h.tiers) {
@@ -202,7 +208,7 @@ func (h *HybridAdj) Rows(v uint32) ([]uint64, *setops.Bitmap) {
 	}
 	switch h.tiers[v] {
 	case tierDense:
-		return h.hub.Row(v), nil
+		return h.dense[v], nil
 	case tierBitmap:
 		return nil, h.bitmapRow(v)
 	}
@@ -226,12 +232,18 @@ func (h *HybridAdj) RowBytes(v uint32) int64 {
 	}
 	switch h.tiers[v] {
 	case tierDense:
-		return int64(8 * len(h.hub.Row(v)))
+		return h.denseRowBytes()
 	case tierBitmap:
 		return 12 * int64(h.containers[v])
 	default:
 		return h.g.NeighborBytes(v)
 	}
+}
+
+// denseRowBytes is the size of one dense-tier row: a bit per vertex,
+// rounded up to whole words.
+func (h *HybridAdj) denseRowBytes() int64 {
+	return 8 * int64((h.g.NumVertices()+63)/64)
 }
 
 // MaterializeAll eagerly builds every eligible bitmap row, so Footprint
@@ -275,8 +287,8 @@ func (h *HybridAdj) Footprint() Footprint {
 		return Footprint{}
 	}
 	return Footprint{
-		DenseRows:         h.hub.NumHubs(),
-		DenseBytes:        h.hub.MemoryBytes(),
+		DenseRows:         len(h.dense),
+		DenseBytes:        int64(len(h.dense)) * h.denseRowBytes(),
 		BitmapRows:        h.eligibleRows,
 		BitmapBytes:       h.eligibleBytes,
 		MaterializedRows:  int(h.matRows.Load()),

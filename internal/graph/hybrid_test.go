@@ -106,8 +106,16 @@ func TestHybridFootprintExact(t *testing.T) {
 		t.Fatalf("summed row bytes %d (%d rows) != footprint %d (%d rows)",
 			sum, rows, after.BitmapBytes, after.BitmapRows)
 	}
-	if after.DenseRows != h.Hub().NumHubs() || after.DenseBytes != h.Hub().MemoryBytes() {
-		t.Fatalf("dense tier accounting mismatch: %+v", after)
+	var denseRows int
+	var denseBytes int64
+	for v := 0; v < g.NumVertices(); v++ {
+		if row := h.DenseRow(uint32(v)); row != nil {
+			denseRows++
+			denseBytes += int64(8 * len(row))
+		}
+	}
+	if denseRows == 0 || after.DenseRows != denseRows || after.DenseBytes != denseBytes {
+		t.Fatalf("dense tier accounting %+v, want %d rows/%d bytes", after, denseRows, denseBytes)
 	}
 	if after.HybridBytes() != after.DenseBytes+after.BitmapBytes {
 		t.Fatalf("HybridBytes = %d", after.HybridBytes())
@@ -150,6 +158,92 @@ func TestGraphHybridCached(t *testing.T) {
 	}
 	if g.Hybrid().Policy() != StorageAdaptive {
 		t.Fatal("cached view must be adaptive")
+	}
+}
+
+func hubTestGraph() *Graph {
+	// Star center 0 with 10 leaves, plus a 1-2 edge for a non-hub op.
+	b := NewBuilder(11)
+	for v := uint32(1); v <= 10; v++ {
+		b.AddEdge(0, v)
+	}
+	b.AddEdge(1, 2)
+	return b.Build()
+}
+
+func TestHybridDenseRows(t *testing.T) {
+	g := hubTestGraph()
+	h := NewHybridAdj(g, StorageAdaptive, 5)
+	if fp := h.Footprint(); fp.DenseRows != 1 || fp.DenseBytes != 8 {
+		t.Fatalf("Footprint = %+v, want one one-word dense row (only the star center)", fp)
+	}
+	row := h.DenseRow(0)
+	if row == nil {
+		t.Fatal("center has no dense row")
+	}
+	for v := 0; v < g.NumVertices(); v++ {
+		got := row[v>>6]&(1<<(uint(v)&63)) != 0
+		if want := g.HasEdge(0, uint32(v)); got != want {
+			t.Errorf("row bit %d = %v, want %v", v, got, want)
+		}
+	}
+	if dense, bm := h.Rows(0); &dense[0] != &row[0] || bm != nil {
+		t.Error("Rows(center) disagrees with DenseRow")
+	}
+	if h.DenseRow(1) != nil {
+		t.Error("leaf vertex has a dense row")
+	}
+	if got := h.RowBytes(0); got != 8 {
+		t.Errorf("RowBytes(center) = %d, want 8", got)
+	}
+	var nilView *HybridAdj
+	if nilView.DenseRow(0) != nil {
+		t.Error("nil view returned a dense row")
+	}
+}
+
+// starGraph returns a graph on n vertices with two stars of the given
+// degrees: centers 0 and n-1, with disjoint leaves.
+func starGraph(n int, degA, degB uint32) *Graph {
+	b := NewBuilder(uint32(n))
+	for i := uint32(1); i <= degA; i++ {
+		b.AddEdge(0, i)
+	}
+	for i := uint32(0); i < degB; i++ {
+		b.AddEdge(uint32(n-1), degA+1+i)
+	}
+	return b.Build()
+}
+
+func TestHubsCachedAndDefaultThreshold(t *testing.T) {
+	g := hubTestGraph()
+	if g.Hybrid() != g.Hybrid() {
+		t.Error("Hybrid not cached")
+	}
+	// The default threshold floors at hubMinDegree, so this tiny graph
+	// has no dense rows.
+	if fp := g.Hybrid().Footprint(); fp.DenseRows != 0 || fp.DenseBytes != 0 {
+		t.Errorf("tiny graph has dense rows: %+v", fp)
+	}
+	cases := []struct {
+		n         int
+		threshold uint32
+	}{
+		{300, hubMinDegree},                // n/32 = 9: the floor rules
+		{32 * 200, 32 * 200 / hubFraction}, // n/32 = 200 > the floor
+	}
+	for _, c := range cases {
+		g := starGraph(c.n, c.threshold, c.threshold-1)
+		h := NewHybridAdj(g, StorageAdaptive, 0)
+		if h.DenseRow(0) == nil {
+			t.Errorf("n=%d: degree %d (= threshold) has no dense row", c.n, c.threshold)
+		}
+		if h.DenseRow(uint32(c.n-1)) != nil {
+			t.Errorf("n=%d: degree %d (< threshold) has a dense row", c.n, c.threshold-1)
+		}
+		if fp := h.Footprint(); fp.DenseRows != 1 || fp.DenseBytes != 8*int64((c.n+63)/64) {
+			t.Errorf("n=%d: Footprint = %+v, want one full-universe row", c.n, fp)
+		}
 	}
 }
 

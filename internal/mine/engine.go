@@ -112,8 +112,8 @@ type Engine struct {
 	Plan   *plan.Plan
 	nextID int32
 
-	hub  *graph.HubIndex
-	root *Node // persistent level -1 parent for Start
+	adj  *graph.HybridAdj // read for dense rows only; bitmap rows never materialize here
+	root *Node            // persistent level -1 parent for Start
 
 	free []*Node // node pool
 
@@ -126,7 +126,7 @@ type Engine struct {
 
 // NewEngine returns an engine for the plan on g.
 func NewEngine(g *graph.Graph, pl *plan.Plan) *Engine {
-	e := &Engine{G: g, Plan: pl, hub: g.Hubs()}
+	e := &Engine{G: g, Plan: pl, adj: g.Hybrid()}
 	k := pl.K()
 	e.root = &Node{
 		Level: -1,
@@ -316,7 +316,7 @@ func (e *Engine) extend(n *Node, v uint32) (*Node, TaskInfo) {
 
 // intersectInto computes src ∩ N(v) into dst with adaptive dispatch.
 func (e *Engine) intersectInto(dst, src, nv []uint32, v uint32) []uint32 {
-	switch row := e.hub.Row(v); {
+	switch row := e.adj.DenseRow(v); {
 	case row != nil:
 		return setops.IntersectBitsInto(dst, src, row)
 	case len(nv) >= setops.GallopSkewThreshold*len(src) ||
@@ -329,7 +329,7 @@ func (e *Engine) intersectInto(dst, src, nv []uint32, v uint32) []uint32 {
 
 // subtractInto computes src − N(v) into dst with adaptive dispatch.
 func (e *Engine) subtractInto(dst, src, nv []uint32, v uint32) []uint32 {
-	switch row := e.hub.Row(v); {
+	switch row := e.adj.DenseRow(v); {
 	case row != nil:
 		return setops.SubtractBitsInto(dst, src, row)
 	case len(nv) >= setops.GallopSkewThreshold*len(src):

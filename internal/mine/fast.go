@@ -40,7 +40,6 @@ type Counter struct {
 	pl    *plan.Plan
 	sched [][]step
 	eager []int // per level, the count of leading non-lazy steps
-	hub   *graph.HubIndex
 	adj   *graph.HybridAdj
 	k     int
 
@@ -102,33 +101,22 @@ func (s KernelStats) Total() uint64 {
 }
 
 // NewCounter returns a reusable adaptive miner for the plan on g, using
-// the graph's cached adaptive hybrid view: dense rows for hubs,
-// compressed bitmaps where the density heuristic approves, CSR arrays
-// otherwise.
+// the graph's cached adaptive hybrid view (so parallel workers never
+// duplicate rows): dense rows for hubs, compressed bitmaps where the
+// density heuristic approves, CSR arrays otherwise.
 func NewCounter(g *graph.Graph, pl *plan.Plan) *Counter {
-	return NewCounterPolicy(g, pl, graph.StorageAdaptive)
+	return newCounter(g, pl, g.Hybrid())
 }
 
-// NewCounterPolicy returns a Counter under an explicit storage policy.
-// StorageAdaptive shares the graph's cached hybrid view (so parallel
-// workers never duplicate rows); the forced policies build a private
-// view and exist for differential tests and ablations.
-func NewCounterPolicy(g *graph.Graph, pl *plan.Plan, policy graph.StoragePolicy) *Counter {
+// newCounter returns a Counter whose kernels read stored rows from adj,
+// which tests build under a forced policy or hub threshold.
+func newCounter(g *graph.Graph, pl *plan.Plan, adj *graph.HybridAdj) *Counter {
 	c := &Counter{
 		g:     g,
 		pl:    pl,
 		sched: buildSchedule(pl),
+		adj:   adj,
 		k:     pl.K(),
-	}
-	switch policy {
-	case graph.StorageArray:
-		// Arrays only: no dense rows, no bitmaps.
-	case graph.StorageAdaptive:
-		c.adj = g.Hybrid()
-		c.hub = c.adj.Hub()
-	default:
-		c.adj = graph.NewHybridAdj(g, policy, 0)
-		c.hub = c.adj.Hub()
 	}
 	c.eager = make([]int, len(c.sched))
 	for level, steps := range c.sched {
@@ -155,34 +143,6 @@ func NewCounterPolicy(g *graph.Graph, pl *plan.Plan, policy graph.StoragePolicy)
 		}
 	}
 	return c
-}
-
-// SetHubIndex overrides the hub index, primarily so tests can force the
-// dense bitvector kernels on small graphs; nil disables them. The
-// override also detaches the hybrid bitmap tier, so dispatch never
-// touches compressed bitmaps.
-func (c *Counter) SetHubIndex(h *graph.HubIndex) {
-	c.hub = h
-	c.adj = nil
-}
-
-// SetHybrid overrides the storage view (and with it the hub index),
-// letting tests and ablations share one forced-policy view across
-// counters; nil detaches both tiers.
-func (c *Counter) SetHybrid(adj *graph.HybridAdj) {
-	c.adj = adj
-	c.hub = adj.Hub()
-}
-
-// rows resolves v's stored representations through the cheapest check
-// available: the hybrid view's O(1) tier array when one is attached
-// (the serving default — no per-dispatch map hash for array-tier
-// vertices), or the hub override installed by SetHubIndex.
-func (c *Counter) rows(v uint32) ([]uint64, *setops.Bitmap) {
-	if c.adj != nil {
-		return c.adj.Rows(v)
-	}
-	return c.hub.Row(v), nil
 }
 
 // Stats returns the kernel-dispatch counters accumulated so far.
@@ -335,7 +295,7 @@ func (c *Counter) updateInto(level int, f *frame, st *step, dst, src, nv []uint3
 	if len(src) == 0 {
 		return dst
 	}
-	row, bm := c.rows(v)
+	row, bm := c.adj.Rows(v)
 	if st.op == plan.OpIntersect {
 		switch {
 		case row != nil:
@@ -374,7 +334,7 @@ func (c *Counter) updateInto(level int, f *frame, st *step, dst, src, nv []uint3
 // subtractNeighborsInto computes a − N(anc) into dst (the postponed
 // anti-subtraction of §2.1, candidate side first).
 func (c *Counter) subtractNeighborsInto(dst, a []uint32, anc uint32) []uint32 {
-	row, bm := c.rows(anc)
+	row, bm := c.adj.Rows(anc)
 	if row != nil {
 		c.stats.Bits++
 		return setops.SubtractBitsInto(dst, a, row)
@@ -394,7 +354,7 @@ func (c *Counter) subtractNeighborsInto(dst, a []uint32, anc uint32) []uint32 {
 
 // subtractNeighborsInPlace compacts a to a − N(anc) in place.
 func (c *Counter) subtractNeighborsInPlace(a []uint32, anc uint32) []uint32 {
-	row, bm := c.rows(anc)
+	row, bm := c.adj.Rows(anc)
 	if row != nil {
 		c.stats.Bits++
 		return setops.SubtractBitsInPlace(a, row)
@@ -430,7 +390,7 @@ func (c *Counter) leafCountUpdate(st *step, f *frame, nv []uint32, v uint32) uin
 	if len(win) == 0 {
 		return 0
 	}
-	row, bm := c.rows(v)
+	row, bm := c.adj.Rows(v)
 	cnt, marks := c.leafIntersectCount(st, src, a, b, nv, row, bm)
 	if st.op != plan.OpIntersect {
 		cnt = len(win) - cnt
@@ -494,11 +454,11 @@ func (c *Counter) leafIntersectCount(st *step, src []uint32, a, b int, nv []uint
 // the same open interval the window() slicing selects, and the
 // used-vertex exclusion applies the same membership tests.
 func (c *Counter) leafCountRows(op plan.OpKind, u, v uint32) (uint64, bool) {
-	uDense, uBm := c.rows(u)
+	uDense, uBm := c.adj.Rows(u)
 	if uDense == nil && uBm == nil {
 		return 0, false
 	}
-	vDense, vBm := c.rows(v)
+	vDense, vBm := c.adj.Rows(v)
 	if vDense == nil && vBm == nil {
 		return 0, false
 	}

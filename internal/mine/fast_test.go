@@ -109,7 +109,7 @@ func TestForcedHubKernels(t *testing.T) {
 		gen.ErdosRenyi(40, 220, 3),
 	}
 	for gi, g := range graphs {
-		hub := graph.NewHubIndex(g, 1) // every vertex gets a row
+		adj := graph.NewHybridAdj(g, graph.StorageAdaptive, 1) // every vertex gets a dense row
 		for _, name := range pattern.Names() {
 			p, err := pattern.ByName(name)
 			if err != nil {
@@ -120,8 +120,7 @@ func TestForcedHubKernels(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				c := NewCounter(g, pl)
-				c.SetHubIndex(hub)
+				c := newCounter(g, pl, adj)
 				var got uint64
 				for v := 0; v < g.NumVertices(); v++ {
 					got += c.Root(uint32(v))

@@ -41,7 +41,7 @@ func TestStoragePoliciesMatchOracleOnDatasets(t *testing.T) {
 				want[i] = e.CountFromRoot(v)
 			}
 			for _, pol := range storagePolicies {
-				c := NewCounterPolicy(g, pl, pol)
+				c := newCounter(g, pl, graph.NewHybridAdj(g, pol, 0))
 				for i, v := range roots {
 					if got := c.Root(v); got != want[i] {
 						t.Fatalf("%s/%s policy %v root %d: got %d, oracle %d",
@@ -62,7 +62,7 @@ func TestStoragePoliciesFullCounts(t *testing.T) {
 			pl := plan.MustCompile(mustPattern(t, name), plan.Options{})
 			want := CountOracle(g, pl)
 			for _, pol := range storagePolicies {
-				c := NewCounterPolicy(g, pl, pol)
+				c := newCounter(g, pl, graph.NewHybridAdj(g, pol, 0))
 				var got uint64
 				for v := 0; v < g.NumVertices(); v++ {
 					got += c.Root(uint32(v))
@@ -98,8 +98,7 @@ func TestForcedBitmapKernels(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				c := NewCounter(g, pl)
-				c.SetHybrid(adj)
+				c := newCounter(g, pl, adj)
 				var got uint64
 				for v := 0; v < g.NumVertices(); v++ {
 					got += c.Root(uint32(v))
@@ -125,7 +124,7 @@ func TestForcedBitmapKernels(t *testing.T) {
 func TestLeafPopcountPathEngages(t *testing.T) {
 	g := gen.Complete(64)
 	pl := plan.MustCompile(pattern.Triangle(), plan.Options{})
-	c := NewCounterPolicy(g, pl, graph.StorageBitmap)
+	c := newCounter(g, pl, graph.NewHybridAdj(g, graph.StorageBitmap, 0))
 	var got uint64
 	for v := 0; v < g.NumVertices(); v++ {
 		got += c.Root(uint32(v))
@@ -144,7 +143,7 @@ func TestLeafPopcountPathEngages(t *testing.T) {
 func TestHybridSteadyStateAllocs(t *testing.T) {
 	g := gen.PowerLawCluster(2000, 8, 0.5, 11)
 	pl := plan.MustCompile(mustPattern(t, "tc"), plan.Options{})
-	c := NewCounterPolicy(g, pl, graph.StorageBitmap)
+	c := newCounter(g, pl, graph.NewHybridAdj(g, graph.StorageBitmap, 0))
 	for v := 0; v < g.NumVertices(); v++ {
 		c.Root(uint32(v))
 	}

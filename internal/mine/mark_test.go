@@ -36,7 +36,7 @@ func TestMarkProbeMatchesOracle(t *testing.T) {
 				}
 				want := CountOracle(g, pl)
 				for _, pol := range []graph.StoragePolicy{graph.StorageArray, graph.StorageAdaptive} {
-					c := NewCounterPolicy(g, pl, pol)
+					c := newCounter(g, pl, graph.NewHybridAdj(g, pol, 0))
 					var got uint64
 					for v := 0; v < g.NumVertices(); v++ {
 						got += c.Root(uint32(v))
@@ -63,7 +63,7 @@ func TestMarkProbeMatchesOracle(t *testing.T) {
 func TestMarkProbeEngagesOnSparseGraph(t *testing.T) {
 	g := gen.PowerLawCluster(2000, 8, 0.5, 11)
 	for _, name := range []string{"4cl", "tt"} {
-		c := NewCounterPolicy(g, plan.MustCompile(mustPattern(t, name), plan.Options{}), graph.StorageArray)
+		c := newCounter(g, plan.MustCompile(mustPattern(t, name), plan.Options{}), graph.NewHybridAdj(g, graph.StorageArray, 0))
 		for v := 0; v < g.NumVertices(); v++ {
 			c.Root(uint32(v))
 		}
@@ -100,7 +100,7 @@ func assertUnmarked(t *testing.T, c *Counter) {
 func TestRootRecoversFromStaleMarks(t *testing.T) {
 	g := gen.PowerLawCluster(300, 6, 0.5, 21)
 	pl := plan.MustCompile(mustPattern(t, "tt"), plan.Options{})
-	c := NewCounterPolicy(g, pl, graph.StorageArray)
+	c := newCounter(g, pl, graph.NewHybridAdj(g, graph.StorageArray, 0))
 	want := make([]uint64, g.NumVertices())
 	for v := range want {
 		want[v] = c.Root(uint32(v))
@@ -194,7 +194,7 @@ func TestMarkProbeUpperBounds(t *testing.T) {
 		if got := CountOracle(g, &mirrored); got != want {
 			t.Fatalf("%s: mirrored oracle %d, want %d", name, got, want)
 		}
-		c := NewCounterPolicy(g, &mirrored, graph.StorageArray)
+		c := newCounter(g, &mirrored, graph.NewHybridAdj(g, graph.StorageArray, 0))
 		var got uint64
 		for v := 0; v < g.NumVertices(); v++ {
 			got += c.Root(uint32(v))

@@ -79,7 +79,7 @@ func BenchmarkSoftMine(b *testing.B) {
 			// measures steady-state mining, not lazy materialization.
 			for _, pol := range []graph.StoragePolicy{graph.StorageArray, graph.StorageAdaptive} {
 				b.Run(fmt.Sprintf("%s/%s/storage=%v", gn, pn, pol), func(b *testing.B) {
-					c := NewCounterPolicy(g, pl, pol)
+					c := newCounter(g, pl, graph.NewHybridAdj(g, pol, 0))
 					for v := 0; v < g.NumVertices(); v++ {
 						c.Root(uint32(v))
 					}

@@ -18,10 +18,10 @@ import (
 )
 
 // GraphEntry is one fully preprocessed workload graph: the immutable
-// CSR, its Table-1 statistics, and the hub-membership index the
-// adaptive kernels probe. Entries are built once and shared by every
-// job that names the graph; all fields are read-only after
-// construction and safe for concurrent use.
+// CSR, with its hybrid storage view (the rows the adaptive kernels
+// probe) warmed, and its Table-1 statistics. Entries are built once and
+// shared by every job that names the graph; all fields are read-only
+// after construction and safe for concurrent use.
 type GraphEntry struct {
 	// Name is the canonical registry key (a dataset mnemonic, or the
 	// name an extra graph was registered under).
@@ -30,9 +30,6 @@ type GraphEntry struct {
 	Graph *graph.Graph
 	// Stats is the graph's summary, computed once at load.
 	Stats graph.Stats
-	// Hubs is the dense hub-row index, warmed at load so the first job
-	// does not pay for it inside its deadline.
-	Hubs *graph.HubIndex
 	// Info is Stats in run-record form, reused by every record the
 	// service emits for this graph.
 	Info telemetry.GraphInfo
@@ -56,8 +53,8 @@ type regEntry struct {
 // is seeded with the bundled dataset analogues and can be extended with
 // named graphs (files, test fixtures). Loading is lazy and
 // deduplicated: the first Get of a name builds the graph, its stats,
-// and its hub index exactly once; concurrent requests block on that
-// build and then share the immutable entry.
+// and its hybrid storage view exactly once; concurrent requests block
+// on that build and then share the immutable entry.
 type Registry struct {
 	mu      sync.Mutex
 	entries map[string]*regEntry
@@ -151,16 +148,15 @@ func (r *Registry) Get(name string) (*GraphEntry, error) {
 			return
 		}
 		st := graph.ComputeStats(g)
-		// Warming the hybrid view here (alongside the hub index) also
-		// fixes the representation mix the service reports: tier
-		// assignment is a pure function of the CSR, so the footprint is
-		// exact before any row materializes.
+		// Warming the hybrid view here builds its dense rows before the
+		// first job's deadline starts, and fixes the representation mix
+		// the service reports: tier assignment is a pure function of the
+		// CSR, so the footprint is exact before any row materializes.
 		fp := g.Hybrid().Footprint()
 		e.ge.Store(&GraphEntry{
 			Name:  e.name,
 			Graph: g,
 			Stats: st,
-			Hubs:  g.Hubs(),
 			Info: telemetry.GraphInfo{
 				Name:        e.name,
 				Vertices:    st.Vertices,

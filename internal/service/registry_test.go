@@ -92,9 +92,6 @@ func TestRegistryBuildOnce(t *testing.T) {
 			t.Fatalf("goroutine %d got a different entry pointer", i)
 		}
 	}
-	if entries[0].Hubs == nil {
-		t.Error("entry has no hub index")
-	}
 	if entries[0].Info.Vertices != entries[0].Stats.Vertices {
 		t.Error("Info does not mirror Stats")
 	}

@@ -129,7 +129,7 @@ func TestSubmitMatchesDirectSimulate(t *testing.T) {
 
 // TestConcurrentJobsShareGraph serves 8 concurrent jobs against one
 // registry graph and checks every result is bit-identical to the direct
-// run — the shared immutable CSR and hub index must not interfere.
+// run — the shared immutable CSR and hybrid view must not interfere.
 func TestConcurrentJobsShareGraph(t *testing.T) {
 	m, ts := newTestServer(t, Config{Concurrency: 8, QueueDepth: 16})
 	spec := fingers.JobSpec{Arch: "fingers", Graph: "As", Pattern: "tc", PEs: 2}

@@ -8,19 +8,21 @@ package setops
 //   - galloping (gallop.go and the *Into variants here): exponential
 //     probes through the larger input, O(|small| · log |large|). Wins when
 //     one side is ≥ gallopSkewThreshold× the other.
-//   - bits (this file): probes a precomputed dense membership bitset —
+//   - bits (this file): probes a dense full-universe membership bitset —
 //     one word load per element of the list input, O(|list|), independent
-//     of the bitset owner's degree. Wins whenever a bitset exists, i.e.
-//     for hub vertices (graph.HubIndex) whose neighbor lists are long
-//     enough that n/8 bytes of bitset pay for themselves.
+//     of the bitset owner's degree. Wins whenever a bitset exists: the
+//     dense-tier rows graph.HybridAdj keeps for hub vertices, whose
+//     neighbor lists are long enough that n/8 bytes of bitset pay for
+//     themselves, and the marks of mark-and-probe (mark.go).
 //
 // All Into/InPlace variants follow the package's aliasing contract: Into
 // appends to a caller-owned dst that must not alias either input; InPlace
 // rewrites its first argument's prefix (output length ≤ input length, so
 // the compaction is safe) and returns the shortened slice.
 
-// IntersectGallopingInto appends a ∩ b to dst with the skew-adaptive
-// kernel of IntersectGalloping and returns the extended slice.
+// IntersectGallopingInto appends a ∩ b to dst and returns the extended
+// slice, galloping through the larger input when the size skew warrants
+// it and falling back to the linear merge otherwise.
 func IntersectGallopingInto(dst, a, b []uint32) []uint32 {
 	if len(a) > len(b) {
 		a, b = b, a

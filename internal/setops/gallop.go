@@ -4,14 +4,14 @@ package setops
 // inputs at one element per cycle — exactly what the IU hardware does —
 // but the *software* reference miner is free to exploit size skew: when
 // one input is much smaller, galloping (exponential-probe binary search)
-// finds each element's position in O(log) instead of O(linear). These
-// variants keep the software baseline honest for CPU comparisons and are
-// used by the plan-cost estimator on very skewed inputs.
+// finds each element's position in O(log) instead of O(linear). The
+// galloping kernels (adaptive.go) keep the software miners honest for
+// CPU comparisons on very skewed inputs.
 
 // GallopSkewThreshold is the size ratio beyond which galloping beats the
 // linear merge (a conventional cutoff; the exact value is not critical).
 // It is exported so adaptive dispatchers above this package can predict
-// which kernel the *Galloping entry points will select.
+// which kernel the galloping entry points will select.
 const GallopSkewThreshold = 16
 
 // gallopSkewThreshold is the internal alias the kernels use.
@@ -42,94 +42,4 @@ func gallopSearch(s []uint32, lo int, v uint32) int {
 		}
 	}
 	return lo
-}
-
-// IntersectGalloping returns a ∩ b, galloping through the larger input
-// when the size skew warrants it and falling back to the linear merge
-// otherwise.
-func IntersectGalloping(a, b []uint32) []uint32 {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	if len(a) == 0 {
-		return nil
-	}
-	if len(b) < gallopSkewThreshold*len(a) {
-		return Intersect(a, b)
-	}
-	out := make([]uint32, 0, len(a))
-	j := 0
-	for _, v := range a {
-		j = gallopSearch(b, j, v)
-		if j == len(b) {
-			break
-		}
-		if b[j] == v {
-			out = append(out, v)
-			j++
-		}
-	}
-	return out
-}
-
-// SubtractGalloping returns a − b with the same skew adaptation.
-func SubtractGalloping(a, b []uint32) []uint32 {
-	if len(a) == 0 {
-		return nil
-	}
-	if len(b) < gallopSkewThreshold*len(a) {
-		return Subtract(a, b)
-	}
-	out := make([]uint32, 0, len(a))
-	j := 0
-	for _, v := range a {
-		j = gallopSearch(b, j, v)
-		if j < len(b) && b[j] == v {
-			j++
-			continue
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-// IntersectMany returns the intersection of all sets, smallest-first so
-// the running result only shrinks. Zero sets yield an empty, non-nil
-// slice (the caller supplies the universe; there is no implicit one).
-//
-// Like every set-returning function in this package, the result is
-// freshly allocated and never aliases an input — in particular the
-// single-set call returns a copy — so callers may mutate it freely.
-func IntersectMany(sets ...[]uint32) []uint32 {
-	if len(sets) == 0 {
-		return []uint32{}
-	}
-	smallest := 0
-	for i, s := range sets {
-		if len(s) < len(sets[smallest]) {
-			smallest = i
-		}
-	}
-	out := Clone(sets[smallest])
-	for i, s := range sets {
-		if i == smallest || len(out) == 0 {
-			continue
-		}
-		out = IntersectGalloping(out, s)
-	}
-	return out
-}
-
-// SubtractMany returns a minus the union of all bs, without materializing
-// the union (the postponed anti-subtraction evaluation order, §2.1). The
-// result is freshly allocated and never aliases a or any b.
-func SubtractMany(a []uint32, bs ...[]uint32) []uint32 {
-	out := Clone(a)
-	for _, b := range bs {
-		if len(out) == 0 {
-			break
-		}
-		out = SubtractGalloping(out, b)
-	}
-	return out
 }

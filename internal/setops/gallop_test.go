@@ -31,10 +31,10 @@ func TestGallopSearch(t *testing.T) {
 func TestGallopingMatchesMerge(t *testing.T) {
 	f := func(av, bv []uint32) bool {
 		a, b := mkset(av), mkset(bv)
-		if !eq(IntersectGalloping(a, b), Intersect(a, b)) {
+		if !eq(IntersectGallopingInto(nil, a, b), Intersect(a, b)) {
 			return false
 		}
-		return eq(SubtractGalloping(a, b), Subtract(a, b))
+		return eq(SubtractGallopingInto(nil, a, b), Subtract(a, b))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -49,70 +49,15 @@ func TestGallopingSkewedInputs(t *testing.T) {
 		big[i] = uint32(i * 3)
 	}
 	small := randomSet(rng, 20, 30000)
-	if !eq(IntersectGalloping(small, big), Intersect(small, big)) {
+	if !eq(IntersectGallopingInto(nil, small, big), Intersect(small, big)) {
 		t.Error("galloping intersect diverges on skewed inputs")
 	}
-	if !eq(SubtractGalloping(small, big), Subtract(small, big)) {
+	if !eq(SubtractGallopingInto(nil, small, big), Subtract(small, big)) {
 		t.Error("galloping subtract diverges on skewed inputs")
 	}
 	// Symmetric argument order must not matter for intersection.
-	if !eq(IntersectGalloping(big, small), Intersect(small, big)) {
+	if !eq(IntersectGallopingInto(nil, big, small), Intersect(small, big)) {
 		t.Error("galloping intersect not symmetric")
-	}
-}
-
-func TestIntersectMany(t *testing.T) {
-	a := []uint32{1, 2, 3, 4, 5, 6}
-	b := []uint32{2, 4, 6, 8}
-	c := []uint32{4, 6, 10}
-	if got := IntersectMany(a, b, c); !eq(got, []uint32{4, 6}) {
-		t.Errorf("IntersectMany = %v", got)
-	}
-	if got := IntersectMany(a); !eq(got, a) {
-		t.Errorf("single-set IntersectMany = %v", got)
-	}
-	if got := IntersectMany(); got == nil || len(got) != 0 {
-		t.Errorf("zero-set IntersectMany = %v, want empty non-nil", got)
-	}
-	if got := IntersectMany(a, nil); len(got) != 0 {
-		t.Errorf("IntersectMany with empty = %v", got)
-	}
-}
-
-func TestIntersectManyDoesNotAliasInput(t *testing.T) {
-	a := []uint32{1, 2, 3}
-	got := IntersectMany(a)
-	got[0] = 99
-	if a[0] != 1 {
-		t.Error("IntersectMany aliases its input")
-	}
-}
-
-func TestSubtractMany(t *testing.T) {
-	a := []uint32{1, 2, 3, 4, 5, 6, 7, 8}
-	if got := SubtractMany(a, []uint32{2, 4}, []uint32{6, 9}); !eq(got, []uint32{1, 3, 5, 7, 8}) {
-		t.Errorf("SubtractMany = %v", got)
-	}
-	if got := SubtractMany(a); !eq(got, a) {
-		t.Errorf("no-op SubtractMany = %v", got)
-	}
-	got := SubtractMany(a)
-	got[0] = 99
-	if a[0] != 1 {
-		t.Error("SubtractMany aliases its input")
-	}
-}
-
-func TestManyOpsMatchPairwise(t *testing.T) {
-	f := func(av, bv, cv []uint32) bool {
-		a, b, c := mkset(av), mkset(bv), mkset(cv)
-		if !eq(IntersectMany(a, b, c), Intersect(Intersect(a, b), c)) {
-			return false
-		}
-		return eq(SubtractMany(a, b, c), Subtract(Subtract(a, b), c))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -122,14 +67,15 @@ func BenchmarkIntersectGallopingSkewed(b *testing.B) {
 		big[i] = uint32(i * 2)
 	}
 	small := []uint32{5, 1001, 20002, 40005, 80000, 160001, 199998}
+	dst := make([]uint32, 0, len(small))
 	b.Run("gallop", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			IntersectGalloping(small, big)
+			dst = IntersectGallopingInto(dst[:0], small, big)
 		}
 	})
 	b.Run("merge", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			Intersect(small, big)
+			dst = IntersectInto(dst[:0], small, big)
 		}
 	})
 }

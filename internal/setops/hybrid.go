@@ -1,27 +1,30 @@
 package setops
 
-// SISA-style hybrid set storage (ROADMAP "hybrid set representations";
-// PAPERS.md, SISA). The merge/gallop/bits kernels above dispatch per
-// *call*; this file makes the *storage* adaptive per set: each set is
-// kept either as the package's native sorted []uint32 or as a
-// roaring-like compressed bitmap — 64-bit word containers keyed by the
-// value's high bits, with only the nonzero containers stored — chosen
-// by a density heuristic (ChooseFormat). The full operand-format kernel
-// matrix lives here too: intersect / subtract / union with Into and
-// Count variants for every pairing of the two formats. Array×array
-// delegates to the existing merge/gallop kernels, array×bitmap probes
-// containers while galloping through the key list, and bitmap×bitmap
-// is word-parallel AND / ANDNOT / OR with popcount counting.
+// SISA-style hybrid set storage (PAPERS.md, SISA). The merge/gallop/bits
+// kernels dispatch per *call*; this file makes the *storage* adaptive
+// per set: a set is kept either as the package's native sorted []uint32
+// or as a roaring-like compressed bitmap — 64-bit word containers keyed
+// by the value's high bits, with only the nonzero containers stored —
+// chosen by a density heuristic (ChooseFormat).
 //
-// The bounded-count kernels at the bottom serve the software miner's
-// leaf fast path: counting |a ∩ b| or |a − b| restricted to an open
-// interval (lo, hi) — the symmetry-breaking window — without decoding,
-// via partial-word masks at the boundary containers.
+// Mining needs only S ∩ N(u), S − N(u) and the postponed N(u) − S
+// (Equation 1), and the left operand is always an array — a decoded
+// candidate set, or the CSR list N(u) when the anti-subtraction runs as
+// N(u) − N(a₁) − N(a₂) … over the postponed ancestors — so the kernels
+// here are the ones a stored bitmap row takes part in:
+//
+//   - array × bitmap probes: intersect (Into and Count) and subtract
+//     (Into and InPlace), walking the bitmap's key list monotonically
+//     while the array advances;
+//   - bounded popcounts: |a ∩ b| or |a| restricted to an open interval
+//     (lo, hi) — the symmetry-breaking window of the software miner's
+//     leaf fast path — over bitmaps and dense full-universe rows,
+//     without decoding, via partial-word masks at the boundary
+//     containers.
 //
 // Aliasing contract: identical to the rest of the package. *Into
 // variants append decoded sorted values to a caller-owned dst that must
-// not alias any input; functions returning a *Bitmap allocate fresh
-// container storage.
+// not alias any input.
 
 import "math/bits"
 
@@ -237,11 +240,6 @@ func SubtractArrayBitmapInto(dst, a []uint32, b *Bitmap) []uint32 {
 	return dst
 }
 
-// SubtractArrayBitmapCount returns |a − b| without materializing.
-func SubtractArrayBitmapCount(a []uint32, b *Bitmap) int {
-	return len(a) - IntersectArrayBitmapCount(a, b)
-}
-
 // SubtractArrayBitmapInPlace compacts a to a − b in place and returns
 // the shortened slice, following the package's *InPlace contract.
 func SubtractArrayBitmapInPlace(a []uint32, b *Bitmap) []uint32 {
@@ -263,256 +261,6 @@ func SubtractArrayBitmapInPlace(a []uint32, b *Bitmap) []uint32 {
 	return a[:w]
 }
 
-// SubtractBitmapArrayInto appends b − a to dst (the anti-subtraction
-// orientation N−S when N is stored as a bitmap): decode b's containers
-// in order, clearing the bits named by a first so the decode loop does
-// the subtraction for free.
-func SubtractBitmapArrayInto(dst []uint32, b *Bitmap, a []uint32) []uint32 {
-	if b == nil {
-		return dst
-	}
-	i := 0
-	for k, key := range b.keys {
-		w := b.words[k]
-		// Clear every bit of this container that a names.
-		for i < len(a) && a[i]>>6 < key {
-			i++
-		}
-		for i < len(a) && a[i]>>6 == key {
-			w &^= 1 << (a[i] & 63)
-			i++
-		}
-		base := key << 6
-		for w != 0 {
-			dst = append(dst, base|uint32(bits.TrailingZeros64(w)))
-			w &= w - 1
-		}
-	}
-	return dst
-}
-
-// SubtractBitmapArrayCount returns |b − a| without materializing.
-func SubtractBitmapArrayCount(b *Bitmap, a []uint32) int {
-	return b.Card() - IntersectArrayBitmapCount(a, b)
-}
-
-// ---------------------------------------------------------------------
-// bitmap × bitmap word-parallel kernels
-//
-// All walk the two sorted key lists in one merge pass and combine the
-// paired words with AND / ANDNOT / OR; counting replaces the decode
-// with popcount.
-
-// AndBitmaps returns a ∩ b as a fresh bitmap.
-func AndBitmaps(a, b *Bitmap) *Bitmap {
-	out := &Bitmap{}
-	if a == nil || b == nil {
-		return out
-	}
-	i, j := 0, 0
-	for i < len(a.keys) && j < len(b.keys) {
-		switch {
-		case a.keys[i] < b.keys[j]:
-			i++
-		case a.keys[i] > b.keys[j]:
-			j++
-		default:
-			if w := a.words[i] & b.words[j]; w != 0 {
-				out.keys = append(out.keys, a.keys[i])
-				out.words = append(out.words, w)
-				out.card += bits.OnesCount64(w)
-			}
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// AndNotBitmaps returns a − b as a fresh bitmap.
-func AndNotBitmaps(a, b *Bitmap) *Bitmap {
-	out := &Bitmap{}
-	if a == nil {
-		return out
-	}
-	j := 0
-	for i, key := range a.keys {
-		w := a.words[i]
-		if b != nil {
-			for j < len(b.keys) && b.keys[j] < key {
-				j++
-			}
-			if j < len(b.keys) && b.keys[j] == key {
-				w &^= b.words[j]
-			}
-		}
-		if w != 0 {
-			out.keys = append(out.keys, key)
-			out.words = append(out.words, w)
-			out.card += bits.OnesCount64(w)
-		}
-	}
-	return out
-}
-
-// OrBitmaps returns a ∪ b as a fresh bitmap.
-func OrBitmaps(a, b *Bitmap) *Bitmap {
-	out := &Bitmap{}
-	if a == nil {
-		a = out
-	}
-	if b == nil {
-		b = out
-	}
-	i, j := 0, 0
-	push := func(key uint32, w uint64) {
-		out.keys = append(out.keys, key)
-		out.words = append(out.words, w)
-		out.card += bits.OnesCount64(w)
-	}
-	for i < len(a.keys) && j < len(b.keys) {
-		switch {
-		case a.keys[i] < b.keys[j]:
-			push(a.keys[i], a.words[i])
-			i++
-		case a.keys[i] > b.keys[j]:
-			push(b.keys[j], b.words[j])
-			j++
-		default:
-			push(a.keys[i], a.words[i]|b.words[j])
-			i++
-			j++
-		}
-	}
-	for ; i < len(a.keys); i++ {
-		push(a.keys[i], a.words[i])
-	}
-	for ; j < len(b.keys); j++ {
-		push(b.keys[j], b.words[j])
-	}
-	return out
-}
-
-// IntersectBitmapsCount returns |a ∩ b| by popcounting paired words.
-func IntersectBitmapsCount(a, b *Bitmap) int {
-	if a == nil || b == nil {
-		return 0
-	}
-	i, j, n := 0, 0, 0
-	for i < len(a.keys) && j < len(b.keys) {
-		switch {
-		case a.keys[i] < b.keys[j]:
-			i++
-		case a.keys[i] > b.keys[j]:
-			j++
-		default:
-			n += bits.OnesCount64(a.words[i] & b.words[j])
-			i++
-			j++
-		}
-	}
-	return n
-}
-
-// SubtractBitmapsCount returns |a − b|.
-func SubtractBitmapsCount(a, b *Bitmap) int {
-	return a.Card() - IntersectBitmapsCount(a, b)
-}
-
-// UnionBitmapsCount returns |a ∪ b|.
-func UnionBitmapsCount(a, b *Bitmap) int {
-	return a.Card() + b.Card() - IntersectBitmapsCount(a, b)
-}
-
-// IntersectBitmapsInto appends a ∩ b to dst as decoded sorted values.
-func IntersectBitmapsInto(dst []uint32, a, b *Bitmap) []uint32 {
-	if a == nil || b == nil {
-		return dst
-	}
-	i, j := 0, 0
-	for i < len(a.keys) && j < len(b.keys) {
-		switch {
-		case a.keys[i] < b.keys[j]:
-			i++
-		case a.keys[i] > b.keys[j]:
-			j++
-		default:
-			w := a.words[i] & b.words[j]
-			base := a.keys[i] << 6
-			for w != 0 {
-				dst = append(dst, base|uint32(bits.TrailingZeros64(w)))
-				w &= w - 1
-			}
-			i++
-			j++
-		}
-	}
-	return dst
-}
-
-// SubtractBitmapsInto appends a − b to dst as decoded sorted values.
-func SubtractBitmapsInto(dst []uint32, a, b *Bitmap) []uint32 {
-	if a == nil {
-		return dst
-	}
-	j := 0
-	for i, key := range a.keys {
-		w := a.words[i]
-		if b != nil {
-			for j < len(b.keys) && b.keys[j] < key {
-				j++
-			}
-			if j < len(b.keys) && b.keys[j] == key {
-				w &^= b.words[j]
-			}
-		}
-		base := key << 6
-		for w != 0 {
-			dst = append(dst, base|uint32(bits.TrailingZeros64(w)))
-			w &= w - 1
-		}
-	}
-	return dst
-}
-
-// UnionBitmapsInto appends a ∪ b to dst as decoded sorted values.
-func UnionBitmapsInto(dst []uint32, a, b *Bitmap) []uint32 {
-	return OrBitmaps(a, b).AppendTo(dst)
-}
-
-// UnionArrayBitmapInto appends a ∪ b to dst as decoded sorted values,
-// merging the array against the bitmap's container decode in one pass.
-func UnionArrayBitmapInto(dst, a []uint32, b *Bitmap) []uint32 {
-	if b == nil || len(b.keys) == 0 {
-		return append(dst, a...)
-	}
-	i := 0
-	for k, key := range b.keys {
-		w := b.words[k]
-		// Fold this container's slice of a into the word, then emit all
-		// earlier array elements before decoding.
-		for i < len(a) && a[i]>>6 < key {
-			dst = append(dst, a[i])
-			i++
-		}
-		for i < len(a) && a[i]>>6 == key {
-			w |= 1 << (a[i] & 63)
-			i++
-		}
-		base := key << 6
-		for w != 0 {
-			dst = append(dst, base|uint32(bits.TrailingZeros64(w)))
-			w &= w - 1
-		}
-	}
-	return append(dst, a[i:]...)
-}
-
-// UnionArrayBitmapCount returns |a ∪ b|.
-func UnionArrayBitmapCount(a []uint32, b *Bitmap) int {
-	return len(a) + b.Card() - IntersectArrayBitmapCount(a, b)
-}
-
 // ---------------------------------------------------------------------
 // bounded (windowed) popcount kernels
 //
@@ -521,10 +269,9 @@ func UnionArrayBitmapCount(a []uint32, b *Bitmap) int {
 // plan restrictions). These count directly on the container words with
 // partial masks at the interval's boundary containers.
 
-// boundMasks returns, for the container key, the mask selecting only
-// the in-window bits, and whether the container is entirely outside the
-// window (mask 0 with outside=true short-circuits the caller's loop
-// direction checks).
+// boundMask returns, for the container key, the mask selecting only
+// the in-window bits; it is 0 when the container lies entirely outside
+// the window.
 func boundMask(key uint32, lo, hi uint32, hasLo, hasHi bool) uint64 {
 	m := ^uint64(0)
 	if hasLo {
@@ -567,6 +314,28 @@ func (b *Bitmap) CountBounded(lo, hi uint32, hasLo, hasHi bool) int {
 		}
 		if m := boundMask(key, lo, hi, hasLo, hasHi); m != 0 {
 			n += bits.OnesCount64(b.words[i] & m)
+		}
+	}
+	return n
+}
+
+// IntersectBitmapsCount returns |a ∩ b| by popcounting paired words:
+// the unbounded case of IntersectBitmapsCountBounded.
+func IntersectBitmapsCount(a, b *Bitmap) int {
+	if a == nil || b == nil {
+		return 0
+	}
+	i, j, n := 0, 0, 0
+	for i < len(a.keys) && j < len(b.keys) {
+		switch {
+		case a.keys[i] < b.keys[j]:
+			i++
+		case a.keys[i] > b.keys[j]:
+			j++
+		default:
+			n += bits.OnesCount64(a.words[i] & b.words[j])
+			i++
+			j++
 		}
 	}
 	return n

@@ -19,18 +19,19 @@ func decodeFuzzSet(data []byte, scale byte) []uint32 {
 	return out
 }
 
-// FuzzHybridSetOps differentially checks every operand-format-pair
-// kernel of the hybrid matrix — intersect/subtract/union, Into and
-// Count, plus the bounded popcount kernels — against the merge-kernel
-// oracle. The two scale bytes steer density: 0 packs values into runs
-// (bitmap territory), 15 spreads them across the whole uint32 universe.
+// FuzzHybridSetOps differentially checks the kernels a stored row takes
+// part in — array×bitmap and array×dense-row intersect and subtract
+// (see checkHybridPair), plus the bounded popcount kernels — against
+// the merge reference. The two scale bytes steer density: 0 packs
+// values into runs (bitmap territory), 15 spreads them across the whole
+// uint32 universe.
 func FuzzHybridSetOps(f *testing.F) {
-	f.Add([]byte{}, []byte{}, byte(0), byte(0))                            // empty × empty
-	f.Add([]byte{5}, []byte{5}, byte(0), byte(0))                          // singleton overlap
+	f.Add([]byte{}, []byte{}, byte(0), byte(0))                                 // empty × empty
+	f.Add([]byte{5}, []byte{5}, byte(0), byte(0))                               // singleton overlap
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0}, []byte{0, 0, 0, 0}, byte(0), byte(0)) // dense runs
-	f.Add([]byte{1, 1, 1, 1}, []byte{255, 255, 255}, byte(0), byte(15))    // clustered × sparse
-	f.Add([]byte{255, 255, 255, 255}, []byte{1}, byte(15), byte(15))       // full-universe spread
-	f.Add([]byte{63, 1, 63, 1}, []byte{64, 64}, byte(0), byte(0))          // container boundaries
+	f.Add([]byte{1, 1, 1, 1}, []byte{255, 255, 255}, byte(0), byte(15))         // clustered × sparse
+	f.Add([]byte{255, 255, 255, 255}, []byte{1}, byte(15), byte(15))            // full-universe spread
+	f.Add([]byte{63, 1, 63, 1}, []byte{64, 64}, byte(0), byte(0))               // container boundaries
 	f.Fuzz(func(t *testing.T, rawA, rawB []byte, scaleA, scaleB byte) {
 		if len(rawA) > 512 || len(rawB) > 512 {
 			return

@@ -65,7 +65,7 @@ func TestSubtractSubsetEdges(t *testing.T) {
 }
 
 // FuzzMarkProbe differentially checks the mark-and-probe kernels against
-// the merge kernels, with the same set encoding as FuzzHybridSetOps.
+// the merge kernels, decoding its inputs with decodeFuzzSet.
 func FuzzMarkProbe(f *testing.F) {
 	f.Add([]byte{}, []byte{}, byte(0), byte(0))
 	f.Add([]byte{5}, []byte{5}, byte(0), byte(0))

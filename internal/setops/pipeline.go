@@ -1,8 +1,7 @@
 package setops
 
 // PipelineStats summarizes one segmented set operation: how much work the
-// task divider and the intersect units performed. The accelerator timing
-// model consumes these numbers; software callers may ignore them.
+// task divider and the intersect units performed.
 type PipelineStats struct {
 	// Workloads is the number of IU work units the operation divided into,
 	// i.e. the available segment-level parallelism.
@@ -23,8 +22,11 @@ type PipelineStats struct {
 //
 // For intersection and subtraction, s is the (short) partial candidate set
 // and n the (long) neighbor list; for anti-subtraction the result is n − s.
-// The output always equals Apply(op, s, n); the segmented path exists so
-// the simulator's functional and timing behaviour come from one mechanism.
+// The output always equals Apply(op, s, n). SegmentedApply is the
+// functional reference that ties the segment primitives together; the
+// simulator does not call it. The FINGERS PE model charges each
+// operation from the same Segment/Pair geometry but recomputes Balance's
+// workloads without materializing them or their results.
 func SegmentedApply(op Op, s, n []uint32, longSegLen, shortSegLen, maxLoad int) ([]uint32, PipelineStats) {
 	long := Segment(n, longSegLen)
 	short := Segment(s, shortSegLen)

@@ -134,42 +134,6 @@ func SubtractCount(a, b []uint32) int {
 	return len(a) - IntersectCount(a, b)
 }
 
-// Union returns a ∪ b as a new sorted slice.
-func Union(a, b []uint32) []uint32 {
-	return UnionInto(make([]uint32, 0, len(a)+len(b)), a, b)
-}
-
-// UnionInto appends a ∪ b to dst and returns the extended slice,
-// completing the Into family (intersect and subtract always had one).
-// dst follows the aliasing contract: caller-owned, aliasing neither
-// input.
-func UnionInto(dst, a, b []uint32) []uint32 {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			dst = append(dst, a[i])
-			i++
-		case a[i] > b[j]:
-			dst = append(dst, b[j])
-			j++
-		default:
-			dst = append(dst, a[i])
-			i++
-			j++
-		}
-	}
-	dst = append(dst, a[i:]...)
-	dst = append(dst, b[j:]...)
-	return dst
-}
-
-// UnionCount returns |a ∪ b| without materializing the result, via
-// inclusion–exclusion on the merge-counted intersection.
-func UnionCount(a, b []uint32) int {
-	return len(a) + len(b) - IntersectCount(a, b)
-}
-
 // Apply evaluates the operation on (s, n) following Equation (1):
 // intersection and subtraction treat s as the partial candidate set and n
 // as the neighbor list; anti-subtraction computes n − s.

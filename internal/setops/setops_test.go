@@ -124,15 +124,6 @@ func TestSubtractDisjoint(t *testing.T) {
 	}
 }
 
-func TestUnionBasic(t *testing.T) {
-	a := []uint32{1, 3, 5}
-	b := []uint32{2, 3, 6}
-	want := []uint32{1, 2, 3, 5, 6}
-	if got := Union(a, b); !eq(got, want) {
-		t.Errorf("Union = %v, want %v", got, want)
-	}
-}
-
 func TestApplyAllOps(t *testing.T) {
 	s := []uint32{2, 4, 6, 8}
 	n := []uint32{4, 5, 6, 7}
@@ -218,17 +209,16 @@ func TestSetAlgebraProperties(t *testing.T) {
 		inter := Intersect(a, b)
 		sub := Subtract(a, b)
 		// a = (a∩b) ∪ (a−b), disjointly.
-		if len(inter)+len(sub) != len(a) {
+		if len(inter)+len(sub) != len(a) || len(Intersect(inter, sub)) != 0 {
 			return false
 		}
-		if !eq(Union(inter, sub), a) {
-			return false
+		for _, v := range a {
+			if !Contains(inter, v) && !Contains(sub, v) {
+				return false
+			}
 		}
-		// Commutativity of intersection and union.
+		// Commutativity of intersection.
 		if !eq(inter, Intersect(b, a)) {
-			return false
-		}
-		if !eq(Union(a, b), Union(b, a)) {
 			return false
 		}
 		// A − B = A − (A ∩ B), the identity the IU hardware exploits.
@@ -242,7 +232,7 @@ func TestSetAlgebraProperties(t *testing.T) {
 func TestResultsStaySorted(t *testing.T) {
 	f := func(av, bv []uint32) bool {
 		a, b := mkset(av), mkset(bv)
-		return IsSorted(Intersect(a, b)) && IsSorted(Subtract(a, b)) && IsSorted(Union(a, b))
+		return IsSorted(Intersect(a, b)) && IsSorted(Subtract(a, b))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
