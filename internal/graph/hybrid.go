@@ -29,10 +29,14 @@ type HybridAdj struct {
 	g      *Graph
 	policy StoragePolicy
 
-	tiers      []tier
-	dense      map[uint32][]uint64 // dense-tier rows, built eagerly
-	containers []int32             // per-vertex container count, bitmap tier only
-	rows       []atomic.Pointer[setops.Bitmap]
+	tiers []tier
+	// dense holds every dense-tier row back to back, words uint64s each,
+	// built eagerly; slot[v] is v's row index in it. For a bitmap-tier v,
+	// slot[v] is instead its container count.
+	dense []uint64
+	words int
+	slot  []int32
+	rows  []atomic.Pointer[setops.Bitmap]
 
 	eligibleRows  int
 	eligibleBytes int64
@@ -100,7 +104,7 @@ func NewHybridAdj(g *Graph, policy StoragePolicy, hubThreshold int) *HybridAdj {
 		g:      g,
 		policy: policy,
 		tiers:  make([]tier, n),
-		dense:  map[uint32][]uint64{},
+		words:  (n + 63) / 64,
 	}
 	if policy == StorageArray {
 		return h
@@ -108,19 +112,28 @@ func NewHybridAdj(g *Graph, policy StoragePolicy, hubThreshold int) *HybridAdj {
 	if hubThreshold <= 0 {
 		hubThreshold = max(hubMinDegree, n/hubFraction)
 	}
-	words := (n + 63) / 64
-	h.containers = make([]int32, n)
+	hubs := 0
+	if policy == StorageAdaptive {
+		for v := 0; v < n; v++ {
+			if g.Degree(uint32(v)) >= hubThreshold {
+				hubs++
+			}
+		}
+	}
+	h.dense = make([]uint64, hubs*h.words)
+	h.slot = make([]int32, n)
 	h.rows = make([]atomic.Pointer[setops.Bitmap], n)
+	hubs = 0
 	for v := 0; v < n; v++ {
 		nv := g.Neighbors(uint32(v))
 		if len(nv) == 0 {
 			continue
 		}
 		if policy == StorageAdaptive && len(nv) >= hubThreshold {
-			row := make([]uint64, words)
-			setops.Mark(row, nv)
-			h.dense[uint32(v)] = row
+			setops.Mark(h.denseRow(int32(hubs)), nv)
+			h.slot[v] = int32(hubs)
 			h.tiers[v] = tierDense
+			hubs++
 			continue
 		}
 		if policy == StorageAdaptive {
@@ -136,7 +149,7 @@ func NewHybridAdj(g *Graph, policy StoragePolicy, hubThreshold int) *HybridAdj {
 				c++
 			}
 		}
-		h.containers[v] = c
+		h.slot[v] = c
 		h.eligibleRows++
 		h.eligibleBytes += 12 * int64(c)
 	}
@@ -166,7 +179,14 @@ func (h *HybridAdj) DenseRow(v uint32) []uint64 {
 	if h == nil || int(v) >= len(h.tiers) || h.tiers[v] != tierDense {
 		return nil
 	}
-	return h.dense[v]
+	return h.denseRow(h.slot[v])
+}
+
+// denseRow returns row i of the dense slab, capped so appends cannot
+// spill into the next row.
+func (h *HybridAdj) denseRow(i int32) []uint64 {
+	lo := int(i) * h.words
+	return h.dense[lo : lo+h.words : lo+h.words]
 }
 
 // BitmapRow returns v's compressed bitmap, materializing it on first
@@ -199,16 +219,15 @@ func (h *HybridAdj) bitmapRow(v uint32) *setops.Bitmap {
 // Rows returns v's stored representations — the dense full-universe
 // bitset when v is in the dense tier, or its compressed bitmap
 // (materializing lazily) when in the bitmap tier; at most one is
-// non-nil. The tier check is a single slice load, so hot dispatch
-// loops can call this per operand without paying the dense tier's map
-// hash for the common array-tier vertex.
+// non-nil. The tier check is one slice load and a dense row one more
+// (its slab index), so hot dispatch loops can call this per operand.
 func (h *HybridAdj) Rows(v uint32) ([]uint64, *setops.Bitmap) {
 	if h == nil || int(v) >= len(h.tiers) {
 		return nil, nil
 	}
 	switch h.tiers[v] {
 	case tierDense:
-		return h.dense[v], nil
+		return h.denseRow(h.slot[v]), nil
 	case tierBitmap:
 		return nil, h.bitmapRow(v)
 	}
@@ -234,7 +253,7 @@ func (h *HybridAdj) RowBytes(v uint32) int64 {
 	case tierDense:
 		return h.denseRowBytes()
 	case tierBitmap:
-		return 12 * int64(h.containers[v])
+		return 12 * int64(h.slot[v])
 	default:
 		return h.g.NeighborBytes(v)
 	}
@@ -243,7 +262,7 @@ func (h *HybridAdj) RowBytes(v uint32) int64 {
 // denseRowBytes is the size of one dense-tier row: a bit per vertex,
 // rounded up to whole words.
 func (h *HybridAdj) denseRowBytes() int64 {
-	return 8 * int64((h.g.NumVertices()+63)/64)
+	return 8 * int64(h.words)
 }
 
 // MaterializeAll eagerly builds every eligible bitmap row, so Footprint
@@ -286,9 +305,13 @@ func (h *HybridAdj) Footprint() Footprint {
 	if h == nil {
 		return Footprint{}
 	}
+	rows := 0
+	if h.words > 0 {
+		rows = len(h.dense) / h.words
+	}
 	return Footprint{
-		DenseRows:         len(h.dense),
-		DenseBytes:        int64(len(h.dense)) * h.denseRowBytes(),
+		DenseRows:         rows,
+		DenseBytes:        int64(rows) * h.denseRowBytes(),
 		BitmapRows:        h.eligibleRows,
 		BitmapBytes:       h.eligibleBytes,
 		MaterializedRows:  int(h.matRows.Load()),

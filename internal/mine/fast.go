@@ -8,13 +8,19 @@ import (
 
 // Counter is the adaptive software miner: it walks the same search tree
 // as Engine but is built for CPU throughput rather than hardware-model
-// fidelity. Five things distinguish it (and are why Count/CountParallel
+// fidelity. Six things distinguish it (and are why Count/CountParallel
 // route through it):
 //
 //   - adaptive kernel dispatch: every set operation picks its kernel per
 //     call — probing v's stored row (graph.HybridAdj) with the candidate
 //     set, galloping the candidate set through a much longer N(v), or
 //     mark-and-probe;
+//   - word-parallel candidate sets: when both operands have bitset rows
+//     (a dense-tier N(v) and a candidate set held as a bitset), the
+//     result is computed with word-wise AND/AND-NOT over the words its
+//     readers' windows can reach, and kept as a bitset when its popcount
+//     says so (setops.KeepWords) — otherwise decoded to an array. Leaves
+//     over a bitset count with popcount(S & N(v) & window);
 //   - mark-and-probe: every child of a search-tree node updates the
 //     node's candidate sets with its own neighbor list, so the first
 //     child to need a set marks it in a full-universe bitset, and each
@@ -45,11 +51,33 @@ type Counter struct {
 
 	verts  []uint32
 	frames []frame
+	nwords int // words of a full-universe bitset
 	stats  KernelStats
 	// dirty is set while Root runs; finding it set on entry means an
 	// earlier Root panicked and may have left sets marked.
 	dirty bool
 }
+
+// cset is one slot's candidate set, held in one of two formats. As an
+// array (words == nil) arr holds its elements in increasing order. As a
+// full-universe bitset its elements are the set bits of words, but only
+// the word range its producing step wrote (see stepWords) is valid; the
+// other words are stale. That range covers the symmetry-breaking window
+// of every level that reads the set, so a reader that stays inside its
+// window never reads a stale word. A slot aliasing a dense vertex's
+// neighbor list has both formats: arr is the list, words the row.
+type cset struct {
+	arr   []uint32
+	words []uint64
+	// alias is the vertex whose raw neighbor list the slot holds (an
+	// OpInit step with no postponed ancestors), or -1 once any kernel
+	// has rewritten the slot. It lets the leaf fast path recognize
+	// N(u) op N(v) shapes and count them entirely on stored rows.
+	alias int64
+}
+
+// hasArr reports whether s.arr holds the set.
+func (s *cset) hasArr() bool { return s.words == nil || s.alias >= 0 }
 
 // frame is one level's scratch arena.
 type frame struct {
@@ -57,15 +85,13 @@ type frame struct {
 	// pointing into a buf below, a shallower frame's buf, or graph
 	// storage. Reading sets[st.src] before the step writes its targets
 	// yields the parent's value (each slot is written once per level).
-	sets [][]uint32
-	// alias[j] is the vertex whose raw neighbor list sets[j] aliases
-	// (an OpInit step with no postponed ancestors), or -1 once any
-	// kernel has rewritten the slot. It lets the leaf fast path
-	// recognize N(u) op N(v) shapes and count them entirely on stored
-	// rows — the pure-popcount path of the hybrid storage tentpole.
-	alias []int64
+	sets []cset
 	// bufs[i] is step i's reusable result buffer; capacity only grows.
 	bufs [][]uint32
+	// words[i] is step i's full-universe bitset result buffer, allocated
+	// on first use. Every write covers the result's whole word range, so
+	// the buffers never need clearing, even after a panic.
+	words [][]uint64
 	// scratch holds the intersection a mark-probed subtract removes when
 	// no sibling step computed it.
 	scratch []uint32
@@ -81,22 +107,25 @@ type frame struct {
 // KernelStats counts kernel-dispatch decisions, split between
 // materializing operations and leaf counting. Merge only counts the
 // postponed anti-subtractions of OpInit steps. BmProbe/CountBmProbe are
-// array×bitmap container probes; CountBmWord is the word-parallel
-// popcount leaf path over two stored rows. Probe/CountProbe walk a
-// neighbor list against the marked candidate set; Subset subtracts a
-// sibling step's intersection; Marks counts the sets marked.
+// array×bitmap container probes; CountBmWord popcounts a compressed
+// bitmap row against a stored row or bitset candidate set. Probe/
+// CountProbe walk a neighbor list against the marked candidate set (or
+// a bitset one); Subset subtracts a sibling step's intersection. Word
+// is a word-wise AND/AND-NOT of two bitsets, CountWord a leaf popcount
+// of a bitset candidate set against a dense row. Marks counts the sets
+// marked and Decode the word results decoded to arrays.
 type KernelStats struct {
-	Merge, Gallop, Bits, BmProbe, Probe, Subset      uint64
-	CountGallop, CountBits, CountBmProbe, CountProbe uint64
-	CountBmWord                                      uint64
-	Marks                                            uint64
+	Merge, Gallop, Bits, BmProbe, Probe, Subset, Word           uint64
+	CountGallop, CountBits, CountBmProbe, CountProbe, CountWord uint64
+	CountBmWord                                                 uint64
+	Marks, Decode                                               uint64
 }
 
-// Total returns the number of dispatched operations (marking a set is
-// not one).
+// Total returns the number of dispatched operations (marking a set or
+// decoding a result is not one).
 func (s KernelStats) Total() uint64 {
-	return s.Merge + s.Gallop + s.Bits + s.BmProbe + s.Probe + s.Subset +
-		s.CountGallop + s.CountBits + s.CountBmProbe + s.CountProbe +
+	return s.Merge + s.Gallop + s.Bits + s.BmProbe + s.Probe + s.Subset + s.Word +
+		s.CountGallop + s.CountBits + s.CountBmProbe + s.CountProbe + s.CountWord +
 		s.CountBmWord
 }
 
@@ -128,11 +157,12 @@ func newCounter(g *graph.Graph, pl *plan.Plan, adj *graph.HybridAdj) *Counter {
 	}
 	c.verts = make([]uint32, c.k)
 	c.frames = make([]frame, c.k-1)
+	c.nwords = (g.NumVertices() + 63) / 64
 	for level := range c.frames {
 		f := &c.frames[level]
-		f.sets = make([][]uint32, c.k)
-		f.alias = make([]int64, c.k)
+		f.sets = make([]cset, c.k)
 		f.bufs = make([][]uint32, len(c.sched[level]))
+		f.words = make([][]uint64, len(c.sched[level]))
 		if level+1 < len(c.sched) {
 			slots := 0
 			for _, st := range c.sched[level+1] {
@@ -202,44 +232,65 @@ func (f *frame) unmark() {
 
 func (c *Counter) descend(level int, v uint32) uint64 {
 	c.verts[level] = v
+	steps := c.sched[level]
+	if level == c.k-2 && level > 0 && len(steps) == 1 && steps[0].op != plan.OpInit {
+		// Leaf fast path: a lone update step materializing only the final
+		// slot can be counted from the parent's slot without writing the
+		// result, or even setting up this level's frame.
+		return c.leafCountUpdate(&steps[0], &c.frames[level-1].sets[steps[0].src], v)
+	}
 	f := &c.frames[level]
 	if level == 0 {
 		for i := range f.sets {
-			f.sets[i] = nil
-			f.alias[i] = -1
+			f.sets[i] = cset{alias: -1}
 		}
 	} else {
 		copy(f.sets, c.frames[level-1].sets)
-		copy(f.alias, c.frames[level-1].alias)
 	}
 	nv := c.g.Neighbors(v)
-	steps := c.sched[level]
 
 	if level == c.k-2 {
-		// Leaf fast path: a lone update step materializing only the final
-		// slot can be counted without writing the result.
-		if len(steps) == 1 && steps[0].op != plan.OpInit {
-			return c.leafCountUpdate(&steps[0], f, nv, v)
-		}
 		c.applySteps(level, f, steps, 0, nv, v)
-		return c.leafCountSet(f.sets[c.k-1])
+		return c.leafCountSet(&f.sets[c.k-1])
 	}
 
 	eager := c.eager[level]
 	c.applySteps(level, f, steps[:eager], 0, nv, v)
-	set := f.sets[level+1]
-	a, b := c.window(level+1, set)
+	set := &f.sets[level+1] // lazy steps never write this slot
+	lo, hi, hasLo, hasHi := c.windowBounds(level + 1)
 	used := c.verts[:level+1]
 	var total uint64
-	for _, w := range set[a:b] {
-		if containsVert(used, w) {
-			continue
+	if set.hasArr() {
+		a, b := window(set.arr, lo, hi, hasLo, hasHi)
+		for _, w := range set.arr[a:b] {
+			if containsVert(used, w) {
+				continue
+			}
+			if eager < len(steps) {
+				c.applySteps(level, f, steps, eager, nv, v)
+				eager = len(steps)
+			}
+			total += c.descend(level+1, w)
 		}
-		if eager < len(steps) {
-			c.applySteps(level, f, steps, eager, nv, v)
-			eager = len(steps)
+	} else {
+		first, end := 0, c.nwords<<6
+		if hasLo {
+			first = int(lo) + 1
 		}
-		total += c.descend(level+1, w)
+		if hasHi {
+			end = int(hi)
+		}
+		for x := setops.NextBit(set.words, first, end); x < end; x = setops.NextBit(set.words, x+1, end) {
+			w := uint32(x)
+			if containsVert(used, w) {
+				continue
+			}
+			if eager < len(steps) {
+				c.applySteps(level, f, steps, eager, nv, v)
+				eager = len(steps)
+			}
+			total += c.descend(level+1, w)
+		}
 	}
 	f.unmark()
 	return total
@@ -250,49 +301,137 @@ func (c *Counter) descend(level int, v uint32) uint64 {
 func (c *Counter) applySteps(level int, f *frame, steps []step, from int, nv []uint32, v uint32) {
 	for si := from; si < len(steps); si++ {
 		st := &steps[si]
-		var result []uint32
-		aliasVert := int64(-1)
-		if st.op == plan.OpInit {
-			if len(st.pending) == 0 {
-				// No postponed ancestors: the slot aliases the (read-only)
-				// neighbor list, costing nothing.
-				result = nv
-				aliasVert = int64(v)
-			} else {
-				buf := f.bufs[si][:0]
-				anc := c.verts[st.pending[0]]
-				buf = c.subtractNeighborsInto(buf, nv, anc)
-				for _, m := range st.pending[1:] {
-					buf = c.subtractNeighborsInPlace(buf, c.verts[m])
-				}
-				f.bufs[si] = buf
-				result = buf
-			}
-		} else {
-			src := f.sets[st.src] // parent's value: targets not yet written
-			buf := c.updateInto(level, f, st, f.bufs[si][:0], src, nv, v)
-			f.bufs[si] = buf
-			result = buf
+		var res cset
+		// src is the parent's value: targets are not yet written.
+		switch src := &f.sets[st.src]; {
+		case st.op == plan.OpInit:
+			res = c.initSet(f, si, st, nv, v)
+		case src.words != nil:
+			res = c.updateWords(level, f, si, st, src, nv, v)
+		default:
+			f.bufs[si] = c.updateInto(level, f, st, f.bufs[si][:0], src, nv, v)
+			res = cset{arr: f.bufs[si], alias: -1}
 		}
 		for _, t := range st.targets {
-			f.sets[t] = result
-			f.alias[t] = aliasVert
+			f.sets[t] = res
 		}
 	}
 }
 
-// updateInto computes st's op(src, N(v)) into dst with format-aware
-// dispatch: a subtract whose sibling step already intersected the same
-// source removes that intersection; otherwise a dense row, then a
-// compressed bitmap row, is probed with src's elements. Two arrays
-// gallop src's elements through an N(v) many times longer, and
-// otherwise walk N(v) against the marked src.
-func (c *Counter) updateInto(level int, f *frame, st *step, dst, src, nv []uint32, v uint32) []uint32 {
+// initSet computes the OpInit step st, N(v) minus the neighbor lists of
+// its postponed ancestors (the anti-subtraction of §2.1). With no
+// ancestors the slot aliases the read-only neighbor list and, for a
+// dense v, its row, costing nothing.
+func (c *Counter) initSet(f *frame, si int, st *step, nv []uint32, v uint32) cset {
+	if len(st.pending) == 0 {
+		return cset{arr: nv, words: c.adj.DenseRow(v), alias: int64(v)}
+	}
+	buf := c.subtractNeighborsInto(f.bufs[si][:0], nv, c.verts[st.pending[0]])
+	for _, m := range st.pending[1:] {
+		buf = c.subtractNeighborsInPlace(buf, c.verts[m])
+	}
+	f.bufs[si] = buf
+	return cset{arr: buf, alias: -1}
+}
+
+// stepWords returns the word range [lo, hi) a bitset result of st needs:
+// the union, over st's targets, of the words the target level's window
+// can reach given the restrictions already decidable at this level.
+// Readers apply their full windows, so the words outside never matter.
+// A step reading a bitset source needs no more than the source's range:
+// its targets are among the source's, and deeper levels know more
+// restrictions.
+func (c *Counter) stepWords(level int, st *step) (lo, hi int) {
+	lo, hi = c.nwords, 0
+	for _, t := range st.targets {
+		tlo, thi := 0, c.nwords
+		for _, r := range c.pl.Levels[t].Restrictions {
+			if r.Earlier > level {
+				continue
+			}
+			w := int(c.verts[r.Earlier] >> 6)
+			if r.Greater {
+				tlo = max(tlo, w)
+			} else {
+				thi = min(thi, w+1)
+			}
+		}
+		lo, hi = min(lo, tlo), max(hi, thi)
+	}
+	return lo, max(lo, hi)
+}
+
+// wordBuf returns step si's bitset result buffer, allocating it on first
+// use.
+func (f *frame) wordBuf(si, words int) []uint64 {
+	if f.words[si] == nil {
+		f.words[si] = make([]uint64, words)
+	}
+	return f.words[si]
+}
+
+// wordResult keeps the word result dst[lo:hi] of step si, holding card
+// elements, as a bitset when setops.KeepWords approves and decodes it
+// into the step's array buffer otherwise.
+func (c *Counter) wordResult(f *frame, si int, dst []uint64, lo, hi, card int) cset {
+	if setops.KeepWords(card, hi-lo) {
+		return cset{words: dst, alias: -1}
+	}
+	c.stats.Decode++
+	buf := setops.DecodeWordsInto(f.bufs[si][:0], dst, lo, hi)
+	f.bufs[si] = buf
+	return cset{arr: buf, alias: -1}
+}
+
+// updateWords computes the update step st, op(src, N(v)), for a bitset
+// src. It meets a dense row word-wise; a bitset with no array form meets
+// any other N(v) by probing the list against its words. A slot aliasing
+// a dense vertex's list otherwise runs on its array (updateInto).
+func (c *Counter) updateWords(level int, f *frame, si int, st *step, src *cset, nv []uint32, v uint32) cset {
+	if row := c.adj.DenseRow(v); row != nil {
+		lo, hi := c.stepWords(level, st)
+		dst := f.wordBuf(si, c.nwords)
+		c.stats.Word++
+		var card int
+		if st.op == plan.OpIntersect {
+			card = setops.AndWords(dst, src.words, row, lo, hi)
+		} else {
+			card = setops.AndNotWords(dst, src.words, row, lo, hi)
+		}
+		return c.wordResult(f, si, dst, lo, hi, card)
+	}
+	if src.hasArr() {
+		f.bufs[si] = c.updateInto(level, f, st, f.bufs[si][:0], src, nv, v)
+		return cset{arr: f.bufs[si], alias: -1}
+	}
+	lo, hi := c.stepWords(level, st)
+	nv = nv[setops.LowerBound(nv, uint32(lo)<<6):]
+	nv = nv[:setops.LowerBound(nv, uint32(hi)<<6)]
+	c.stats.Probe++
+	if st.op == plan.OpIntersect {
+		f.bufs[si] = setops.IntersectBitsInto(f.bufs[si][:0], nv, src.words)
+		return cset{arr: f.bufs[si], alias: -1}
+	}
+	dst := f.wordBuf(si, c.nwords)
+	copy(dst[lo:hi], src.words[lo:hi])
+	setops.ClearBits(dst, nv)
+	return c.wordResult(f, si, dst, lo, hi, setops.CountWords(dst, lo, hi))
+}
+
+// updateInto computes st's op(src, N(v)) into dst from src's array form
+// with format-aware dispatch: a subtract whose sibling step already
+// intersected the same source removes that intersection; otherwise a
+// dense row, then a compressed bitmap row, is probed with src's
+// elements. Two arrays gallop src's elements through an N(v) many times
+// longer, and otherwise walk N(v) against the marked src — or against
+// src's row, when it aliases a dense vertex's list, which needs no
+// marking.
+func (c *Counter) updateInto(level int, f *frame, st *step, dst []uint32, src *cset, nv []uint32, v uint32) []uint32 {
 	if st.inter >= 0 {
 		c.stats.Subset++
-		return setops.SubtractSubsetInto(dst, src, f.bufs[st.inter])
+		return setops.SubtractSubsetInto(dst, src.arr, f.bufs[st.inter])
 	}
-	if len(src) == 0 {
+	if len(src.arr) == 0 {
 		return dst
 	}
 	row, bm := c.adj.Rows(v)
@@ -300,35 +439,38 @@ func (c *Counter) updateInto(level int, f *frame, st *step, dst, src, nv []uint3
 		switch {
 		case row != nil:
 			c.stats.Bits++
-			return setops.IntersectBitsInto(dst, src, row)
+			return setops.IntersectBitsInto(dst, src.arr, row)
 		case bm != nil:
 			c.stats.BmProbe++
-			return setops.IntersectArrayBitmapInto(dst, src, bm)
+			return setops.IntersectArrayBitmapInto(dst, src.arr, bm)
 		}
 	} else {
 		switch {
 		case row != nil:
 			c.stats.Bits++
-			return setops.SubtractBitsInto(dst, src, row)
+			return setops.SubtractBitsInto(dst, src.arr, row)
 		case bm != nil:
 			c.stats.BmProbe++
-			return setops.SubtractArrayBitmapInto(dst, src, bm)
+			return setops.SubtractArrayBitmapInto(dst, src.arr, bm)
 		}
 	}
-	if len(nv) >= setops.GallopSkewThreshold*len(src) {
-		c.stats.Gallop++
-		if st.op == plan.OpIntersect {
-			return setops.IntersectGallopingInto(dst, src, nv)
+	marks := src.words
+	if marks == nil {
+		if len(nv) >= setops.GallopSkewThreshold*len(src.arr) {
+			c.stats.Gallop++
+			if st.op == plan.OpIntersect {
+				return setops.IntersectGallopingInto(dst, src.arr, nv)
+			}
+			return setops.SubtractGallopingInto(dst, src.arr, nv)
 		}
-		return setops.SubtractGallopingInto(dst, src, nv)
+		marks = c.marksFor(level, st, src.arr)
 	}
-	marks := c.marksFor(level, st, src)
 	c.stats.Probe++
 	if st.op == plan.OpIntersect {
 		return setops.IntersectBitsInto(dst, nv, marks)
 	}
 	f.scratch = setops.IntersectBitsInto(f.scratch[:0], nv, marks)
-	return setops.SubtractSubsetInto(dst, src, f.scratch)
+	return setops.SubtractSubsetInto(dst, src.arr, f.scratch)
 }
 
 // subtractNeighborsInto computes a − N(anc) into dst (the postponed
@@ -375,23 +517,27 @@ func (c *Counter) subtractNeighborsInPlace(a []uint32, anc uint32) []uint32 {
 // leafCountUpdate counts op(src, N(v)) restricted to the final level's
 // symmetry-breaking window, excluding already-used vertices, without
 // materializing the result.
-func (c *Counter) leafCountUpdate(st *step, f *frame, nv []uint32, v uint32) uint64 {
-	src := f.sets[st.src]
-	// Pure-popcount path: when the source slot still aliases N(u) and
-	// both u and v keep stored rows (dense or bitmap), the whole leaf
-	// count happens on container words — no array is even read.
-	if au := f.alias[st.src]; au >= 0 {
-		if cnt, ok := c.leafCountRows(st.op, uint32(au), v); ok {
+func (c *Counter) leafCountUpdate(st *step, src *cset, v uint32) uint64 {
+	if src.words != nil {
+		return c.leafCountWords(st.op, src, v)
+	}
+	// Pure-popcount path: when the source slot still aliases N(u) and u
+	// and v keep compressed bitmap rows, the whole leaf count happens on
+	// container words — no array is even read.
+	if src.alias >= 0 {
+		if cnt, ok := c.leafCountRows(st.op, uint32(src.alias), v); ok {
 			return cnt
 		}
 	}
-	a, b := c.window(c.k-1, src)
-	win := src[a:b]
+	lo, hi, hasLo, hasHi := c.windowBounds(c.k - 1)
+	a, b := window(src.arr, lo, hi, hasLo, hasHi)
+	win := src.arr[a:b]
 	if len(win) == 0 {
 		return 0
 	}
+	nv := c.g.Neighbors(v)
 	row, bm := c.adj.Rows(v)
-	cnt, marks := c.leafIntersectCount(st, src, a, b, nv, row, bm)
+	cnt, marks := c.leafIntersectCount(st, src.arr, a, b, nv, row, bm)
 	if st.op != plan.OpIntersect {
 		cnt = len(win) - cnt
 	}
@@ -448,14 +594,55 @@ func (c *Counter) leafIntersectCount(st *step, src []uint32, a, b int, nv []uint
 	return setops.IntersectCountBits(nv, marks), marks
 }
 
+// leafCountWords counts op(S, N(v)) within the leaf window for a bitset
+// candidate set S: popcount(S & N(v) & window) against a dense or
+// compressed-bitmap row, or N(v)'s window-clipped elements probed
+// against S's words. Used vertices are excluded with bit tests.
+func (c *Counter) leafCountWords(op plan.OpKind, s *cset, v uint32) uint64 {
+	lo, hi, hasLo, hasHi := c.windowBounds(c.k - 1)
+	row, bm := c.adj.Rows(v)
+	var nv []uint32
+	if row == nil && bm == nil {
+		nv = c.g.Neighbors(v)
+	}
+	var inter int
+	switch {
+	case row != nil:
+		c.stats.CountWord++
+		inter = setops.IntersectBitsCountBounded(s.words, row, lo, hi, hasLo, hasHi)
+	case bm != nil:
+		c.stats.CountBmWord++
+		inter = setops.IntersectBitmapBitsCountBounded(bm, s.words, lo, hi, hasLo, hasHi)
+	default:
+		c.stats.CountProbe++
+		a, b := window(nv, lo, hi, hasLo, hasHi)
+		inter = setops.IntersectCountBits(nv[a:b], s.words)
+	}
+	cnt := inter
+	if op != plan.OpIntersect {
+		cnt = setops.CountBitsBounded(s.words, lo, hi, hasLo, hasHi) - inter
+	}
+	for _, u := range c.verts[:c.k-1] {
+		if hasLo && u <= lo || hasHi && u >= hi || !setops.BitsContain(s.words, u) {
+			continue
+		}
+		if c.leafMember(nv, row, bm, u) == (op == plan.OpIntersect) {
+			cnt--
+		}
+	}
+	return uint64(cnt)
+}
+
 // leafCountRows counts op(N(u), N(v)) within the leaf window entirely
-// on stored rows, returning ok=false when either vertex lacks one. The
-// set algebra is identical to the array path: the bounded kernels count
-// the same open interval the window() slicing selects, and the
-// used-vertex exclusion applies the same membership tests.
+// on stored rows when u has a compressed bitmap row (a dense u's slot is
+// a bitset, which leafCountWords counts) and v a stored row of either
+// kind, returning ok=false otherwise. The set algebra is identical to
+// the array path: the bounded kernels count the same open interval the
+// window() slicing selects, and the used-vertex exclusion applies the
+// same membership tests.
 func (c *Counter) leafCountRows(op plan.OpKind, u, v uint32) (uint64, bool) {
-	uDense, uBm := c.adj.Rows(u)
-	if uDense == nil && uBm == nil {
+	uBm := c.adj.BitmapRow(u)
+	if uBm == nil {
 		return 0, false
 	}
 	vDense, vBm := c.adj.Rows(v)
@@ -463,48 +650,23 @@ func (c *Counter) leafCountRows(op plan.OpKind, u, v uint32) (uint64, bool) {
 		return 0, false
 	}
 	lo, hi, hasLo, hasHi := c.windowBounds(c.k - 1)
+	c.stats.CountBmWord++
 	var inter int
-	switch {
-	case uBm != nil && vBm != nil:
-		c.stats.CountBmWord++
+	if vBm != nil {
 		inter = setops.IntersectBitmapsCountBounded(uBm, vBm, lo, hi, hasLo, hasHi)
-	case uBm != nil:
-		c.stats.CountBmWord++
+	} else {
 		inter = setops.IntersectBitmapBitsCountBounded(uBm, vDense, lo, hi, hasLo, hasHi)
-	case vBm != nil:
-		c.stats.CountBmWord++
-		inter = setops.IntersectBitmapBitsCountBounded(vBm, uDense, lo, hi, hasLo, hasHi)
-	default:
-		// Two dense rows: still the bitvector kernel family, word-parallel.
-		c.stats.CountBits++
-		inter = setops.IntersectBitsCountBounded(uDense, vDense, lo, hi, hasLo, hasHi)
 	}
 	cnt := inter
 	if op != plan.OpIntersect {
-		var total int
-		if uBm != nil {
-			total = uBm.CountBounded(lo, hi, hasLo, hasHi)
-		} else {
-			total = setops.CountBitsBounded(uDense, lo, hi, hasLo, hasHi)
-		}
-		cnt = total - inter
+		cnt = uBm.CountBounded(lo, hi, hasLo, hasHi) - inter
 	}
 	for _, w := range c.verts[:c.k-1] {
-		if hasLo && w <= lo {
-			continue
-		}
-		if hasHi && w >= hi {
-			continue
-		}
-		if !uBm.Contains(w) && !setops.BitsContain(uDense, w) {
+		if hasLo && w <= lo || hasHi && w >= hi || !uBm.Contains(w) {
 			continue
 		}
 		inV := vBm.Contains(w) || setops.BitsContain(vDense, w)
-		if op == plan.OpIntersect {
-			if inV {
-				cnt--
-			}
-		} else if !inV {
+		if inV == (op == plan.OpIntersect) {
 			cnt--
 		}
 	}
@@ -524,11 +686,21 @@ func (c *Counter) leafMember(nv []uint32, row []uint64, bm *setops.Bitmap, u uin
 
 // leafCountSet counts a materialized final-level set within its window,
 // excluding used vertices (the generic leaf path).
-func (c *Counter) leafCountSet(set []uint32) uint64 {
-	a, b := c.window(c.k-1, set)
-	cnt := b - a
+func (c *Counter) leafCountSet(s *cset) uint64 {
+	lo, hi, hasLo, hasHi := c.windowBounds(c.k - 1)
+	if s.hasArr() {
+		a, b := window(s.arr, lo, hi, hasLo, hasHi)
+		cnt := b - a
+		for _, u := range c.verts[:c.k-1] {
+			if setops.Contains(s.arr[a:b], u) {
+				cnt--
+			}
+		}
+		return uint64(cnt)
+	}
+	cnt := setops.CountBitsBounded(s.words, lo, hi, hasLo, hasHi)
 	for _, u := range c.verts[:c.k-1] {
-		if setops.Contains(set[a:b], u) {
+		if !(hasLo && u <= lo || hasHi && u >= hi) && setops.BitsContain(s.words, u) {
 			cnt--
 		}
 	}
@@ -554,10 +726,9 @@ func (c *Counter) windowBounds(level int) (lo, hi uint32, hasLo, hasHi bool) {
 	return lo, hi, hasLo, hasHi
 }
 
-// window returns the index range of set surviving the symmetry-breaking
-// restrictions of the given level, mirroring Engine.window.
-func (c *Counter) window(level int, set []uint32) (a, b int) {
-	lo, hi, hasLo, hasHi := c.windowBounds(level)
+// window returns the index range of the sorted set inside the open
+// window (lo, hi), mirroring Engine.window.
+func window(set []uint32, lo, hi uint32, hasLo, hasHi bool) (a, b int) {
 	a, b = 0, len(set)
 	if hasLo {
 		a = setops.UpperBound(set, lo)

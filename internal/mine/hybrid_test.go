@@ -1,6 +1,7 @@
 package mine
 
 import (
+	"fmt"
 	"testing"
 
 	"fingers/internal/datasets"
@@ -18,6 +19,11 @@ var storagePolicies = []graph.StoragePolicy{
 // acceptance oracle: per-root subtree counts must be bit-identical to
 // the reference Engine under every storage policy — forced-array,
 // forced-bitmap, and adaptive — across the dataset × pattern grid.
+// Adaptive views with lowered hub thresholds also run, so candidate
+// sets go word-parallel on every dataset, the sparse Lj and Or
+// analogues included: midHubThreshold mixes dense and array rows at
+// every level, and threshold 1 (on graphs small enough to afford a row
+// per vertex) makes every vertex dense.
 func TestStoragePoliciesMatchOracleOnDatasets(t *testing.T) {
 	dsets := datasets.All()
 	if testing.Short() {
@@ -26,6 +32,21 @@ func TestStoragePoliciesMatchOracleOnDatasets(t *testing.T) {
 	for _, d := range dsets {
 		g := d.Graph()
 		roots := sampleRoots(g, 12, 4)
+		type view struct {
+			name string
+			adj  *graph.HybridAdj
+		}
+		var views []view
+		for _, pol := range storagePolicies {
+			views = append(views, view{pol.String(), graph.NewHybridAdj(g, pol, 0)})
+		}
+		ths := []int{midHubThreshold(g, 500)}
+		if g.NumVertices() <= 1<<14 {
+			ths = append(ths, 1) // n rows of n bits: at most 32 MB
+		}
+		for _, th := range ths {
+			views = append(views, view{fmt.Sprintf("adaptive, hub threshold %d", th), graph.NewHybridAdj(g, graph.StorageAdaptive, th)})
+		}
 		for _, name := range pattern.Names() {
 			p, err := pattern.ByName(name)
 			if err != nil {
@@ -40,12 +61,12 @@ func TestStoragePoliciesMatchOracleOnDatasets(t *testing.T) {
 			for i, v := range roots {
 				want[i] = e.CountFromRoot(v)
 			}
-			for _, pol := range storagePolicies {
-				c := newCounter(g, pl, graph.NewHybridAdj(g, pol, 0))
+			for _, vw := range views {
+				c := newCounter(g, pl, vw.adj)
 				for i, v := range roots {
 					if got := c.Root(v); got != want[i] {
-						t.Fatalf("%s/%s policy %v root %d: got %d, oracle %d",
-							d.Name, name, pol, v, got, want[i])
+						t.Fatalf("%s/%s %s root %d: got %d, oracle %d",
+							d.Name, name, vw.name, v, got, want[i])
 					}
 				}
 			}

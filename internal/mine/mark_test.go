@@ -95,40 +95,66 @@ func assertUnmarked(t *testing.T, c *Counter) {
 }
 
 // TestRootRecoversFromStaleMarks simulates a Root that panicked halfway,
-// leaving every bitset full of marks: the next Root must clear them and
-// still count exactly.
+// leaving every mark bitset full of marks and every word-parallel
+// result buffer full of stale bits: the next Root must clear the marks,
+// never read the stale words, and still count exactly. The sparse graph
+// under forced arrays exercises the marks; the dense graph with every
+// vertex in the dense tier keeps its candidate sets as bitsets.
 func TestRootRecoversFromStaleMarks(t *testing.T) {
-	g := gen.PowerLawCluster(300, 6, 0.5, 21)
-	pl := plan.MustCompile(mustPattern(t, "tt"), plan.Options{})
-	c := newCounter(g, pl, graph.NewHybridAdj(g, graph.StorageArray, 0))
-	want := make([]uint64, g.NumVertices())
-	for v := range want {
-		want[v] = c.Root(uint32(v))
-	}
-	stale := false
-	for level := range c.frames {
-		f := &c.frames[level]
-		for m := range f.marks {
-			if f.marks[m] == nil {
-				continue
+	for _, w := range []struct {
+		name string
+		g    *graph.Graph
+		adj  func(*graph.Graph) *graph.HybridAdj
+	}{
+		{"sparse", gen.PowerLawCluster(300, 6, 0.5, 21), func(g *graph.Graph) *graph.HybridAdj {
+			return graph.NewHybridAdj(g, graph.StorageArray, 0)
+		}},
+		{"dense", gen.ErdosRenyi(200, 8000, 3), func(g *graph.Graph) *graph.HybridAdj {
+			return graph.NewHybridAdj(g, graph.StorageAdaptive, 1)
+		}},
+	} {
+		for _, name := range []string{"tt", "4cl", "cyc"} {
+			g := w.g
+			c := newCounter(g, plan.MustCompile(mustPattern(t, name), plan.Options{}), w.adj(g))
+			want := make([]uint64, g.NumVertices())
+			for v := range want {
+				want[v] = c.Root(uint32(v))
 			}
-			for i := range f.marks[m] {
-				f.marks[m][i] = ^uint64(0)
+			stale := false
+			for level := range c.frames {
+				f := &c.frames[level]
+				for m := range f.marks {
+					if f.marks[m] == nil {
+						continue
+					}
+					fill(f.marks[m])
+					f.marked[m] = g.Neighbors(0)
+					stale = true
+				}
+				for _, buf := range f.words {
+					fill(buf)
+					stale = stale || buf != nil
+				}
 			}
-			f.marked[m] = g.Neighbors(0)
-			stale = true
+			if !stale {
+				t.Fatalf("%s %s: no mark or word buffers were allocated", w.name, name)
+			}
+			c.dirty = true
+			for v := range want {
+				if got := c.Root(uint32(v)); got != want[v] {
+					t.Fatalf("%s %s root %d after stale bits: got %d, want %d", w.name, name, v, got, want[v])
+				}
+			}
+			assertUnmarked(t, c)
 		}
 	}
-	if !stale {
-		t.Fatal("no mark bitsets were allocated")
+}
+
+// fill sets every bit of a bitset.
+func fill(bits []uint64) {
+	for i := range bits {
+		bits[i] = ^uint64(0)
 	}
-	c.dirty = true
-	for v := range want {
-		if got := c.Root(uint32(v)); got != want[v] {
-			t.Fatalf("root %d after stale marks: got %d, want %d", v, got, want[v])
-		}
-	}
-	assertUnmarked(t, c)
 }
 
 // TestScheduleEagerFirst checks the schedule invariants the counter relies
@@ -181,20 +207,11 @@ func TestMarkProbeUpperBounds(t *testing.T) {
 	for _, name := range []string{"tc", "4cl", "tt", "dia"} {
 		pl := plan.MustCompile(mustPattern(t, name), plan.Options{})
 		want := CountOracle(g, pl)
-		mirrored := *pl
-		mirrored.Levels = make([]plan.Level, len(pl.Levels))
-		for i, lvl := range pl.Levels {
-			mirrored.Levels[i] = lvl
-			mirrored.Levels[i].Restrictions = nil
-			for _, r := range lvl.Restrictions {
-				r.Greater = !r.Greater
-				mirrored.Levels[i].Restrictions = append(mirrored.Levels[i].Restrictions, r)
-			}
-		}
-		if got := CountOracle(g, &mirrored); got != want {
+		mirrored := mirror(pl)
+		if got := CountOracle(g, mirrored); got != want {
 			t.Fatalf("%s: mirrored oracle %d, want %d", name, got, want)
 		}
-		c := newCounter(g, &mirrored, graph.NewHybridAdj(g, graph.StorageArray, 0))
+		c := newCounter(g, mirrored, graph.NewHybridAdj(g, graph.StorageArray, 0))
 		var got uint64
 		for v := 0; v < g.NumVertices(); v++ {
 			got += c.Root(uint32(v))
@@ -203,4 +220,21 @@ func TestMarkProbeUpperBounds(t *testing.T) {
 			t.Errorf("%s: mirrored counter %d, want %d", name, got, want)
 		}
 	}
+}
+
+// mirror returns pl with every symmetry-breaking restriction flipped
+// (u_j > u_i becomes u_j < u_i), so windows are cut from above instead
+// of below. Each automorphism class still counts once.
+func mirror(pl *plan.Plan) *plan.Plan {
+	m := *pl
+	m.Levels = make([]plan.Level, len(pl.Levels))
+	for i, lvl := range pl.Levels {
+		m.Levels[i] = lvl
+		m.Levels[i].Restrictions = nil
+		for _, r := range lvl.Restrictions {
+			r.Greater = !r.Greater
+			m.Levels[i].Restrictions = append(m.Levels[i].Restrictions, r)
+		}
+	}
+	return &m
 }

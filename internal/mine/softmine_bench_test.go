@@ -15,9 +15,9 @@ import (
 // analogues (Lj, Or) with the patterns whose cost is dominated by set
 // operations (tc), by deep candidate reuse (4cl) and by subtraction (tt,
 // the vertex-induced tailed triangle), plus a genuinely
-// dense synthetic ("dense": 1024 vertices at ~38% edge density, tc
-// only — every row lands in a stored tier, the hybrid storage layer's
-// home turf).
+// dense synthetic ("dense": 1024 vertices at ~38% edge density, with
+// tc and 4cl — every row lands in the dense tier, the home turf of the
+// hybrid storage layer and of word-parallel candidate sets).
 func benchGraphs(b *testing.B) []struct {
 	name     string
 	g        *graph.Graph
@@ -44,7 +44,7 @@ func benchGraphs(b *testing.B) []struct {
 		name     string
 		g        *graph.Graph
 		patterns []string
-	}{"dense", gen.ErdosRenyi(1024, 200000, 7), []string{"tc"}})
+	}{"dense", gen.ErdosRenyi(1024, 200000, 7), []string{"tc", "4cl"}})
 	return out
 }
 

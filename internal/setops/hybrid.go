@@ -269,26 +269,46 @@ func SubtractArrayBitmapInPlace(a []uint32, b *Bitmap) []uint32 {
 // plan restrictions). These count directly on the container words with
 // partial masks at the interval's boundary containers.
 
-// boundMask returns, for the container key, the mask selecting only
-// the in-window bits; it is 0 when the container lies entirely outside
-// the window.
-func boundMask(key uint32, lo, hi uint32, hasLo, hasHi bool) uint64 {
-	m := ^uint64(0)
+// window is the open window (lo, hi) resolved to words: the inclusive
+// word range [ws, we] and the masks selecting the in-window bits of its
+// first and last word. An empty window has ws > we. Every bounded
+// kernel below reads only words inside [ws, we].
+type window struct {
+	ws, we   int
+	mlo, mhi uint64
+}
+
+// keyWords is the number of 64-bit words a uint32 universe spans: the
+// universe of a compressed bitmap, whose length is not known up front.
+const keyWords = 1 << 26
+
+// wordWindow resolves the open window over a universe of n words.
+func wordWindow(n int, lo, hi uint32, hasLo, hasHi bool) window {
+	first, last := uint64(0), uint64(n)<<6
 	if hasLo {
-		if key < lo>>6 {
-			return 0
-		}
-		if key == lo>>6 {
-			m &= ^uint64(0) << ((lo & 63) + 1) // bits strictly above lo
-		}
+		first = uint64(lo) + 1
 	}
 	if hasHi {
-		if key > hi>>6 {
-			return 0
-		}
-		if key == hi>>6 {
-			m &= (1 << (hi & 63)) - 1 // bits strictly below hi
-		}
+		last = min(last, uint64(hi))
+	}
+	if first >= last {
+		return window{ws: 1}
+	}
+	last--
+	return window{int(first >> 6), int(last >> 6), ^uint64(0) << (first & 63), ^uint64(0) >> (63 - last&63)}
+}
+
+// mask returns the in-window bits of word key, 0 outside the window.
+func (w window) mask(key int) uint64 {
+	if key < w.ws || key > w.we {
+		return 0
+	}
+	m := ^uint64(0)
+	if key == w.ws {
+		m &= w.mlo
+	}
+	if key == w.we {
+		m &= w.mhi
 	}
 	return m
 }
@@ -302,19 +322,10 @@ func (b *Bitmap) CountBounded(lo, hi uint32, hasLo, hasHi bool) int {
 	if !hasLo && !hasHi {
 		return b.card
 	}
-	i := 0
-	if hasLo {
-		i = LowerBound(b.keys, lo>>6)
-	}
+	win := wordWindow(keyWords, lo, hi, hasLo, hasHi)
 	n := 0
-	for ; i < len(b.keys); i++ {
-		key := b.keys[i]
-		if hasHi && key > hi>>6 {
-			break
-		}
-		if m := boundMask(key, lo, hi, hasLo, hasHi); m != 0 {
-			n += bits.OnesCount64(b.words[i] & m)
-		}
+	for i := LowerBound(b.keys, uint32(win.ws)); i < len(b.keys) && int(b.keys[i]) <= win.we; i++ {
+		n += bits.OnesCount64(b.words[i] & win.mask(int(b.keys[i])))
 	}
 	return n
 }
@@ -350,11 +361,8 @@ func IntersectBitmapsCountBounded(a, b *Bitmap, lo, hi uint32, hasLo, hasHi bool
 	if !hasLo && !hasHi {
 		return IntersectBitmapsCount(a, b)
 	}
-	i, j := 0, 0
-	if hasLo {
-		i = LowerBound(a.keys, lo>>6)
-		j = LowerBound(b.keys, lo>>6)
-	}
+	win := wordWindow(keyWords, lo, hi, hasLo, hasHi)
+	i, j := LowerBound(a.keys, uint32(win.ws)), LowerBound(b.keys, uint32(win.ws))
 	n := 0
 	for i < len(a.keys) && j < len(b.keys) {
 		ka, kb := a.keys[i], b.keys[j]
@@ -364,12 +372,10 @@ func IntersectBitmapsCountBounded(a, b *Bitmap, lo, hi uint32, hasLo, hasHi bool
 		case ka > kb:
 			j++
 		default:
-			if hasHi && ka > hi>>6 {
+			if int(ka) > win.we {
 				return n
 			}
-			if m := boundMask(ka, lo, hi, hasLo, hasHi); m != 0 {
-				n += bits.OnesCount64(a.words[i] & b.words[j] & m)
-			}
+			n += bits.OnesCount64(a.words[i] & b.words[j] & win.mask(int(ka)))
 			i++
 			j++
 		}
@@ -383,66 +389,45 @@ func IntersectBitmapBitsCountBounded(b *Bitmap, bitset []uint64, lo, hi uint32, 
 	if b == nil {
 		return 0
 	}
-	i := 0
-	if hasLo {
-		i = LowerBound(b.keys, lo>>6)
-	}
+	win := wordWindow(len(bitset), lo, hi, hasLo, hasHi)
 	n := 0
-	for ; i < len(b.keys); i++ {
+	for i := LowerBound(b.keys, uint32(win.ws)); i < len(b.keys) && int(b.keys[i]) <= win.we; i++ {
 		key := b.keys[i]
-		if hasHi && key > hi>>6 {
-			break
-		}
-		if int(key) >= len(bitset) {
-			break
-		}
-		if m := boundMask(key, lo, hi, hasLo, hasHi); m != 0 {
-			n += bits.OnesCount64(b.words[i] & bitset[key] & m)
-		}
+		n += bits.OnesCount64(b.words[i] & bitset[key] & win.mask(int(key)))
 	}
 	return n
 }
 
 // CountBitsBounded returns the popcount of the dense full-universe
-// bitset restricted to the open window.
+// bitset restricted to the open window. Only the window's edge words
+// are masked.
 func CountBitsBounded(bitset []uint64, lo, hi uint32, hasLo, hasHi bool) int {
-	ws := 0
-	if hasLo {
-		ws = int(lo >> 6)
+	win := wordWindow(len(bitset), lo, hi, hasLo, hasHi)
+	switch {
+	case win.ws > win.we:
+		return 0
+	case win.ws == win.we:
+		return bits.OnesCount64(bitset[win.ws] & win.mlo & win.mhi)
 	}
-	we := len(bitset) - 1
-	if hasHi && int(hi>>6) < we {
-		we = int(hi >> 6)
-	}
-	n := 0
-	for w := ws; w <= we && w < len(bitset); w++ {
-		if m := boundMask(uint32(w), lo, hi, hasLo, hasHi); m != 0 {
-			n += bits.OnesCount64(bitset[w] & m)
-		}
-	}
-	return n
+	return bits.OnesCount64(bitset[win.ws]&win.mlo) + CountWords(bitset, win.ws+1, win.we) +
+		bits.OnesCount64(bitset[win.we]&win.mhi)
 }
 
 // IntersectBitsCountBounded returns |x ∩ y| restricted to the open
-// window, where both are dense full-universe bitsets.
+// window, where both are dense full-universe bitsets. Only the window's
+// edge words are masked.
 func IntersectBitsCountBounded(x, y []uint64, lo, hi uint32, hasLo, hasHi bool) int {
-	n := len(x)
-	if len(y) < n {
-		n = len(y)
+	win := wordWindow(min(len(x), len(y)), lo, hi, hasLo, hasHi)
+	switch {
+	case win.ws > win.we:
+		return 0
+	case win.ws == win.we:
+		return bits.OnesCount64(x[win.ws] & y[win.ws] & win.mlo & win.mhi)
 	}
-	ws := 0
-	if hasLo {
-		ws = int(lo >> 6)
+	n := bits.OnesCount64(x[win.ws]&y[win.ws]&win.mlo) + bits.OnesCount64(x[win.we]&y[win.we]&win.mhi)
+	xs, ys := x[win.ws+1:win.we], y[win.ws+1:win.we]
+	for i := range xs {
+		n += bits.OnesCount64(xs[i] & ys[i])
 	}
-	we := n - 1
-	if hasHi && int(hi>>6) < we {
-		we = int(hi >> 6)
-	}
-	c := 0
-	for w := ws; w <= we && w < n; w++ {
-		if m := boundMask(uint32(w), lo, hi, hasLo, hasHi); m != 0 {
-			c += bits.OnesCount64(x[w] & y[w] & m)
-		}
-	}
-	return c
+	return n
 }

@@ -21,10 +21,13 @@ func decodeFuzzSet(data []byte, scale byte) []uint32 {
 
 // FuzzHybridSetOps differentially checks the kernels a stored row takes
 // part in — array×bitmap and array×dense-row intersect and subtract
-// (see checkHybridPair), plus the bounded popcount kernels — against
-// the merge reference. The two scale bytes steer density: 0 packs
-// values into runs (bitmap territory), 15 spreads them across the whole
-// uint32 universe.
+// (see checkHybridPair), the bounded popcount kernels, and, when both
+// sets fit a universe below 1<<16, the word-parallel kernels over
+// full-universe bitsets (see checkWordKernels) — against the merge
+// reference. The two scale bytes steer density: 0 packs values into
+// runs (bitmap territory), 15 spreads them across the whole uint32
+// universe; their XOR also sets how far the universe runs past the
+// largest element, so it ends at every offset within a word.
 func FuzzHybridSetOps(f *testing.F) {
 	f.Add([]byte{}, []byte{}, byte(0), byte(0))                                 // empty × empty
 	f.Add([]byte{5}, []byte{5}, byte(0), byte(0))                               // singleton overlap
@@ -32,6 +35,7 @@ func FuzzHybridSetOps(f *testing.F) {
 	f.Add([]byte{1, 1, 1, 1}, []byte{255, 255, 255}, byte(0), byte(15))         // clustered × sparse
 	f.Add([]byte{255, 255, 255, 255}, []byte{1}, byte(15), byte(15))            // full-universe spread
 	f.Add([]byte{63, 1, 63, 1}, []byte{64, 64}, byte(0), byte(0))               // container boundaries
+	f.Add([]byte{62, 0, 0, 63}, []byte{63, 0, 64}, byte(0), byte(1))            // word edges 63/64/65, n%64 != 0
 	f.Fuzz(func(t *testing.T, rawA, rawB []byte, scaleA, scaleB byte) {
 		if len(rawA) > 512 || len(rawB) > 512 {
 			return
@@ -63,5 +67,20 @@ func FuzzHybridSetOps(f *testing.F) {
 					a, b, lo, hi, w, got, wantAB)
 			}
 		}
+
+		top := max(last(a), last(b))
+		if top >= 1<<16 {
+			return
+		}
+		n := int(top) + 1 + int(scaleA^scaleB)%130
+		words := (n + 63) / 64
+		wlo, whi := int(lo>>6), words
+		if len(b) > 0 {
+			whi = int(hi>>6) + 1
+		}
+		if wlo > whi {
+			wlo, whi = whi, wlo
+		}
+		checkWordKernels(t, a, b, n, min(wlo, words), min(whi, words), lo, hi)
 	})
 }
