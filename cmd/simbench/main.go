@@ -222,7 +222,7 @@ func main() {
 			finishCell(&cell)
 			// Representation-mix columns (v4): how the adaptive hybrid
 			// view classified this graph, and what the non-array tiers
-			// cost fully materialized.
+			// cost.
 			fp := g.Hybrid().Footprint()
 			cell.DenseRows = fp.DenseRows
 			cell.BitmapRows = fp.BitmapRows

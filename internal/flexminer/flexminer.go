@@ -33,13 +33,15 @@ type Config struct {
 	// TaskOverheadCycles is the fixed scheduling cost per task.
 	TaskOverheadCycles mem.Cycles
 	// SetCentric switches the PE cost model to the SISA-style
-	// set-centric design point (ArchSISA): neighbor lists move in their
-	// hybrid storage representation — dense hub row, compressed bitmap,
-	// or raw array, whichever the graph's adaptive view chose — so
-	// fetch traffic shrinks to graph.HybridAdj.RowBytes, and a set
-	// operation whose long side has a stored row costs one probe cycle
-	// per short-side element instead of the full two-sided merge.
-	// Counts are unaffected; only timing changes.
+	// set-centric design point (ArchSISA): each neighbor list is costed
+	// in the representation the graph's hybrid view classifies it into
+	// — dense hub row, compressed bitmap, or raw array — so fetch
+	// traffic shrinks to graph.HybridAdj.RowBytes, and a set operation
+	// whose long side is a dense or bitmap list (HasStoredRow) costs one
+	// probe cycle per short-side element instead of the full two-sided
+	// merge. The bitmap tier exists only in this model: the host keeps
+	// no bitmaps, and the functional engine merges arrays whatever the
+	// tier. Counts are unaffected; only timing changes.
 	SetCentric bool
 }
 
@@ -84,7 +86,7 @@ type PE struct {
 func NewPE(cfg Config, g *graph.Graph, plans []*plan.Plan, roots *accel.RootScheduler, shared accel.MemPort) *PE {
 	pe := &PE{cfg: cfg, g: g, roots: roots, shared: shared}
 	if cfg.SetCentric {
-		pe.adj = g.Hybrid() // shared cached view: PEs never duplicate rows
+		pe.adj = g.Hybrid() // shared cached view: PEs never duplicate it
 	}
 	for _, pl := range plans {
 		pe.engines = append(pe.engines, mine.NewEngine(g, pl))

@@ -3,8 +3,6 @@ package graph
 import (
 	"sync"
 	"testing"
-
-	"fingers/internal/setops"
 )
 
 // hybridTestGraph builds a graph with all three tiers populated: a
@@ -30,22 +28,19 @@ func hybridTestGraph() *Graph {
 
 func TestHybridAdjTiers(t *testing.T) {
 	g := hybridTestGraph()
-	h := NewHybridAdj(g, StorageAdaptive, 100) // hub=200 (deg 120) qualifies
-	if h.DenseRow(200) == nil {
+	h := NewHybridAdj(g, 100) // hub=200 (deg 120) qualifies
+	if h.DenseRow(200) == nil || !h.HasStoredRow(200) {
 		t.Fatal("vertex 200 should be in the dense tier")
 	}
-	if h.BitmapRow(200) != nil {
-		t.Fatal("dense vertex must not also have a bitmap row")
-	}
 	// Clique member: 39 neighbors in a span of 40+ (plus the hub edge).
-	if h.BitmapRow(1) == nil {
+	if h.DenseRow(1) != nil || !h.HasStoredRow(1) {
 		t.Fatal("clique vertex 1 should be in the bitmap tier")
 	}
-	if got := h.BitmapRow(1).AppendTo(nil); !equalU32(got, g.Neighbors(1)) {
-		t.Fatalf("bitmap row decode = %v, want %v", got, g.Neighbors(1))
+	if got := h.RowBytes(1); got != 12*int64(containers(g.Neighbors(1))) {
+		t.Fatalf("bitmap-tier RowBytes = %d, want %d", got, 12*containers(g.Neighbors(1)))
 	}
 	// Path vertex: one neighbor far away.
-	if h.BitmapRow(305) != nil || h.DenseRow(305) != nil {
+	if h.HasStoredRow(305) || h.DenseRow(305) != nil {
 		t.Fatal("sparse vertex 305 should stay on the array tier")
 	}
 	if got, want := h.RowBytes(305), g.NeighborBytes(305); got != want {
@@ -53,101 +48,104 @@ func TestHybridAdjTiers(t *testing.T) {
 	}
 }
 
+// TestHybridAdjForcedPolicies checks the two forced hub thresholds the
+// miner's differential tests build on: one above every degree keeps
+// every list off the dense tier, and 1 puts every nonempty list on it.
+// Neither changes which remaining lists the bitmap tier costs.
 func TestHybridAdjForcedPolicies(t *testing.T) {
 	g := hybridTestGraph()
-	arr := NewHybridAdj(g, StorageArray, 0)
+	def := NewHybridAdj(g, 0)
+	none := NewHybridAdj(g, g.NumVertices())
 	for v := 0; v < g.NumVertices(); v++ {
-		if arr.BitmapRow(uint32(v)) != nil || arr.DenseRow(uint32(v)) != nil {
-			t.Fatalf("forced-array policy materialized a row for %d", v)
+		if none.DenseRow(uint32(v)) != nil {
+			t.Fatalf("threshold above every degree built a dense row for %d", v)
+		}
+		if none.HasStoredRow(uint32(v)) != def.HasStoredRow(uint32(v)) {
+			t.Fatalf("vertex %d: bitmap tier depends on the hub threshold", v)
 		}
 	}
-	if fp := arr.Footprint(); fp.HybridBytes() != 0 {
-		t.Fatalf("forced-array footprint = %+v, want zero", fp)
+	if fp := none.Footprint(); fp.DenseRows != 0 || fp != def.Footprint() {
+		t.Fatalf("no-hub footprint = %+v, default %+v", fp, def.Footprint())
 	}
-	bm := NewHybridAdj(g, StorageBitmap, 0)
+	all := NewHybridAdj(g, 1)
 	for v := 0; v < g.NumVertices(); v++ {
-		if g.Degree(uint32(v)) == 0 {
-			continue
+		nonempty := g.Degree(uint32(v)) > 0
+		if (all.DenseRow(uint32(v)) != nil) != nonempty || all.HasStoredRow(uint32(v)) != nonempty {
+			t.Fatalf("threshold 1: vertex %d (degree %d) tier wrong", v, g.Degree(uint32(v)))
 		}
-		row := bm.BitmapRow(uint32(v))
-		if row == nil {
-			t.Fatalf("forced-bitmap policy left vertex %d without a row", v)
-		}
-		if got := row.AppendTo(nil); !equalU32(got, g.Neighbors(uint32(v))) {
-			t.Fatalf("vertex %d bitmap decode mismatch", v)
-		}
+	}
+	if fp := all.Footprint(); fp.BitmapRows != 0 || fp.BitmapBytes != 0 {
+		t.Fatalf("threshold 1 left bitmap-tier rows: %+v", fp)
 	}
 }
 
+// TestHybridFootprintExact checks the footprint against an independent
+// count: a bitmap-tier vertex costs 12 bytes per distinct 64-value word
+// its neighbors touch, and the tier totals are the sums over vertices.
 func TestHybridFootprintExact(t *testing.T) {
 	g := hybridTestGraph()
-	h := NewHybridAdj(g, StorageAdaptive, 100)
-	before := h.Footprint()
-	if before.MaterializedRows != 0 {
-		t.Fatalf("rows materialized before first use: %+v", before)
-	}
-	h.MaterializeAll()
-	after := h.Footprint()
-	if after.MaterializedRows != after.BitmapRows || after.MaterializedBytes != after.BitmapBytes {
-		t.Fatalf("materialized %d rows/%d bytes, eligible %d rows/%d bytes — the eager counts must match the classification",
-			after.MaterializedRows, after.MaterializedBytes, after.BitmapRows, after.BitmapBytes)
-	}
-	// Cross-check the classification-time byte estimate against the
-	// rows actually built.
-	var sum int64
-	var rows int
-	for v := 0; v < g.NumVertices(); v++ {
-		if b := h.BitmapRow(uint32(v)); b != nil {
-			sum += b.Bytes()
-			rows++
-		}
-	}
-	if sum != after.BitmapBytes || rows != after.BitmapRows {
-		t.Fatalf("summed row bytes %d (%d rows) != footprint %d (%d rows)",
-			sum, rows, after.BitmapBytes, after.BitmapRows)
-	}
-	var denseRows int
-	var denseBytes int64
+	h := NewHybridAdj(g, 100)
+	fp := h.Footprint()
+	var bitmapRows, denseRows int
+	var bitmapBytes, denseBytes int64
 	for v := 0; v < g.NumVertices(); v++ {
 		if row := h.DenseRow(uint32(v)); row != nil {
 			denseRows++
 			denseBytes += int64(8 * len(row))
+			continue
 		}
+		if !h.HasStoredRow(uint32(v)) {
+			continue
+		}
+		want := 12 * int64(containers(g.Neighbors(uint32(v))))
+		if got := h.RowBytes(uint32(v)); got != want {
+			t.Fatalf("vertex %d: RowBytes = %d, want %d", v, got, want)
+		}
+		bitmapRows++
+		bitmapBytes += want
 	}
-	if denseRows == 0 || after.DenseRows != denseRows || after.DenseBytes != denseBytes {
-		t.Fatalf("dense tier accounting %+v, want %d rows/%d bytes", after, denseRows, denseBytes)
+	if bitmapRows == 0 || fp.BitmapRows != bitmapRows || fp.BitmapBytes != bitmapBytes {
+		t.Fatalf("bitmap tier accounting %+v, want %d rows/%d bytes", fp, bitmapRows, bitmapBytes)
 	}
-	if after.HybridBytes() != after.DenseBytes+after.BitmapBytes {
-		t.Fatalf("HybridBytes = %d", after.HybridBytes())
+	if denseRows == 0 || fp.DenseRows != denseRows || fp.DenseBytes != denseBytes {
+		t.Fatalf("dense tier accounting %+v, want %d rows/%d bytes", fp, denseRows, denseBytes)
+	}
+	if fp.HybridBytes() != fp.DenseBytes+fp.BitmapBytes {
+		t.Fatalf("HybridBytes = %d", fp.HybridBytes())
 	}
 }
 
+// containers returns the number of distinct 64-value words the sorted
+// set s touches: the container count of its compressed bitmap.
+func containers(s []uint32) int {
+	words := map[uint32]bool{}
+	for _, v := range s {
+		words[v>>6] = true
+	}
+	return len(words)
+}
+
+// TestHybridConcurrentMaterialize builds a graph's cached view from
+// eight goroutines at once: every caller must get the same view.
 func TestHybridConcurrentMaterialize(t *testing.T) {
 	g := hybridTestGraph()
-	h := NewHybridAdj(g, StorageBitmap, 0)
+	views := make([]*HybridAdj, 8)
 	var wg sync.WaitGroup
-	rows := make([][]*setops.Bitmap, 8)
-	for w := 0; w < 8; w++ {
+	for w := range views {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			rows[w] = make([]*setops.Bitmap, g.NumVertices())
-			for v := 0; v < g.NumVertices(); v++ {
-				rows[w][v] = h.BitmapRow(uint32(v))
-			}
-		}(w)
+			views[w] = g.Hybrid()
+		}()
 	}
 	wg.Wait()
-	for w := 1; w < 8; w++ {
-		for v := range rows[w] {
-			if rows[w][v] != rows[0][v] {
-				t.Fatalf("worker %d saw a different row pointer for vertex %d", w, v)
-			}
+	for w, h := range views {
+		if h != views[0] {
+			t.Fatalf("worker %d saw a different view", w)
 		}
 	}
-	fp := h.Footprint()
-	if fp.MaterializedRows != fp.BitmapRows {
-		t.Fatalf("materialized %d of %d rows", fp.MaterializedRows, fp.BitmapRows)
+	if fp := views[0].Footprint(); fp.BitmapRows == 0 || fp != NewHybridAdj(g, 0).Footprint() {
+		t.Fatalf("concurrently built view footprint %+v, want %+v", fp, NewHybridAdj(g, 0).Footprint())
 	}
 }
 
@@ -156,8 +154,8 @@ func TestGraphHybridCached(t *testing.T) {
 	if g.Hybrid() != g.Hybrid() {
 		t.Fatal("Hybrid() must cache")
 	}
-	if g.Hybrid().Policy() != StorageAdaptive {
-		t.Fatal("cached view must be adaptive")
+	if g.Hybrid().Footprint() != NewHybridAdj(g, 0).Footprint() {
+		t.Fatal("cached view must use the default hub threshold")
 	}
 }
 
@@ -173,7 +171,7 @@ func hubTestGraph() *Graph {
 
 func TestHybridDenseRows(t *testing.T) {
 	g := hubTestGraph()
-	h := NewHybridAdj(g, StorageAdaptive, 5)
+	h := NewHybridAdj(g, 5)
 	if fp := h.Footprint(); fp.DenseRows != 1 || fp.DenseBytes != 8 {
 		t.Fatalf("Footprint = %+v, want one one-word dense row (only the star center)", fp)
 	}
@@ -186,9 +184,6 @@ func TestHybridDenseRows(t *testing.T) {
 		if want := g.HasEdge(0, uint32(v)); got != want {
 			t.Errorf("row bit %d = %v, want %v", v, got, want)
 		}
-	}
-	if dense, bm := h.Rows(0); &dense[0] != &row[0] || bm != nil {
-		t.Error("Rows(center) disagrees with DenseRow")
 	}
 	if h.DenseRow(1) != nil {
 		t.Error("leaf vertex has a dense row")
@@ -234,7 +229,7 @@ func TestHubsCachedAndDefaultThreshold(t *testing.T) {
 	}
 	for _, c := range cases {
 		g := starGraph(c.n, c.threshold, c.threshold-1)
-		h := NewHybridAdj(g, StorageAdaptive, 0)
+		h := NewHybridAdj(g, 0)
 		if h.DenseRow(0) == nil {
 			t.Errorf("n=%d: degree %d (= threshold) has no dense row", c.n, c.threshold)
 		}
@@ -245,16 +240,4 @@ func TestHubsCachedAndDefaultThreshold(t *testing.T) {
 			t.Errorf("n=%d: Footprint = %+v, want one full-universe row", c.n, fp)
 		}
 	}
-}
-
-func equalU32(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

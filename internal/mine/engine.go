@@ -112,7 +112,7 @@ type Engine struct {
 	Plan   *plan.Plan
 	nextID int32
 
-	adj  *graph.HybridAdj // read for dense rows only; bitmap rows never materialize here
+	adj  *graph.HybridAdj // read for dense rows only
 	root *Node            // persistent level -1 parent for Start
 
 	free []*Node // node pool

@@ -12,7 +12,7 @@ import (
 // route through it):
 //
 //   - adaptive kernel dispatch: every set operation picks its kernel per
-//     call — probing v's stored row (graph.HybridAdj) with the candidate
+//     call — probing v's dense row (graph.HybridAdj) with the candidate
 //     set, galloping the candidate set through a much longer N(v), or
 //     mark-and-probe;
 //   - word-parallel candidate sets: when both operands have bitset rows
@@ -69,15 +69,10 @@ type Counter struct {
 type cset struct {
 	arr   []uint32
 	words []uint64
-	// alias is the vertex whose raw neighbor list the slot holds (an
-	// OpInit step with no postponed ancestors), or -1 once any kernel
-	// has rewritten the slot. It lets the leaf fast path recognize
-	// N(u) op N(v) shapes and count them entirely on stored rows.
-	alias int64
 }
 
 // hasArr reports whether s.arr holds the set.
-func (s *cset) hasArr() bool { return s.words == nil || s.alias >= 0 }
+func (s *cset) hasArr() bool { return s.words == nil || s.arr != nil }
 
 // frame is one level's scratch arena.
 type frame struct {
@@ -106,39 +101,35 @@ type frame struct {
 
 // KernelStats counts kernel-dispatch decisions, split between
 // materializing operations and leaf counting. Merge only counts the
-// postponed anti-subtractions of OpInit steps. BmProbe/CountBmProbe are
-// array×bitmap container probes; CountBmWord popcounts a compressed
-// bitmap row against a stored row or bitset candidate set. Probe/
-// CountProbe walk a neighbor list against the marked candidate set (or
-// a bitset one); Subset subtracts a sibling step's intersection. Word
-// is a word-wise AND/AND-NOT of two bitsets, CountWord a leaf popcount
-// of a bitset candidate set against a dense row. Marks counts the sets
-// marked and Decode the word results decoded to arrays.
+// postponed anti-subtractions of OpInit steps. Bits/CountBits probe a
+// dense row with an array's elements. Probe/CountProbe walk a neighbor
+// list against the marked candidate set (or a bitset one); Subset
+// subtracts a sibling step's intersection. Word is a word-wise
+// AND/AND-NOT of two bitsets, CountWord a leaf popcount of a bitset
+// candidate set against a dense row. Marks counts the sets marked and
+// Decode the word results decoded to arrays.
 type KernelStats struct {
-	Merge, Gallop, Bits, BmProbe, Probe, Subset, Word           uint64
-	CountGallop, CountBits, CountBmProbe, CountProbe, CountWord uint64
-	CountBmWord                                                 uint64
-	Marks, Decode                                               uint64
+	Merge, Gallop, Bits, Probe, Subset, Word      uint64
+	CountGallop, CountBits, CountProbe, CountWord uint64
+	Marks, Decode                                 uint64
 }
 
 // Total returns the number of dispatched operations (marking a set or
 // decoding a result is not one).
 func (s KernelStats) Total() uint64 {
-	return s.Merge + s.Gallop + s.Bits + s.BmProbe + s.Probe + s.Subset + s.Word +
-		s.CountGallop + s.CountBits + s.CountBmProbe + s.CountProbe + s.CountWord +
-		s.CountBmWord
+	return s.Merge + s.Gallop + s.Bits + s.Probe + s.Subset + s.Word +
+		s.CountGallop + s.CountBits + s.CountProbe + s.CountWord
 }
 
 // NewCounter returns a reusable adaptive miner for the plan on g, using
-// the graph's cached adaptive hybrid view (so parallel workers never
-// duplicate rows): dense rows for hubs, compressed bitmaps where the
-// density heuristic approves, CSR arrays otherwise.
+// the dense rows of the graph's cached hybrid view (so parallel workers
+// never duplicate them) and the CSR arrays for every other list.
 func NewCounter(g *graph.Graph, pl *plan.Plan) *Counter {
 	return newCounter(g, pl, g.Hybrid())
 }
 
-// newCounter returns a Counter whose kernels read stored rows from adj,
-// which tests build under a forced policy or hub threshold.
+// newCounter returns a Counter whose kernels read dense rows from adj,
+// which tests build at a forced hub threshold.
 func newCounter(g *graph.Graph, pl *plan.Plan, adj *graph.HybridAdj) *Counter {
 	c := &Counter{
 		g:     g,
@@ -241,9 +232,7 @@ func (c *Counter) descend(level int, v uint32) uint64 {
 	}
 	f := &c.frames[level]
 	if level == 0 {
-		for i := range f.sets {
-			f.sets[i] = cset{alias: -1}
-		}
+		clear(f.sets)
 	} else {
 		copy(f.sets, c.frames[level-1].sets)
 	}
@@ -310,7 +299,7 @@ func (c *Counter) applySteps(level int, f *frame, steps []step, from int, nv []u
 			res = c.updateWords(level, f, si, st, src, nv, v)
 		default:
 			f.bufs[si] = c.updateInto(level, f, st, f.bufs[si][:0], src, nv, v)
-			res = cset{arr: f.bufs[si], alias: -1}
+			res = cset{arr: f.bufs[si]}
 		}
 		for _, t := range st.targets {
 			f.sets[t] = res
@@ -324,14 +313,14 @@ func (c *Counter) applySteps(level int, f *frame, steps []step, from int, nv []u
 // dense v, its row, costing nothing.
 func (c *Counter) initSet(f *frame, si int, st *step, nv []uint32, v uint32) cset {
 	if len(st.pending) == 0 {
-		return cset{arr: nv, words: c.adj.DenseRow(v), alias: int64(v)}
+		return cset{arr: nv, words: c.adj.DenseRow(v)}
 	}
 	buf := c.subtractNeighborsInto(f.bufs[si][:0], nv, c.verts[st.pending[0]])
 	for _, m := range st.pending[1:] {
 		buf = c.subtractNeighborsInPlace(buf, c.verts[m])
 	}
 	f.bufs[si] = buf
-	return cset{arr: buf, alias: -1}
+	return cset{arr: buf}
 }
 
 // stepWords returns the word range [lo, hi) a bitset result of st needs:
@@ -375,12 +364,12 @@ func (f *frame) wordBuf(si, words int) []uint64 {
 // into the step's array buffer otherwise.
 func (c *Counter) wordResult(f *frame, si int, dst []uint64, lo, hi, card int) cset {
 	if setops.KeepWords(card, hi-lo) {
-		return cset{words: dst, alias: -1}
+		return cset{words: dst}
 	}
 	c.stats.Decode++
 	buf := setops.DecodeWordsInto(f.bufs[si][:0], dst, lo, hi)
 	f.bufs[si] = buf
-	return cset{arr: buf, alias: -1}
+	return cset{arr: buf}
 }
 
 // updateWords computes the update step st, op(src, N(v)), for a bitset
@@ -402,7 +391,7 @@ func (c *Counter) updateWords(level int, f *frame, si int, st *step, src *cset, 
 	}
 	if src.hasArr() {
 		f.bufs[si] = c.updateInto(level, f, st, f.bufs[si][:0], src, nv, v)
-		return cset{arr: f.bufs[si], alias: -1}
+		return cset{arr: f.bufs[si]}
 	}
 	lo, hi := c.stepWords(level, st)
 	nv = nv[setops.LowerBound(nv, uint32(lo)<<6):]
@@ -410,7 +399,7 @@ func (c *Counter) updateWords(level int, f *frame, si int, st *step, src *cset, 
 	c.stats.Probe++
 	if st.op == plan.OpIntersect {
 		f.bufs[si] = setops.IntersectBitsInto(f.bufs[si][:0], nv, src.words)
-		return cset{arr: f.bufs[si], alias: -1}
+		return cset{arr: f.bufs[si]}
 	}
 	dst := f.wordBuf(si, c.nwords)
 	copy(dst[lo:hi], src.words[lo:hi])
@@ -420,12 +409,11 @@ func (c *Counter) updateWords(level int, f *frame, si int, st *step, src *cset, 
 
 // updateInto computes st's op(src, N(v)) into dst from src's array form
 // with format-aware dispatch: a subtract whose sibling step already
-// intersected the same source removes that intersection; otherwise a
-// dense row, then a compressed bitmap row, is probed with src's
-// elements. Two arrays gallop src's elements through an N(v) many times
-// longer, and otherwise walk N(v) against the marked src — or against
-// src's row, when it aliases a dense vertex's list, which needs no
-// marking.
+// intersected the same source removes that intersection; otherwise v's
+// dense row is probed with src's elements. Two arrays gallop src's
+// elements through an N(v) many times longer, and otherwise walk N(v)
+// against the marked src — or against src's row, when it aliases a
+// dense vertex's list, which needs no marking.
 func (c *Counter) updateInto(level int, f *frame, st *step, dst []uint32, src *cset, nv []uint32, v uint32) []uint32 {
 	if st.inter >= 0 {
 		c.stats.Subset++
@@ -434,25 +422,12 @@ func (c *Counter) updateInto(level int, f *frame, st *step, dst []uint32, src *c
 	if len(src.arr) == 0 {
 		return dst
 	}
-	row, bm := c.adj.Rows(v)
-	if st.op == plan.OpIntersect {
-		switch {
-		case row != nil:
-			c.stats.Bits++
+	if row := c.adj.DenseRow(v); row != nil {
+		c.stats.Bits++
+		if st.op == plan.OpIntersect {
 			return setops.IntersectBitsInto(dst, src.arr, row)
-		case bm != nil:
-			c.stats.BmProbe++
-			return setops.IntersectArrayBitmapInto(dst, src.arr, bm)
 		}
-	} else {
-		switch {
-		case row != nil:
-			c.stats.Bits++
-			return setops.SubtractBitsInto(dst, src.arr, row)
-		case bm != nil:
-			c.stats.BmProbe++
-			return setops.SubtractArrayBitmapInto(dst, src.arr, bm)
-		}
+		return setops.SubtractBitsInto(dst, src.arr, row)
 	}
 	marks := src.words
 	if marks == nil {
@@ -476,14 +451,9 @@ func (c *Counter) updateInto(level int, f *frame, st *step, dst []uint32, src *c
 // subtractNeighborsInto computes a − N(anc) into dst (the postponed
 // anti-subtraction of §2.1, candidate side first).
 func (c *Counter) subtractNeighborsInto(dst, a []uint32, anc uint32) []uint32 {
-	row, bm := c.adj.Rows(anc)
-	if row != nil {
+	if row := c.adj.DenseRow(anc); row != nil {
 		c.stats.Bits++
 		return setops.SubtractBitsInto(dst, a, row)
-	}
-	if bm != nil {
-		c.stats.BmProbe++
-		return setops.SubtractArrayBitmapInto(dst, a, bm)
 	}
 	ancN := c.g.Neighbors(anc)
 	if len(ancN) >= setops.GallopSkewThreshold*len(a) {
@@ -496,14 +466,9 @@ func (c *Counter) subtractNeighborsInto(dst, a []uint32, anc uint32) []uint32 {
 
 // subtractNeighborsInPlace compacts a to a − N(anc) in place.
 func (c *Counter) subtractNeighborsInPlace(a []uint32, anc uint32) []uint32 {
-	row, bm := c.adj.Rows(anc)
-	if row != nil {
+	if row := c.adj.DenseRow(anc); row != nil {
 		c.stats.Bits++
 		return setops.SubtractBitsInPlace(a, row)
-	}
-	if bm != nil {
-		c.stats.BmProbe++
-		return setops.SubtractArrayBitmapInPlace(a, bm)
 	}
 	ancN := c.g.Neighbors(anc)
 	if len(ancN) >= setops.GallopSkewThreshold*len(a) {
@@ -521,14 +486,6 @@ func (c *Counter) leafCountUpdate(st *step, src *cset, v uint32) uint64 {
 	if src.words != nil {
 		return c.leafCountWords(st.op, src, v)
 	}
-	// Pure-popcount path: when the source slot still aliases N(u) and u
-	// and v keep compressed bitmap rows, the whole leaf count happens on
-	// container words — no array is even read.
-	if src.alias >= 0 {
-		if cnt, ok := c.leafCountRows(st.op, uint32(src.alias), v); ok {
-			return cnt
-		}
-	}
 	lo, hi, hasLo, hasHi := c.windowBounds(c.k - 1)
 	a, b := window(src.arr, lo, hi, hasLo, hasHi)
 	win := src.arr[a:b]
@@ -536,8 +493,8 @@ func (c *Counter) leafCountUpdate(st *step, src *cset, v uint32) uint64 {
 		return 0
 	}
 	nv := c.g.Neighbors(v)
-	row, bm := c.adj.Rows(v)
-	cnt, marks := c.leafIntersectCount(st, src.arr, a, b, nv, row, bm)
+	row := c.adj.DenseRow(v)
+	cnt, marks := c.leafIntersectCount(st, src.arr, a, b, nv, row)
 	if st.op != plan.OpIntersect {
 		cnt = len(win) - cnt
 	}
@@ -554,7 +511,7 @@ func (c *Counter) leafCountUpdate(st *step, src *cset, v uint32) uint64 {
 		} else if !setops.Contains(win, u) {
 			continue
 		}
-		if c.leafMember(nv, row, bm, u) == (st.op == plan.OpIntersect) {
+		if c.leafMember(nv, row, u) == (st.op == plan.OpIntersect) {
 			cnt--
 		}
 	}
@@ -562,20 +519,16 @@ func (c *Counter) leafCountUpdate(st *step, src *cset, v uint32) uint64 {
 }
 
 // leafIntersectCount returns |win ∩ N(v)| for the leaf update st, where
-// win = src[a:b] is a nonempty window of st's source: through v's stored
+// win = src[a:b] is a nonempty window of st's source: through v's dense
 // row when it has one, by galloping win's elements through an N(v) many
 // times longer, and otherwise by walking N(v) against the marked src.
 // It also returns the bitset src is marked in when it probed, nil
 // otherwise.
-func (c *Counter) leafIntersectCount(st *step, src []uint32, a, b int, nv []uint32, row []uint64, bm *setops.Bitmap) (int, []uint64) {
+func (c *Counter) leafIntersectCount(st *step, src []uint32, a, b int, nv []uint32, row []uint64) (int, []uint64) {
 	win := src[a:b]
-	switch {
-	case row != nil:
+	if row != nil {
 		c.stats.CountBits++
 		return setops.IntersectCountBits(win, row), nil
-	case bm != nil:
-		c.stats.CountBmProbe++
-		return setops.IntersectArrayBitmapCount(win, bm), nil
 	}
 	// Clip N(v) to win's value range where the window cut src: there the
 	// marked src holds exactly win.
@@ -595,25 +548,19 @@ func (c *Counter) leafIntersectCount(st *step, src []uint32, a, b int, nv []uint
 }
 
 // leafCountWords counts op(S, N(v)) within the leaf window for a bitset
-// candidate set S: popcount(S & N(v) & window) against a dense or
-// compressed-bitmap row, or N(v)'s window-clipped elements probed
-// against S's words. Used vertices are excluded with bit tests.
+// candidate set S: popcount(S & N(v) & window) against a dense row, or
+// N(v)'s window-clipped elements probed against S's words. Used
+// vertices are excluded with bit tests.
 func (c *Counter) leafCountWords(op plan.OpKind, s *cset, v uint32) uint64 {
 	lo, hi, hasLo, hasHi := c.windowBounds(c.k - 1)
-	row, bm := c.adj.Rows(v)
+	row := c.adj.DenseRow(v)
 	var nv []uint32
-	if row == nil && bm == nil {
-		nv = c.g.Neighbors(v)
-	}
 	var inter int
-	switch {
-	case row != nil:
+	if row != nil {
 		c.stats.CountWord++
 		inter = setops.IntersectBitsCountBounded(s.words, row, lo, hi, hasLo, hasHi)
-	case bm != nil:
-		c.stats.CountBmWord++
-		inter = setops.IntersectBitmapBitsCountBounded(bm, s.words, lo, hi, hasLo, hasHi)
-	default:
+	} else {
+		nv = c.g.Neighbors(v)
 		c.stats.CountProbe++
 		a, b := window(nv, lo, hi, hasLo, hasHi)
 		inter = setops.IntersectCountBits(nv[a:b], s.words)
@@ -626,60 +573,17 @@ func (c *Counter) leafCountWords(op plan.OpKind, s *cset, v uint32) uint64 {
 		if hasLo && u <= lo || hasHi && u >= hi || !setops.BitsContain(s.words, u) {
 			continue
 		}
-		if c.leafMember(nv, row, bm, u) == (op == plan.OpIntersect) {
+		if c.leafMember(nv, row, u) == (op == plan.OpIntersect) {
 			cnt--
 		}
 	}
 	return uint64(cnt)
 }
 
-// leafCountRows counts op(N(u), N(v)) within the leaf window entirely
-// on stored rows when u has a compressed bitmap row (a dense u's slot is
-// a bitset, which leafCountWords counts) and v a stored row of either
-// kind, returning ok=false otherwise. The set algebra is identical to
-// the array path: the bounded kernels count the same open interval the
-// window() slicing selects, and the used-vertex exclusion applies the
-// same membership tests.
-func (c *Counter) leafCountRows(op plan.OpKind, u, v uint32) (uint64, bool) {
-	uBm := c.adj.BitmapRow(u)
-	if uBm == nil {
-		return 0, false
-	}
-	vDense, vBm := c.adj.Rows(v)
-	if vDense == nil && vBm == nil {
-		return 0, false
-	}
-	lo, hi, hasLo, hasHi := c.windowBounds(c.k - 1)
-	c.stats.CountBmWord++
-	var inter int
-	if vBm != nil {
-		inter = setops.IntersectBitmapsCountBounded(uBm, vBm, lo, hi, hasLo, hasHi)
-	} else {
-		inter = setops.IntersectBitmapBitsCountBounded(uBm, vDense, lo, hi, hasLo, hasHi)
-	}
-	cnt := inter
-	if op != plan.OpIntersect {
-		cnt = uBm.CountBounded(lo, hi, hasLo, hasHi) - inter
-	}
-	for _, w := range c.verts[:c.k-1] {
-		if hasLo && w <= lo || hasHi && w >= hi || !uBm.Contains(w) {
-			continue
-		}
-		inV := vBm.Contains(w) || setops.BitsContain(vDense, w)
-		if inV == (op == plan.OpIntersect) {
-			cnt--
-		}
-	}
-	return uint64(cnt), true
-}
-
-// leafMember reports u ∈ N(v) through the stored row when available.
-func (c *Counter) leafMember(nv []uint32, row []uint64, bm *setops.Bitmap, u uint32) bool {
+// leafMember reports u ∈ N(v) through v's dense row when it has one.
+func (c *Counter) leafMember(nv []uint32, row []uint64, u uint32) bool {
 	if row != nil {
 		return setops.BitsContain(row, u)
-	}
-	if bm != nil {
-		return bm.Contains(u)
 	}
 	return setops.Contains(nv, u)
 }

@@ -41,39 +41,6 @@ func sampleRoots(g *graph.Graph, stride, heavy int) []uint32 {
 	return roots
 }
 
-// TestAdaptiveMatchesOracleOnDatasets cross-checks the adaptive Counter
-// against the reference Engine on every named pattern × every synthetic
-// dataset analogue, comparing per-root subtree counts over a root sample
-// (full counts over the whole grid would take the oracle minutes).
-func TestAdaptiveMatchesOracleOnDatasets(t *testing.T) {
-	dsets := datasets.All()
-	if testing.Short() {
-		dsets = datasets.Small()
-	}
-	for _, d := range dsets {
-		g := d.Graph()
-		roots := sampleRoots(g, 12, 4)
-		for _, name := range pattern.Names() {
-			p, err := pattern.ByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pl, err := plan.Compile(p, plan.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			c := NewCounter(g, pl)
-			e := NewEngine(g, pl)
-			for _, v := range roots {
-				if got, want := c.Root(v), e.CountFromRoot(v); got != want {
-					t.Fatalf("%s/%s root %d: adaptive %d, oracle %d",
-						d.Name, name, v, got, want)
-				}
-			}
-		}
-	}
-}
-
 // TestAdaptiveFullCountsMatchOracle compares whole-graph counts on the
 // cache-resident datasets for the cheap benchmark patterns, covering the
 // root loop itself (not just sampled subtrees).
@@ -98,47 +65,19 @@ func TestAdaptiveFullCountsMatchOracle(t *testing.T) {
 	}
 }
 
-// TestForcedHubKernels lowers the hub threshold so the dense-bitvector
-// kernels run on graphs small enough to brute-force, for every named
-// pattern and both induced semantics.
+// TestForcedHubKernels runs the forced grid with every vertex in the
+// dense tier (hub threshold 1), so the dense-row kernels run on graphs
+// small enough to brute-force.
 func TestForcedHubKernels(t *testing.T) {
-	graphs := []*graph.Graph{
-		gen.Complete(8),
-		gen.Star(12),
-		gen.PowerLawCluster(60, 5, 0.6, 7),
-		gen.ErdosRenyi(40, 220, 3),
-	}
-	for gi, g := range graphs {
-		adj := graph.NewHybridAdj(g, graph.StorageAdaptive, 1) // every vertex gets a dense row
-		for _, name := range pattern.Names() {
-			p, err := pattern.ByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, edgeInduced := range []bool{false, true} {
-				pl, err := plan.Compile(p, plan.Options{EdgeInduced: edgeInduced})
-				if err != nil {
-					t.Fatal(err)
-				}
-				c := newCounter(g, pl, adj)
-				var got uint64
-				for v := 0; v < g.NumVertices(); v++ {
-					got += c.Root(uint32(v))
-				}
-				if want := CountOracle(g, pl); got != want {
-					t.Errorf("graph %d %s edgeInduced=%v: forced-bits %d, oracle %d",
-						gi, name, edgeInduced, got, want)
-				}
-				// Edge-induced star/path plans dispatch no set ops at all
-				// (init-only schedules); only demand dense-row kernels
-				// (element probes or word-wise) where ops ran.
-				if st := c.Stats(); st.Total() > 0 && st.Bits+st.CountBits+st.Word+st.CountWord == 0 {
-					t.Errorf("graph %d %s edgeInduced=%v: ops ran but dense-row kernels never dispatched",
-						gi, name, edgeInduced)
-				}
-			}
+	checkForcedView(t, func(g *graph.Graph) *graph.HybridAdj { return graph.NewHybridAdj(g, 1) }, func(st KernelStats) string {
+		// Edge-induced star/path plans dispatch no set ops at all
+		// (init-only schedules); only demand dense-row kernels (element
+		// probes or word-wise) where ops ran.
+		if st.Total() > 0 && st.Bits+st.CountBits+st.Word+st.CountWord == 0 {
+			return "ops ran but dense-row kernels never dispatched"
 		}
-	}
+		return ""
+	})
 }
 
 // TestCounterSteadyStateAllocs verifies the tentpole's zero-allocation
@@ -156,7 +95,7 @@ func TestCounterSteadyStateAllocs(t *testing.T) {
 		patterns []string
 	}{
 		{"sparse", sparse, sparse.Hybrid(), []string{"tc", "4cl", "tt", "cyc", "house"}},
-		{"dense", dense, graph.NewHybridAdj(dense, graph.StorageAdaptive, 1), []string{"4cl", "tt", "cyc"}},
+		{"dense", dense, graph.NewHybridAdj(dense, 1), []string{"4cl", "tt", "cyc"}},
 	} {
 		for _, name := range w.patterns {
 			p, err := pattern.ByName(name)

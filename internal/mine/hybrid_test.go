@@ -11,171 +11,151 @@ import (
 	"fingers/internal/plan"
 )
 
-var storagePolicies = []graph.StoragePolicy{
-	graph.StorageAdaptive, graph.StorageArray, graph.StorageBitmap,
+// arrayView returns g's hybrid view at a hub threshold above every
+// degree: no vertex has a dense row, so the Counter runs every set
+// operation on the CSR arrays (the forced-array view).
+func arrayView(g *graph.Graph) *graph.HybridAdj {
+	return graph.NewHybridAdj(g, g.NumVertices())
+}
+
+// storageView is a named hybrid view of one graph.
+type storageView struct {
+	name string
+	adj  *graph.HybridAdj
+}
+
+// storageViews returns g's forced-array and adaptive views: the pair the
+// oracle tests and the BenchmarkSoftMine storage cells compare.
+func storageViews(g *graph.Graph) []storageView {
+	return []storageView{{"array", arrayView(g)}, {"adaptive", g.Hybrid()}}
 }
 
 // TestStoragePoliciesMatchOracleOnDatasets is the hybrid-storage
 // acceptance oracle: per-root subtree counts must be bit-identical to
-// the reference Engine under every storage policy — forced-array,
-// forced-bitmap, and adaptive — across the dataset × pattern grid.
-// Adaptive views with lowered hub thresholds also run, so candidate
-// sets go word-parallel on every dataset, the sparse Lj and Or
-// analogues included: midHubThreshold mixes dense and array rows at
-// every level, and threshold 1 (on graphs small enough to afford a row
-// per vertex) makes every vertex dense.
+// the reference Engine under the forced-array view and the adaptive one
+// (NewCounter's), across the dataset × pattern grid. Adaptive views
+// with lowered hub thresholds also run, so candidate sets go
+// word-parallel on every dataset, the sparse Lj and Or analogues
+// included: midHubThreshold mixes dense and array rows at every level,
+// and threshold 1 (on graphs small enough to afford a row per vertex)
+// makes every vertex dense. Each dataset runs as a parallel subtest.
 func TestStoragePoliciesMatchOracleOnDatasets(t *testing.T) {
 	dsets := datasets.All()
 	if testing.Short() {
 		dsets = datasets.Small()
 	}
 	for _, d := range dsets {
-		g := d.Graph()
-		roots := sampleRoots(g, 12, 4)
-		type view struct {
-			name string
-			adj  *graph.HybridAdj
-		}
-		var views []view
-		for _, pol := range storagePolicies {
-			views = append(views, view{pol.String(), graph.NewHybridAdj(g, pol, 0)})
-		}
-		ths := []int{midHubThreshold(g, 500)}
-		if g.NumVertices() <= 1<<14 {
-			ths = append(ths, 1) // n rows of n bits: at most 32 MB
-		}
-		for _, th := range ths {
-			views = append(views, view{fmt.Sprintf("adaptive, hub threshold %d", th), graph.NewHybridAdj(g, graph.StorageAdaptive, th)})
-		}
-		for _, name := range pattern.Names() {
-			p, err := pattern.ByName(name)
-			if err != nil {
-				t.Fatal(err)
+		t.Run(d.Name, func(t *testing.T) {
+			t.Parallel()
+			g := d.Graph()
+			roots := sampleRoots(g, 12, 4)
+			type view struct {
+				name    string
+				counter func(*plan.Plan) *Counter
 			}
-			pl, err := plan.Compile(p, plan.Options{})
-			if err != nil {
-				t.Fatal(err)
+			viewAt := func(name string, adj *graph.HybridAdj) view {
+				return view{name, func(pl *plan.Plan) *Counter { return newCounter(g, pl, adj) }}
 			}
-			e := NewEngine(g, pl)
-			want := make([]uint64, len(roots))
-			for i, v := range roots {
-				want[i] = e.CountFromRoot(v)
+			views := []view{
+				viewAt("array", arrayView(g)),
+				{"adaptive", func(pl *plan.Plan) *Counter { return NewCounter(g, pl) }},
 			}
-			for _, vw := range views {
-				c := newCounter(g, pl, vw.adj)
+			ths := []int{midHubThreshold(g, 500)}
+			if g.NumVertices() <= 1<<14 {
+				ths = append(ths, 1) // n rows of n bits: at most 32 MB
+			}
+			for _, th := range ths {
+				views = append(views, viewAt(fmt.Sprintf("adaptive, hub threshold %d", th), graph.NewHybridAdj(g, th)))
+			}
+			for _, name := range pattern.Names() {
+				pl, err := plan.Compile(mustPattern(t, name), plan.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				e := NewEngine(g, pl)
+				want := make([]uint64, len(roots))
 				for i, v := range roots {
-					if got := c.Root(v); got != want[i] {
-						t.Fatalf("%s/%s %s root %d: got %d, oracle %d",
-							d.Name, name, vw.name, v, got, want[i])
+					want[i] = e.CountFromRoot(v)
+				}
+				for _, vw := range views {
+					c := vw.counter(pl)
+					for i, v := range roots {
+						if got := c.Root(v); got != want[i] {
+							t.Fatalf("%s/%s %s root %d: got %d, oracle %d",
+								d.Name, name, vw.name, v, got, want[i])
+						}
 					}
 				}
 			}
-		}
+		})
 	}
 }
 
 // TestStoragePoliciesFullCounts compares whole-graph counts on the
-// cache-resident datasets under every policy, covering the root loop.
+// cache-resident datasets under the forced-array and adaptive views,
+// covering the root loop.
 func TestStoragePoliciesFullCounts(t *testing.T) {
 	for _, d := range datasets.Small() {
 		g := d.Graph()
 		for _, name := range []string{"tc", "tt", "cyc", "dia"} {
 			pl := plan.MustCompile(mustPattern(t, name), plan.Options{})
 			want := CountOracle(g, pl)
-			for _, pol := range storagePolicies {
-				c := newCounter(g, pl, graph.NewHybridAdj(g, pol, 0))
-				var got uint64
-				for v := 0; v < g.NumVertices(); v++ {
-					got += c.Root(uint32(v))
-				}
-				if got != want {
-					t.Errorf("%s/%s policy %v: got %d, oracle %d", d.Name, name, pol, got, want)
+			for _, vw := range storageViews(g) {
+				if got := countAll(newCounter(g, pl, vw.adj), g); got != want {
+					t.Errorf("%s/%s %s view: got %d, oracle %d", d.Name, name, vw.name, got, want)
 				}
 			}
 		}
 	}
 }
 
-// TestForcedBitmapKernels forces the compressed-bitmap tier on graphs
-// small enough to brute-force: every nonempty neighbor list becomes a
-// bitmap, so dispatch must route through the bitmap kernel families and
-// still match the oracle for every named pattern and both semantics.
-func TestForcedBitmapKernels(t *testing.T) {
-	graphs := []*graph.Graph{
+// forcedGraphs are small enough to brute-force every named pattern:
+// a clique, a star, a clustered power-law graph and a random one.
+func forcedGraphs() []*graph.Graph {
+	return []*graph.Graph{
 		gen.Complete(8),
 		gen.Star(12),
 		gen.PowerLawCluster(60, 5, 0.6, 7),
 		gen.ErdosRenyi(40, 220, 3),
 	}
-	for gi, g := range graphs {
-		adj := graph.NewHybridAdj(g, graph.StorageBitmap, 0)
+}
+
+// checkForcedView counts every named pattern under both induced
+// semantics on each forced graph, with the view adjFor builds, against
+// CountOracle, and hands each run's kernel statistics to check, which
+// reports what the view's dispatch got wrong ("" when nothing).
+func checkForcedView(t *testing.T, adjFor func(*graph.Graph) *graph.HybridAdj, check func(KernelStats) string) {
+	t.Helper()
+	for gi, g := range forcedGraphs() {
+		adj := adjFor(g)
 		for _, name := range pattern.Names() {
-			p, err := pattern.ByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
 			for _, edgeInduced := range []bool{false, true} {
-				pl, err := plan.Compile(p, plan.Options{EdgeInduced: edgeInduced})
+				pl, err := plan.Compile(mustPattern(t, name), plan.Options{EdgeInduced: edgeInduced})
 				if err != nil {
 					t.Fatal(err)
 				}
 				c := newCounter(g, pl, adj)
-				var got uint64
-				for v := 0; v < g.NumVertices(); v++ {
-					got += c.Root(uint32(v))
-				}
-				if want := CountOracle(g, pl); got != want {
-					t.Errorf("graph %d %s edgeInduced=%v: forced-bitmap %d, oracle %d",
+				if got, want := countAll(c, g), CountOracle(g, pl); got != want {
+					t.Errorf("graph %d %s edgeInduced=%v: counter %d, oracle %d",
 						gi, name, edgeInduced, got, want)
 				}
-				st := c.Stats()
-				bm := st.BmProbe + st.CountBmProbe + st.CountBmWord
-				if st.Total() > 0 && bm == 0 {
-					t.Errorf("graph %d %s edgeInduced=%v: ops ran but bitmap kernels never dispatched",
-						gi, name, edgeInduced)
+				if msg := check(c.Stats()); msg != "" {
+					t.Errorf("graph %d %s edgeInduced=%v: %s: %+v", gi, name, edgeInduced, msg, c.Stats())
 				}
 			}
 		}
 	}
 }
 
-// TestLeafPopcountPathEngages checks the tentpole's headline path: on a
-// dense graph the triangle leaf count must run word-parallel on stored
-// rows (CountBmWord), not on decoded arrays.
-func TestLeafPopcountPathEngages(t *testing.T) {
-	g := gen.Complete(64)
-	pl := plan.MustCompile(pattern.Triangle(), plan.Options{})
-	c := newCounter(g, pl, graph.NewHybridAdj(g, graph.StorageBitmap, 0))
-	var got uint64
-	for v := 0; v < g.NumVertices(); v++ {
-		got += c.Root(uint32(v))
-	}
-	if want := CountOracle(g, pl); got != want {
-		t.Fatalf("forced-bitmap count %d, oracle %d", got, want)
-	}
-	if st := c.Stats(); st.CountBmWord == 0 {
-		t.Fatalf("leaf popcount path never engaged: %+v", st)
-	}
-}
-
-// TestHybridSteadyStateAllocs extends the zero-allocation claim to the
-// bitmap tier: once lazy materialization has touched every row, mining
-// allocates nothing under forced-bitmap storage either.
-func TestHybridSteadyStateAllocs(t *testing.T) {
-	g := gen.PowerLawCluster(2000, 8, 0.5, 11)
-	pl := plan.MustCompile(mustPattern(t, "tc"), plan.Options{})
-	c := newCounter(g, pl, graph.NewHybridAdj(g, graph.StorageBitmap, 0))
-	for v := 0; v < g.NumVertices(); v++ {
-		c.Root(uint32(v))
-	}
-	avg := testing.AllocsPerRun(10, func() {
-		for v := 0; v < 200; v++ {
-			c.Root(uint32(v))
+// TestForcedArrayKernels runs the forced grid on the forced-array view:
+// no vertex has a dense row, so no dense-row kernel may dispatch.
+func TestForcedArrayKernels(t *testing.T) {
+	checkForcedView(t, arrayView, func(st KernelStats) string {
+		if st.Bits+st.CountBits+st.Word+st.CountWord > 0 {
+			return "dense-row kernels dispatched without dense rows"
 		}
+		return ""
 	})
-	if avg != 0 {
-		t.Errorf("%v allocs per 200 steady-state roots under forced bitmap, want 0", avg)
-	}
 }
 
 func mustPattern(t *testing.T, name string) pattern.Pattern {

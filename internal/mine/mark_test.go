@@ -35,18 +35,14 @@ func TestMarkProbeMatchesOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 				want := CountOracle(g, pl)
-				for _, pol := range []graph.StoragePolicy{graph.StorageArray, graph.StorageAdaptive} {
-					c := newCounter(g, pl, graph.NewHybridAdj(g, pol, 0))
-					var got uint64
-					for v := 0; v < g.NumVertices(); v++ {
-						got += c.Root(uint32(v))
-					}
-					if got != want {
-						t.Errorf("graph %d %s edgeInduced=%v policy %v: got %d, oracle %d",
-							gi, name, edgeInduced, pol, got, want)
+				for _, vw := range storageViews(g) {
+					c := newCounter(g, pl, vw.adj)
+					if got := countAll(c, g); got != want {
+						t.Errorf("graph %d %s edgeInduced=%v %s view: got %d, oracle %d",
+							gi, name, edgeInduced, vw.name, got, want)
 					}
 					st := c.Stats()
-					if pol == graph.StorageArray && st.Marks > 0 && st.Probe+st.CountProbe == 0 {
+					if vw.name == "array" && st.Marks > 0 && st.Probe+st.CountProbe == 0 {
 						t.Errorf("graph %d %s edgeInduced=%v: sets marked but never probed: %+v",
 							gi, name, edgeInduced, st)
 					}
@@ -63,7 +59,7 @@ func TestMarkProbeMatchesOracle(t *testing.T) {
 func TestMarkProbeEngagesOnSparseGraph(t *testing.T) {
 	g := gen.PowerLawCluster(2000, 8, 0.5, 11)
 	for _, name := range []string{"4cl", "tt"} {
-		c := newCounter(g, plan.MustCompile(mustPattern(t, name), plan.Options{}), graph.NewHybridAdj(g, graph.StorageArray, 0))
+		c := newCounter(g, plan.MustCompile(mustPattern(t, name), plan.Options{}), arrayView(g))
 		for v := 0; v < g.NumVertices(); v++ {
 			c.Root(uint32(v))
 		}
@@ -107,10 +103,10 @@ func TestRootRecoversFromStaleMarks(t *testing.T) {
 		adj  func(*graph.Graph) *graph.HybridAdj
 	}{
 		{"sparse", gen.PowerLawCluster(300, 6, 0.5, 21), func(g *graph.Graph) *graph.HybridAdj {
-			return graph.NewHybridAdj(g, graph.StorageArray, 0)
+			return arrayView(g)
 		}},
 		{"dense", gen.ErdosRenyi(200, 8000, 3), func(g *graph.Graph) *graph.HybridAdj {
-			return graph.NewHybridAdj(g, graph.StorageAdaptive, 1)
+			return graph.NewHybridAdj(g, 1)
 		}},
 	} {
 		for _, name := range []string{"tt", "4cl", "cyc"} {
@@ -211,7 +207,7 @@ func TestMarkProbeUpperBounds(t *testing.T) {
 		if got := CountOracle(g, mirrored); got != want {
 			t.Fatalf("%s: mirrored oracle %d, want %d", name, got, want)
 		}
-		c := newCounter(g, mirrored, graph.NewHybridAdj(g, graph.StorageArray, 0))
+		c := newCounter(g, mirrored, arrayView(g))
 		var got uint64
 		for v := 0; v < g.NumVertices(); v++ {
 			got += c.Root(uint32(v))

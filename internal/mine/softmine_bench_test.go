@@ -72,14 +72,14 @@ func BenchmarkSoftMine(b *testing.B) {
 					CountParallel(g, pl, 0)
 				}
 			})
-			// Storage-policy cells: forced-array is the no-hybrid
-			// reference, adaptive is the serving default — the pair is
-			// the tentpole's speedup evidence on the dense graphs. The
-			// counter is built and warmed outside the timer so the loop
-			// measures steady-state mining, not lazy materialization.
-			for _, pol := range []graph.StoragePolicy{graph.StorageArray, graph.StorageAdaptive} {
-				b.Run(fmt.Sprintf("%s/%s/storage=%v", gn, pn, pol), func(b *testing.B) {
-					c := newCounter(g, pl, graph.NewHybridAdj(g, pol, 0))
+			// Storage cells: forced-array (no dense rows) is the
+			// no-hybrid reference, adaptive is the serving default — the
+			// pair is the dense tier's speedup evidence on the dense
+			// graphs. The counter is built and warmed outside the timer
+			// so the loop measures steady-state mining, not arena growth.
+			for _, view := range storageViews(g) {
+				b.Run(fmt.Sprintf("%s/%s/storage=%s", gn, pn, view.name), func(b *testing.B) {
+					c := newCounter(g, pl, view.adj)
 					for v := 0; v < g.NumVertices(); v++ {
 						c.Root(uint32(v))
 					}

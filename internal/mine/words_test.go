@@ -57,7 +57,7 @@ func TestWordPathMatchesOracle(t *testing.T) {
 		m := int(gc.density * float64(gc.n) * float64(gc.n-1) / 2)
 		g := gen.ErdosRenyi(gc.n, m, int64(gc.n))
 		for _, th := range hubThresholds(g) {
-			adj := graph.NewHybridAdj(g, graph.StorageAdaptive, th)
+			adj := graph.NewHybridAdj(g, th)
 			for _, name := range pattern.Names() {
 				for _, edgeInduced := range []bool{false, true} {
 					pl, err := plan.Compile(mustPattern(t, name), plan.Options{EdgeInduced: edgeInduced})

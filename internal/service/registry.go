@@ -151,7 +151,7 @@ func (r *Registry) Get(name string) (*GraphEntry, error) {
 		// Warming the hybrid view here builds its dense rows before the
 		// first job's deadline starts, and fixes the representation mix
 		// the service reports: tier assignment is a pure function of the
-		// CSR, so the footprint is exact before any row materializes.
+		// CSR, so the footprint is exact at load time.
 		fp := g.Hybrid().Footprint()
 		e.ge.Store(&GraphEntry{
 			Name:  e.name,
@@ -197,8 +197,8 @@ type GraphSummary struct {
 	Edges     int64   `json:"edges,omitempty"`
 	AvgDegree float64 `json:"avg_degree,omitempty"`
 	MaxDegree int     `json:"max_degree,omitempty"`
-	// Hybrid-storage representation mix and its fully materialized
-	// memory footprint, fixed at load time (tier assignment is a pure
+	// Hybrid-storage representation mix and its memory footprint,
+	// fixed at load time (tier assignment is a pure
 	// function of the CSR).
 	DenseRows   int   `json:"dense_rows,omitempty"`
 	BitmapRows  int   `json:"bitmap_rows,omitempty"`

@@ -2,14 +2,13 @@ package setops
 
 import (
 	"fmt"
-	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 )
 
-// adversarialSets is the shared grid of densities the hybrid kernels
-// must survive: empty, singleton, full-universe runs, clustered bursts,
-// container-boundary values, and sparse spreads.
+// adversarialSets is the shared grid of densities the dense-row
+// kernels must survive: empty, singleton, full-universe runs, clustered
+// bursts, word-boundary values, and sparse spreads.
 func adversarialSets() [][]uint32 {
 	full := make([]uint32, 256)
 	for i := range full {
@@ -37,113 +36,54 @@ func adversarialSets() [][]uint32 {
 	}
 }
 
-func TestChooseFormat(t *testing.T) {
-	cases := []struct {
-		card int
-		span uint32
-		want Format
-	}{
-		{0, 0, FormatArray},
-		{1, 1, FormatArray},        // 4 bytes < 12
-		{3, 1, FormatBitmap},       // 12 >= 12·1
-		{64, 64, FormatBitmap},     // full container
-		{10, 1 << 20, FormatArray}, // sparse spread
-		{1000, 1100, FormatBitmap}, // dense run
-		{100, 6400, FormatArray},   // one per container: 400 < 12·101
-		{400, 6400, FormatBitmap},  // four per container
-	}
-	for _, c := range cases {
-		if got := ChooseFormat(c.card, c.span); got != c.want {
-			t.Errorf("ChooseFormat(%d, %d) = %v, want %v", c.card, c.span, got, c.want)
+// rankPair maps a and b onto the ranks of their values in a ∪ b. The map
+// is order-preserving and one-to-one, so every set relation between the
+// two survives, and a pair spread over the whole uint32 range fits a
+// dense row of |a ∪ b| bits.
+func rankPair(a, b []uint32) ([]uint32, []uint32) {
+	u := append(Clone(a), b...)
+	slices.Sort(u)
+	u = slices.Compact(u)
+	rank := func(s []uint32) []uint32 {
+		out := make([]uint32, len(s))
+		for i, v := range s {
+			out[i] = uint32(LowerBound(u, v))
 		}
+		return out
 	}
+	return rank(a), rank(b)
 }
 
-func TestBitmapRoundTrip(t *testing.T) {
-	for i, s := range adversarialSets() {
-		b := NewBitmapFromSorted(s)
-		if b.Card() != len(s) {
-			t.Errorf("set %d: Card = %d, want %d", i, b.Card(), len(s))
-		}
-		got := b.AppendTo(nil)
-		if len(got) == 0 && len(s) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(got, []uint32(s)) {
-			t.Errorf("set %d: round trip = %v, want %v", i, got, s)
-		}
-		for _, v := range s {
-			if !b.Contains(v) {
-				t.Errorf("set %d: Contains(%d) = false", i, v)
-			}
-		}
-		if len(s) > 0 && b.Contains(s[0]+1) != Contains(s, s[0]+1) {
-			t.Errorf("set %d: Contains(%d) disagrees with array", i, s[0]+1)
-		}
-		if b.Bytes() != int64(12*b.Containers()) {
-			t.Errorf("set %d: Bytes = %d, want %d", i, b.Bytes(), 12*b.Containers())
-		}
-	}
-}
-
-// checkHybridPair runs the kernels a stored row takes part in on one
-// (a, b) pair, with b as a compressed bitmap and, when every value fits
-// below 1<<20, as a full-universe dense row, and compares each against
-// the merge reference: intersect Into and Count, subtract Into and
-// InPlace. Into results are appended after a sentinel prefix, so a
-// kernel that drops or rewrites dst shows.
+// checkHybridPair runs the kernels a dense row takes part in on one
+// (a, b) pair, with b as a full-universe dense row, and compares each
+// against the merge reference: intersect Into and Count, subtract Into
+// and InPlace. A pair reaching 1<<20 or beyond is first mapped onto its
+// ranks (rankPair). Into results are appended after a sentinel prefix,
+// so a kernel that drops or rewrites dst shows.
 func checkHybridPair(t *testing.T, a, b []uint32) {
 	t.Helper()
+	if max(last(a), last(b)) >= 1<<20 {
+		a, b = rankPair(a, b)
+	}
 	wantI := Intersect(a, b)
 	wantS := Subtract(a, b)
 	prefix := []uint32{9999}
 	into := func(name string, got, want []uint32) {
 		t.Helper()
-		if len(got) == 0 || got[0] != prefix[0] || !equalSets(got[1:], want) {
+		if len(got) == 0 || got[0] != prefix[0] || !slices.Equal(got[1:], want) {
 			t.Errorf("%s(%v, %v) = %v, want prefix+%v", name, a, b, got, want)
 		}
 	}
-	count := func(name string, got int, want []uint32) {
-		t.Helper()
-		if got != len(want) {
-			t.Errorf("%s(%v, %v) = %d, want %d", name, a, b, got, len(want))
-		}
-	}
-	inPlace := func(name string, got, want []uint32) {
-		t.Helper()
-		if !equalSets(got, want) {
-			t.Errorf("%s(%v, %v) = %v, want %v", name, a, b, got, want)
-		}
-	}
-
-	bm := NewBitmapFromSorted(b)
-	into("IntersectArrayBitmapInto", IntersectArrayBitmapInto(Clone(prefix), a, bm), wantI)
-	count("IntersectArrayBitmapCount", IntersectArrayBitmapCount(a, bm), wantI)
-	into("SubtractArrayBitmapInto", SubtractArrayBitmapInto(Clone(prefix), a, bm), wantS)
-	inPlace("SubtractArrayBitmapInPlace", SubtractArrayBitmapInPlace(Clone(a), bm), wantS)
-
-	top := max(last(a), last(b))
-	if top >= 1<<20 {
-		return
-	}
-	row := make([]uint64, top/64+1)
+	row := make([]uint64, max(last(a), last(b))/64+1)
 	Mark(row, b)
 	into("IntersectBitsInto", IntersectBitsInto(Clone(prefix), a, row), wantI)
-	count("IntersectCountBits", IntersectCountBits(a, row), wantI)
+	if got := IntersectCountBits(a, row); got != len(wantI) {
+		t.Errorf("IntersectCountBits(%v, %v) = %d, want %d", a, b, got, len(wantI))
+	}
 	into("SubtractBitsInto", SubtractBitsInto(Clone(prefix), a, row), wantS)
-	inPlace("SubtractBitsInPlace", SubtractBitsInPlace(Clone(a), row), wantS)
-}
-
-func equalSets(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
+	if got := SubtractBitsInPlace(Clone(a), row); !slices.Equal(got, wantS) {
+		t.Errorf("SubtractBitsInPlace(%v, %v) = %v, want %v", a, b, got, wantS)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // last returns the largest element of the sorted set s, or 0 when empty.
@@ -165,77 +105,51 @@ func TestHybridKernelMatrix(t *testing.T) {
 	}
 }
 
-// bruteBounded filters s to the open window (lo, hi).
-func bruteBounded(s []uint32, lo, hi uint32, hasLo, hasHi bool) []uint32 {
-	var out []uint32
-	for _, v := range s {
-		if hasLo && v <= lo {
-			continue
+// FuzzHybridSetOps differentially checks the kernels a dense row takes
+// part in — array×dense-row intersect and subtract (see
+// checkHybridPair) and, over full-universe bitsets of both sets, the
+// word-parallel kernels and the two bounded popcounts (see
+// checkWordKernels) — against the merge reference. The two scale bytes
+// steer density: 0 packs values into runs, 15 spreads them across the
+// whole uint32 universe, where the word kernels see the pair mapped onto
+// its ranks (rankPair); their XOR also sets how far the universe runs
+// past the largest element, so it ends at every offset within a word.
+func FuzzHybridSetOps(f *testing.F) {
+	f.Add([]byte{}, []byte{}, byte(0), byte(0))                                 // empty × empty
+	f.Add([]byte{5}, []byte{5}, byte(0), byte(0))                               // singleton overlap
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0}, []byte{0, 0, 0, 0}, byte(0), byte(0)) // dense runs
+	f.Add([]byte{1, 1, 1, 1}, []byte{255, 255, 255}, byte(0), byte(15))         // clustered × sparse
+	f.Add([]byte{255, 255, 255, 255}, []byte{1}, byte(15), byte(15))            // full-universe spread
+	f.Add([]byte{63, 1, 63, 1}, []byte{64, 64}, byte(0), byte(0))               // word boundaries
+	f.Add([]byte{62, 0, 0, 63}, []byte{63, 0, 64}, byte(0), byte(1))            // word edges 63/64/65, n%64 != 0
+	f.Fuzz(func(t *testing.T, rawA, rawB []byte, scaleA, scaleB byte) {
+		if len(rawA) > 512 || len(rawB) > 512 {
+			return
 		}
-		if hasHi && v >= hi {
-			continue
-		}
-		out = append(out, v)
-	}
-	return out
-}
+		a := decodeFuzzSet(rawA, scaleA)
+		b := decodeFuzzSet(rawB, scaleB)
+		checkHybridPair(t, a, b)
 
-func TestBoundedCounts(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	universe := uint32(2048)
-	denseWords := func(s []uint32) []uint64 {
-		w := make([]uint64, (universe+63)/64)
-		for _, v := range s {
-			w[v>>6] |= 1 << (v & 63)
+		if max(last(a), last(b)) >= 1<<16 {
+			a, b = rankPair(a, b)
 		}
-		return w
-	}
-	randSet := func(n int) []uint32 {
-		seen := map[uint32]bool{}
-		var out []uint32
-		for len(out) < n {
-			v := uint32(rng.Intn(int(universe)))
-			if !seen[v] {
-				seen[v] = true
-				out = append(out, v)
-			}
+		// Window edges are elements of the inputs, so boundaries are hit.
+		lo, hi := uint32(0), uint32(1<<32-1)
+		if len(a) > 0 {
+			lo = a[len(a)/2]
 		}
-		sortU32(out)
-		return out
-	}
-	for trial := 0; trial < 200; trial++ {
-		a := randSet(rng.Intn(120))
-		b := randSet(rng.Intn(120))
-		lo := uint32(rng.Intn(int(universe)))
-		hi := uint32(rng.Intn(int(universe)))
-		hasLo := rng.Intn(2) == 0
-		hasHi := rng.Intn(2) == 0
-		wantA := len(bruteBounded(a, lo, hi, hasLo, hasHi))
-		wantAB := len(bruteBounded(Intersect(a, b), lo, hi, hasLo, hasHi))
-		ba, bb := NewBitmapFromSorted(a), NewBitmapFromSorted(b)
-		da, db := denseWords(a), denseWords(b)
-		if got := ba.CountBounded(lo, hi, hasLo, hasHi); got != wantA {
-			t.Fatalf("trial %d: CountBounded = %d, want %d", trial, got, wantA)
+		if len(b) > 0 {
+			hi = b[len(b)/2]
 		}
-		if got := IntersectBitmapsCountBounded(ba, bb, lo, hi, hasLo, hasHi); got != wantAB {
-			t.Fatalf("trial %d: IntersectBitmapsCountBounded = %d, want %d", trial, got, wantAB)
+		n := int(max(last(a), last(b))) + 1 + int(scaleA^scaleB)%130
+		words := (n + 63) / 64
+		wlo, whi := int(lo>>6), words
+		if len(b) > 0 {
+			whi = int(hi>>6) + 1
 		}
-		if got := IntersectBitmapBitsCountBounded(ba, db, lo, hi, hasLo, hasHi); got != wantAB {
-			t.Fatalf("trial %d: IntersectBitmapBitsCountBounded = %d, want %d", trial, got, wantAB)
+		if wlo > whi {
+			wlo, whi = whi, wlo
 		}
-		if got := CountBitsBounded(da, lo, hi, hasLo, hasHi); got != wantA {
-			t.Fatalf("trial %d: CountBitsBounded = %d, want %d", trial, got, wantA)
-		}
-		if got := IntersectBitsCountBounded(da, db, lo, hi, hasLo, hasHi); got != wantAB {
-			t.Fatalf("trial %d: IntersectBitsCountBounded = %d, want %d", trial, got, wantAB)
-		}
-	}
-}
-
-func sortU32(s []uint32) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
+		checkWordKernels(t, a, b, n, min(wlo, words), min(whi, words), lo, hi)
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -29,9 +30,8 @@ func inRange(s []uint32, from, end int) []uint32 {
 // universe of n values (every element must be below n) and compares it
 // with the merge reference: AndWords/AndNotWords/CountWords/
 // DecodeWordsInto over the word range [wlo, whi), ClearBits, NextBit
-// iteration over the values [lo, hi), and the bounded popcounts of
-// dense bitsets and compressed bitmaps over the open window (lo, hi)
-// under each choice of bounds.
+// iteration over the values [lo, hi), and the bounded popcounts over the
+// open window (lo, hi) under each choice of bounds.
 func checkWordKernels(t *testing.T, a, b []uint32, n, wlo, whi int, lo, hi uint32) {
 	t.Helper()
 	x, y := wordsOf(a, n), wordsOf(b, n)
@@ -57,7 +57,7 @@ func checkWordKernels(t *testing.T, a, b []uint32, n, wlo, whi int, lo, hi uint3
 		if card != len(want) {
 			t.Fatalf("%s %s: popcount %d, want %d", k.op, name, card, len(want))
 		}
-		if got := DecodeWordsInto(nil, dst, wlo, whi); !equalSets(got, want) {
+		if got := DecodeWordsInto(nil, dst, wlo, whi); !slices.Equal(got, want) {
 			t.Fatalf("%s %s: result %v, want %v", k.op, name, got, want)
 		}
 		for i := range dst {
@@ -77,13 +77,13 @@ func checkWordKernels(t *testing.T, a, b []uint32, n, wlo, whi int, lo, hi uint3
 		t.Fatalf("CountWords %s = %d, want %d", name, got, len(wantA))
 	}
 	prefix := []uint32{9999}
-	if got := DecodeWordsInto(Clone(prefix), x, wlo, whi); got[0] != prefix[0] || !equalSets(got[1:], wantA) {
+	if got := DecodeWordsInto(Clone(prefix), x, wlo, whi); got[0] != prefix[0] || !slices.Equal(got[1:], wantA) {
 		t.Fatalf("DecodeWordsInto %s = %v, want prefix+%v", name, got, wantA)
 	}
 
 	cleared := clone64(x)
 	ClearBits(cleared, b)
-	if got, want := DecodeWordsInto(nil, cleared, 0, words), Subtract(a, b); !equalSets(got, want) {
+	if got, want := DecodeWordsInto(nil, cleared, 0, words), Subtract(a, b); !slices.Equal(got, want) {
 		t.Fatalf("ClearBits %s = %v, want %v", name, got, want)
 	}
 
@@ -92,11 +92,10 @@ func checkWordKernels(t *testing.T, a, b []uint32, n, wlo, whi int, lo, hi uint3
 	for v := NextBit(x, int(lo), iterEnd); v < iterEnd; v = NextBit(x, v+1, iterEnd) {
 		got = append(got, uint32(v))
 	}
-	if want := inRange(a, int(lo), iterEnd); !equalSets(got, want) {
+	if want := inRange(a, int(lo), iterEnd); !slices.Equal(got, want) {
 		t.Fatalf("NextBit over [%d,%d) %s = %v, want %v", lo, iterEnd, name, got, want)
 	}
 
-	ba, bb := NewBitmapFromSorted(a), NewBitmapFromSorted(b)
 	for _, w := range []struct{ hasLo, hasHi bool }{
 		{false, false}, {true, false}, {false, true}, {true, true},
 	} {
@@ -107,15 +106,6 @@ func checkWordKernels(t *testing.T, a, b []uint32, n, wlo, whi int, lo, hi uint3
 		}
 		if got := IntersectBitsCountBounded(x, y, lo, hi, w.hasLo, w.hasHi); got != wantAB {
 			t.Fatalf("IntersectBitsCountBounded(lo=%d hi=%d %+v) %s = %d, want %d", lo, hi, w, name, got, wantAB)
-		}
-		if got := ba.CountBounded(lo, hi, w.hasLo, w.hasHi); got != wantA {
-			t.Fatalf("CountBounded(lo=%d hi=%d %+v) %s = %d, want %d", lo, hi, w, name, got, wantA)
-		}
-		if got := IntersectBitmapsCountBounded(ba, bb, lo, hi, w.hasLo, w.hasHi); got != wantAB {
-			t.Fatalf("IntersectBitmapsCountBounded(lo=%d hi=%d %+v) %s = %d, want %d", lo, hi, w, name, got, wantAB)
-		}
-		if got := IntersectBitmapBitsCountBounded(ba, y, lo, hi, w.hasLo, w.hasHi); got != wantAB {
-			t.Fatalf("IntersectBitmapBitsCountBounded(lo=%d hi=%d %+v) %s = %d, want %d", lo, hi, w, name, got, wantAB)
 		}
 	}
 }
@@ -176,4 +166,93 @@ func TestKeepWords(t *testing.T) {
 			t.Errorf("KeepWords(%d, %d) = %v, want %v", c.card, c.words, got, c.want)
 		}
 	}
+}
+
+func TestChooseFormat(t *testing.T) {
+	cases := []struct {
+		card int
+		span uint32
+		want Format
+	}{
+		{0, 0, FormatArray},
+		{1, 1, FormatArray},        // 4 bytes < 12
+		{3, 1, FormatBitmap},       // 12 >= 12·1
+		{64, 64, FormatBitmap},     // full container
+		{10, 1 << 20, FormatArray}, // sparse spread
+		{1000, 1100, FormatBitmap}, // dense run
+		{100, 6400, FormatArray},   // one per container: 400 < 12·101
+		{400, 6400, FormatBitmap},  // four per container
+	}
+	for _, c := range cases {
+		if got := ChooseFormat(c.card, c.span); got != c.want {
+			t.Errorf("ChooseFormat(%d, %d) = %v, want %v", c.card, c.span, got, c.want)
+		}
+	}
+}
+
+func TestBoundedCounts(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const universe = 2048
+	randSet := func(n int) []uint32 {
+		seen := map[uint32]bool{}
+		var out []uint32
+		for len(out) < n {
+			v := uint32(rng.Intn(universe))
+			if !seen[v] {
+				seen[v] = true
+				out = append(out, v)
+			}
+		}
+		slices.Sort(out)
+		return out
+	}
+	for trial := 0; trial < 200; trial++ {
+		a := randSet(rng.Intn(120))
+		b := randSet(rng.Intn(120))
+		lo := uint32(rng.Intn(universe))
+		hi := uint32(rng.Intn(universe))
+		hasLo := rng.Intn(2) == 0
+		hasHi := rng.Intn(2) == 0
+		wantA := len(bruteBounded(a, lo, hi, hasLo, hasHi))
+		wantAB := len(bruteBounded(Intersect(a, b), lo, hi, hasLo, hasHi))
+		da, db := wordsOf(a, universe), wordsOf(b, universe)
+		if got := CountBitsBounded(da, lo, hi, hasLo, hasHi); got != wantA {
+			t.Fatalf("trial %d: CountBitsBounded = %d, want %d", trial, got, wantA)
+		}
+		if got := IntersectBitsCountBounded(da, db, lo, hi, hasLo, hasHi); got != wantAB {
+			t.Fatalf("trial %d: IntersectBitsCountBounded = %d, want %d", trial, got, wantAB)
+		}
+	}
+}
+
+// decodeFuzzSet turns fuzz bytes into a strictly increasing set. Each
+// byte is a positive delta; the scale byte stretches deltas so the
+// fuzzer reaches sparse spreads (large scale) and packed runs (scale 0)
+// with equal ease.
+func decodeFuzzSet(data []byte, scale byte) []uint32 {
+	out := make([]uint32, 0, len(data))
+	cur := uint64(0)
+	for _, d := range data {
+		cur += uint64(d)<<(scale&15) + 1
+		if cur > 1<<32-1 {
+			break
+		}
+		out = append(out, uint32(cur-1))
+	}
+	return out
+}
+
+// bruteBounded filters s to the open window (lo, hi).
+func bruteBounded(s []uint32, lo, hi uint32, hasLo, hasHi bool) []uint32 {
+	var out []uint32
+	for _, v := range s {
+		if hasLo && v <= lo {
+			continue
+		}
+		if hasHi && v >= hi {
+			continue
+		}
+		out = append(out, v)
+	}
+	return out
 }

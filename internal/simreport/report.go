@@ -74,8 +74,7 @@ type Cell struct {
 	// Representation-mix columns (v4): how the graph's adaptive hybrid
 	// set-storage view classified this cell's graph. DenseRows is the
 	// hub tier, BitmapRows the compressed-bitmap tier, and HybridBytes
-	// the total non-array storage when fully materialized
-	// (graph.Footprint.HybridBytes). Zero/absent in pre-v4 reports.
+	// the total non-array storage (graph.Footprint.HybridBytes). Zero/absent in pre-v4 reports.
 	DenseRows   int   `json:"dense_rows,omitempty"`
 	BitmapRows  int   `json:"bitmap_rows,omitempty"`
 	HybridBytes int64 `json:"hybrid_bytes,omitempty"`

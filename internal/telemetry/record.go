@@ -28,10 +28,10 @@ type GraphInfo struct {
 	Edges     int64   `json:"edges"`
 	AvgDegree float64 `json:"avg_degree"`
 	MaxDegree int     `json:"max_degree"`
-	// Hybrid-storage representation mix under the adaptive policy:
+	// Hybrid-storage representation mix at the default hub threshold:
 	// how many adjacency rows the hybrid view promotes to the dense hub
-	// tier and the bitmap tier, and the total bytes those stored rows
-	// cost when fully materialized. Zero for records predating the
+	// tier and the bitmap tier, and the total bytes those tiers cost.
+	// Zero for records predating the
 	// hybrid layer (the fields omit when empty).
 	DenseRows   int   `json:"dense_rows,omitempty"`
 	BitmapRows  int   `json:"bitmap_rows,omitempty"`

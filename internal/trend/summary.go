@@ -43,8 +43,8 @@ type Sources struct {
 // point, and the regression flag if any.
 type SeriesSummary struct {
 	Key
-	Points  int    `json:"points"`
-	Partial int    `json:"partial,omitempty"`
+	Points  int `json:"points"`
+	Partial int `json:"partial,omitempty"`
 	// Retried counts points whose run took more than one attempt;
 	// Recovered counts points whose job was resurrected by journal
 	// replay after a daemon crash or drain. Both zero for batch logs.

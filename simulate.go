@@ -24,10 +24,10 @@ const (
 	// ArchFlexMiner is the FlexMiner baseline the paper compares against.
 	ArchFlexMiner
 	// ArchSISA is the FlexMiner baseline with a SISA-style set-centric
-	// cost model: neighbor lists travel in their hybrid storage
-	// representation (dense row / compressed bitmap / array, per the
-	// graph's adaptive view), and set operations against stored rows
-	// cost one probe per short-side element. Counts are identical to
+	// cost model: neighbor lists travel in the representation the
+	// graph's hybrid view classifies them into (dense row / compressed
+	// bitmap / array), and set operations against a dense or bitmap
+	// list cost one probe per short-side element. Counts are identical to
 	// the other architectures; only timing and traffic differ.
 	ArchSISA
 )
