@@ -51,7 +51,7 @@ var goldenGraphs = []struct {
 }
 
 var (
-	goldenPatterns = []string{"tc", "tt", "cyc"}
+	goldenPatterns = []string{"tc", "tt", "cyc", "4cl"}
 	goldenArchs    = []fingers.Arch{fingers.ArchFingers, fingers.ArchFlexMiner, fingers.ArchSISA}
 )
 
@@ -140,13 +140,16 @@ func TestTimingGolden(t *testing.T) {
 
 // TestTimingPaperShape asserts the shape of the paper's Fig. 9 on the
 // golden grid: at equal PE count FINGERS finishes every graph × pattern
-// cell in fewer cycles than FlexMiner, with identical counts.
+// cell in fewer cycles than FlexMiner, with identical counts, and its
+// speedup is higher on the tailed triangle and the 4-cycle than on the
+// 4-clique.
 func TestTimingPaperShape(t *testing.T) {
 	byKey := map[string]timingCell{}
 	for _, c := range timingGrid(t) {
 		byKey[fmt.Sprintf("%s/%s/%s", c.Arch, c.Graph, c.Pattern)] = c
 	}
 	for _, gg := range goldenGraphs {
+		speedup := map[string]float64{}
 		for _, p := range goldenPatterns {
 			fi := byKey[fmt.Sprintf("FINGERS/%s/%s", gg.name, p)]
 			fm := byKey[fmt.Sprintf("FlexMiner/%s/%s", gg.name, p)]
@@ -155,6 +158,12 @@ func TestTimingPaperShape(t *testing.T) {
 			}
 			if fi.Cycles >= fm.Cycles {
 				t.Errorf("%s/%s: FINGERS %d cycles does not beat FlexMiner %d", gg.name, p, fi.Cycles, fm.Cycles)
+			}
+			speedup[p] = float64(fm.Cycles) / float64(fi.Cycles)
+		}
+		for _, p := range []string{"tt", "cyc"} {
+			if speedup[p] <= speedup["4cl"] {
+				t.Errorf("%s: FINGERS speedup on %s (%.2f) is not above 4cl (%.2f)", gg.name, p, speedup[p], speedup["4cl"])
 			}
 		}
 	}
