@@ -7,8 +7,11 @@ all: vet build test
 build:
 	$(GO) build ./...
 
+# bench/ is its own module, which the root ./... skips; its tests run
+# every benchmark workload at 1/8 scale against bench/golden.json.
 test:
 	$(GO) test ./...
+	cd bench && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...

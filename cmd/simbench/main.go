@@ -83,7 +83,7 @@ func measureCell(g *graph.Graph, plans []*plan.Plan, pes, reps, shards int) (sim
 	var serial accel.Result
 	cell.SerialWallNS = int64(math.MaxInt64)
 	for r := 0; r < reps; r++ {
-		chip, err := fingerspe.NewChipErr(fingerspe.DefaultConfig(), pes, 0, g, plans)
+		chip, err := accel.NewChip(pes, 0, g, plans, nil, fingerspe.DefaultConfig().NewPE)
 		if err != nil {
 			return cell, err
 		}

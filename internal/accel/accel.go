@@ -1,8 +1,9 @@
-// Package accel provides the chip-level harness shared by the FlexMiner
-// baseline and the FINGERS accelerator models: a global root-vertex
-// scheduler (the coarse-grained, tree-level parallelism of §3.1), an
-// event-ordered multi-PE execution loop over the shared memory system,
-// and the result/statistics types the experiment harness consumes.
+// Package accel provides the chip shared by the FlexMiner baseline and
+// the FINGERS accelerator models: the Chip itself, generic over the PE
+// type, a global root-vertex scheduler (the coarse-grained, tree-level
+// parallelism of §3.1), an event-ordered multi-PE execution loop over
+// the shared memory system, and the result/statistics types the
+// experiment harness consumes.
 package accel
 
 import (

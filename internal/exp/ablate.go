@@ -166,7 +166,7 @@ func AblateRootOrder(opts Options) *AblationResult {
 	pes := opts.fingersPEs()
 	var base mem.Cycles
 	for i, pol := range policies {
-		chip := fingers.NewChipWithScheduler(fingers.DefaultConfig(), pes, opts.cacheBytes(), g, plans, pol.sched())
+		chip := newChip(pes, opts.cacheBytes(), g, plans, pol.sched(), fingers.DefaultConfig().NewPE)
 		r, _ := opts.runChip(chip)
 		if i == 0 {
 			base = r.Cycles

@@ -101,13 +101,13 @@ func PlansFor(name string) ([]*plan.Plan, error) {
 
 // RunFingers simulates a FINGERS chip on one benchmark cell.
 func RunFingers(cfg fingers.Config, pes int, cacheBytes int64, g *graph.Graph, plans []*plan.Plan) accel.Result {
-	res, _ := Options{}.runChip(newFingersChip(cfg, pes, cacheBytes, g, plans))
+	res, _ := Options{}.runChip(newChip(pes, cacheBytes, g, plans, nil, cfg.NewPE))
 	return res
 }
 
 // RunFlexMiner simulates a FlexMiner chip on one benchmark cell.
 func RunFlexMiner(pes int, cacheBytes int64, g *graph.Graph, plans []*plan.Plan) accel.Result {
-	res, _ := Options{}.runChip(newFlexChip(pes, cacheBytes, g, plans))
+	res, _ := Options{}.runChip(newChip(pes, cacheBytes, g, plans, nil, flexminer.DefaultConfig().NewPE))
 	return res
 }
 
@@ -118,29 +118,16 @@ func RunFlexMiner(pes int, cacheBytes int64, g *graph.Graph, plans []*plan.Plan)
 func RunSISA(pes int, cacheBytes int64, g *graph.Graph, plans []*plan.Plan) accel.Result {
 	cfg := flexminer.DefaultConfig()
 	cfg.SetCentric = true
-	chip, err := flexminer.NewChipErr(cfg, pes, cacheBytes, g, plans)
-	if err != nil {
-		panic(fmt.Sprintf("exp: chip construction: %v", err))
-	}
-	res, _ := Options{}.runChip(chip)
+	res, _ := Options{}.runChip(newChip(pes, cacheBytes, g, plans, nil, cfg.NewPE))
 	return res
 }
 
-// newFingersChip constructs a FINGERS chip through the validating
-// constructor. The experiment tables only run vetted configurations, so
-// a construction failure is a repo defect and panics, matching
-// runChip's contract for unexpected simulation errors.
-func newFingersChip(cfg fingers.Config, pes int, cacheBytes int64, g *graph.Graph, plans []*plan.Plan) *fingers.Chip {
-	chip, err := fingers.NewChipErr(cfg, pes, cacheBytes, g, plans)
-	if err != nil {
-		panic(fmt.Sprintf("exp: chip construction: %v", err))
-	}
-	return chip
-}
-
-// newFlexChip is newFingersChip for the FlexMiner baseline.
-func newFlexChip(pes int, cacheBytes int64, g *graph.Graph, plans []*plan.Plan) *flexminer.Chip {
-	chip, err := flexminer.NewChipErr(flexminer.DefaultConfig(), pes, cacheBytes, g, plans)
+// newChip constructs a chip through the validating constructor. The
+// experiment tables only run vetted configurations, so a construction
+// failure is a repo defect and panics, matching runChip's contract for
+// unexpected simulation errors.
+func newChip[P accel.ChipPE](pes int, cacheBytes int64, g *graph.Graph, plans []*plan.Plan, sched *accel.RootScheduler, newPE accel.PEFactory[P]) *accel.Chip[P] {
+	chip, err := accel.NewChip(pes, cacheBytes, g, plans, sched, newPE)
 	if err != nil {
 		panic(fmt.Sprintf("exp: chip construction: %v", err))
 	}
@@ -229,7 +216,7 @@ func (o Options) runChip(chip chipRunner) (res accel.Result, partial bool) {
 // simFingers runs one FINGERS cell and, when a run log is attached,
 // appends its telemetry record (with IU rates and per-PE breakdowns).
 func (o Options) simFingers(experiment, graphName, patternName string, cfg fingers.Config, pes int, cacheBytes int64, g *graph.Graph, plans []*plan.Plan) accel.Result {
-	chip := newFingersChip(cfg, pes, cacheBytes, g, plans)
+	chip := newChip(pes, cacheBytes, g, plans, nil, cfg.NewPE)
 	start := time.Now()
 	res, partial := o.runChip(chip)
 	wall := time.Since(start)
@@ -238,7 +225,7 @@ func (o Options) simFingers(experiment, graphName, patternName string, cfg finge
 		rec.Partial = partial
 		rec.StartedAt = start.UTC().Format(time.RFC3339Nano)
 		rec.WallNS = wall.Nanoseconds()
-		iu := chip.AggregateStats()
+		iu := fingers.AggregateStats(chip.PEs)
 		rec.IUActiveRate = iu.ActiveRate()
 		rec.IUBalanceRate = iu.BalanceRate()
 		logWrite(o.Log, rec)
@@ -248,7 +235,7 @@ func (o Options) simFingers(experiment, graphName, patternName string, cfg finge
 
 // simFlex runs one FlexMiner cell, logging like simFingers.
 func (o Options) simFlex(experiment, graphName, patternName string, pes int, cacheBytes int64, g *graph.Graph, plans []*plan.Plan) accel.Result {
-	chip := newFlexChip(pes, cacheBytes, g, plans)
+	chip := newChip(pes, cacheBytes, g, plans, nil, flexminer.DefaultConfig().NewPE)
 	start := time.Now()
 	res, partial := o.runChip(chip)
 	wall := time.Since(start)

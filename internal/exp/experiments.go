@@ -334,9 +334,9 @@ func Table3(opts Options) *Table3Result {
 		if err != nil {
 			panic(err)
 		}
-		chip := newFingersChip(fingers.DefaultConfig(), 1, opts.cacheBytes(), g, plans)
+		chip := newChip(1, opts.cacheBytes(), g, plans, nil, fingers.DefaultConfig().NewPE)
 		runRes, _ := opts.runChip(chip)
-		st := chip.AggregateStats()
+		st := fingers.AggregateStats(chip.PEs)
 		if opts.Log != nil {
 			rec := NewRunRecord("fingers", "table3", d.Name, name, 1, fingers.DefaultConfig().NumIUs, opts.cacheBytes(), g, runRes, chip.PERecords())
 			rec.IUActiveRate = st.ActiveRate()

@@ -113,19 +113,24 @@ func TestChipPanicSurfacesAsSimErrorSerial(t *testing.T) {
 	}
 }
 
+// TestNewChipErrValidation: every degenerate chip argument is an error
+// from the one validating constructor, never a panic.
 func TestNewChipErrValidation(t *testing.T) {
 	g := gen.PowerLawCluster(50, 3, 0.5, 59)
 	pls := plansFor(t, "tc")
-	if _, err := NewChipErr(DefaultConfig(), 0, 0, g, pls); err == nil {
+	if _, err := accel.NewChip(0, 0, g, pls, nil, DefaultConfig().NewPE); err == nil {
 		t.Error("0 PEs: expected an error")
 	}
-	if _, err := NewChipErr(DefaultConfig(), 2, 0, nil, pls); err == nil {
+	if _, err := accel.NewChip(2, 0, nil, pls, nil, DefaultConfig().NewPE); err == nil {
 		t.Error("nil graph: expected an error")
 	}
-	if _, err := NewChipErr(DefaultConfig(), 2, 0, g, nil); err == nil {
+	if _, err := accel.NewChip(2, 0, g, nil, nil, DefaultConfig().NewPE); err == nil {
 		t.Error("no plans: expected an error")
 	}
-	if c, err := NewChipErr(DefaultConfig(), 2, 0, g, pls); err != nil || c == nil {
+	if _, err := accel.NewChip(2, 0, g, append(pls, nil), nil, DefaultConfig().NewPE); err == nil {
+		t.Error("nil plan: expected an error")
+	}
+	if c, err := accel.NewChip(2, 0, g, pls, nil, DefaultConfig().NewPE); err != nil || c == nil {
 		t.Errorf("valid args: err = %v", err)
 	}
 }

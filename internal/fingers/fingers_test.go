@@ -26,24 +26,27 @@ func plansFor(t *testing.T, names ...string) []*plan.Plan {
 	return out
 }
 
-// mustChip builds a chip through the validating constructor, failing the
+// newChip builds a chip through the validating constructor, failing the
 // test on error.
-func mustChip(tb testing.TB, cfg Config, numPEs int, sharedCacheBytes int64, g *graph.Graph, plans []*plan.Plan) *Chip {
+func newChip[P accel.ChipPE](tb testing.TB, numPEs int, sharedCacheBytes int64, g *graph.Graph, plans []*plan.Plan, sched *accel.RootScheduler, newPE accel.PEFactory[P]) *accel.Chip[P] {
 	tb.Helper()
-	chip, err := NewChipErr(cfg, numPEs, sharedCacheBytes, g, plans)
+	chip, err := accel.NewChip(numPEs, sharedCacheBytes, g, plans, sched, newPE)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return chip
 }
 
-func mustFlexChip(tb testing.TB, cfg flexminer.Config, numPEs int, sharedCacheBytes int64, g *graph.Graph, plans []*plan.Plan) *flexminer.Chip {
+// mustChip builds a FINGERS chip with the default root order.
+func mustChip(tb testing.TB, cfg Config, numPEs int, sharedCacheBytes int64, g *graph.Graph, plans []*plan.Plan) *accel.Chip[*PE] {
 	tb.Helper()
-	chip, err := flexminer.NewChipErr(cfg, numPEs, sharedCacheBytes, g, plans)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return chip
+	return newChip(tb, numPEs, sharedCacheBytes, g, plans, nil, cfg.NewPE)
+}
+
+// mustFlexChip builds a FlexMiner chip with the default root order.
+func mustFlexChip(tb testing.TB, cfg flexminer.Config, numPEs int, sharedCacheBytes int64, g *graph.Graph, plans []*plan.Plan) *accel.Chip[*flexminer.PE] {
+	tb.Helper()
+	return newChip(tb, numPEs, sharedCacheBytes, g, plans, nil, cfg.NewPE)
 }
 
 // runner is the chip surface mustRun drives, satisfied by both models.
@@ -194,7 +197,7 @@ func TestIUStatsSane(t *testing.T) {
 	pls := plansFor(t, "tt")
 	chip := mustChip(t, DefaultConfig(), 1, 0, g, pls)
 	mustRun(t, chip)
-	st := chip.AggregateStats()
+	st := AggregateStats(chip.PEs)
 	active, balance := st.ActiveRate(), st.BalanceRate()
 	if active <= 0 || active > 1 {
 		t.Errorf("active rate = %v", active)
@@ -280,30 +283,23 @@ func TestCustomRootOrderOnBothEngines(t *testing.T) {
 	for i := range order {
 		order[i] = uint32(len(order) - 1 - i) // reverse-ID handout
 	}
-	fi := mustRun(t, NewChipWithScheduler(DefaultConfig(), 4, 0, g, pls,
-		accel.NewRootSchedulerWithOrder(order)))
-	fm := mustRun(t, flexminer.NewChipWithScheduler(flexminer.DefaultConfig(), 4, 0, g, pls,
-		accel.NewRootSchedulerWithOrder(order)))
+	fi := mustRun(t, newChip(t, 4, 0, g, pls, accel.NewRootSchedulerWithOrder(order), DefaultConfig().NewPE))
+	fm := mustRun(t, newChip(t, 4, 0, g, pls, accel.NewRootSchedulerWithOrder(order), flexminer.DefaultConfig().NewPE))
 	if fi.Count != base.Count || fm.Count != base.Count {
 		t.Errorf("custom order changed the count: fingers %d flexminer %d, want %d",
 			fi.Count, fm.Count, base.Count)
 	}
 }
 
-// TestNewChipRejectsNonPositivePEs: the scheduler-taking constructor must
-// fail fast with a descriptive message instead of building a chip that
-// silently mines nothing.
+// TestNewChipRejectsNonPositivePEs: the chip constructor must report a
+// non-positive PE count as an error instead of building a chip that
+// silently mines nothing, also when given a custom root scheduler.
 func TestNewChipRejectsNonPositivePEs(t *testing.T) {
 	g := gen.PowerLawCluster(50, 3, 0.4, 7)
 	pls := plansFor(t, "tc")
 	for _, n := range []int{0, -3} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewChipWithScheduler with %d PEs did not panic", n)
-				}
-			}()
-			NewChipWithScheduler(DefaultConfig(), n, 0, g, pls, nil)
-		}()
+		if _, err := accel.NewChip(n, 0, g, pls, accel.NewRootScheduler(g.NumVertices()), DefaultConfig().NewPE); err == nil {
+			t.Errorf("NewChip with %d PEs returned no error", n)
+		}
 	}
 }

@@ -47,6 +47,25 @@ func (s IUStats) BalanceRate() float64 {
 	return s.BalanceNum / s.BalanceDen
 }
 
+// Add merges o's counters into s; NumIUs is taken from o.
+func (s *IUStats) Add(o IUStats) {
+	s.BusyIUCycles += o.BusyIUCycles
+	s.AssignedIUCycles += o.AssignedIUCycles
+	s.TotalCycles += o.TotalCycles
+	s.BalanceNum += o.BalanceNum
+	s.BalanceDen += o.BalanceDen
+	s.NumIUs = o.NumIUs
+}
+
+// AggregateStats merges the IU utilization counters of a chip's PEs.
+func AggregateStats(pes []*PE) IUStats {
+	var out IUStats
+	for _, pe := range pes {
+		out.Add(pe.Stats())
+	}
+	return out
+}
+
 // frame is one stack entry: a parent node with its remaining unexplored
 // sibling candidates — the unit the pseudo-DFS scheduler pops task groups
 // from (§4.1).
@@ -117,9 +136,12 @@ type member struct {
 	hit   bool
 }
 
-// NewPE builds a FINGERS PE over the shared cache.
-func NewPE(cfg Config, g *graph.Graph, plans []*plan.Plan, roots *accel.RootScheduler, shared accel.MemPort) *PE {
+// NewPE builds FINGERS PE id of a chip, mining plans over g with roots
+// from the chip's scheduler and memory reached through shared; the
+// method value cfg.NewPE is the PE factory accel.NewChip takes.
+func (cfg Config) NewPE(id int, g *graph.Graph, plans []*plan.Plan, roots *accel.RootScheduler, shared accel.MemPort) *PE {
 	pe := &PE{
+		id:            id,
 		cfg:           cfg,
 		g:             g,
 		roots:         roots,

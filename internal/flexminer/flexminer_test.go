@@ -23,9 +23,9 @@ func compiled(t *testing.T, name string) []*plan.Plan {
 
 // mustChip builds a chip through the validating constructor, failing the
 // test on error.
-func mustChip(tb testing.TB, cfg Config, numPEs int, sharedCacheBytes int64, g *graph.Graph, plans []*plan.Plan) *Chip {
+func mustChip(tb testing.TB, cfg Config, numPEs int, sharedCacheBytes int64, g *graph.Graph, plans []*plan.Plan) *accel.Chip[*PE] {
 	tb.Helper()
-	chip, err := NewChipErr(cfg, numPEs, sharedCacheBytes, g, plans)
+	chip, err := accel.NewChip(numPEs, sharedCacheBytes, g, plans, nil, cfg.NewPE)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func mustChip(tb testing.TB, cfg Config, numPEs int, sharedCacheBytes int64, g *
 }
 
 // mustRun simulates a chip to completion, failing the test on error.
-func mustRun(tb testing.TB, c *Chip) accel.Result {
+func mustRun(tb testing.TB, c *accel.Chip[*PE]) accel.Result {
 	tb.Helper()
 	res, err := c.Run(context.Background(), 0, nil)
 	if err != nil {
@@ -110,18 +110,14 @@ func TestSharedCacheStatsPopulated(t *testing.T) {
 	}
 }
 
-// TestFlexNewChipRejectsNonPositivePEs mirrors the fingers-side check.
+// TestFlexNewChipRejectsNonPositivePEs mirrors the fingers-side check:
+// a non-positive PE count is an error, not a panic.
 func TestFlexNewChipRejectsNonPositivePEs(t *testing.T) {
 	g := gen.PowerLawCluster(50, 3, 0.4, 7)
 	pls := compiled(t, "tc")
 	for _, n := range []int{0, -3} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewChipWithScheduler with %d PEs did not panic", n)
-				}
-			}()
-			NewChipWithScheduler(DefaultConfig(), n, 0, g, pls, nil)
-		}()
+		if _, err := accel.NewChip(n, 0, g, pls, accel.NewRootScheduler(g.NumVertices()), DefaultConfig().NewPE); err == nil {
+			t.Errorf("NewChip with %d PEs returned no error", n)
+		}
 	}
 }

@@ -32,17 +32,6 @@ func BenchmarkSubtract(b *testing.B) {
 	_ = dst
 }
 
-// BenchmarkSegmentedApply measures the full segment pipeline (pairing,
-// balancing, compare units, bitvector aggregation) against the plain
-// merge of BenchmarkIntersect.
-func BenchmarkSegmentedApply(b *testing.B) {
-	s, n := benchSets(96, 1024)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		SegmentedApply(OpIntersect, s, n, DefaultLongSegLen, DefaultShortSegLen, 2)
-	}
-}
-
 func BenchmarkPair(b *testing.B) {
 	s, n := benchSets(96, 1024)
 	long := Segment(n, DefaultLongSegLen)

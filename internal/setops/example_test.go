@@ -18,14 +18,20 @@ func ExampleApply() {
 	// [4 6]
 }
 
-func ExampleSegmentedApply() {
-	// The same operation through the FINGERS segment pipeline: segment
-	// pairing, load balancing, compare units and bitvector aggregation.
-	short := []uint32{11, 18}
-	long := []uint32{3, 5, 7, 12, 13, 15, 18, 22}
-	result, stats := setops.SegmentedApply(setops.OpSubtract, short, long, 4, 2, 2)
-	fmt.Println(result, stats.Workloads > 0)
-	// Output: [11] true
+func ExampleBalance() {
+	// Figure 8's subtraction through the segment pipeline: segment
+	// pairing, then load balancing into intersect-unit workloads, each
+	// streaming its long segment against its short segments.
+	long := setops.Segment([]uint32{3, 5, 7, 12, 13, 15, 18, 22}, 4)
+	short := setops.Segment([]uint32{11, 18}, 2)
+	p := setops.Pair(long, short)
+	for _, w := range setops.Balance(p, setops.OpSubtract, 2) {
+		fmt.Printf("long segment %d × %d short segment(s): %d compare cycles\n",
+			w.LongSeg, w.ShortCount, w.LongLen(p)+w.ShortLen(p))
+	}
+	// Output:
+	// long segment 0 × 1 short segment(s): 6 compare cycles
+	// long segment 1 × 1 short segment(s): 6 compare cycles
 }
 
 func ExamplePair() {

@@ -41,7 +41,7 @@ func adversarialSets() [][]uint32 {
 // two survives, and a pair spread over the whole uint32 range fits a
 // dense row of |a ∪ b| bits.
 func rankPair(a, b []uint32) ([]uint32, []uint32) {
-	u := append(Clone(a), b...)
+	u := append(slices.Clone(a), b...)
 	slices.Sort(u)
 	u = slices.Compact(u)
 	rank := func(s []uint32) []uint32 {
@@ -76,12 +76,12 @@ func checkHybridPair(t *testing.T, a, b []uint32) {
 	}
 	row := make([]uint64, max(last(a), last(b))/64+1)
 	Mark(row, b)
-	into("IntersectBitsInto", IntersectBitsInto(Clone(prefix), a, row), wantI)
+	into("IntersectBitsInto", IntersectBitsInto(slices.Clone(prefix), a, row), wantI)
 	if got := IntersectCountBits(a, row); got != len(wantI) {
 		t.Errorf("IntersectCountBits(%v, %v) = %d, want %d", a, b, got, len(wantI))
 	}
-	into("SubtractBitsInto", SubtractBitsInto(Clone(prefix), a, row), wantS)
-	if got := SubtractBitsInPlace(Clone(a), row); !slices.Equal(got, wantS) {
+	into("SubtractBitsInto", SubtractBitsInto(slices.Clone(prefix), a, row), wantS)
+	if got := SubtractBitsInPlace(slices.Clone(a), row); !slices.Equal(got, wantS) {
 		t.Errorf("SubtractBitsInPlace(%v, %v) = %v, want %v", a, b, got, wantS)
 	}
 }

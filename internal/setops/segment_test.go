@@ -3,7 +3,6 @@ package setops
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestSegmentationBasics(t *testing.T) {
@@ -147,115 +146,87 @@ func TestWorkloadLengths(t *testing.T) {
 	}
 }
 
-// TestSegmentedApplyMatchesApply is the central fidelity property: the
-// whole segment pipeline (pairing, balancing, compare units, bitvector
-// aggregation) must compute exactly what the plain merge computes, for all
-// three operations and arbitrary segment geometries.
-func TestSegmentedApplyMatchesApply(t *testing.T) {
+// applyWorkloads reproduces op(s, n) from Balance's workloads alone.
+// Each workload intersects its short range with its long segment, as an
+// intersect unit does for every op (A − B = A − (A∩B), §4.3); the result
+// is that intersection, or what it leaves of the segments the workloads
+// cover on the surviving side: the short segments under subtraction, the
+// long segments under anti-subtraction.
+func applyWorkloads(op Op, s, n []uint32, longSegLen, shortSegLen, maxLoad int) []uint32 {
+	p := Pair(Segment(n, longSegLen), Segment(s, shortSegLen))
+	var common []uint32
+	longCovered := make([]bool, p.Long.NumSegments())
+	shortCovered := make([]bool, p.Short.NumSegments())
+	for _, w := range Balance(p, op, maxLoad) {
+		for i := w.ShortStart; i < w.ShortStart+w.ShortCount; i++ {
+			shortCovered[i] = true
+			if w.LongSeg >= 0 {
+				common = IntersectInto(common, p.Short.Seg(i), p.Long.Seg(w.LongSeg))
+			}
+		}
+		if w.LongSeg >= 0 {
+			longCovered[w.LongSeg] = true
+		}
+	}
+	survivors := func(seg Segmentation, covered []bool) []uint32 {
+		var out []uint32
+		for i, c := range covered {
+			if c {
+				out = append(out, seg.Seg(i)...)
+			}
+		}
+		return Subtract(out, common)
+	}
+	switch op {
+	case OpSubtract:
+		return survivors(p.Short, shortCovered)
+	case OpAntiSubtract:
+		return survivors(p.Long, longCovered)
+	}
+	return common
+}
+
+// TestBalanceWorkloadsMatchApply is the central fidelity property of the
+// segment pipeline the FINGERS PE is charged from: pairing and balancing
+// must hand the intersect units exactly the work that computes the plain
+// merge, for all three operations, arbitrary segment geometries and load
+// thresholds, and empty inputs on either side.
+func TestBalanceWorkloadsMatchApply(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ops := []Op{OpIntersect, OpSubtract, OpAntiSubtract}
 	geoms := [][3]int{{16, 4, 3}, {4, 2, 1}, {1, 1, 1}, {64, 8, 2}, {3, 5, 2}}
-	for trial := 0; trial < 400; trial++ {
-		s := randomSet(rng, 60, 300)
-		n := randomSet(rng, 120, 300)
+	check := func(s, n []uint32) {
+		t.Helper()
 		for _, op := range ops {
 			for _, g := range geoms {
-				got, stats := SegmentedApply(op, s, n, g[0], g[1], g[2])
-				want := Apply(op, s, n)
-				if !eq(got, want) {
+				if got, want := applyWorkloads(op, s, n, g[0], g[1], g[2]), Apply(op, s, n); !eq(got, want) {
 					t.Fatalf("op=%v geom=%v s=%v n=%v: got %v want %v", op, g, s, n, got, want)
-				}
-				if len(stats.WorkloadCycles) != stats.Workloads {
-					t.Fatalf("stats inconsistent: %+v", stats)
 				}
 			}
 		}
 	}
-}
-
-func TestSegmentedApplyQuick(t *testing.T) {
-	f := func(sv, nv []uint32, opSel uint8) bool {
-		s, n := mkset(sv), mkset(nv)
-		op := Op(opSel % 3)
-		got, _ := SegmentedApply(op, s, n, DefaultLongSegLen, DefaultShortSegLen, 2)
-		return eq(got, Apply(op, s, n))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSegmentedApplyEmptyInputs(t *testing.T) {
-	s := []uint32{1, 2, 3}
-	if got, _ := SegmentedApply(OpIntersect, nil, s, 16, 4, 2); len(got) != 0 {
-		t.Errorf("∅∩s = %v", got)
-	}
-	if got, _ := SegmentedApply(OpSubtract, s, nil, 16, 4, 2); !eq(got, s) {
-		t.Errorf("s−∅ = %v", got)
-	}
-	if got, _ := SegmentedApply(OpAntiSubtract, nil, s, 16, 4, 2); !eq(got, s) {
-		t.Errorf("anti: s−∅ = %v", got)
-	}
-	if got, _ := SegmentedApply(OpAntiSubtract, s, nil, 16, 4, 2); len(got) != 0 {
-		t.Errorf("anti: ∅−s = %v", got)
+	check(nil, []uint32{1, 2, 3})
+	check([]uint32{1, 2, 3}, nil)
+	for trial := 0; trial < 400; trial++ {
+		check(randomSet(rng, 60, 300), randomSet(rng, 120, 300))
 	}
 }
 
 func TestCompareCyclesModel(t *testing.T) {
-	// One long segment of 16 paired with 3 short segments of 4 must cost
-	// about s_l + 3·s_s = 28 comparator cycles (§4.3).
+	// One long segment of 16 paired with 3 short segments of 4 is one
+	// workload costing s_l + 3·s_s = 28 comparator cycles (§4.3).
 	long := make([]uint32, 16)
 	for i := range long {
 		long[i] = uint32(i * 2)
 	}
 	short := []uint32{1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23}
-	_, stats := SegmentedApply(OpIntersect, short, long, 16, 4, 3)
-	if stats.Workloads != 1 {
-		t.Fatalf("workloads = %d, want 1", stats.Workloads)
+	p := Pair(Segment(long, 16), Segment(short, 4))
+	ws := Balance(p, OpIntersect, 3)
+	if len(ws) != 1 {
+		t.Fatalf("workloads = %d, want 1", len(ws))
 	}
-	if stats.CompareCycles != 28 {
-		t.Errorf("compare cycles = %d, want 28", stats.CompareCycles)
-	}
-}
-
-func TestBitvecOps(t *testing.T) {
-	b := NewBitvec(130)
-	b.Set(0)
-	b.Set(64)
-	b.Set(129)
-	if !b.Get(0) || !b.Get(64) || !b.Get(129) || b.Get(1) {
-		t.Error("bitvec get/set mismatch")
-	}
-	o := NewBitvec(130)
-	o.Set(65)
-	b.Or(o)
-	if !b.Get(65) || !b.Get(64) {
-		t.Error("bitvec OR mismatch")
-	}
-}
-
-func TestCollectorMergesSameSegment(t *testing.T) {
-	seg := []uint32{10, 20, 30, 40}
-	c := NewCollector(OpIntersect)
-	b1 := NewBitvec(4)
-	b1.Set(0)
-	b2 := NewBitvec(4)
-	b2.Set(2)
-	c.Add(SegResult{Assoc: 0, Seg: seg, Bits: b1})
-	c.Add(SegResult{Assoc: 0, Seg: seg, Bits: b2})
-	if got := c.Finish(); !eq(got, []uint32{10, 30}) {
-		t.Errorf("collector = %v, want [10 30]", got)
-	}
-}
-
-func TestCollectorSubtractKeepsZeros(t *testing.T) {
-	seg := []uint32{10, 20, 30}
-	c := NewCollector(OpSubtract)
-	b := NewBitvec(3)
-	b.Set(1)
-	c.Add(SegResult{Assoc: 0, Seg: seg, Bits: b})
-	if got := c.Finish(); !eq(got, []uint32{10, 30}) {
-		t.Errorf("collector = %v, want [10 30]", got)
+	if c := ws[0].LongLen(p) + ws[0].ShortLen(p); c != 28 {
+		t.Errorf("compare cycles = %d, want 28", c)
 	}
 }
 
@@ -265,8 +236,7 @@ func TestCollectorSubtractKeepsZeros(t *testing.T) {
 func TestFigure8Subtraction(t *testing.T) {
 	s := []uint32{11, 18}
 	n := []uint32{3, 5, 7, 12, 13, 15, 18, 22}
-	got, _ := SegmentedApply(OpSubtract, s, n, 4, 2, 2)
-	if !eq(got, []uint32{11}) {
+	if got := applyWorkloads(OpSubtract, s, n, 4, 2, 2); !eq(got, []uint32{11}) {
 		t.Errorf("Figure 8 subtraction = %v, want [11]", got)
 	}
 }

@@ -5,10 +5,10 @@
 // paper's "ordered lists of vertex IDs" representation. All operations are
 // one-pass merges so results stay sorted without explicit sort steps.
 //
-// The package also provides the segment-level primitives used by the
-// FINGERS processing element: fixed-length segments, head lists, the
-// segment-pairing binary search, and the bitvector result format produced
-// by the intersect units (paper §3.4, §4.2, §4.3).
+// The package also provides the segment-level primitives the FINGERS
+// processing element charges its set operations from: fixed-length
+// segments, head lists, the segment-pairing binary search, and the
+// load-balanced intersect-unit workloads (paper §3.4, §4.2, §4.3).
 //
 // # Aliasing contract
 //
@@ -129,11 +129,6 @@ func SubtractInto(dst, a, b []uint32) []uint32 {
 	return dst
 }
 
-// SubtractCount returns |a − b| without materializing the result.
-func SubtractCount(a, b []uint32) int {
-	return len(a) - IntersectCount(a, b)
-}
-
 // Apply evaluates the operation on (s, n) following Equation (1):
 // intersection and subtraction treat s as the partial candidate set and n
 // as the neighbor list; anti-subtraction computes n − s.
@@ -145,20 +140,6 @@ func Apply(op Op, s, n []uint32) []uint32 {
 		return Subtract(s, n)
 	case OpAntiSubtract:
 		return Subtract(n, s)
-	default:
-		panic("setops: unknown op")
-	}
-}
-
-// ApplyInto is Apply appending into dst.
-func ApplyInto(op Op, dst, s, n []uint32) []uint32 {
-	switch op {
-	case OpIntersect:
-		return IntersectInto(dst, s, n)
-	case OpSubtract:
-		return SubtractInto(dst, s, n)
-	case OpAntiSubtract:
-		return SubtractInto(dst, n, s)
 	default:
 		panic("setops: unknown op")
 	}
@@ -204,28 +185,4 @@ func UpperBound(s []uint32, v uint32) int {
 		}
 	}
 	return lo
-}
-
-// CountLess returns the number of elements strictly below bound, used to
-// apply symmetry-breaking restrictions of the form u_j < u_i when only the
-// cardinality of the filtered candidate set is needed.
-func CountLess(s []uint32, bound uint32) int {
-	return LowerBound(s, bound)
-}
-
-// FilterLess appends to dst the elements of s strictly below bound.
-func FilterLess(dst, s []uint32, bound uint32) []uint32 {
-	return append(dst, s[:LowerBound(s, bound)]...)
-}
-
-// FilterGreater appends to dst the elements of s strictly above bound.
-func FilterGreater(dst, s []uint32, bound uint32) []uint32 {
-	return append(dst, s[UpperBound(s, bound):]...)
-}
-
-// Clone returns a copy of s.
-func Clone(s []uint32) []uint32 {
-	out := make([]uint32, len(s))
-	copy(out, s)
-	return out
 }

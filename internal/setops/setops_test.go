@@ -2,6 +2,7 @@ package setops
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -111,9 +112,6 @@ func TestSubtractBasic(t *testing.T) {
 	if got := Subtract(a, b); !eq(got, want) {
 		t.Errorf("Subtract = %v, want %v", got, want)
 	}
-	if got := SubtractCount(a, b); got != 3 {
-		t.Errorf("SubtractCount = %d, want 3", got)
-	}
 }
 
 func TestSubtractDisjoint(t *testing.T) {
@@ -158,28 +156,6 @@ func TestBounds(t *testing.T) {
 	}
 	if !Contains(s, 6) || Contains(s, 5) {
 		t.Error("Contains mismatch")
-	}
-}
-
-func TestFilters(t *testing.T) {
-	s := []uint32{1, 3, 5, 7}
-	if got := FilterLess(nil, s, 5); !eq(got, []uint32{1, 3}) {
-		t.Errorf("FilterLess = %v", got)
-	}
-	if got := FilterGreater(nil, s, 5); !eq(got, []uint32{7}) {
-		t.Errorf("FilterGreater = %v", got)
-	}
-	if got := CountLess(s, 6); got != 3 {
-		t.Errorf("CountLess = %d, want 3", got)
-	}
-}
-
-func TestClone(t *testing.T) {
-	s := []uint32{1, 2, 3}
-	c := Clone(s)
-	c[0] = 9
-	if s[0] != 1 {
-		t.Error("Clone aliases input")
 	}
 }
 
@@ -252,13 +228,10 @@ func TestIntoVariantsAppend(t *testing.T) {
 	a := []uint32{1, 2, 3}
 	b := []uint32{2, 3, 4}
 	prefix := []uint32{100}
-	if got := IntersectInto(Clone(prefix), a, b); !eq(got, []uint32{100, 2, 3}) {
+	if got := IntersectInto(slices.Clone(prefix), a, b); !eq(got, []uint32{100, 2, 3}) {
 		t.Errorf("IntersectInto = %v", got)
 	}
-	if got := SubtractInto(Clone(prefix), a, b); !eq(got, []uint32{100, 1}) {
+	if got := SubtractInto(slices.Clone(prefix), a, b); !eq(got, []uint32{100, 1}) {
 		t.Errorf("SubtractInto = %v", got)
-	}
-	if got := ApplyInto(OpAntiSubtract, Clone(prefix), a, b); !eq(got, []uint32{100, 4}) {
-		t.Errorf("ApplyInto anti = %v", got)
 	}
 }

@@ -77,7 +77,7 @@ func checkWordKernels(t *testing.T, a, b []uint32, n, wlo, whi int, lo, hi uint3
 		t.Fatalf("CountWords %s = %d, want %d", name, got, len(wantA))
 	}
 	prefix := []uint32{9999}
-	if got := DecodeWordsInto(Clone(prefix), x, wlo, whi); got[0] != prefix[0] || !slices.Equal(got[1:], wantA) {
+	if got := DecodeWordsInto(slices.Clone(prefix), x, wlo, whi); got[0] != prefix[0] || !slices.Equal(got[1:], wantA) {
 		t.Fatalf("DecodeWordsInto %s = %v, want prefix+%v", name, got, wantA)
 	}
 

@@ -9,7 +9,6 @@ import (
 
 	"fingers/internal/accel"
 	fingerspe "fingers/internal/fingers"
-	"fingers/internal/flexminer"
 	"fingers/internal/mem"
 	"fingers/internal/telemetry"
 )
@@ -66,56 +65,65 @@ func shardPEShares(pes, shards int) []int {
 	return shares
 }
 
-// runSharded executes one Simulate call in sharded mode: shards
-// independent chips over a degree-weighted contiguous root partition,
-// run concurrently (serially when a tracer is attached, to keep the
-// event stream in deterministic shard order), merged deterministically
-// in shard order. The caller has already validated cfg and resolved the
-// context; shards is the effective (clamped) shard count, >= 2.
+// runSharded executes one Simulate call as shards independent chips,
+// merged deterministically in shard order. One shard — the default — is
+// the whole chip: it runs over every root on the calling goroutine,
+// with no partition pass, PE-id renaming, or progress lock. Two or more
+// run over a degree-weighted contiguous root partition, concurrently
+// (serially when a tracer is attached, to keep the event stream in
+// deterministic shard order). The caller has already validated cfg and
+// resolved the context; shards is the effective (clamped) shard count,
+// >= 1.
 func runSharded(ctx context.Context, arch Arch, g *Graph, plans []*Plan, cfg simConfig, shards int) (rep SimReport, err error) {
-	for i, pl := range plans {
-		if pl == nil {
-			return rep, fmt.Errorf("fingers: Simulate: plan %d is nil", i)
-		}
-		if verr := pl.Validate(); verr != nil {
-			return rep, fmt.Errorf("fingers: Simulate: plan %d: %w", i, verr)
+	shares := shardPEShares(cfg.pes, shards)
+	scheds := make([]*accel.RootScheduler, shards) // nil: every root in ID order
+	if shards > 1 {
+		parts := accel.PartitionRootsWeighted(g.NumVertices(), func(i int) int64 {
+			d := float64(g.Degree(uint32(i)))
+			return int64(d*math.Sqrt(d)) + 1
+		}, shares)
+		for s := range scheds {
+			scheds[s] = accel.NewRootSchedulerRange(parts[s][0], parts[s][1])
 		}
 	}
 
-	shares := shardPEShares(cfg.pes, shards)
-	parts := accel.PartitionRootsWeighted(g.NumVertices(), func(i int) int64 {
-		d := float64(g.Degree(uint32(i)))
-		return int64(d*math.Sqrt(d)) + 1
-	}, shares)
-
 	chips := make([]simChip, shards)
-	fiChips := make([]*fingerspe.Chip, shards)
-	for s := 0; s < shards; s++ {
-		sched := accel.NewRootSchedulerRange(parts[s][0], parts[s][1])
+	var fiChips []*accel.Chip[*fingerspe.PE]
+	for s := range chips {
+		var cerr error
 		switch arch {
 		case ArchFingers:
-			c := fingerspe.NewChipWithScheduler(cfg.fiCfg, shares[s], cfg.cacheBytes, g, plans, sched)
-			fiChips[s], chips[s] = c, c
+			var c *accel.Chip[*fingerspe.PE]
+			c, cerr = accel.NewChip(shares[s], cfg.cacheBytes, g, plans, scheds[s], cfg.fiCfg.NewPE)
+			fiChips, chips[s] = append(fiChips, c), c
 		case ArchFlexMiner, ArchSISA:
 			fmCfg := cfg.fmCfg
 			fmCfg.SetCentric = arch == ArchSISA
-			chips[s] = flexminer.NewChipWithScheduler(fmCfg, shares[s], cfg.cacheBytes, g, plans, sched)
+			chips[s], cerr = accel.NewChip(shares[s], cfg.cacheBytes, g, plans, scheds[s], fmCfg.NewPE)
 		default:
 			return rep, fmt.Errorf("fingers: Simulate: unknown architecture %d", int(arch))
+		}
+		if cerr != nil {
+			return rep, fmt.Errorf("fingers: Simulate: %w", cerr)
 		}
 	}
 
 	// A traced run serializes shards so events reach the tracer in
-	// deterministic (shard, cycle) order; the id-offset wrapper moves
-	// each shard's PEs into the global id space. Untraced runs — the
-	// performance path — run every shard on its own OS thread.
-	serialize := cfg.tracer != nil
-	peBase := 0
-	for s := range chips {
-		if cfg.tracer != nil {
-			chips[s].SetTracer(peOffsetTracer{base: peBase, next: cfg.tracer})
+	// deterministic (shard, cycle) order; with several shards the id-offset
+	// wrapper moves each shard's PEs into the global id space. Untraced
+	// runs of several shards — the performance path — run every shard on
+	// its own OS thread.
+	serialize := cfg.tracer != nil || shards == 1
+	if cfg.tracer != nil {
+		peBase := 0
+		for s, c := range chips {
+			var tr telemetry.Tracer = cfg.tracer
+			if shards > 1 {
+				tr = peOffsetTracer{base: peBase, next: cfg.tracer}
+			}
+			c.SetTracer(tr)
+			peBase += shares[s]
 		}
-		peBase += shares[s]
 	}
 
 	// The progress callback contract is per-engine; shard snapshots are
@@ -176,7 +184,9 @@ func runSharded(ctx context.Context, arch Arch, g *Graph, plans []*Plan, cfg sim
 	}
 
 	rep = mergeShardReports(cfg, chips, fiChips, shares, results, errs)
-	rep.ShardWallNS = walls
+	if shards > 1 {
+		rep.ShardWallNS = walls
+	}
 	if err != nil {
 		rep.Partial = true
 	}
@@ -189,7 +199,7 @@ func runSharded(ctx context.Context, arch Arch, g *Graph, plans []*Plan, cfg sim
 // makespan is the fleet horizon (max over shards); per-PE records are
 // renamed into the global PE id space with Idle extended to the global
 // horizon, keeping the breakdown-sums-to-makespan invariant.
-func mergeShardReports(cfg simConfig, chips []simChip, fiChips []*fingerspe.Chip, shares []int, results []SimResult, errs []error) SimReport {
+func mergeShardReports(cfg simConfig, chips []simChip, fiChips []*accel.Chip[*fingerspe.PE], shares []int, results []SimResult, errs []error) SimReport {
 	rep := SimReport{Shards: len(chips)}
 	for _, r := range results {
 		if r.Cycles > rep.Result.Cycles {
@@ -228,18 +238,10 @@ func mergeShardReports(cfg simConfig, chips []simChip, fiChips []*fingerspe.Chip
 			base += shares[s]
 		}
 	}
-	if cfg.stats && fiChips[0] != nil {
-		var iu IUStats
+	if cfg.stats {
 		for _, c := range fiChips {
-			s := c.AggregateStats()
-			iu.BusyIUCycles += s.BusyIUCycles
-			iu.AssignedIUCycles += s.AssignedIUCycles
-			iu.TotalCycles += s.TotalCycles
-			iu.BalanceNum += s.BalanceNum
-			iu.BalanceDen += s.BalanceDen
-			iu.NumIUs = s.NumIUs
+			rep.IU.Add(fingerspe.AggregateStats(c.PEs))
 		}
-		rep.IU = iu
 	}
 	return rep
 }

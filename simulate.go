@@ -167,8 +167,8 @@ type SimReport struct {
 	ShardWallNS []int64
 }
 
-// simChip is the chip surface Simulate drives, satisfied by both
-// accelerator models.
+// simChip is the chip surface Simulate drives: accel.Chip over any PE
+// model.
 type simChip interface {
 	SetTracer(telemetry.Tracer)
 	Run(context.Context, int64, func(accel.Progress)) (accel.Result, error)
@@ -241,57 +241,8 @@ func Simulate(arch Arch, g *Graph, plans []*Plan, opts ...SimOption) (rep SimRep
 		}
 	}()
 
-	if shards := cfg.shards; shards > 1 {
-		if shards > cfg.pes {
-			shards = cfg.pes // every shard keeps at least one PE
-		}
-		if shards > 1 {
-			return runSharded(ctx, arch, g, plans, cfg, shards)
-		}
-	}
-	rep.Shards = 1
-
-	var chip simChip
-	var fiChip *fingerspe.Chip
-	switch arch {
-	case ArchFingers:
-		c, cerr := fingerspe.NewChipErr(cfg.fiCfg, cfg.pes, cfg.cacheBytes, g, plans)
-		if cerr != nil {
-			return rep, fmt.Errorf("fingers: Simulate: %w", cerr)
-		}
-		fiChip, chip = c, c
-	case ArchFlexMiner, ArchSISA:
-		fmCfg := cfg.fmCfg
-		fmCfg.SetCentric = arch == ArchSISA
-		c, cerr := flexminer.NewChipErr(fmCfg, cfg.pes, cfg.cacheBytes, g, plans)
-		if cerr != nil {
-			return rep, fmt.Errorf("fingers: Simulate: %w", cerr)
-		}
-		chip = c
-	default:
-		return rep, fmt.Errorf("fingers: Simulate: unknown architecture %d", int(arch))
-	}
-	chip.SetTracer(cfg.tracer)
-
-	every, fn := cfg.progressEvery, cfg.progressFn
-	if every <= 0 || fn == nil {
-		every, fn = 0, nil
-	}
-	var runErr error
-	rep.Result, runErr = chip.Run(ctx, every, fn)
-	rep.RootsTotal = chip.RootsTotal()
-	rep.RootsDone = chip.RootsDispatched()
-	if cfg.stats || cfg.tracer != nil || runErr != nil {
-		rep.PerPE = chip.PERecords()
-	}
-	if cfg.stats && fiChip != nil {
-		rep.IU = fiChip.AggregateStats()
-	}
-	if runErr != nil {
-		rep.Partial = true
-		return rep, runErr
-	}
-	return rep, nil
+	// Unsharded is one shard; every shard keeps at least one PE.
+	return runSharded(ctx, arch, g, plans, cfg, min(max(cfg.shards, 1), cfg.pes))
 }
 
 // CountCtx is CountParallel with cancellation and panic recovery: the
