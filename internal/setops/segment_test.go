@@ -3,6 +3,7 @@ package setops
 import (
 	"math/rand"
 	"testing"
+	"testing/quick"
 )
 
 func TestSegmentationBasics(t *testing.T) {
@@ -186,17 +187,18 @@ func applyWorkloads(op Op, s, n []uint32, longSegLen, shortSegLen, maxLoad int) 
 	return common
 }
 
-// TestBalanceWorkloadsMatchApply is the central fidelity property of the
+// TestSegmentedApplyMatchesApply is the central fidelity property of the
 // segment pipeline the FINGERS PE is charged from: pairing and balancing
 // must hand the intersect units exactly the work that computes the plain
-// merge, for all three operations, arbitrary segment geometries and load
-// thresholds, and empty inputs on either side.
-func TestBalanceWorkloadsMatchApply(t *testing.T) {
+// merge, for all three operations and arbitrary segment geometries and
+// load thresholds.
+func TestSegmentedApplyMatchesApply(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ops := []Op{OpIntersect, OpSubtract, OpAntiSubtract}
 	geoms := [][3]int{{16, 4, 3}, {4, 2, 1}, {1, 1, 1}, {64, 8, 2}, {3, 5, 2}}
-	check := func(s, n []uint32) {
-		t.Helper()
+	for trial := 0; trial < 400; trial++ {
+		s := randomSet(rng, 60, 300)
+		n := randomSet(rng, 120, 300)
 		for _, op := range ops {
 			for _, g := range geoms {
 				if got, want := applyWorkloads(op, s, n, g[0], g[1], g[2]), Apply(op, s, n); !eq(got, want) {
@@ -205,10 +207,32 @@ func TestBalanceWorkloadsMatchApply(t *testing.T) {
 			}
 		}
 	}
-	check(nil, []uint32{1, 2, 3})
-	check([]uint32{1, 2, 3}, nil)
-	for trial := 0; trial < 400; trial++ {
-		check(randomSet(rng, 60, 300), randomSet(rng, 120, 300))
+}
+
+func TestSegmentedApplyQuick(t *testing.T) {
+	f := func(sv, nv []uint32, opSel uint8) bool {
+		s, n := mkset(sv), mkset(nv)
+		op := Op(opSel % 3)
+		return eq(applyWorkloads(op, s, n, DefaultLongSegLen, DefaultShortSegLen, 2), Apply(op, s, n))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestSegmentedApplyEmptyInputs(t *testing.T) {
+	s := []uint32{1, 2, 3}
+	if got := applyWorkloads(OpIntersect, nil, s, 16, 4, 2); len(got) != 0 {
+		t.Errorf("∅∩s = %v", got)
+	}
+	if got := applyWorkloads(OpSubtract, s, nil, 16, 4, 2); !eq(got, s) {
+		t.Errorf("s−∅ = %v", got)
+	}
+	if got := applyWorkloads(OpAntiSubtract, nil, s, 16, 4, 2); !eq(got, s) {
+		t.Errorf("anti: s−∅ = %v", got)
+	}
+	if got := applyWorkloads(OpAntiSubtract, s, nil, 16, 4, 2); len(got) != 0 {
+		t.Errorf("anti: ∅−s = %v", got)
 	}
 }
 
