@@ -36,8 +36,8 @@ type Config struct {
 	// whose long side is a dense or bitmap list (HasStoredRow) costs one
 	// probe cycle per short-side element instead of the full two-sided
 	// merge. The bitmap tier exists only in this model: the host keeps
-	// no bitmaps, and the functional engine merges arrays whatever the
-	// tier. Counts are unaffected; only timing changes.
+	// no bitmaps, and the functional engine's kernels ignore the tier.
+	// Counts are unaffected; only timing changes.
 	SetCentric bool
 }
 
@@ -46,13 +46,16 @@ func DefaultConfig() Config {
 	return Config{PrivateCacheBytes: 32 << 10, TaskOverheadCycles: 4}
 }
 
-// workItem is one pending task: start a new root tree or extend a node.
+// workItem is one pending task — start a new root tree or extend a node —
+// or, with release set, the marker below a node's candidate items that
+// hands the node back to its engine once its whole subtree is done.
 type workItem struct {
-	engine int
-	start  bool
-	root   uint32
-	node   *mine.Node
-	cand   uint32
+	engine  int
+	start   bool
+	release bool
+	root    uint32
+	node    *mine.Node
+	cand    uint32
 }
 
 // PE is one FlexMiner processing element.
@@ -128,9 +131,12 @@ func (pe *PE) CurrentRoot() (uint32, bool) {
 
 // Step executes one task in DFS order.
 //
-// Node pooling: only nodes no remaining work item can reference — leaves
-// and dead ends — are released; interior nodes stay live for their
-// pending sibling extensions and are left to the garbage collector.
+// Node pooling: leaves and dead ends are released at once. An interior
+// node gets a release marker below its candidate items; the marker
+// surfaces after the node's whole subtree is done, so children are
+// released before parents. Markers are consumed at the end of the Step
+// that exposes them: they cost no Step, and between Steps the stack
+// holds markers only beneath pending tasks.
 func (pe *PE) Step() bool {
 	if len(pe.stack) == 0 {
 		v, ok := pe.roots.Next()
@@ -161,17 +167,25 @@ func (pe *PE) Step() bool {
 	if node.Level == e.Plan.K()-2 {
 		pe.count += e.LeafCount(node)
 		e.Release(node)
-		return true
-	}
-	cands := e.Candidates(node)
-	if len(cands) == 0 {
+	} else if cands := e.Candidates(node); len(cands) == 0 {
 		e.Release(node)
-		return true
+	} else {
+		pe.stack = append(pe.stack, workItem{engine: item.engine, release: true, node: node})
+		for i := len(cands) - 1; i >= 0; i-- {
+			pe.stack = append(pe.stack, workItem{engine: item.engine, node: node, cand: cands[i]})
+		}
 	}
-	for i := len(cands) - 1; i >= 0; i-- {
-		pe.stack = append(pe.stack, workItem{engine: item.engine, node: node, cand: cands[i]})
-	}
+	pe.popReleases()
 	return true
+}
+
+// popReleases consumes the release markers on top of the stack.
+func (pe *PE) popReleases() {
+	for n := len(pe.stack); n > 0 && pe.stack[n-1].release; n-- {
+		it := pe.stack[n-1]
+		pe.stack = pe.stack[:n-1]
+		pe.engines[it.engine].Release(it.node)
+	}
 }
 
 // charge advances the PE clock by the task's cost under the FlexMiner

@@ -121,3 +121,35 @@ func TestFlexNewChipRejectsNonPositivePEs(t *testing.T) {
 		}
 	}
 }
+
+// TestFlexStepsAndCurrentRoot pins what the release markers must not
+// change: every Step that returns true is one root fetch or one task, and
+// CurrentRoot names the tree being mined until its last task is done,
+// then reports no root between trees.
+func TestFlexStepsAndCurrentRoot(t *testing.T) {
+	g := gen.PowerLawCluster(120, 5, 0.5, 23)
+	for _, name := range []string{"tt", "4cl"} {
+		pe := DefaultConfig().NewPE(0, g, compiled(t, name), accel.NewRootScheduler(g.NumVertices()), fixedPort{})
+		var steps int64
+		for v := 0; v < g.NumVertices(); v++ {
+			for first := true; first || len(pe.stack) > 0; first = false {
+				if !pe.Step() {
+					t.Fatalf("%s: PE stopped before root %d", name, v)
+				}
+				steps++
+				if r, ok := pe.CurrentRoot(); len(pe.stack) > 0 && (!ok || r != uint32(v)) {
+					t.Fatalf("%s: CurrentRoot = %d, %v while mining root %d", name, r, ok, v)
+				}
+			}
+			if _, ok := pe.CurrentRoot(); ok {
+				t.Fatalf("%s: CurrentRoot reports a root after tree %d is done", name, v)
+			}
+		}
+		if pe.Step() {
+			t.Fatalf("%s: PE still stepping after the last root", name)
+		}
+		if want := int64(g.NumVertices()) + pe.Tasks(); steps != want {
+			t.Errorf("%s: %d steps, want one per root plus one per task = %d", name, steps, want)
+		}
+	}
+}

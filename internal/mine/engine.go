@@ -10,6 +10,7 @@ package mine
 
 import (
 	"fmt"
+	"slices"
 
 	"fingers/internal/graph"
 	"fingers/internal/plan"
@@ -69,8 +70,9 @@ type Node struct {
 	// j > Level; nil when not yet started.
 	sets [][]uint32
 	// setID[j] identifies the operation that produced sets[j]; equal IDs
-	// mean shared storage (used for common-subexpression detection).
-	setID []int32
+	// mean shared storage (used for common-subexpression detection). IDs
+	// are never reused within an engine, so they also key its marks.
+	setID []int64
 	// bufs are the result arenas of the extend that produced this node
 	// (one per set operation); capacity survives pooling.
 	bufs [][]uint32
@@ -95,27 +97,43 @@ func (n *Node) storeBuf(b []uint32) {
 type opGroup struct {
 	op      plan.OpKind
 	pending []int
-	srcID   int32
+	srcID   int64
 	targets []int
+	result  []uint32 // the group's output, once computed
 }
 
 // Engine walks one plan's search tree on one graph. An Engine is not safe
 // for concurrent use; create one per worker goroutine.
 //
-// The engine dispatches each set operation adaptively (merge, galloping,
-// or dense-bitvector kernels, as the software miner does) — the kernels
-// differ per call but the set algebra does not, so results, TaskInfo
-// geometry, and therefore modeled timing are bit-identical to the plain
-// merge walk.
+// The engine dispatches each set operation adaptively, as the software
+// miner does: a dense hub row is probed with the source's elements, a
+// neighbor list many times longer than the source is galloped through,
+// a subtraction whose source the same task already intersected with
+// N(v) removes that intersection, and everything else probes N(v)
+// against the source's marks (mark-and-probe, setops/mark.go). The
+// kernels differ per call but the set algebra does not, so results,
+// TaskInfo geometry, and therefore modeled timing are bit-identical to
+// the plain merge walk.
 type Engine struct {
 	G      *graph.Graph
 	Plan   *plan.Plan
-	nextID int32
+	nextID int64
 
 	adj  *graph.HybridAdj // read for dense rows only
 	root *Node            // persistent level -1 parent for Start
 
 	free []*Node // node pool
+
+	// The marked-source slot: marks is a full-universe bitset (allocated
+	// on first use) holding the set with ID markID (0 = empty slot), and
+	// marked is a private copy of that set. Sibling tasks read the same
+	// source set, so one marking serves every sibling until another
+	// source evicts it. The copy is what eviction unmarks: the source
+	// node may have been released and its buffer refilled since.
+	markID int64
+	marks  []uint64
+	marked []uint32
+	probe  []uint32 // src ∩ N(v) scratch for probed subtractions
 
 	// Per-task scratch backing TaskInfo; valid until the next task.
 	ops     []SetOpExec
@@ -132,12 +150,12 @@ func NewEngine(g *graph.Graph, pl *plan.Plan) *Engine {
 		Level: -1,
 		Verts: make([]uint32, 0, k),
 		sets:  make([][]uint32, k),
-		setID: make([]int32, k),
+		setID: make([]int64, k),
 	}
 	return e
 }
 
-func (e *Engine) newID() int32 {
+func (e *Engine) newID() int64 {
 	e.nextID++
 	return e.nextID
 }
@@ -153,7 +171,7 @@ func (e *Engine) newNode() *Node {
 	return &Node{
 		Verts: make([]uint32, 0, k),
 		sets:  make([][]uint32, k),
-		setID: make([]int32, k),
+		setID: make([]int64, k),
 	}
 }
 
@@ -184,14 +202,14 @@ func (e *Engine) Extend(n *Node, v uint32) (*Node, TaskInfo) {
 }
 
 // claimGroup appends a grouping-scratch slot, reusing its targets backing.
-func (e *Engine) claimGroup(op plan.OpKind, pending []int, srcID int32) *opGroup {
+func (e *Engine) claimGroup(op plan.OpKind, pending []int, srcID int64) *opGroup {
 	if e.ngroups == len(e.groups) {
 		e.groups = append(e.groups, opGroup{})
 	}
 	g := &e.groups[e.ngroups]
 	e.ngroups++
 	g.op, g.pending, g.srcID = op, pending, srcID
-	g.targets = g.targets[:0]
+	g.targets, g.result = g.targets[:0], nil
 	return g
 }
 
@@ -215,7 +233,7 @@ func (e *Engine) findInit(pending []int) *opGroup {
 	return e.claimGroup(plan.OpInit, pending, 0)
 }
 
-func (e *Engine) findUpdate(op plan.OpKind, srcID int32) *opGroup {
+func (e *Engine) findUpdate(op plan.OpKind, srcID int64) *opGroup {
 	for i := 0; i < e.ngroups; i++ {
 		g := &e.groups[i]
 		if g.op == op && g.op != plan.OpInit && g.srcID == srcID {
@@ -271,7 +289,8 @@ func (e *Engine) extend(n *Node, v uint32) (*Node, TaskInfo) {
 				// The accumulating candidate loses ancN's members; the IU
 				// executes this as a subtraction with the candidate as the
 				// short input and the ancestor's neighbor list as the long.
-				out := e.subtractInto(child.claimBuf(), result, ancN, anc)
+				out := slices.Grow(child.claimBuf(), len(result))
+				out = e.subtractInto(out, result, ancN, anc)
 				child.storeBuf(out)
 				e.ops = append(e.ops, SetOpExec{
 					Kind:       setops.OpSubtract,
@@ -286,12 +305,14 @@ func (e *Engine) extend(n *Node, v uint32) (*Node, TaskInfo) {
 		case plan.OpIntersect, plan.OpSubtract:
 			src := n.sets[g.targets[0]]
 			kind := setops.OpIntersect
-			out := child.claimBuf()
+			var out []uint32
 			if g.op == plan.OpSubtract {
 				kind = setops.OpSubtract
-				out = e.subtractInto(out, src, nv, v)
+				out = slices.Grow(child.claimBuf(), len(src))
+				out = e.subtractSrcInto(out, src, g.srcID, nv, v, e.sameTaskIntersect(gi))
 			} else {
-				out = e.intersectInto(out, src, nv, v)
+				out = slices.Grow(child.claimBuf(), min(len(src), len(nv)))
+				out = e.intersectSrcInto(out, src, g.srcID, nv, v)
 			}
 			child.storeBuf(out)
 			e.ops = append(e.ops, SetOpExec{
@@ -306,6 +327,7 @@ func (e *Engine) extend(n *Node, v uint32) (*Node, TaskInfo) {
 		default:
 			panic(fmt.Sprintf("mine: unexpected op kind %v", g.op))
 		}
+		g.result = result
 		for _, t := range g.targets {
 			child.sets[t] = result
 			child.setID[t] = id
@@ -314,17 +336,67 @@ func (e *Engine) extend(n *Node, v uint32) (*Node, TaskInfo) {
 	return child, TaskInfo{Level: level, NewVertex: v, Ops: e.ops, FetchVertices: e.fetch}
 }
 
-// intersectInto computes src ∩ N(v) into dst with adaptive dispatch.
-func (e *Engine) intersectInto(dst, src, nv []uint32, v uint32) []uint32 {
+// sameTaskIntersect returns the result of an earlier group of this task
+// that intersected the source of group gi with N(v), or nil.
+func (e *Engine) sameTaskIntersect(gi int) []uint32 {
+	id := e.groups[gi].srcID
+	for i := 0; i < gi; i++ {
+		if g := &e.groups[i]; g.op == plan.OpIntersect && g.srcID == id {
+			return g.result
+		}
+	}
+	return nil
+}
+
+// marksFor returns the marks of src, whose set ID is id, marking it now
+// unless the slot already holds it.
+func (e *Engine) marksFor(id int64, src []uint32) []uint64 {
+	if e.markID != id {
+		if e.marks == nil {
+			e.marks = make([]uint64, (e.G.NumVertices()+63)/64)
+		}
+		setops.Unmark(e.marks, e.marked)
+		setops.Mark(e.marks, src)
+		e.marked = append(e.marked[:0], src...)
+		e.markID = id
+	}
+	return e.marks
+}
+
+// intersectSrcInto computes src ∩ N(v) into dst, where id is src's set
+// ID: a dense row of v is probed with src, an N(v) many times longer
+// than src is galloped through, and otherwise N(v) is probed against
+// src's marks (sorted, because N(v) is).
+func (e *Engine) intersectSrcInto(dst, src []uint32, id int64, nv []uint32, v uint32) []uint32 {
 	switch row := e.adj.DenseRow(v); {
+	case len(src) == 0:
+		return dst
 	case row != nil:
 		return setops.IntersectBitsInto(dst, src, row)
-	case len(nv) >= setops.GallopSkewThreshold*len(src) ||
-		len(src) >= setops.GallopSkewThreshold*len(nv):
+	case len(nv) >= setops.GallopSkewThreshold*len(src):
 		return setops.IntersectGallopingInto(dst, src, nv)
 	default:
-		return setops.IntersectInto(dst, src, nv)
+		return setops.IntersectBitsInto(dst, nv, e.marksFor(id, src))
 	}
+}
+
+// subtractSrcInto computes src − N(v) into dst, where id is src's set ID
+// and inter, when non-nil, is src ∩ N(v) as this task already computed
+// it. Without inter, src ∩ N(v) is probed from src's marks into scratch
+// unless a dense row or galloping wins; the subtraction then removes
+// that subset from src.
+func (e *Engine) subtractSrcInto(dst, src []uint32, id int64, nv []uint32, v uint32, inter []uint32) []uint32 {
+	if len(src) == 0 {
+		return dst
+	}
+	if inter != nil {
+		return setops.SubtractSubsetInto(dst, src, inter)
+	}
+	if e.adj.DenseRow(v) != nil || len(nv) >= setops.GallopSkewThreshold*len(src) {
+		return e.subtractInto(dst, src, nv, v)
+	}
+	e.probe = setops.IntersectBitsInto(e.probe[:0], nv, e.marksFor(id, src))
+	return setops.SubtractSubsetInto(dst, src, e.probe)
 }
 
 // subtractInto computes src − N(v) into dst with adaptive dispatch.
