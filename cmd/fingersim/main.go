@@ -37,7 +37,6 @@ import (
 
 	"fingers"
 	"fingers/internal/datasets"
-	"fingers/internal/exp"
 	"fingers/internal/graph"
 	"fingers/internal/simerr"
 	"fingers/internal/telemetry"
@@ -235,22 +234,10 @@ func runArch(ctx context.Context, spec fingers.JobSpec, g *fingers.Graph, plans 
 	fmt.Printf("          roots dispatched: %d/%d\n", rep.RootsDone, rep.RootsTotal)
 
 	if runLog != nil {
-		recIUs := 0
-		if arch == fingers.ArchFingers {
-			recIUs = cfg.NumIUs
-		}
-		rec := exp.NewRunRecord(spec.Arch, "fingersim", spec.Graph, spec.Pattern,
-			specPEs(spec), recIUs, spec.CacheBytes(), g, rep.Result, rep.PerPE)
-		rec.Partial = rep.Partial
+		rec := fingers.NewRunRecord(arch, "fingersim", fingers.NewGraphInfo(spec.Graph, g), spec.Pattern,
+			specPEs(spec), cfg.NumIUs, spec.CacheBytes(), rep)
 		rec.StartedAt = start.UTC().Format(time.RFC3339Nano)
 		rec.WallNS = wall.Nanoseconds()
-		if spec.SimShards > 1 {
-			rec.SimShards = rep.Shards
-		}
-		if arch == fingers.ArchFingers {
-			rec.IUActiveRate = rep.IU.ActiveRate()
-			rec.IUBalanceRate = rep.IU.BalanceRate()
-		}
 		if err := runLog.Write(rec); err != nil {
 			code = reportRunErr(code, err)
 		}

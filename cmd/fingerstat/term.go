@@ -138,8 +138,8 @@ func renderTerm(w io.Writer, m *trend.Model, c colorizer) {
 
 	if len(m.Bench) > 0 {
 		fmt.Fprintln(w, c.bold("SIMBENCH TRENDS (serial simulated cycles/sec)"))
-		fmt.Fprintf(w, "%-6s %-8s %3s  %10s %18s  %-*s  %7s %7s %9s %9s  %s\n",
-			"GRAPH", "PATTERN", "N", "CPS", "MEAN±σ", sparkWidth, "TREND", "SPEEDUP", "DIV%", "SHARD", "HYB", "FLAG")
+		fmt.Fprintf(w, "%-6s %-8s %3s  %10s %18s  %-*s  %9s %9s  %s\n",
+			"GRAPH", "PATTERN", "N", "CPS", "MEAN±σ", sparkWidth, "TREND", "SHARD", "HYB", "FLAG")
 		for _, b := range m.Bench {
 			n := len(b.Points)
 			last := b.Points[n-1]
@@ -160,10 +160,10 @@ func renderTerm(w io.Writer, m *trend.Model, c colorizer) {
 			if last.HybridBytes > 0 {
 				hyb = siFloat(float64(last.HybridBytes)) + "B"
 			}
-			fmt.Fprintf(w, "%-6s %-8s %3d  %10s %18s  %-*s  %6.2fx %7.3f %9s %9s  %s\n",
+			fmt.Fprintf(w, "%-6s %-8s %3d  %10s %18s  %-*s  %9s %9s  %s\n",
 				b.Graph, b.Pattern, n, siFloat(last.SerialCPS),
 				fmt.Sprintf("%s±%s", siFloat(roll.MeanCPS), siFloat(roll.SigmaCPS)),
-				sparkWidth, spark(cps), last.Speedup, last.DivergencePct, shard, hyb,
+				sparkWidth, spark(cps), shard, hyb,
 				flagCell(c, b.Flag))
 		}
 		fmt.Fprintln(w)

@@ -27,7 +27,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -38,11 +37,7 @@ import (
 	"time"
 
 	"fingers"
-	"fingers/internal/accel"
 	"fingers/internal/datasets"
-	"fingers/internal/exp"
-	fingerspe "fingers/internal/fingers"
-	"fingers/internal/graph"
 	"fingers/internal/plan"
 	"fingers/internal/simreport"
 	"fingers/internal/telemetry"
@@ -77,17 +72,19 @@ func measure(f func()) measured {
 // measureCell runs one (graph, pattern) cell once: reps timed serial
 // repetitions, keeping the best time. shards > 1 additionally measures
 // the sharded mode (shards independent chips on separate OS threads,
-// serial event loop inside each).
-func measureCell(g *graph.Graph, plans []*plan.Plan, pes, reps, shards int) (simreport.Cell, error) {
+// serial event loop inside each). Both modes time whole Simulate calls,
+// chip construction included.
+func measureCell(g *fingers.Graph, plans []*fingers.Plan, pes, reps, shards int) (simreport.Cell, error) {
 	var cell simreport.Cell
-	var serial accel.Result
+	var serial fingers.SimResult
 	cell.SerialWallNS = int64(math.MaxInt64)
 	for r := 0; r < reps; r++ {
-		chip, err := accel.NewChip(pes, 0, g, plans, nil, fingerspe.DefaultConfig().NewPE)
-		if err != nil {
-			return cell, err
-		}
-		m := measure(func() { serial, err = chip.Run(context.Background(), 0, nil) })
+		var err error
+		m := measure(func() {
+			var rep fingers.SimReport
+			rep, err = fingers.Simulate(fingers.ArchFingers, g, plans, fingers.WithPEs(pes))
+			serial = rep.Result
+		})
 		if err != nil {
 			return cell, err
 		}
@@ -203,7 +200,7 @@ func main() {
 	for _, d := range datasets.Small() {
 		g := d.Graph()
 		for _, pat := range []string{"tc", "tt", "cyc"} {
-			plans, err := exp.PlansFor(pat)
+			plans, err := plan.ForBenchmark(pat)
 			if err != nil {
 				fatal(err)
 			}

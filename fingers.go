@@ -30,7 +30,6 @@ import (
 	"fingers/internal/area"
 	"fingers/internal/datasets"
 	fingerspe "fingers/internal/fingers"
-	"fingers/internal/flexminer"
 	"fingers/internal/graph"
 	"fingers/internal/graph/gen"
 	"fingers/internal/mem"
@@ -98,9 +97,6 @@ type SimResult = accel.Result
 
 // AcceleratorConfig parameterizes a FINGERS processing element.
 type AcceleratorConfig = fingerspe.Config
-
-// BaselineConfig parameterizes a FlexMiner processing element.
-type BaselineConfig = flexminer.Config
 
 // IUStats reports intersect-unit utilization (the paper's Table 3 rates).
 type IUStats = fingerspe.IUStats
@@ -199,9 +195,6 @@ func ListEmbeddings(g *Graph, pl *Plan, visit func(emb []uint32) bool) {
 // DefaultAcceleratorConfig returns the paper's FINGERS PE configuration:
 // 24 IUs, 12 task dividers, 16/4 segment lengths, 32 kB private cache.
 func DefaultAcceleratorConfig() AcceleratorConfig { return fingerspe.DefaultConfig() }
-
-// DefaultBaselineConfig returns the FlexMiner PE configuration.
-func DefaultBaselineConfig() BaselineConfig { return flexminer.DefaultConfig() }
 
 // IsoAreaPEs returns the FINGERS PE count that fits the area budget of
 // flexPEs FlexMiner PEs (the paper compares 20 vs 40).

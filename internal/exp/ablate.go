@@ -5,10 +5,11 @@ import (
 	"math/rand"
 	"strings"
 
+	"fingers"
 	"fingers/internal/accel"
 	"fingers/internal/datasets"
-	"fingers/internal/fingers"
 	"fingers/internal/mem"
+	"fingers/internal/plan"
 )
 
 // AblationPoint is one configuration sample of an ablation sweep.
@@ -38,38 +39,39 @@ func (r *AblationResult) String() string {
 
 // ablationWorkload picks the sweep workload: a set-operation-rich pattern
 // on a graph small enough to sweep repeatedly.
-func ablationWorkload(opts Options) (*datasets.Dataset, string) {
-	if opts.Quick {
-		return datasets.Small()[1], "tt" // Mi
+func ablationWorkload(opts Options) gridCell {
+	d := datasets.Small()[1] // Mi
+	if !opts.Quick {
+		var err error
+		if d, err = datasets.ByName("As"); err != nil {
+			panic(err)
+		}
 	}
-	d, err := datasets.ByName("As")
+	plans, err := plan.ForBenchmark("tt")
 	if err != nil {
 		panic(err)
 	}
-	return d, "tt"
+	return gridCell{"tt", plans, d}
 }
 
 // ablConfig labels one swept PE configuration.
 type ablConfig struct {
 	label string
-	cfg   fingers.Config
+	cfg   fingers.AcceleratorConfig
 }
 
 func runAblation(opts Options, name string, configs []ablConfig, defaultIdx int) *AblationResult {
-	d, pat := ablationWorkload(opts)
-	plans, err := PlansFor(pat)
-	if err != nil {
-		panic(err)
-	}
-	res := &AblationResult{Name: name, Graph: d.Name, Pattern: pat}
+	c := ablationWorkload(opts)
+	opts.Log = nil // ablation sweeps write no run records
+	res := &AblationResult{Name: name, Graph: c.d.Name, Pattern: c.pattern}
 	cycles := make([]mem.Cycles, len(configs))
-	for i, c := range configs {
-		cycles[i] = RunFingers(c.cfg, 1, opts.cacheBytes(), d.Graph(), plans).Cycles
+	for i, ac := range configs {
+		cycles[i] = opts.simulate(fingers.ArchFingers, "ablate", c, ac.cfg, 1, opts.cacheBytes()).Result.Cycles
 	}
 	base := cycles[defaultIdx]
-	for i, c := range configs {
+	for i, ac := range configs {
 		res.Points = append(res.Points, AblationPoint{
-			Label:   c.label,
+			Label:   ac.label,
 			Cycles:  cycles[i],
 			Speedup: float64(base) / float64(cycles[i]),
 		})
@@ -82,9 +84,9 @@ func runAblation(opts Options, name string, configs []ablConfig, defaultIdx int)
 // parameters" — this sweep verifies that claim).
 func AblateGroupSize(opts Options) *AblationResult {
 	sizes := []int{1, 2, 4, 8, 16, 32}
-	configs := []ablConfig{{"auto (paper)", fingers.DefaultConfig()}}
+	configs := []ablConfig{{"auto (paper)", fingers.DefaultAcceleratorConfig()}}
 	for _, s := range sizes {
-		c := fingers.DefaultConfig()
+		c := fingers.DefaultAcceleratorConfig()
 		c.GroupSize = s
 		configs = append(configs, ablConfig{fmt.Sprintf("group=%d", s), c})
 	}
@@ -96,7 +98,7 @@ func AblateGroupSize(opts Options) *AblationResult {
 func AblateMaxLoad(opts Options) *AblationResult {
 	var configs []ablConfig
 	for _, ml := range []int{1, 2, 4, 8, 24} {
-		c := fingers.DefaultConfig()
+		c := fingers.DefaultAcceleratorConfig()
 		c.MaxLoad = ml
 		configs = append(configs, ablConfig{fmt.Sprintf("maxload=%d", ml), c})
 	}
@@ -108,7 +110,7 @@ func AblateDividers(opts Options) *AblationResult {
 	var configs []ablConfig
 	idx := 0
 	for i, nd := range []int{1, 2, 4, 12, 24} {
-		c := fingers.DefaultConfig()
+		c := fingers.DefaultAcceleratorConfig()
 		c.NumDividers = nd
 		if nd == 12 {
 			idx = i
@@ -125,7 +127,7 @@ func AblateSegmentGeometry(opts Options) *AblationResult {
 	var configs []ablConfig
 	idx := 0
 	for i, geo := range [][2]int{{4, 2}, {8, 2}, {16, 4}, {32, 8}, {64, 16}} {
-		c := fingers.DefaultConfig()
+		c := fingers.DefaultAcceleratorConfig()
 		c.LongSegLen, c.ShortSegLen = geo[0], geo[1]
 		if geo[0] == 16 {
 			idx = i
@@ -140,12 +142,8 @@ func AblateSegmentGeometry(opts Options) *AblationResult {
 // locality policy §6.3 proposes), degree-descending (big trees first, a
 // load-balance policy), and a deterministic shuffle (locality destroyed).
 func AblateRootOrder(opts Options) *AblationResult {
-	d, pat := ablationWorkload(opts)
-	g := d.Graph()
-	plans, err := PlansFor(pat)
-	if err != nil {
-		panic(err)
-	}
+	c := ablationWorkload(opts)
+	g := c.d.Graph()
 	n := g.NumVertices()
 	shuffled := make([]uint32, n)
 	for i := range shuffled {
@@ -162,12 +160,20 @@ func AblateRootOrder(opts Options) *AblationResult {
 		{"degree-desc", func() *accel.RootScheduler { return accel.NewRootSchedulerWithOrder(g.DegreeOrder()) }},
 		{"shuffled", func() *accel.RootScheduler { return accel.NewRootSchedulerWithOrder(shuffled) }},
 	}
-	res := &AblationResult{Name: "root scheduling", Graph: d.Name, Pattern: pat}
+	res := &AblationResult{Name: "root scheduling", Graph: c.d.Name, Pattern: c.pattern}
 	pes := opts.fingersPEs()
 	var base mem.Cycles
 	for i, pol := range policies {
-		chip := newChip(pes, opts.cacheBytes(), g, plans, pol.sched(), fingers.DefaultConfig().NewPE)
-		r, _ := opts.runChip(chip)
+		// The one chip built outside fingers.Simulate: the façade runs
+		// roots in ID order or sharded, never in a custom order.
+		chip, err := accel.NewChip(pes, opts.cacheBytes(), g, c.plans, pol.sched(), fingers.DefaultAcceleratorConfig().NewPE)
+		if err != nil {
+			panic(fmt.Sprintf("exp: chip construction: %v", err))
+		}
+		r, err := chip.Run(opts.ctx(), 0, nil)
+		if err != nil && opts.ctx().Err() == nil {
+			panic(fmt.Sprintf("exp: simulation: %v", err))
+		}
 		if i == 0 {
 			base = r.Cycles
 		}
@@ -187,26 +193,20 @@ func AblateRootOrder(opts Options) *AblationResult {
 // hybrid-storage-versus-segments question. Counts are identical across
 // all three; only the timing model changes.
 func AblateHybridStorage(opts Options) *AblationResult {
-	d, pat := ablationWorkload(opts)
-	g := d.Graph()
-	plans, err := PlansFor(pat)
-	if err != nil {
-		panic(err)
-	}
+	c := ablationWorkload(opts)
+	opts.Log = nil // ablation sweeps write no run records
 	points := []struct {
 		label string
-		run   func() mem.Cycles
+		arch  fingers.Arch
 	}{
-		{"list-centric", func() mem.Cycles { return RunFlexMiner(1, opts.cacheBytes(), g, plans).Cycles }},
-		{"set-centric (SISA)", func() mem.Cycles { return RunSISA(1, opts.cacheBytes(), g, plans).Cycles }},
-		{"segments (FINGERS)", func() mem.Cycles {
-			return RunFingers(fingers.DefaultConfig(), 1, opts.cacheBytes(), g, plans).Cycles
-		}},
+		{"list-centric", fingers.ArchFlexMiner},
+		{"set-centric (SISA)", fingers.ArchSISA},
+		{"segments (FINGERS)", fingers.ArchFingers},
 	}
-	res := &AblationResult{Name: "hybrid set storage", Graph: d.Name, Pattern: pat}
+	res := &AblationResult{Name: "hybrid set storage", Graph: c.d.Name, Pattern: c.pattern}
 	var base mem.Cycles
 	for i, p := range points {
-		cy := p.run()
+		cy := opts.simulate(p.arch, "ablate", c, fingers.DefaultAcceleratorConfig(), 1, opts.cacheBytes()).Result.Cycles
 		if i == 0 {
 			base = cy
 		}

@@ -19,12 +19,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"fingers"
 	"fingers/internal/accel"
 	"fingers/internal/datasets"
-	"fingers/internal/fingers"
-	"fingers/internal/flexminer"
-	"fingers/internal/graph"
-	"fingers/internal/mem"
 	"fingers/internal/plan"
 	"fingers/internal/telemetry"
 )
@@ -93,160 +90,33 @@ func (o Options) patterns() []string {
 	return Benchmarks
 }
 
-// PlansFor compiles the plan set of one benchmark mnemonic; "3mc" expands
-// to the 3-motif multi-pattern plan.
-func PlansFor(name string) ([]*plan.Plan, error) {
-	return plan.ForBenchmark(name)
-}
-
-// RunFingers simulates a FINGERS chip on one benchmark cell.
-func RunFingers(cfg fingers.Config, pes int, cacheBytes int64, g *graph.Graph, plans []*plan.Plan) accel.Result {
-	res, _ := Options{}.runChip(newChip(pes, cacheBytes, g, plans, nil, cfg.NewPE))
-	return res
-}
-
-// RunFlexMiner simulates a FlexMiner chip on one benchmark cell.
-func RunFlexMiner(pes int, cacheBytes int64, g *graph.Graph, plans []*plan.Plan) accel.Result {
-	res, _ := Options{}.runChip(newChip(pes, cacheBytes, g, plans, nil, flexminer.DefaultConfig().NewPE))
-	return res
-}
-
-// RunSISA simulates the set-centric FlexMiner variant (ArchSISA) on one
-// benchmark cell: same PE organization, but neighbor lists move in their
-// hybrid storage representation and stored-row set ops cost one probe
-// per short-side element.
-func RunSISA(pes int, cacheBytes int64, g *graph.Graph, plans []*plan.Plan) accel.Result {
-	cfg := flexminer.DefaultConfig()
-	cfg.SetCentric = true
-	res, _ := Options{}.runChip(newChip(pes, cacheBytes, g, plans, nil, cfg.NewPE))
-	return res
-}
-
-// newChip constructs a chip through the validating constructor. The
-// experiment tables only run vetted configurations, so a construction
-// failure is a repo defect and panics, matching runChip's contract for
-// unexpected simulation errors.
-func newChip[P accel.ChipPE](pes int, cacheBytes int64, g *graph.Graph, plans []*plan.Plan, sched *accel.RootScheduler, newPE accel.PEFactory[P]) *accel.Chip[P] {
-	chip, err := accel.NewChip(pes, cacheBytes, g, plans, sched, newPE)
-	if err != nil {
-		panic(fmt.Sprintf("exp: chip construction: %v", err))
+// simulate runs one experiment cell through fingers.Simulate on the
+// sweep's context and, when a run log is attached, appends the cell's
+// record under the experiment's name. cfg shapes FINGERS PEs; the other
+// architectures ignore it. The report always carries the stats (their
+// cost is per PE, not per task): Table 3 reads the IU rates and the run
+// log the per-PE rows. A cancelled sweep returns the partial report;
+// any other simulation error is a repo defect and panics.
+func (o Options) simulate(arch fingers.Arch, experiment string, c gridCell, cfg fingers.AcceleratorConfig, pes int, cacheBytes int64) fingers.SimReport {
+	g := c.d.Graph()
+	start := time.Now()
+	rep, err := fingers.Simulate(arch, g, c.plans,
+		fingers.WithAcceleratorConfig(cfg), fingers.WithPEs(pes), fingers.WithSharedCache(cacheBytes),
+		fingers.WithContext(o.ctx()), fingers.WithStats())
+	wall := time.Since(start)
+	if err != nil && o.ctx().Err() == nil {
+		panic(fmt.Sprintf("exp: simulation: %v", err))
 	}
-	return chip
-}
-
-// NewRunRecord assembles the machine-readable summary of one simulated
-// run for the JSONL run log. ius is 0 for architectures without IUs.
-func NewRunRecord(arch, experiment, graphName, patternName string, pes, ius int, cacheBytes int64, g *graph.Graph, res accel.Result, perPE []telemetry.PERecord) telemetry.RunRecord {
-	st := graph.ComputeStats(g)
-	fp := g.Hybrid().Footprint()
-	gi := telemetry.GraphInfo{
-		Name:        graphName,
-		Vertices:    st.Vertices,
-		Edges:       st.Edges,
-		AvgDegree:   st.AvgDegree,
-		MaxDegree:   st.MaxDegree,
-		DenseRows:   fp.DenseRows,
-		BitmapRows:  fp.BitmapRows,
-		HybridBytes: fp.HybridBytes(),
-	}
-	return NewRunRecordInfo(arch, experiment, gi, patternName, pes, ius, cacheBytes, res, perPE)
-}
-
-// NewRunRecordInfo is NewRunRecord for callers that already hold the
-// graph's summary — the service registry computes each graph's stats
-// once and reuses them for every job — so the CSR is not re-walked per
-// record.
-func NewRunRecordInfo(arch, experiment string, gi telemetry.GraphInfo, patternName string, pes, ius int, cacheBytes int64, res accel.Result, perPE []telemetry.PERecord) telemetry.RunRecord {
-	if cacheBytes == 0 {
-		cacheBytes = mem.DefaultSharedCacheConfig().CapacityBytes
-	}
-	return telemetry.RunRecord{
-		Schema:           telemetry.RunSchema,
-		Arch:             arch,
-		Experiment:       experiment,
-		Graph:            gi,
-		Pattern:          patternName,
-		PEs:              pes,
-		IUs:              ius,
-		SharedCacheBytes: cacheBytes,
-		Cycles:           res.Cycles,
-		Count:            res.Count,
-		Tasks:            res.Tasks,
-		SharedAccesses:   res.SharedCache.LineAccesses,
-		SharedMisses:     res.SharedCache.LineMisses,
-		SharedMissRate:   res.SharedCache.MissRate(),
-		DRAMAccesses:     res.DRAM.Accesses,
-		DRAMBytes:        res.DRAM.BytesMoved,
-		Breakdown:        res.Breakdown,
-		PerPE:            perPE,
-	}
-}
-
-// logWrite appends one record to the run log, reporting (not aborting
-// on) I/O failures so a full sweep is never lost to a bad disk.
-func logWrite(log *telemetry.RunLog, rec telemetry.RunRecord) {
-	if err := log.Write(rec); err != nil {
-		fmt.Fprintln(os.Stderr, "exp: run log:", err)
-	}
-}
-
-// chipRunner is the run entry point both chip models share.
-type chipRunner interface {
-	Run(ctx context.Context, every int64, fn func(accel.Progress)) (accel.Result, error)
-}
-
-// runChip executes one chip run, threading Options.Ctx through so a
-// cancelled sweep stops the in-flight chip within one cancellation
-// quantum rather than letting it run to completion. A cancelled run
-// returns its partial result with partial=true; any other simulation
-// error (a recovered engine panic) panics, because it signals a defect
-// rather than a shutdown.
-func (o Options) runChip(chip chipRunner) (res accel.Result, partial bool) {
-	ctx := o.ctx()
-	res, err := chip.Run(ctx, 0, nil)
-	if err != nil {
-		if ctx.Err() == nil {
-			panic(fmt.Sprintf("exp: simulation: %v", err))
+	if o.Log != nil {
+		rec := fingers.NewRunRecord(arch, experiment, fingers.NewGraphInfo(c.d.Name, g), c.pattern, pes, cfg.NumIUs, cacheBytes, rep)
+		rec.StartedAt = start.UTC().Format(time.RFC3339Nano)
+		rec.WallNS = wall.Nanoseconds()
+		if err := o.Log.Write(rec); err != nil {
+			// Reported, not fatal: a full sweep is never lost to a bad disk.
+			fmt.Fprintln(os.Stderr, "exp: run log:", err)
 		}
-		return res, true
 	}
-	return res, false
-}
-
-// simFingers runs one FINGERS cell and, when a run log is attached,
-// appends its telemetry record (with IU rates and per-PE breakdowns).
-func (o Options) simFingers(experiment, graphName, patternName string, cfg fingers.Config, pes int, cacheBytes int64, g *graph.Graph, plans []*plan.Plan) accel.Result {
-	chip := newChip(pes, cacheBytes, g, plans, nil, cfg.NewPE)
-	start := time.Now()
-	res, partial := o.runChip(chip)
-	wall := time.Since(start)
-	if o.Log != nil {
-		rec := NewRunRecord("fingers", experiment, graphName, patternName, pes, cfg.NumIUs, cacheBytes, g, res, chip.PERecords())
-		rec.Partial = partial
-		rec.StartedAt = start.UTC().Format(time.RFC3339Nano)
-		rec.WallNS = wall.Nanoseconds()
-		iu := fingers.AggregateStats(chip.PEs)
-		rec.IUActiveRate = iu.ActiveRate()
-		rec.IUBalanceRate = iu.BalanceRate()
-		logWrite(o.Log, rec)
-	}
-	return res
-}
-
-// simFlex runs one FlexMiner cell, logging like simFingers.
-func (o Options) simFlex(experiment, graphName, patternName string, pes int, cacheBytes int64, g *graph.Graph, plans []*plan.Plan) accel.Result {
-	chip := newChip(pes, cacheBytes, g, plans, nil, flexminer.DefaultConfig().NewPE)
-	start := time.Now()
-	res, partial := o.runChip(chip)
-	wall := time.Since(start)
-	if o.Log != nil {
-		rec := NewRunRecord("flexminer", experiment, graphName, patternName, pes, 0, cacheBytes, g, res, chip.PERecords())
-		rec.Partial = partial
-		rec.StartedAt = start.UTC().Format(time.RFC3339Nano)
-		rec.WallNS = wall.Nanoseconds()
-		logWrite(o.Log, rec)
-	}
-	return res
+	return rep
 }
 
 // SpeedupCell is one (graph, pattern) comparison.
@@ -383,7 +253,7 @@ func (o Options) runCells(n int, cell func(i int)) {
 	wg.Wait()
 }
 
-// gridCell is one (pattern, graph) coordinate of a speedup grid, with the
+// gridCell is one (pattern, graph) coordinate of an experiment, with the
 // pattern's plans compiled once up front (outside the worker pool) so the
 // compiler runs per pattern, not per cell.
 type gridCell struct {
@@ -395,7 +265,7 @@ type gridCell struct {
 func gridCells(patterns []string, graphsList []*datasets.Dataset) []gridCell {
 	out := make([]gridCell, 0, len(patterns)*len(graphsList))
 	for _, name := range patterns {
-		plans, err := PlansFor(name)
+		plans, err := plan.ForBenchmark(name)
 		if err != nil {
 			panic(err)
 		}

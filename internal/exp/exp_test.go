@@ -4,16 +4,19 @@ import (
 	"strings"
 	"testing"
 
+	"fingers"
 	"fingers/internal/datasets"
-	"fingers/internal/fingers"
 	"fingers/internal/mine"
+	"fingers/internal/plan"
 )
 
 var quick = Options{Quick: true, FlexPEs: 4, FingersPEs: 2}
 
+// TestPlansFor checks that every benchmark of the paper's list compiles
+// into its plan set.
 func TestPlansFor(t *testing.T) {
 	for _, name := range Benchmarks {
-		plans, err := PlansFor(name)
+		plans, err := plan.ForBenchmark(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -25,7 +28,7 @@ func TestPlansFor(t *testing.T) {
 			t.Errorf("%s: %d plans, want %d", name, len(plans), want)
 		}
 	}
-	if _, err := PlansFor("bogus"); err == nil {
+	if _, err := plan.ForBenchmark("bogus"); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
 }
@@ -180,10 +183,13 @@ func TestOptionsDefaults(t *testing.T) {
 // produces the software-reference count.
 func TestCellCountsAgainstReference(t *testing.T) {
 	d := datasets.Small()[0]
-	plans, _ := PlansFor("tt")
+	plans, _ := plan.ForBenchmark("tt")
 	want := mine.Count(d.Graph(), plans[0])
-	res := RunFingers(fingers.DefaultConfig(), 2, quick.cacheBytes(), d.Graph(), plans)
-	if res.Count != want {
-		t.Errorf("harness count = %d, want %d", res.Count, want)
+	c := gridCell{"tt", plans, d}
+	for _, arch := range []fingers.Arch{fingers.ArchFingers, fingers.ArchFlexMiner, fingers.ArchSISA} {
+		rep := quick.simulate(arch, "test", c, fingers.DefaultAcceleratorConfig(), 2, quick.cacheBytes())
+		if rep.Partial || rep.Result.Count != want {
+			t.Errorf("%s: harness count = %d (partial %v), want %d", arch, rep.Result.Count, rep.Partial, want)
+		}
 	}
 }

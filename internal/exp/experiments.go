@@ -4,10 +4,11 @@ import (
 	"fmt"
 	"strings"
 
+	"fingers"
 	"fingers/internal/area"
 	"fingers/internal/datasets"
-	"fingers/internal/fingers"
 	"fingers/internal/mem"
+	"fingers/internal/plan"
 )
 
 // Table1 renders the dataset table (paper Table 1): published originals
@@ -16,7 +17,7 @@ func Table1() string { return datasets.Table1() }
 
 // Table2 renders the PE area breakdown and iso-area chip sizing (paper
 // Table 2 and §6.1).
-func Table2() string { return area.Table2(fingers.DefaultConfig()) }
+func Table2() string { return area.Table2(fingers.DefaultAcceleratorConfig()) }
 
 // Fig9 reproduces Figure 9: single-PE speedup of FINGERS over FlexMiner
 // across all benchmark patterns and graphs.
@@ -27,9 +28,8 @@ func Fig9(opts Options) *SpeedupGrid {
 	done := make([]bool, len(cells))
 	opts.runCells(len(cells), func(i int) {
 		c := cells[i]
-		g := c.d.Graph()
-		fi := opts.simFingers("fig9", c.d.Name, c.pattern, fingers.DefaultConfig(), 1, opts.cacheBytes(), g, c.plans)
-		fm := opts.simFlex("fig9", c.d.Name, c.pattern, 1, opts.cacheBytes(), g, c.plans)
+		fi := opts.simulate(fingers.ArchFingers, "fig9", c, fingers.DefaultAcceleratorConfig(), 1, opts.cacheBytes()).Result
+		fm := opts.simulate(fingers.ArchFlexMiner, "fig9", c, fingers.DefaultAcceleratorConfig(), 1, opts.cacheBytes()).Result
 		out[i] = SpeedupCell{
 			Graph: c.d.Name, Pattern: c.pattern,
 			Fingers: fi, Flex: fm, Speedup: fi.Speedup(fm),
@@ -51,9 +51,8 @@ func Fig10(opts Options) *SpeedupGrid {
 	done := make([]bool, len(cells))
 	opts.runCells(len(cells), func(i int) {
 		c := cells[i]
-		g := c.d.Graph()
-		fi := opts.simFingers("fig10", c.d.Name, c.pattern, fingers.DefaultConfig(), fiPEs, opts.cacheBytes(), g, c.plans)
-		fm := opts.simFlex("fig10", c.d.Name, c.pattern, fmPEs, opts.cacheBytes(), g, c.plans)
+		fi := opts.simulate(fingers.ArchFingers, "fig10", c, fingers.DefaultAcceleratorConfig(), fiPEs, opts.cacheBytes()).Result
+		fm := opts.simulate(fingers.ArchFlexMiner, "fig10", c, fingers.DefaultAcceleratorConfig(), fmPEs, opts.cacheBytes()).Result
 		out[i] = SpeedupCell{
 			Graph: c.d.Name, Pattern: c.pattern,
 			Fingers: fi, Flex: fm, Speedup: fi.Speedup(fm),
@@ -88,16 +87,15 @@ func Fig11(opts Options) *SpeedupGrid {
 	graphsList := fig11Graphs(opts)
 	grid := newGrid("Figure 11: speedup from branch-level parallelism (pseudo-DFS on vs off)",
 		opts.patterns(), graphsList)
-	off := fingers.DefaultConfig()
+	off := fingers.DefaultAcceleratorConfig()
 	off.PseudoDFS = false
 	cells := gridCells(opts.patterns(), graphsList)
 	out := make([]SpeedupCell, len(cells))
 	done := make([]bool, len(cells))
 	opts.runCells(len(cells), func(i int) {
 		c := cells[i]
-		g := c.d.Graph()
-		with := opts.simFingers("fig11", c.d.Name, c.pattern, fingers.DefaultConfig(), 1, opts.cacheBytes(), g, c.plans)
-		without := opts.simFingers("fig11-strict-dfs", c.d.Name, c.pattern, off, 1, opts.cacheBytes(), g, c.plans)
+		with := opts.simulate(fingers.ArchFingers, "fig11", c, fingers.DefaultAcceleratorConfig(), 1, opts.cacheBytes()).Result
+		without := opts.simulate(fingers.ArchFingers, "fig11-strict-dfs", c, off, 1, opts.cacheBytes()).Result
 		out[i] = SpeedupCell{
 			Graph: c.d.Name, Pattern: c.pattern,
 			Fingers: with, Flex: without, Speedup: with.Speedup(without),
@@ -143,7 +141,6 @@ func Fig12(opts Options) *Fig12Result {
 	if opts.Quick {
 		d = datasets.Small()[1] // Mi: fastest graph with real structure
 	}
-	g := d.Graph()
 	res := &Fig12Result{Graph: d.Name}
 	type series struct {
 		pattern   string
@@ -168,17 +165,17 @@ func Fig12(opts Options) *Fig12Result {
 		sw := sweeps[i/len(Fig12IUCounts)]
 		pi := i % len(Fig12IUCounts)
 		n := Fig12IUCounts[pi]
-		plans, err := PlansFor(sw.pattern)
+		plans, err := plan.ForBenchmark(sw.pattern)
 		if err != nil {
 			panic(err)
 		}
-		var cfg fingers.Config
+		var cfg fingers.AcceleratorConfig
 		if sw.unlimited {
-			cfg = fingers.DefaultConfig().WithIUsUnlimited(n)
+			cfg = fingers.DefaultAcceleratorConfig().WithIUsUnlimited(n)
 		} else {
-			cfg = fingers.DefaultConfig().WithIUs(n)
+			cfg = fingers.DefaultAcceleratorConfig().WithIUs(n)
 		}
-		r := opts.simFingers("fig12", d.Name, sw.pattern, cfg, 1, opts.cacheBytes(), g, plans)
+		r := opts.simulate(fingers.ArchFingers, "fig12", gridCell{sw.pattern, plans, d}, cfg, 1, opts.cacheBytes()).Result
 		res.Series[i/len(Fig12IUCounts)].Points[pi] = Fig12Point{
 			IUs:    n,
 			SegLen: cfg.LongSegLen,
@@ -252,7 +249,7 @@ func Fig13(opts Options) *Fig13Result {
 	if opts.Quick {
 		graphNames = []string{"Mi"}
 	}
-	plans, err := PlansFor("cyc")
+	plans, err := plan.ForBenchmark("cyc")
 	if err != nil {
 		panic(err)
 	}
@@ -270,11 +267,11 @@ func Fig13(opts Options) *Fig13Result {
 		if err != nil {
 			panic(err)
 		}
-		g := d.Graph()
+		c := gridCell{"cyc", plans, d}
 		mb := Fig13PaperCapacitiesMB[ci]
 		scaled := int64(mb * float64(1<<20) / datasets.CacheScale)
-		fi := opts.simFingers("fig13", gn, "cyc", fingers.DefaultConfig(), opts.fingersPEs(), scaled, g, plans)
-		fm := opts.simFlex("fig13", gn, "cyc", opts.flexPEs(), scaled, g, plans)
+		fi := opts.simulate(fingers.ArchFingers, "fig13", c, fingers.DefaultAcceleratorConfig(), opts.fingersPEs(), scaled).Result
+		fm := opts.simulate(fingers.ArchFlexMiner, "fig13", c, fingers.DefaultAcceleratorConfig(), opts.flexPEs(), scaled).Result
 		res.Curves[2*(i/nCaps)].Points[ci] = Fig13Point{
 			PaperCapacityMB: mb, ScaledBytes: scaled, MissRate: fi.SharedCache.MissRate(),
 		}
@@ -324,25 +321,16 @@ func Table3(opts Options) *Table3Result {
 	if err != nil {
 		panic(err)
 	}
-	g := d.Graph()
 	res := &Table3Result{Graph: d.Name}
 	names := opts.patterns()
 	res.Rows = make([]Table3Row, len(names))
 	opts.runCells(len(names), func(i int) {
 		name := names[i]
-		plans, err := PlansFor(name)
+		plans, err := plan.ForBenchmark(name)
 		if err != nil {
 			panic(err)
 		}
-		chip := newChip(1, opts.cacheBytes(), g, plans, nil, fingers.DefaultConfig().NewPE)
-		runRes, _ := opts.runChip(chip)
-		st := fingers.AggregateStats(chip.PEs)
-		if opts.Log != nil {
-			rec := NewRunRecord("fingers", "table3", d.Name, name, 1, fingers.DefaultConfig().NumIUs, opts.cacheBytes(), g, runRes, chip.PERecords())
-			rec.IUActiveRate = st.ActiveRate()
-			rec.IUBalanceRate = st.BalanceRate()
-			logWrite(opts.Log, rec)
-		}
+		st := opts.simulate(fingers.ArchFingers, "table3", gridCell{name, plans, d}, fingers.DefaultAcceleratorConfig(), 1, opts.cacheBytes()).IU
 		res.Rows[i] = Table3Row{
 			Pattern:     name,
 			ActiveRate:  st.ActiveRate(),

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"fingers/internal/datasets"
+	"fingers/internal/plan"
 	"fingers/internal/profile"
 )
 
@@ -49,7 +50,7 @@ func Parallelism(opts Options) *ParallelismResult {
 			if name == "3mc" {
 				continue
 			}
-			plans, err := PlansFor(name)
+			plans, err := plan.ForBenchmark(name)
 			if err != nil {
 				panic(err)
 			}

@@ -23,7 +23,6 @@ import (
 
 	"fingers"
 	"fingers/internal/accel"
-	"fingers/internal/exp"
 	"fingers/internal/journal"
 	"fingers/internal/simerr"
 	"fingers/internal/telemetry"
@@ -919,37 +918,12 @@ func (m *Manager) terminate(j *Job, state State, jobErr error, rep fingers.SimRe
 	}
 }
 
-// buildRecord assembles the job's fingers.run/v1 record. Callers hold
-// j.mu.
+// buildRecord assembles the job's final fingers.run/v1 record.
+// Callers hold j.mu.
 func (m *Manager) buildRecord(j *Job, rep fingers.SimReport) telemetry.RunRecord {
-	spec := j.Spec
-	pes := spec.PEs
-	if pes == 0 {
-		pes = 1
-	}
-	arch, _ := spec.ArchValue()
-	rec := exp.NewRunRecordInfo(arch.String(), "service", j.gi, spec.Pattern,
-		pes, spec.AcceleratorConfig().NumIUs, spec.CacheBytes(), rep.Result, nil)
-	rec.Partial = rep.Partial
-	if rep.IU.TotalCycles > 0 {
-		rec.IUActiveRate = rep.IU.ActiveRate()
-		rec.IUBalanceRate = rep.IU.BalanceRate()
-	}
-	rec.Meta = telemetry.Meta{
-		StartedAt:          rfc3339(j.startedAt),
-		WallNS:             j.finishedAt.Sub(j.startedAt).Nanoseconds(),
-		RunTag:             spec.RunTag,
-		JobID:              j.ID,
-		JobState:           string(j.state),
-		Attempt:            j.attemptN,
-		ClientID:           j.ClientID,
-		RecoveredFromCrash: j.Recovered,
-	}
-	if spec.SimShards > 1 {
-		// The effective count after the façade's PE clamp, not the
-		// requested one, so the record says what actually ran.
-		rec.Meta.SimShards = rep.Shards
-	}
+	rec := m.record(j, rep)
+	rec.Meta.WallNS = j.finishedAt.Sub(j.startedAt).Nanoseconds()
+	rec.Meta.JobState = string(j.state)
 	m.cfg.Meta.Fill(&rec.Meta)
 	return rec
 }
@@ -978,27 +952,33 @@ func (m *Manager) FinalRecord(j *Job) telemetry.RunRecord {
 	return rec
 }
 
-// liveRecord is the shared snapshot builder. Callers hold j.mu.
+// liveRecord is the shared snapshot builder. Its shard count is the
+// requested one: the effective count is known only once the run ends.
+// Callers hold j.mu.
 func (m *Manager) liveRecord(j *Job) telemetry.RunRecord {
-	spec := j.Spec
-	pes := spec.PEs
-	if pes == 0 {
-		pes = 1
-	}
-	arch, _ := spec.ArchValue()
-	res := accel.Result{Cycles: j.progress.Now}
-	rec := exp.NewRunRecordInfo(arch.String(), "service", j.gi, spec.Pattern,
-		pes, spec.AcceleratorConfig().NumIUs, spec.CacheBytes(), res, nil)
-	rec.Partial = true
-	rec.Meta = telemetry.Meta{
-		StartedAt:          rfc3339(j.startedAt),
-		RunTag:             spec.RunTag,
-		JobID:              j.ID,
-		SimShards:          spec.SimShards,
-		Attempt:            j.attemptN,
-		ClientID:           j.ClientID,
-		RecoveredFromCrash: j.Recovered,
-	}
+	rec := m.record(j, fingers.SimReport{
+		Result:  fingers.SimResult{Cycles: j.progress.Now},
+		Partial: true,
+		Shards:  j.Spec.SimShards,
+	})
 	m.cfg.Meta.Fill(&rec.Meta)
+	return rec
+}
+
+// record builds what a job's final and live records share: the run
+// fields from fingers.NewRunRecord and the job's provenance. The
+// daemon's records carry no per-PE rows. Callers hold j.mu.
+func (m *Manager) record(j *Job, rep fingers.SimReport) telemetry.RunRecord {
+	spec := j.Spec
+	arch, _ := spec.ArchValue()
+	rep.PerPE = nil
+	rec := fingers.NewRunRecord(arch, "service", j.gi, spec.Pattern,
+		max(spec.PEs, 1), spec.AcceleratorConfig().NumIUs, spec.CacheBytes(), rep)
+	rec.Meta.StartedAt = rfc3339(j.startedAt)
+	rec.Meta.RunTag = spec.RunTag
+	rec.Meta.JobID = j.ID
+	rec.Meta.Attempt = j.attemptN
+	rec.Meta.ClientID = j.ClientID
+	rec.Meta.RecoveredFromCrash = j.Recovered
 	return rec
 }

@@ -12,14 +12,14 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"fingers"
 	"fingers/internal/datasets"
 	"fingers/internal/graph"
-	"fingers/internal/telemetry"
 )
 
 // GraphEntry is one fully preprocessed workload graph: the immutable
 // CSR, with its hybrid storage view (the rows the adaptive kernels
-// probe) warmed, and its Table-1 statistics. Entries are built once and
+// probe) warmed, and its run-record summary. Entries are built once and
 // shared by every job that names the graph; all fields are read-only
 // after construction and safe for concurrent use.
 type GraphEntry struct {
@@ -28,11 +28,10 @@ type GraphEntry struct {
 	Name string
 	// Graph is the immutable CSR.
 	Graph *graph.Graph
-	// Stats is the graph's summary, computed once at load.
-	Stats graph.Stats
-	// Info is Stats in run-record form, reused by every record the
-	// service emits for this graph.
-	Info telemetry.GraphInfo
+	// Info is the graph's Table-1 statistics and representation mix,
+	// computed once at load and reused by every record the service
+	// emits for this graph.
+	Info fingers.GraphInfo
 }
 
 // regEntry is one registry slot: the build runs at most once, and every
@@ -147,27 +146,12 @@ func (r *Registry) Get(name string) (*GraphEntry, error) {
 			e.err = fmt.Errorf("service: load graph %q: builder returned nil", e.name)
 			return
 		}
-		st := graph.ComputeStats(g)
-		// Warming the hybrid view here builds its dense rows before the
-		// first job's deadline starts, and fixes the representation mix
-		// the service reports: tier assignment is a pure function of the
-		// CSR, so the footprint is exact at load time.
-		fp := g.Hybrid().Footprint()
-		e.ge.Store(&GraphEntry{
-			Name:  e.name,
-			Graph: g,
-			Stats: st,
-			Info: telemetry.GraphInfo{
-				Name:        e.name,
-				Vertices:    st.Vertices,
-				Edges:       st.Edges,
-				AvgDegree:   st.AvgDegree,
-				MaxDegree:   st.MaxDegree,
-				DenseRows:   fp.DenseRows,
-				BitmapRows:  fp.BitmapRows,
-				HybridBytes: fp.HybridBytes(),
-			},
-		})
+		// Summarizing warms the hybrid view, so its dense rows are built
+		// before the first job's deadline starts, and fixes the
+		// representation mix the service reports: tier assignment is a
+		// pure function of the CSR, so the footprint is exact at load
+		// time.
+		e.ge.Store(&GraphEntry{Name: e.name, Graph: g, Info: fingers.NewGraphInfo(e.name, g)})
 	})
 	return e.ge.Load(), e.err
 }
@@ -215,10 +199,10 @@ func (r *Registry) List() []GraphSummary {
 		s := GraphSummary{Name: n}
 		if ge := e.ge.Load(); ge != nil {
 			s.Loaded = true
-			s.Vertices = ge.Stats.Vertices
-			s.Edges = ge.Stats.Edges
-			s.AvgDegree = ge.Stats.AvgDegree
-			s.MaxDegree = ge.Stats.MaxDegree
+			s.Vertices = ge.Info.Vertices
+			s.Edges = ge.Info.Edges
+			s.AvgDegree = ge.Info.AvgDegree
+			s.MaxDegree = ge.Info.MaxDegree
 			s.DenseRows = ge.Info.DenseRows
 			s.BitmapRows = ge.Info.BitmapRows
 			s.HybridBytes = ge.Info.HybridBytes

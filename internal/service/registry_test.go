@@ -92,8 +92,8 @@ func TestRegistryBuildOnce(t *testing.T) {
 			t.Fatalf("goroutine %d got a different entry pointer", i)
 		}
 	}
-	if entries[0].Info.Vertices != entries[0].Stats.Vertices {
-		t.Error("Info does not mirror Stats")
+	if st := graph.ComputeStats(entries[0].Graph); entries[0].Info.Vertices != st.Vertices || entries[0].Info.Edges != st.Edges {
+		t.Errorf("Info %+v does not mirror the graph's stats %+v", entries[0].Info, st)
 	}
 }
 

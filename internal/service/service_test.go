@@ -623,3 +623,52 @@ func TestSubmitValidatesBeforeQueueing(t *testing.T) {
 		t.Errorf("error %T %q, want *datasets.NotFoundError", err, err)
 	}
 }
+
+// TestRecordArchAndIUs pins the daemon's records to the contract every
+// frontend shares: arch is the JobSpec name, and ius appears only on
+// FINGERS jobs, where it is the configured IU count. Live stream
+// records and the final record are checked alike.
+func TestRecordArchAndIUs(t *testing.T) {
+	m, ts := newTestServer(t, Config{Concurrency: 1, ProgressEvery: 64})
+	for _, tc := range []struct {
+		arch string
+		ius  int
+	}{
+		{"fingers", 12},
+		{"flexminer", 0},
+		{"sisa", 0},
+	} {
+		spec := fingers.JobSpec{Arch: tc.arch, Graph: "As", Pattern: "tc", PEs: 2, IUs: 12}
+		st, resp := postJob(t, ts, spec)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s: POST: %d", tc.arch, resp.StatusCode)
+		}
+		sresp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/stream")
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(sresp.Body)
+		sresp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, _, err := telemetry.ReadRecordsLenient(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, m, st.ID)
+		got := getStatus(t, ts, st.ID)
+		if got.Record == nil {
+			t.Fatalf("%s: done job has no record", tc.arch)
+		}
+		for _, rec := range append(recs, *got.Record) {
+			if rec.Arch != tc.arch || rec.IUs != tc.ius {
+				t.Errorf("%s job: record arch %q ius %d (partial %v), want arch %q ius %d",
+					tc.arch, rec.Arch, rec.IUs, rec.Partial, tc.arch, tc.ius)
+			}
+		}
+		if !strings.Contains(string(raw), `"arch":"`+tc.arch+`"`) {
+			t.Errorf("%s: stream does not carry the canonical arch:\n%s", tc.arch, raw)
+		}
+	}
+}

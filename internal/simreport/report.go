@@ -26,11 +26,10 @@ import (
 // older readers ignore the extras; readers accept any
 // "fingers/simbench/" prefix.
 //
-// The parallel-engine columns (parallel cycles, wall times, speedups,
-// divergence, allocation profile, and the header's workers/window and
-// their geomeans) are read from reports written while the bounded-lag
-// parallel engine existed. The engine has been removed, so current
-// reports leave them out; they are omitempty for that reason.
+// Reports written while the bounded-lag parallel engine existed also
+// carry parallel-engine columns (parallel cycles, wall times, speedups,
+// divergence, workers/window). The engine has been removed and so have
+// those fields; the decoder ignores them, so those reports still parse.
 const Schema = "fingers/simbench/v4"
 
 // SchemaPrefix matches every vintage of simbench report.
@@ -41,26 +40,15 @@ type Cell struct {
 	Graph   string `json:"graph"`
 	Pattern string `json:"pattern"`
 
-	SimCycles       mem.Cycles `json:"sim_cycles"`                 // serial makespan
-	ParallelCycles  mem.Cycles `json:"parallel_cycles,omitempty"`  // parallel makespan
-	DivergencePct   float64    `json:"divergence_pct,omitempty"`   // |par-serial|/serial × 100
-	CountsIdentical bool       `json:"counts_identical,omitempty"` // parallel counts bit-identical
-	SerialWallNS    int64      `json:"serial_wall_ns"`             // serial engine wall time
-	ParallelWallNS  int64      `json:"parallel_wall_ns,omitempty"` // parallel engine wall time
-	Workers1WallNS  int64      `json:"workers1_wall_ns,omitempty"` // parallel engine, Workers=1
-	Speedup         float64    `json:"speedup,omitempty"`          // serial wall / parallel wall
-	Workers1Factor  float64    `json:"workers1_factor,omitempty"`  // serial wall / workers=1 wall
-	SerialCyclesSec float64    `json:"serial_cycles_sec"`          // simulated cycles per wall second
-	ParCyclesSec    float64    `json:"parallel_cycles_sec,omitempty"`
+	SimCycles       mem.Cycles `json:"sim_cycles"`        // serial makespan
+	SerialWallNS    int64      `json:"serial_wall_ns"`    // serial engine wall time
+	SerialCyclesSec float64    `json:"serial_cycles_sec"` // simulated cycles per wall second
 
 	// Allocation profile of the best-time repetition (runtime.MemStats
 	// deltas around the run: mallocs, bytes, and stop-the-world pause).
 	SerialAllocs     uint64 `json:"serial_allocs"`
 	SerialAllocBytes uint64 `json:"serial_alloc_bytes"`
 	SerialGCPauseNS  uint64 `json:"serial_gc_pause_ns"`
-	ParAllocs        uint64 `json:"parallel_allocs,omitempty"`
-	ParAllocBytes    uint64 `json:"parallel_alloc_bytes,omitempty"`
-	ParGCPauseNS     uint64 `json:"parallel_gc_pause_ns,omitempty"`
 
 	// Sharded-mode columns (v3), present only when the run was measured
 	// with -shards > 1. ShardWallsNS is each shard's own wall time in
@@ -87,9 +75,7 @@ type Cell struct {
 type Report struct {
 	Schema string `json:"schema"`
 	telemetry.Meta
-	PEs     int        `json:"pes"`
-	Workers int        `json:"workers,omitempty"`
-	Window  mem.Cycles `json:"window,omitempty"`
+	PEs int `json:"pes"`
 	// Runs is the number of measured repetitions each cell is the
 	// median of (1 = single-shot, the pre-header behaviour).
 	Runs int `json:"runs,omitempty"`
@@ -97,11 +83,7 @@ type Report struct {
 	// (v3); zero when the run was not sharded.
 	Shards        int     `json:"shards,omitempty"`
 	Cells         []Cell  `json:"cells"`
-	GeomeanSpeed  float64 `json:"geomean_speedup,omitempty"`
-	GeomeanW1     float64 `json:"geomean_workers1_factor,omitempty"`
 	GeomeanSerCPS float64 `json:"geomean_serial_cycles_sec"`
-	GeomeanDivPc  float64 `json:"geomean_divergence_pct,omitempty"`
-	MaxDivPct     float64 `json:"max_divergence_pct,omitempty"`
 	// GeomeanShardSpeed is the sharded/serial wall-clock speedup geomean
 	// (v3); zero when the run was not sharded.
 	GeomeanShardSpeed float64 `json:"geomean_shard_speedup,omitempty"`

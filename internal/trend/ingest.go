@@ -208,25 +208,21 @@ func (c *Corpus) AddBenchFile(path, rel string) {
 	}
 	for _, cell := range rep.Cells {
 		c.Bench = append(c.Bench, BenchPoint{
-			At:            at,
-			FromMTime:     fromMTime,
-			Tag:           rep.RunTag,
-			GitRev:        rep.GitRev,
-			Runs:          rep.Runs,
-			Graph:         cell.Graph,
-			Pattern:       cell.Pattern,
-			SerialCPS:     cell.SerialCyclesSec,
-			ParCPS:        cell.ParCyclesSec,
-			Speedup:       cell.Speedup,
-			Workers1:      cell.Workers1Factor,
-			DivergencePct: cell.DivergencePct,
-			SerialAllocs:  cell.SerialAllocs,
-			Shards:        rep.Shards,
-			ShardSpeedup:  cell.ShardedSpeedup,
-			DenseRows:     cell.DenseRows,
-			BitmapRows:    cell.BitmapRows,
-			HybridBytes:   cell.HybridBytes,
-			File:          rel,
+			At:           at,
+			FromMTime:    fromMTime,
+			Tag:          rep.RunTag,
+			GitRev:       rep.GitRev,
+			Runs:         rep.Runs,
+			Graph:        cell.Graph,
+			Pattern:      cell.Pattern,
+			SerialCPS:    cell.SerialCyclesSec,
+			SerialAllocs: cell.SerialAllocs,
+			Shards:       rep.Shards,
+			ShardSpeedup: cell.ShardedSpeedup,
+			DenseRows:    cell.DenseRows,
+			BitmapRows:   cell.BitmapRows,
+			HybridBytes:  cell.HybridBytes,
+			File:         rel,
 		})
 	}
 }

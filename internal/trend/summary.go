@@ -84,9 +84,6 @@ type BenchSummary struct {
 	LatestSerialCPS float64 `json:"latest_serial_cps"`
 	MeanSerialCPS   float64 `json:"mean_serial_cps"`
 	SigmaSerialCPS  float64 `json:"sigma_serial_cps"`
-	LatestSpeedup   float64 `json:"latest_speedup"`
-	LatestWorkers1  float64 `json:"latest_workers1_factor"`
-	LatestDivPct    float64 `json:"latest_divergence_pct"`
 	// Sharded-mode columns of the newest point (simbench v3); zero when
 	// the latest report was not sharded.
 	Shards             int     `json:"shards,omitempty"`
@@ -208,9 +205,6 @@ func (m *Model) Summary(generatedAt string) Summary {
 			LatestSerialCPS:    round6(last.SerialCPS),
 			MeanSerialCPS:      round6(roll.MeanCPS),
 			SigmaSerialCPS:     round6(roll.SigmaCPS),
-			LatestSpeedup:      round6(last.Speedup),
-			LatestWorkers1:     round6(last.Workers1),
-			LatestDivPct:       round6(last.DivergencePct),
 			Shards:             last.Shards,
 			LatestShardSpeedup: round6(last.ShardSpeedup),
 			DenseRows:          last.DenseRows,

@@ -113,14 +113,10 @@ type BenchPoint struct {
 	GitRev    string    `json:"git_rev,omitempty"`
 	Runs      int       `json:"runs,omitempty"`
 
-	Graph         string  `json:"graph"`
-	Pattern       string  `json:"pattern"`
-	SerialCPS     float64 `json:"serial_cycles_sec"`
-	ParCPS        float64 `json:"parallel_cycles_sec,omitempty"`
-	Speedup       float64 `json:"speedup"`
-	Workers1      float64 `json:"workers1_factor"`
-	DivergencePct float64 `json:"divergence_pct"`
-	SerialAllocs  uint64  `json:"serial_allocs"`
+	Graph        string  `json:"graph"`
+	Pattern      string  `json:"pattern"`
+	SerialCPS    float64 `json:"serial_cycles_sec"`
+	SerialAllocs uint64  `json:"serial_allocs"`
 
 	// Sharded-mode columns, present only on simbench v3 cells measured
 	// with -shards > 1; zero on every earlier vintage, so mixed

@@ -9,6 +9,7 @@ import (
 
 	"fingers/internal/accel"
 	fingerspe "fingers/internal/fingers"
+	"fingers/internal/flexminer"
 	"fingers/internal/mem"
 	"fingers/internal/telemetry"
 )
@@ -97,7 +98,7 @@ func runSharded(ctx context.Context, arch Arch, g *Graph, plans []*Plan, cfg sim
 			c, cerr = accel.NewChip(shares[s], cfg.cacheBytes, g, plans, scheds[s], cfg.fiCfg.NewPE)
 			fiChips, chips[s] = append(fiChips, c), c
 		case ArchFlexMiner, ArchSISA:
-			fmCfg := cfg.fmCfg
+			fmCfg := flexminer.DefaultConfig()
 			fmCfg.SetCentric = arch == ArchSISA
 			chips[s], cerr = accel.NewChip(shares[s], cfg.cacheBytes, g, plans, scheds[s], fmCfg.NewPE)
 		default:

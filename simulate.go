@@ -7,7 +7,6 @@ import (
 
 	"fingers/internal/accel"
 	fingerspe "fingers/internal/fingers"
-	"fingers/internal/flexminer"
 	"fingers/internal/mine"
 	"fingers/internal/simerr"
 	"fingers/internal/telemetry"
@@ -52,7 +51,6 @@ type simConfig struct {
 	tracer        Tracer
 	stats         bool
 	fiCfg         AcceleratorConfig
-	fmCfg         BaselineConfig
 	shards        int
 	ctx           context.Context
 	timeout       time.Duration
@@ -84,12 +82,6 @@ func WithStats() SimOption { return func(c *simConfig) { c.stats = true } }
 // by ArchFlexMiner).
 func WithAcceleratorConfig(cfg AcceleratorConfig) SimOption {
 	return func(c *simConfig) { c.fiCfg = cfg }
-}
-
-// WithBaselineConfig overrides the FlexMiner PE configuration (ignored by
-// ArchFingers).
-func WithBaselineConfig(cfg BaselineConfig) SimOption {
-	return func(c *simConfig) { c.fmCfg = cfg }
 }
 
 // WithContext makes the run cancellable: when ctx fires, the simulation
@@ -200,7 +192,6 @@ func Simulate(arch Arch, g *Graph, plans []*Plan, opts ...SimOption) (rep SimRep
 	cfg := simConfig{
 		pes:   1,
 		fiCfg: fingerspe.DefaultConfig(),
-		fmCfg: flexminer.DefaultConfig(),
 	}
 	for _, opt := range opts {
 		opt(&cfg)
