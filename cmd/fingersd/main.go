@@ -104,9 +104,6 @@ func realMain() int {
 	meta := telemetry.HostMeta()
 	meta.Source = "fingersd"
 	meta.RunTag = *runTag
-	if runLog != nil {
-		runLog.SetMeta(meta)
-	}
 
 	var injector *service.FaultInjector
 	if *inject != "" {

@@ -9,6 +9,8 @@
 // running at crash time re-enter the queue in their original
 // submission order. Transient failures retry with capped exponential
 // backoff under a per-job attempt budget; permanent ones fail fast.
+// Every state change, whoever makes it, goes through
+// Manager.transition, and every run record through Manager.record.
 
 package service
 
@@ -90,38 +92,6 @@ func (s State) Terminal() bool {
 	return false
 }
 
-// eventForState maps a terminal state to its journal event.
-func eventForState(s State) string {
-	switch s {
-	case StateDone:
-		return journal.EventDone
-	case StateCanceled:
-		return journal.EventCanceled
-	case StateDeadline:
-		return journal.EventDeadline
-	case StateInterrupted:
-		return journal.EventInterrupted
-	default:
-		return journal.EventFailed
-	}
-}
-
-// stateForEvent maps a replayed terminal journal event to its state.
-func stateForEvent(ev string) State {
-	switch ev {
-	case journal.EventDone:
-		return StateDone
-	case journal.EventCanceled:
-		return StateCanceled
-	case journal.EventDeadline:
-		return StateDeadline
-	case journal.EventInterrupted:
-		return StateInterrupted
-	default:
-		return StateFailed
-	}
-}
-
 // Job is one admitted simulation request. All mutable fields are
 // guarded by mu; Done is closed when the job reaches a terminal state.
 type Job struct {
@@ -148,7 +118,6 @@ type Job struct {
 	err         error
 	record      *telemetry.RunRecord
 	gi          telemetry.GraphInfo
-	giOK        bool
 	progress    accel.Progress
 	submittedAt time.Time
 	startedAt   time.Time
@@ -178,7 +147,8 @@ type JobStatus struct {
 	// after losing in-flight work.
 	RecoveredFromCrash bool `json:"recovered_from_crash,omitempty"`
 	// RetryAt is when a queued retry re-enters the queue (RFC 3339);
-	// present only between a transient failure and its next attempt.
+	// present only while the job waits out the backoff after a
+	// transient failure.
 	RetryAt string `json:"retry_at,omitempty"`
 	// Error is the failure or cancellation message of a terminal job
 	// (or the last failure of a job waiting to retry); FailureClass is
@@ -262,8 +232,9 @@ type Config struct {
 	// MaxTimeout clamps per-job deadlines. Zero means no clamp.
 	MaxTimeout time.Duration
 	// MaxShards clamps per-job sim_shards requests, bounding how many
-	// OS threads one job may fan out across (on top of the façade's own
-	// clamp to the PE count). Zero means no clamp.
+	// OS threads one job may fan out across (on top of the clamp to the
+	// job's PE count, which admission always applies). Zero means no
+	// clamp.
 	MaxShards int
 	// ProgressEvery is the scheduler-step interval between live progress
 	// snapshots. Default 65536 steps.
@@ -395,19 +366,7 @@ func NewManager(reg *Registry, cfg Config) *Manager {
 			return fingers.Simulate(arch, g, plans, append(opts, fingers.WithContext(ctx))...)
 		},
 	}
-	pending := m.recoverJobs()
-	depth := cfg.QueueDepth
-	if len(pending) > depth {
-		depth = len(pending)
-	}
-	m.queue = make(chan *Job, depth)
-	for _, j := range pending {
-		m.queue <- j
-		m.queuedAt[j.ID] = m.now()
-		if j.ClientID != "" {
-			m.queuedBy[j.ClientID]++
-		}
-	}
+	m.recoverJobs()
 	for i := 0; i < cfg.Concurrency; i++ {
 		m.wg.Add(1)
 		go m.worker()
@@ -415,89 +374,101 @@ func NewManager(reg *Registry, cfg Config) *Manager {
 	return m
 }
 
-// recoverJobs replays the configured journal into the job table:
-// terminal jobs are restored as history, un-terminal jobs return as
-// the re-enqueue list in original submission order. Jobs that were
-// running at crash time get an interrupted record appended now, their
-// attempt advanced, and the recovered-from-crash mark.
-func (m *Manager) recoverJobs() []*Job {
-	jn := m.cfg.Journal
-	if jn == nil {
-		return nil
+// newJob builds an admitted or replayed job. Its record names the
+// canonical graph from the start; the full graph summary replaces it
+// once a worker has the graph loaded.
+func (m *Manager) newJob(id, clientID string, spec fingers.JobSpec, attempt int) *Job {
+	ctx, cancel := context.WithCancelCause(m.baseCtx)
+	return &Job{ID: id, Spec: spec, ClientID: clientID, ctx: ctx, cancel: cancel,
+		done: make(chan struct{}), attemptN: max(attempt, 1), gi: telemetry.GraphInfo{Name: spec.Graph}}
+}
+
+// clampShards bounds spec's sim_shards by the job's PE count and the
+// server's MaxShards, so every record of the job, live or final, names
+// the shard count that runs.
+func (m *Manager) clampShards(spec *fingers.JobSpec) {
+	spec.SimShards = min(spec.SimShards, max(spec.PEs, 1))
+	if m.cfg.MaxShards > 0 {
+		spec.SimShards = min(spec.SimShards, m.cfg.MaxShards)
 	}
-	recs := jn.Replayed()
-	m.recovery = RecoveryStatus{Enabled: true, Records: len(recs), Skipped: len(jn.Skips())}
-	var pending []*Job
-	for _, st := range journal.Reduce(recs) {
+}
+
+// recoverJobs creates the admission queue and replays the configured
+// journal into the job table: terminal jobs are restored as history,
+// un-terminal jobs re-enter the queue in original submission order.
+// The queue holds at least every un-terminal job the journal names.
+// Jobs that were running at crash time get the interrupted record the
+// crash prevented, their attempt advanced, and the recovered-from-crash
+// mark.
+func (m *Manager) recoverJobs() {
+	var states []journal.JobState
+	if jn := m.cfg.Journal; jn != nil {
+		recs := jn.Replayed()
+		states = journal.Reduce(recs)
+		m.recovery = RecoveryStatus{Enabled: true, Records: len(recs), Skipped: len(jn.Skips())}
+	}
+	unfinished := 0
+	for _, st := range states {
+		if !journal.Terminal(st.Event) {
+			unfinished++
+		}
+	}
+	m.queue = make(chan *Job, max(m.cfg.QueueDepth, unfinished))
+
+	m.mu.Lock() // moves into the queue are made under m.mu
+	defer m.mu.Unlock()
+	for _, st := range states {
 		var n int64
 		if _, err := fmt.Sscanf(st.Job, "job-%d", &n); err == nil && n > m.seq {
 			m.seq = n
 		}
-		jctx, cancel := context.WithCancelCause(m.baseCtx)
-		j := &Job{ID: st.Job, ClientID: st.Client, ctx: jctx, cancel: cancel, done: make(chan struct{})}
-		j.attemptN = st.Attempt
-		if j.attemptN < 1 {
-			j.attemptN = 1
-		}
-		switch {
-		case journal.Terminal(st.Event):
-			j.state = stateForEvent(st.Event)
-			if st.Err != "" {
-				j.err = errors.New(st.Err)
-			}
-			if len(st.Spec) > 0 {
-				_ = json.Unmarshal(st.Spec, &j.Spec)
-			}
-			cancel(nil)
-			close(j.done)
-			m.recovery.RestoredTerminal++
-		default:
-			var spec fingers.JobSpec
-			if len(st.Spec) == 0 || json.Unmarshal(st.Spec, &spec) != nil {
-				j.state = StateFailed
-				j.err = &Failure{Class: ClassPermanent, Attempt: j.attemptN,
-					Err: errors.New("service: journal replay: no usable spec")}
-				m.appendJournal(journal.Record{Job: j.ID, Event: journal.EventFailed,
-					Attempt: j.attemptN, Client: j.ClientID, Err: j.err.Error()})
-				cancel(nil)
-				close(j.done)
-				m.recovery.Unrecoverable++
-				break
-			}
-			j.Spec = spec
-			if st.Event == journal.EventStarted {
-				// The in-flight attempt died with the process: journal
-				// the interruption the crash prevented, then retry.
-				m.appendJournal(journal.Record{Job: j.ID, Event: journal.EventInterrupted,
-					Attempt: j.attemptN, Client: j.ClientID, Err: ErrDrainInterrupted.Error()})
-				j.attemptN++
-				j.Recovered = true
-				m.recovery.Interrupted++
-			}
-			if st.Event == journal.EventInterrupted {
-				j.Recovered = true
-				m.recovery.Interrupted++
-			}
-			if j.attemptN > m.policy.Budget(spec) {
-				j.state = StateFailed
-				j.err = &Failure{Class: ClassTransient, Attempt: j.attemptN,
-					Err: errors.New("service: attempt budget exhausted recovering from crash")}
-				m.appendJournal(journal.Record{Job: j.ID, Event: journal.EventFailed,
-					Attempt: j.attemptN, Client: j.ClientID, Err: j.err.Error()})
-				cancel(nil)
-				close(j.done)
-				m.recovery.Unrecoverable++
-				break
-			}
-			j.state = StateQueued
-			j.submittedAt = m.now()
-			pending = append(pending, j)
-			m.recovery.Requeued++
-		}
+		var spec fingers.JobSpec
+		specErr := json.Unmarshal(st.Spec, &spec)
+		m.clampShards(&spec)
+		j := m.newJob(st.Job, st.Client, spec, st.Attempt)
 		m.jobs[j.ID] = j
 		m.order = append(m.order, j.ID)
+
+		if journal.Terminal(st.Event) {
+			var err error
+			if st.Err != "" {
+				err = errors.New(st.Err)
+			}
+			m.transition(j, State(st.Event), "", err, nil)
+			m.recovery.RestoredTerminal++
+			continue
+		}
+		if specErr != nil {
+			m.transition(j, StateFailed, journal.EventFailed, &Failure{Class: ClassPermanent, Attempt: j.attemptN,
+				Err: errors.New("service: journal replay: no usable spec")}, nil)
+			m.recovery.Unrecoverable++
+			continue
+		}
+		lost := st.Event == journal.EventStarted
+		j.Recovered = lost || st.Event == journal.EventInterrupted
+		if j.Recovered {
+			m.recovery.Interrupted++
+		}
+		next := j.attemptN // the attempt the job runs next
+		if lost {
+			next++ // the crash cost an attempt
+		}
+		if next > m.policy.Budget(spec) {
+			j.attemptN = next
+			m.transition(j, StateFailed, journal.EventFailed, &Failure{Class: ClassTransient, Attempt: next,
+				Err: errors.New("service: attempt budget exhausted recovering from crash")}, nil)
+			m.recovery.Unrecoverable++
+			continue
+		}
+		if lost {
+			// The in-flight attempt died with the process: journal the
+			// interruption the crash prevented and queue the next attempt.
+			m.transition(j, StateQueued, journal.EventInterrupted, ErrDrainInterrupted, nil)
+		} else {
+			m.transition(j, StateQueued, "", nil, nil)
+		}
+		m.recovery.Requeued++
 	}
-	return pending
 }
 
 // Recovery reports the journal replay summary plus the live count of
@@ -515,38 +486,6 @@ func (m *Manager) QueueDepth() (int, int) {
 	return len(m.queue), cap(m.queue)
 }
 
-// appendJournal writes one record to the journal, if configured.
-// Append failures are counted (and surfaced via Recovery) but do not
-// stop the daemon: a lost transition means at worst that a restart
-// re-runs the affected job.
-func (m *Manager) appendJournal(rec journal.Record) error {
-	jn := m.cfg.Journal
-	if jn == nil {
-		return nil
-	}
-	if rec.At == "" {
-		rec.At = m.now().UTC().Format(time.RFC3339Nano)
-	}
-	if _, err := jn.Append(rec); err != nil {
-		m.journalErrs.Add(1)
-		return err
-	}
-	return nil
-}
-
-// journalEvent journals one transition of j. specToo attaches the full
-// serialized spec (submitted and requeued events, so replay can
-// reconstruct the job from its journal suffix alone).
-func (m *Manager) journalEvent(j *Job, event string, attempt int, errMsg string, specToo bool) error {
-	rec := journal.Record{Job: j.ID, Event: event, Attempt: attempt, Client: j.ClientID, Err: errMsg}
-	if specToo {
-		if b, err := json.Marshal(j.Spec); err == nil {
-			rec.Spec = b
-		}
-	}
-	return m.appendJournal(rec)
-}
-
 // Registry returns the graph registry the manager serves from.
 func (m *Manager) Registry() *Registry { return m.reg }
 
@@ -558,11 +497,11 @@ func (m *Manager) Submit(spec fingers.JobSpec) (*Job, error) {
 // SubmitFrom validates and admits one job on behalf of clientID. The
 // spec's graph name is canonicalized against the registry (unknown
 // names return the *datasets.NotFoundError), the timeout is defaulted
-// and clamped, per-client admission control is applied (rate limit,
-// queue fair share, load shedding — each rejecting with an
-// *AdmissionError), the admission is journaled, and the job is placed
-// on the queue. ErrDraining and ErrQueueFull report the two queue-level
-// admission failures.
+// and clamped, sim_shards is clamped, per-client admission control is
+// applied (rate limit, queue fair share, load shedding — each rejecting
+// with an *AdmissionError), the admission is journaled, and the job is
+// placed on the queue. ErrDraining and ErrQueueFull report the two
+// queue-level admission failures.
 func (m *Manager) SubmitFrom(clientID string, spec fingers.JobSpec) (*Job, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -578,50 +517,31 @@ func (m *Manager) SubmitFrom(clientID string, spec fingers.JobSpec) (*Job, error
 	if m.cfg.MaxTimeout > 0 && spec.Timeout() > m.cfg.MaxTimeout {
 		spec.TimeoutMS = m.cfg.MaxTimeout.Milliseconds()
 	}
-	if m.cfg.MaxShards > 0 && spec.SimShards > m.cfg.MaxShards {
-		spec.SimShards = m.cfg.MaxShards
-	}
+	m.clampShards(&spec)
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.draining {
 		return nil, ErrDraining
 	}
-	now := m.now()
-	if err := m.admitLocked(clientID, spec, now); err != nil {
+	if err := m.admitLocked(clientID, spec, m.now()); err != nil {
 		return nil, err
 	}
 	if len(m.queue) == cap(m.queue) {
 		return nil, fmt.Errorf("%w (depth %d)", ErrQueueFull, cap(m.queue))
 	}
 	m.seq++
-	ctx, cancel := context.WithCancelCause(m.baseCtx)
-	j := &Job{
-		ID:          fmt.Sprintf("job-%06d", m.seq),
-		Spec:        spec,
-		ClientID:    clientID,
-		ctx:         ctx,
-		cancel:      cancel,
-		done:        make(chan struct{}),
-		state:       StateQueued,
-		attemptN:    1,
-		submittedAt: now,
-	}
+	j := m.newJob(fmt.Sprintf("job-%06d", m.seq), clientID, spec, 1)
 	// Write-ahead: the admission is durable before it is acknowledged.
 	// A failed append rejects the submission — accepting a job the
 	// journal does not know about would break the recovery invariant.
-	if err := m.journalEvent(j, journal.EventSubmitted, 1, "", true); err != nil {
-		cancel(nil)
+	if err := m.transition(j, StateQueued, journal.EventSubmitted, nil, nil); err != nil {
+		j.cancel(nil)
 		m.seq--
 		return nil, fmt.Errorf("service: journal admission: %w", err)
 	}
-	m.queue <- j // cannot block: capacity was checked under this lock
 	m.jobs[j.ID] = j
 	m.order = append(m.order, j.ID)
-	m.queuedAt[j.ID] = now
-	if clientID != "" {
-		m.queuedBy[clientID]++
-	}
 	return j, nil
 }
 
@@ -710,35 +630,15 @@ func (m *Manager) worker() {
 	}
 }
 
-// dequeued updates the admission bookkeeping when a worker takes j.
-func (m *Manager) dequeued(j *Job) {
-	m.mu.Lock()
-	delete(m.queuedAt, j.ID)
-	if j.ClientID != "" {
-		if m.queuedBy[j.ClientID]--; m.queuedBy[j.ClientID] <= 0 {
-			delete(m.queuedBy, j.ClientID)
-		}
-	}
-	m.mu.Unlock()
-}
-
 // run executes one dequeued job under its per-job context (canceled by
 // Cancel, Drain, or its own deadline via WithTimeout inside Simulate).
 func (m *Manager) run(j *Job) {
-	m.dequeued(j)
 	if j.ctx.Err() != nil {
 		// Canceled while queued: finalize without running.
 		m.finish(j, fingers.SimReport{}, context.Cause(j.ctx))
 		return
 	}
-
-	attempt := j.Attempt()
-	j.mu.Lock()
-	j.state = StateRunning
-	j.startedAt = m.now()
-	j.retryAt = time.Time{}
-	j.mu.Unlock()
-	_ = m.journalEvent(j, journal.EventStarted, attempt, "", false)
+	m.transition(j, StateRunning, journal.EventStarted, nil, nil)
 
 	entry, err := m.reg.Get(j.Spec.Graph)
 	if err != nil {
@@ -746,7 +646,7 @@ func (m *Manager) run(j *Job) {
 		return
 	}
 	j.mu.Lock()
-	j.gi, j.giOK = entry.Info, true
+	j.gi = entry.Info
 	j.mu.Unlock()
 
 	arch, err := j.Spec.ArchValue()
@@ -792,9 +692,10 @@ func (m *Manager) runSimulate(j *Job, arch fingers.Arch, g *fingers.Graph, plans
 	return m.simulate(j.ctx, arch, g, plans, opts...)
 }
 
-// finish classifies the run outcome. Terminal outcomes journal their
-// event, build the job's record, append it to the run log, and close
-// Done; retryable failures re-enter the queue after a backoff instead.
+// finish classifies a run outcome. A retryable failure with attempts
+// left re-enters the queue after a backoff; every other outcome is the
+// job's terminal move, which carries the run's report (and so a record)
+// unless the run failed before simulating anything.
 func (m *Manager) finish(j *Job, rep fingers.SimReport, runErr error) {
 	state := StateDone
 	switch {
@@ -803,7 +704,7 @@ func (m *Manager) finish(j *Job, rep fingers.SimReport, runErr error) {
 	case errors.Is(runErr, context.DeadlineExceeded):
 		state = StateDeadline
 	case errors.Is(runErr, context.Canceled):
-		if errors.Is(context.Cause(j.ctx), ErrDrainInterrupted) {
+		if errors.Is(runErr, ErrDrainInterrupted) || errors.Is(context.Cause(j.ctx), ErrDrainInterrupted) {
 			state = StateInterrupted
 		} else {
 			state = StateCanceled
@@ -822,32 +723,20 @@ func (m *Manager) finish(j *Job, rep fingers.SimReport, runErr error) {
 		if failure.Retryable(j.Spec) && attempt < m.policy.Budget(j.Spec) &&
 			j.ctx.Err() == nil && !m.Draining() {
 			failure.RetryAfter = m.policy.Backoff(attempt)
-			m.requeue(j, failure)
+			m.transition(j, StateQueued, journal.EventRequeued, failure, nil)
+			m.wg.Add(1)
+			go m.retryWaiter(j, failure.RetryAfter)
 			return
 		}
 	}
-	m.terminate(j, state, jobErr, rep, runErr)
+	var out *fingers.SimReport
+	if runErr == nil || rep.Partial {
+		out = &rep
+	}
+	m.transition(j, state, string(state), jobErr, out)
 }
 
-// requeue journals the retry and parks the job until its backoff
-// expires, then re-enqueues it. The job stays visible as queued (with
-// retry_at) in the meantime; cancellation and drain abort the wait.
-func (m *Manager) requeue(j *Job, failure *Failure) {
-	j.mu.Lock()
-	j.attemptN++
-	attempt := j.attemptN
-	j.state = StateQueued
-	j.err = failure
-	j.record = nil
-	j.progress = accel.Progress{}
-	j.retryAt = m.now().Add(failure.RetryAfter)
-	j.mu.Unlock()
-	_ = m.journalEvent(j, journal.EventRequeued, attempt, failure.Err.Error(), true)
-	m.wg.Add(1)
-	go m.retryWaiter(j, failure.RetryAfter)
-}
-
-// retryWaiter sleeps out the backoff and pushes the job back on the
+// retryWaiter sleeps out the backoff and moves the job back into the
 // queue; cancellation or drain during the wait finalizes the job
 // instead (canceled or interrupted by cause).
 func (m *Manager) retryWaiter(j *Job, delay time.Duration) {
@@ -867,118 +756,170 @@ func (m *Manager) retryWaiter(j *Job, delay time.Duration) {
 			m.finish(j, fingers.SimReport{}, ErrDrainInterrupted)
 			return
 		}
-		select {
-		case m.queue <- j:
-			m.queuedAt[j.ID] = m.now()
-			if j.ClientID != "" {
-				m.queuedBy[j.ClientID]++
-			}
+		if len(m.queue) < cap(m.queue) {
+			m.transition(j, StateQueued, "", nil, nil)
 			m.mu.Unlock()
 			return
-		default:
-			// Queue momentarily full; try again shortly. The slot race
-			// is benign — the job already passed admission.
-			m.mu.Unlock()
-			timer.Reset(50 * time.Millisecond)
+		}
+		// Queue momentarily full; try again shortly. The slot race is
+		// benign — the job already passed admission.
+		m.mu.Unlock()
+		timer.Reset(50 * time.Millisecond)
+	}
+}
+
+// transition moves j to state to, journaling event unless it is empty
+// (a move the journal already implies: a state restored by replay, or
+// the end of a retry backoff). It is the one place a job changes state. Under j.mu it writes the state and what
+// the move implies, stamped from m.now:
+//
+//   - into the queue: submitted_at on first admission; a requeued or
+//     interrupted move advances the attempt (the requeued record names
+//     the attempt it queues, the interrupted record the one that was
+//     lost); a *Failure with a RetryAfter parks the job until
+//     retry_at instead of queueing it;
+//   - running: started_at;
+//   - terminal: finished_at (unless restored from the journal) and,
+//     when rep is non-nil, the run record built from it.
+//
+// A non-nil err becomes the job's error; a terminal move sets it even
+// when nil. After the journal append, transition keeps the queue's
+// books: a job entering the queue is sent on it and counted — callers
+// hold m.mu for those moves and have checked capacity — and a job
+// leaving it is counted out. A terminal move then releases the job's
+// context, closes Done, and writes the record to the run log.
+//
+// The first terminal move wins: moves out of a terminal state are
+// ignored. Only the admission's journal error is returned, so the
+// submission can be rejected; later append failures are counted.
+func (m *Manager) transition(j *Job, to State, event string, err error, rep *fingers.SimReport) error {
+	j.mu.Lock()
+	from, waiting := j.state, !j.retryAt.IsZero()
+	if from.Terminal() {
+		j.mu.Unlock()
+		return nil
+	}
+	now := m.now()
+	attempt, msg := j.attemptN, ""
+	if err != nil {
+		msg = err.Error()
+	}
+	switch {
+	case to == StateQueued:
+		if j.submittedAt.IsZero() {
+			j.submittedAt = now
+		}
+		if event == journal.EventRequeued || event == journal.EventInterrupted {
+			j.attemptN++
+			if event == journal.EventRequeued {
+				attempt = j.attemptN
+			}
+			j.progress = accel.Progress{}
+		}
+		j.retryAt = time.Time{}
+		var f *Failure
+		if errors.As(err, &f) && f.RetryAfter > 0 {
+			j.retryAt = now.Add(f.RetryAfter)
+			msg = f.Err.Error() // the requeued record names the cause
+		}
+	case to == StateRunning:
+		j.startedAt = now
+	case event != "":
+		j.finishedAt = now
+	}
+	j.state = to
+	if err != nil || to.Terminal() {
+		j.err = err
+	}
+	if rep != nil {
+		r := m.record(j, rep)
+		j.record = &r
+	}
+	rec := j.record
+	enqueue := to == StateQueued && j.retryAt.IsZero()
+	j.mu.Unlock()
+
+	if jn := m.cfg.Journal; jn != nil && event != "" {
+		jr := journal.Record{Job: j.ID, Event: event, Attempt: attempt, Client: j.ClientID, Err: msg,
+			At: now.UTC().Format(time.RFC3339Nano)}
+		if event == journal.EventSubmitted || event == journal.EventRequeued {
+			jr.Spec, _ = json.Marshal(j.Spec)
+		}
+		if _, aerr := jn.Append(jr); aerr != nil {
+			m.journalErrs.Add(1)
+			if event == journal.EventSubmitted {
+				return aerr
+			}
 		}
 	}
+
+	switch {
+	case enqueue:
+		m.queue <- j // cannot block: the caller checked capacity under m.mu
+		m.queuedAt[j.ID] = now
+		if j.ClientID != "" {
+			m.queuedBy[j.ClientID]++
+		}
+	case from == StateQueued && !waiting:
+		m.mu.Lock()
+		delete(m.queuedAt, j.ID)
+		if j.ClientID != "" {
+			if m.queuedBy[j.ClientID]--; m.queuedBy[j.ClientID] <= 0 {
+				delete(m.queuedBy, j.ClientID)
+			}
+		}
+		m.mu.Unlock()
+	}
+
+	if to.Terminal() {
+		j.cancel(nil)
+		close(j.done)
+		if rec != nil && m.cfg.Log != nil {
+			_ = m.cfg.Log.Write(*rec)
+		}
+	}
+	return nil
 }
 
-// terminate finalizes j: terminal state, journal event, record, run
-// log, Done. Idempotent — the first terminal transition wins.
-func (m *Manager) terminate(j *Job, state State, jobErr error, rep fingers.SimReport, runErr error) {
-	j.mu.Lock()
-	if j.state.Terminal() {
-		j.mu.Unlock()
-		return
-	}
-	j.state = state
-	j.err = jobErr
-	j.finishedAt = m.now()
-	var rec *telemetry.RunRecord
-	// A failed run with no simulated prefix (load error, bad config)
-	// gets no record; everything else — done, canceled, expired,
-	// interrupted — does.
-	if runErr == nil || rep.Partial {
-		r := m.buildRecord(j, rep)
-		rec = &r
-		j.record = rec
-	}
-	attempt := j.attemptN
-	j.mu.Unlock()
-	errMsg := ""
-	if jobErr != nil {
-		errMsg = jobErr.Error()
-	}
-	_ = m.journalEvent(j, eventForState(state), attempt, errMsg, false)
-	close(j.done)
-
-	if rec != nil && m.cfg.Log != nil {
-		_ = m.cfg.Log.Write(*rec)
-	}
-}
-
-// buildRecord assembles the job's final fingers.run/v1 record.
-// Callers hold j.mu.
-func (m *Manager) buildRecord(j *Job, rep fingers.SimReport) telemetry.RunRecord {
-	rec := m.record(j, rep)
-	rec.Meta.WallNS = j.finishedAt.Sub(j.startedAt).Nanoseconds()
-	rec.Meta.JobState = string(j.state)
-	m.cfg.Meta.Fill(&rec.Meta)
-	return rec
-}
-
-// PartialRecord builds a live fingers.run/v1 snapshot of a running job
-// for the streaming endpoint: Partial is set, Cycles is the frontmost
-// simulated clock, and the counts cover nothing yet (they are only
-// known at completion). The lenient readers ingest these unchanged and
-// the trend tooling excludes partial records from regression math.
-func (m *Manager) PartialRecord(j *Job) telemetry.RunRecord {
+// snapshot returns j's fingers.run/v1 record as of now, with the state
+// it describes: the run record of a terminal job that has one, else a
+// partial record of the job's live progress.
+func (m *Manager) snapshot(j *Job) (telemetry.RunRecord, State) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return m.liveRecord(j)
+	if j.record != nil {
+		return *j.record, j.state
+	}
+	return m.record(j, nil), j.state
 }
 
-// FinalRecord builds the stream's closing record for a terminal job
-// that produced no run record of its own (it failed before
-// simulating): a partial snapshot stamped with the terminal state, so
-// stream clients always see how the job ended instead of a bare
-// connection close.
-func (m *Manager) FinalRecord(j *Job) telemetry.RunRecord {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	rec := m.liveRecord(j)
-	rec.Meta.JobState = string(j.state)
-	return rec
-}
-
-// liveRecord is the shared snapshot builder. Its shard count is the
-// requested one: the effective count is known only once the run ends.
+// record is the one builder of a job's fingers.run/v1 records: the run
+// fields from fingers.NewRunRecord, exactly as fingersim and the
+// experiments build them, plus the job's provenance. rep is the run's
+// report; nil builds a live record, Partial, whose cycles are the
+// frontmost simulated clock and whose counts are not yet known. A
+// terminal job's record carries job_state and, once it ran, wall_ns.
 // Callers hold j.mu.
-func (m *Manager) liveRecord(j *Job) telemetry.RunRecord {
-	rec := m.record(j, fingers.SimReport{
-		Result:  fingers.SimResult{Cycles: j.progress.Now},
-		Partial: true,
-		Shards:  j.Spec.SimShards,
-	})
-	m.cfg.Meta.Fill(&rec.Meta)
-	return rec
-}
-
-// record builds what a job's final and live records share: the run
-// fields from fingers.NewRunRecord and the job's provenance. The
-// daemon's records carry no per-PE rows. Callers hold j.mu.
-func (m *Manager) record(j *Job, rep fingers.SimReport) telemetry.RunRecord {
+func (m *Manager) record(j *Job, rep *fingers.SimReport) telemetry.RunRecord {
 	spec := j.Spec
+	if rep == nil {
+		rep = &fingers.SimReport{Result: fingers.SimResult{Cycles: j.progress.Now}, Partial: true, Shards: spec.SimShards}
+	}
 	arch, _ := spec.ArchValue()
-	rep.PerPE = nil
 	rec := fingers.NewRunRecord(arch, "service", j.gi, spec.Pattern,
-		max(spec.PEs, 1), spec.AcceleratorConfig().NumIUs, spec.CacheBytes(), rep)
+		max(spec.PEs, 1), spec.AcceleratorConfig().NumIUs, spec.CacheBytes(), *rep)
 	rec.Meta.StartedAt = rfc3339(j.startedAt)
 	rec.Meta.RunTag = spec.RunTag
 	rec.Meta.JobID = j.ID
 	rec.Meta.Attempt = j.attemptN
 	rec.Meta.ClientID = j.ClientID
 	rec.Meta.RecoveredFromCrash = j.Recovered
+	if j.state.Terminal() {
+		rec.Meta.JobState = string(j.state)
+		if !j.startedAt.IsZero() {
+			rec.Meta.WallNS = j.finishedAt.Sub(j.startedAt).Nanoseconds()
+		}
+	}
+	m.cfg.Meta.Fill(&rec.Meta)
 	return rec
 }

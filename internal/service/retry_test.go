@@ -9,6 +9,7 @@ import (
 
 	"fingers"
 	"fingers/internal/datasets"
+	"fingers/internal/journal"
 	"fingers/internal/simerr"
 )
 
@@ -318,6 +319,45 @@ func TestCancelDuringBackoffWait(t *testing.T) {
 	}
 	if calls != 1 {
 		t.Errorf("simulate ran %d times, want 1 — cancel must abort the backoff wait", calls)
+	}
+}
+
+// TestDrainDuringBackoffInterrupts drains the daemon while a job waits
+// out its retry backoff: the job ends interrupted, not canceled, so a
+// restart against the same journal resumes it.
+func TestDrainDuringBackoffInterrupts(t *testing.T) {
+	dir := t.TempDir()
+	jn := openJournal(t, dir, journal.Options{})
+	m := NewManager(NewRegistry(), Config{
+		Concurrency: 1,
+		Journal:     jn,
+		Retry:       RetryPolicy{MaxAttempts: 3, BaseDelay: 50 * time.Millisecond, MaxDelay: 50 * time.Millisecond},
+	})
+	m.simulate = func(ctx context.Context, arch fingers.Arch, g *fingers.Graph, plans []*fingers.Plan, opts ...fingers.SimOption) (fingers.SimReport, error) {
+		return fingers.SimReport{}, fmt.Errorf("flaky: %w", ErrRetryable)
+	}
+	j, err := m.Submit(fingers.JobSpec{Arch: "fingers", Graph: "As", Pattern: "tc"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for j.Status().RetryAt == "" {
+		if time.Now().After(deadline) {
+			t.Fatalf("job never parked for retry; state %s", j.State())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	m.Drain(5 * time.Second)
+	if st := j.Status(); st.State != StateInterrupted {
+		t.Fatalf("state %s (err %q), want interrupted", st.State, st.Error)
+	}
+	if err := jn.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m2 := NewManager(NewRegistry(), Config{Concurrency: 1, Journal: openJournal(t, dir, journal.Options{})})
+	defer m2.Drain(0)
+	if rs := m2.Recovery(); rs.Requeued != 1 || rs.Interrupted != 1 {
+		t.Errorf("recovery %+v, want the interrupted job requeued", rs)
 	}
 }
 

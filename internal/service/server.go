@@ -227,11 +227,11 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 
 // handleStream serves the job as a fingers.run/v1 JSONL stream
 // (application/x-ndjson, chunked): one partial record per interval
-// while the job is queued or running, then a terminal record — the
-// job's run record when it produced one, else a final partial snapshot
-// stamped with the terminal job_state, so the stream never ends with a
-// bare connection close. A client disconnect does not disturb the job.
-// fingerstat's lenient reader ingests the stream file with zero skips.
+// while the job is running, then its terminal record — the run record
+// when it produced one, else a partial snapshot stamped with the
+// terminal job_state, so the stream never ends with a bare connection
+// close. A client disconnect does not disturb the job. fingerstat's
+// lenient reader ingests the stream file with zero skips.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.job(w, r)
 	if !ok {
@@ -241,7 +241,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	flush := func() {
+	write := func(rec telemetry.RunRecord) {
+		_ = telemetry.WriteRecord(w, rec)
 		if flusher != nil {
 			flusher.Flush()
 		}
@@ -252,19 +253,14 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	for {
 		select {
 		case <-j.Done():
-			if st := j.Status(); st.Record != nil {
-				_ = telemetry.WriteRecord(w, *st.Record)
-			} else {
-				_ = telemetry.WriteRecord(w, s.m.FinalRecord(j))
-			}
-			flush()
+			rec, _ := s.m.snapshot(j)
+			write(rec)
 			return
 		case <-r.Context().Done():
 			return
 		case <-tick.C:
-			if j.State() == StateRunning {
-				_ = telemetry.WriteRecord(w, s.m.PartialRecord(j))
-				flush()
+			if rec, st := s.m.snapshot(j); st == StateRunning {
+				write(rec)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -16,6 +17,9 @@ import (
 
 	"fingers"
 	"fingers/internal/datasets"
+	"fingers/internal/graph"
+	"fingers/internal/graph/gen"
+	"fingers/internal/journal"
 	"fingers/internal/telemetry"
 )
 
@@ -627,7 +631,10 @@ func TestSubmitValidatesBeforeQueueing(t *testing.T) {
 // TestRecordArchAndIUs pins the daemon's records to the contract every
 // frontend shares: arch is the JobSpec name, and ius appears only on
 // FINGERS jobs, where it is the configured IU count. Live stream
-// records and the final record are checked alike.
+// records and the final record are checked alike. A job whose graph is
+// still loading streams the canonical graph name, sim_shards is the
+// count that runs on every record, and a stats job's final record keeps
+// one per-PE row per PE, as fingers.NewRunRecord builds it.
 func TestRecordArchAndIUs(t *testing.T) {
 	m, ts := newTestServer(t, Config{Concurrency: 1, ProgressEvery: 64})
 	for _, tc := range []struct {
@@ -669,6 +676,147 @@ func TestRecordArchAndIUs(t *testing.T) {
 		}
 		if !strings.Contains(string(raw), `"arch":"`+tc.arch+`"`) {
 			t.Errorf("%s: stream does not carry the canonical arch:\n%s", tc.arch, raw)
+		}
+	}
+
+	// The graph build blocks until release, so the job streams live
+	// records while its graph is loading.
+	release := make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer unblock()
+	m.Registry().Add("slow", func() (*graph.Graph, error) {
+		<-release
+		return gen.ErdosRenyi(200, 800, 3), nil
+	})
+	spec := fingers.JobSpec{Arch: "fingers", Graph: "slow", Pattern: "tc", PEs: 2, SimShards: 8, Stats: true}
+	st, resp := postJob(t, ts, spec)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("slow graph: POST: %d", resp.StatusCode)
+	}
+	sresp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sresp.Body.Close()
+	var raw bytes.Buffer
+	sc := bufio.NewScanner(sresp.Body)
+	for lines := 0; lines < 2 && sc.Scan(); lines++ {
+		raw.Write(sc.Bytes())
+		raw.WriteByte('\n')
+	}
+	unblock()
+	for sc.Scan() {
+		raw.Write(sc.Bytes())
+		raw.WriteByte('\n')
+	}
+	recs, skipped, err := telemetry.ReadRecordsLenient(&raw)
+	if err != nil || len(skipped) != 0 {
+		t.Fatalf("slow graph: stream unreadable: %v, skipped %v", err, skipped)
+	}
+	if len(recs) < 3 {
+		t.Fatalf("slow graph: %d records, want 2 live and a final one", len(recs))
+	}
+	live, final := recs[:len(recs)-1], recs[len(recs)-1]
+	for i, rec := range live {
+		if !rec.Partial || rec.JobState != "" {
+			t.Errorf("live record %d: partial %v job_state %q, want a partial record with no job_state", i, rec.Partial, rec.JobState)
+		}
+		if rec.Graph.Name != "slow" {
+			t.Errorf("live record %d: graph name %q during the graph load, want \"slow\"", i, rec.Graph.Name)
+		}
+	}
+	if final.Graph.Name != "slow" || final.Graph.Vertices != 200 {
+		t.Errorf("final record graph %+v, want the loaded graph's summary", final.Graph)
+	}
+	if final.JobState != string(StateDone) || final.StartedAt == "" || final.WallNS <= 0 {
+		t.Errorf("final record job_state %q started_at %q wall_ns %d, want done with both stamps",
+			final.JobState, final.StartedAt, final.WallNS)
+	}
+	for i, rec := range recs {
+		if rec.SimShards != 2 {
+			t.Errorf("record %d (partial %v): sim_shards %d, want 2 (clamped to the PE count)", i, rec.Partial, rec.SimShards)
+		}
+	}
+	if len(final.PerPE) != 2 {
+		t.Errorf("stats job's final record has %d per_pe rows, want 2", len(final.PerPE))
+	}
+	waitDone(t, m, st.ID)
+}
+
+// TestTerminalStatesAreJournalEvents: a terminal state is journaled
+// under its own name and a replayed terminal event restores the state
+// of that name, so no mapping sits between the two. Interrupted is
+// terminal for the process but not for the journal, which resumes it.
+func TestTerminalStatesAreJournalEvents(t *testing.T) {
+	for _, tc := range []struct {
+		state State
+		event string
+	}{
+		{StateDone, journal.EventDone},
+		{StateCanceled, journal.EventCanceled},
+		{StateDeadline, journal.EventDeadline},
+		{StateFailed, journal.EventFailed},
+		{StateInterrupted, journal.EventInterrupted},
+	} {
+		if !tc.state.Terminal() {
+			t.Errorf("state %q is not terminal", tc.state)
+		}
+		if string(tc.state) != tc.event {
+			t.Errorf("state %q journals as %q: the names differ", tc.state, tc.event)
+		}
+		if got, want := journal.Terminal(tc.event), tc.state != StateInterrupted; got != want {
+			t.Errorf("journal.Terminal(%q) = %v, want %v", tc.event, got, want)
+		}
+	}
+}
+
+// TestFinishedJobReleasesContext: every terminal move releases the
+// job's context, so a finished job holds nothing under the manager's
+// base context until Drain.
+func TestFinishedJobReleasesContext(t *testing.T) {
+	dir := t.TempDir()
+	jn := openJournal(t, dir, journal.Options{})
+	m := NewManager(NewRegistry(), Config{Concurrency: 1, Journal: jn})
+	fail := false
+	m.simulate = func(ctx context.Context, arch fingers.Arch, g *fingers.Graph, plans []*fingers.Plan, opts ...fingers.SimOption) (fingers.SimReport, error) {
+		if fail {
+			return fingers.SimReport{}, errors.New("chip exploded")
+		}
+		return fingers.SimReport{}, nil
+	}
+	spec := fingers.JobSpec{Arch: "fingers", Graph: "As", Pattern: "tc"}
+	var jobs []*Job
+	for _, f := range []bool{false, true} {
+		fail = f
+		j, err := m.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, m, j.ID)
+		if j.ctx.Err() == nil {
+			t.Errorf("job %s (%s): context still live after Done", j.ID, j.State())
+		}
+		jobs = append(jobs, j)
+	}
+	m.Drain(time.Second)
+	if err := jn.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Replay restores both as history; their contexts are released too.
+	m2 := NewManager(NewRegistry(), Config{Concurrency: 1, Journal: openJournal(t, dir, journal.Options{})})
+	defer m2.Drain(0)
+	for i, j := range jobs {
+		r, ok := m2.Get(j.ID)
+		if !ok {
+			t.Fatalf("job %s not restored", j.ID)
+		}
+		<-r.Done()
+		if r.State() != j.State() {
+			t.Errorf("job %s restored as %s, want %s", j.ID, r.State(), j.State())
+		}
+		if r.ctx.Err() == nil {
+			t.Errorf("restored job %d (%s): context still live after Done", i, r.State())
 		}
 	}
 }

@@ -96,8 +96,9 @@ func TestShardedJobEndToEnd(t *testing.T) {
 	}
 }
 
-// TestShardedJobUnclamped: with no server max, the façade's own PE
-// clamp is the only bound.
+// TestShardedJobUnclamped: with no server max, the PE count is the
+// only bound, and admission applies it so the spec, the live records
+// and the final record all name the shard count that runs.
 func TestShardedJobUnclamped(t *testing.T) {
 	m, ts := newTestServer(t, Config{Concurrency: 1})
 	spec := fingers.JobSpec{Arch: "fingers", Graph: "As", Pattern: "tc", PEs: 2, SimShards: 8}
@@ -105,16 +106,16 @@ func TestShardedJobUnclamped(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("POST: %d", resp.StatusCode)
 	}
-	if st.Spec.SimShards != 8 {
-		t.Errorf("admitted spec sim_shards %d, want 8 (no server clamp)", st.Spec.SimShards)
+	if st.Spec.SimShards != 2 {
+		t.Errorf("admitted spec sim_shards %d, want 2 (clamped to the PE count)", st.Spec.SimShards)
 	}
 	waitDone(t, m, st.ID)
 	got := getStatus(t, ts, st.ID)
 	if got.State != StateDone {
 		t.Fatalf("state %s (err %q), want done", got.State, got.Error)
 	}
-	// 8 requested over 2 PEs: the façade ran 2, and the record says so.
+	// 8 requested over 2 PEs: 2 ran, and the record says so.
 	if got.Record.Meta.SimShards != 2 {
-		t.Errorf("record meta sim_shards %d, want façade-clamped 2", got.Record.Meta.SimShards)
+		t.Errorf("record meta sim_shards %d, want clamped 2", got.Record.Meta.SimShards)
 	}
 }
