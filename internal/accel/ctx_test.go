@@ -126,3 +126,40 @@ func TestRunCtxPanicBecomesSimError(t *testing.T) {
 		t.Errorf("error %q does not mention the panic value", err)
 	}
 }
+
+// TestRunPanicAmongManyPEs attributes a fault to the right PE when it is
+// one of eight in the heap: its chip index, the local clock it had
+// reached when it panicked, and the root it was mining.
+func TestRunPanicAmongManyPEs(t *testing.T) {
+	var pes []PE
+	for i := 0; i < 8; i++ {
+		if i == 5 {
+			pes = append(pes, &panicPE{fakePE: fakePE{step: 3, left: 100}, panicAt: 10, root: 7})
+			continue
+		}
+		pes = append(pes, &fakePE{step: mem.Cycles(2 + i), left: 100})
+	}
+	_, err := Run(context.Background(), pes, 0, nil)
+	se, ok := simerr.As(err)
+	if !ok {
+		t.Fatalf("error %v is not a *simerr.SimError", err)
+	}
+	// Nine completed steps of 3 cycles each precede the faulting one.
+	if se.PE != 5 || se.Cycle != 27 || se.Root != 7 {
+		t.Errorf("SimError attributes PE %d, cycle %d, root %d; want PE 5, cycle 27, root 7", se.PE, se.Cycle, se.Root)
+	}
+}
+
+// TestRunProgressPanicPropagates: a panic raised by the progress callback
+// is the caller's fault, not a PE's. It leaves Run as the same panic
+// value instead of returning as a *SimError.
+func TestRunProgressPanicPropagates(t *testing.T) {
+	pes := []PE{&fakePE{step: 5, left: 10}, &fakePE{step: 7, left: 10}}
+	defer func() {
+		if r := recover(); r != "progress fault" {
+			t.Errorf("recovered %v, want the callback's own panic value", r)
+		}
+	}()
+	_, err := Run(context.Background(), pes, 3, func(Progress) { panic("progress fault") })
+	t.Errorf("Run returned (err %v) instead of propagating the callback's panic", err)
+}

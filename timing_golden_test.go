@@ -12,7 +12,7 @@ import (
 	"fingers"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/timing.golden.json from the current engine")
+var update = flag.Bool("update", false, "rewrite the timing goldens under testdata/ from the current engine")
 
 // timingCell is one pinned simulation: every number the serial engine
 // reports for a graph × pattern × architecture run. A refactor that moves
@@ -75,26 +75,30 @@ func timingGrid(t *testing.T) []timingCell {
 				if err != nil {
 					t.Fatalf("%s/%s/%s: %v", arch, gg.name, patName, err)
 				}
-				r := rep.Result
-				cells = append(cells, timingCell{
-					Arch:        arch.String(),
-					Graph:       gg.name,
-					Pattern:     patName,
-					Count:       r.Count,
-					Tasks:       r.Tasks,
-					Cycles:      int64(r.Cycles),
-					CacheHits:   r.SharedCache.LineAccesses - r.SharedCache.LineMisses,
-					CacheMisses: r.SharedCache.LineMisses,
-					DRAMBytes:   r.DRAM.BytesMoved,
-					Compute:     int64(r.Breakdown.Compute),
-					MemStall:    int64(r.Breakdown.MemStall),
-					Overhead:    int64(r.Breakdown.Overhead),
-					Idle:        int64(r.Breakdown.Idle),
-				})
+				cells = append(cells, newTimingCell(arch.String(), gg.name, patName, rep.Result))
 			}
 		}
 	}
 	return cells
+}
+
+// newTimingCell pins every number of one run's result.
+func newTimingCell(arch, graph, pattern string, r fingers.SimResult) timingCell {
+	return timingCell{
+		Arch:        arch,
+		Graph:       graph,
+		Pattern:     pattern,
+		Count:       r.Count,
+		Tasks:       r.Tasks,
+		Cycles:      int64(r.Cycles),
+		CacheHits:   r.SharedCache.LineAccesses - r.SharedCache.LineMisses,
+		CacheMisses: r.SharedCache.LineMisses,
+		DRAMBytes:   r.DRAM.BytesMoved,
+		Compute:     int64(r.Breakdown.Compute),
+		MemStall:    int64(r.Breakdown.MemStall),
+		Overhead:    int64(r.Breakdown.Overhead),
+		Idle:        int64(r.Breakdown.Idle),
+	}
 }
 
 // TestTimingGolden pins the modelled timing of the serial engine — the
