@@ -7,7 +7,6 @@
 package accel
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 
@@ -99,7 +98,8 @@ type MemPort interface {
 // at its local time, advancing it; it returns false once the PE is
 // permanently idle (empty stack and no roots left).
 type PE interface {
-	// Time returns the PE's local clock.
+	// Time returns the PE's local clock. Only Step may change it: Run
+	// caches the value between a PE's steps.
 	Time() mem.Cycles
 	// Step advances the PE by one scheduling quantum.
 	Step() bool
@@ -108,30 +108,46 @@ type PE interface {
 	Count() uint64
 }
 
-// peEntry is one scheduled PE with its chip index.
+// peEntry is one scheduled PE with its chip index and a cached copy of
+// its local clock. A PE's clock changes only inside its own Step, so Run
+// refreshes t right after each step and the heap never calls Time.
 type peEntry struct {
 	pe PE
 	id int
+	t  mem.Cycles
 }
 
-// peHeap orders PEs by local time so shared-resource accesses interleave
-// in approximately global time order. Ties break by PE index, so the
-// schedule is a total (cycle, PE-id) order and runs are deterministic.
+// before is the schedule's total (cycle, PE-id) order: PEs run in local
+// time order so shared-resource accesses interleave in approximately
+// global time order, and ties break by PE index so runs are
+// deterministic.
+func (e *peEntry) before(o *peEntry) bool {
+	return e.t < o.t || (e.t == o.t && e.id < o.id)
+}
+
+// peHeap is a binary min-heap of PEs in before order.
 type peHeap []peEntry
 
-func (h peHeap) Len() int { return len(h) }
-func (h peHeap) Less(i, j int) bool {
-	ti, tj := h[i].pe.Time(), h[j].pe.Time()
-	return ti < tj || (ti == tj && h[i].id < h[j].id)
-}
-func (h peHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *peHeap) Push(x interface{}) { *h = append(*h, x.(peEntry)) }
-func (h *peHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// down sifts entry i down until no child precedes it: it restores heap
+// order after entry i's clock grew or a new entry replaced it.
+func (h peHeap) down(i int) {
+	x := h[i]
+	for {
+		l := 2*i + 1
+		if l >= len(h) {
+			break
+		}
+		m := l
+		if r := l + 1; r < len(h) && h[r].before(&h[l]) {
+			m = r
+		}
+		if !h[m].before(&x) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	h[i] = x
 }
 
 // Result summarizes one simulated run.
@@ -204,18 +220,6 @@ func currentRoot(pe PE) int64 {
 	return simerr.NoRoot
 }
 
-// safeStep advances one PE, converting a panic inside the step into a
-// structured *simerr.SimError attributed to the PE, its local clock, and
-// the root it was mining.
-func safeStep(pe PE, id int) (alive bool, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = simerr.FromPanic("serial", id, int64(pe.Time()), currentRoot(pe), r)
-		}
-	}()
-	return pe.Step(), nil
-}
-
 // Run drives the PEs in event order until all are idle and returns the
 // makespan. Each heap pop selects the PE with the smallest local clock so
 // shared cache and DRAM state evolve in near-global order.
@@ -228,14 +232,15 @@ func safeStep(pe PE, id int) (alive bool, err error) {
 // local clock reached) alongside a *simerr.SimError wrapping ctx.Err();
 // shared cache, DRAM, and per-PE state remain consistent and inspectable.
 // A panic inside a PE step likewise returns as a *SimError attributed to
-// the PE, cycle, and root.
-func Run(ctx context.Context, pes []PE, every int64, fn func(Progress)) (mem.Cycles, error) {
+// the PE, cycle, and root; a panic inside fn propagates to the caller.
+func Run(ctx context.Context, pes []PE, every int64, fn func(Progress)) (makespan mem.Cycles, err error) {
 	h := make(peHeap, 0, len(pes))
-	var makespan mem.Cycles
 	for i, pe := range pes {
-		h = append(h, peEntry{pe: pe, id: i})
+		h = append(h, peEntry{pe: pe, id: i, t: pe.Time()})
 	}
-	heap.Init(&h)
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
 	// horizon is the partially simulated makespan at an early return: the
 	// largest local clock any PE reached, retired or not.
 	horizon := func() mem.Cycles {
@@ -247,35 +252,51 @@ func Run(ctx context.Context, pes []PE, every int64, fn func(Progress)) (mem.Cyc
 		}
 		return out
 	}
+	// One recover serves the whole run. stepping is set only while the
+	// heap root's Step runs, so a PE panic is attributed to that PE, its
+	// clock and its root, and any other panic (the progress callback's)
+	// propagates untouched.
+	stepping := false
+	defer func() {
+		if stepping {
+			if r := recover(); r != nil {
+				pe := h[0].pe
+				err = simerr.FromPanic("serial", h[0].id, int64(pe.Time()), currentRoot(pe), r)
+				makespan = horizon()
+			}
+		}
+	}()
 	var steps int64
-	for h.Len() > 0 {
+	for len(h) > 0 {
 		if steps%CancelCheckQuantum == 0 {
 			if cerr := ctx.Err(); cerr != nil {
 				return horizon(), simerr.Cancelled("serial", int64(horizon()), cerr)
 			}
 		}
-		pe, id := h[0].pe, h[0].id
-		alive, err := safeStep(pe, id)
-		if err != nil {
-			return horizon(), err
-		}
+		top := &h[0]
+		stepping = true
+		alive := top.pe.Step()
+		stepping = false
 		steps++
 		if alive {
-			heap.Fix(&h, 0)
+			top.t = top.pe.Time()
+			h.down(0)
 		} else {
-			if pe.Time() > makespan {
-				makespan = pe.Time()
+			if t := top.pe.Time(); t > makespan {
+				makespan = t
 			}
-			heap.Pop(&h)
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+			if len(h) > 0 {
+				h.down(0)
+			}
 		}
 		if every > 0 && fn != nil && steps%every == 0 {
-			var now mem.Cycles
-			if h.Len() > 0 {
-				now = h[0].pe.Time()
-			} else {
-				now = makespan
+			now := makespan
+			if len(h) > 0 {
+				now = h[0].t
 			}
-			fn(Progress{Steps: steps, Now: now, Active: h.Len()})
+			fn(Progress{Steps: steps, Now: now, Active: len(h)})
 		}
 	}
 	return makespan, nil

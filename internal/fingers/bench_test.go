@@ -1,11 +1,14 @@
 package fingers
 
 import (
+	"math/rand"
 	"testing"
 
 	"fingers/internal/graph/gen"
+	"fingers/internal/mine"
 	"fingers/internal/pattern"
 	"fingers/internal/plan"
+	"fingers/internal/setops"
 	"fingers/internal/telemetry"
 )
 
@@ -67,4 +70,29 @@ func BenchmarkSinglePECountingTracer(b *testing.B) {
 		chip.SetTracer(&telemetry.Counting{})
 		mustRun(b, chip)
 	}
+}
+
+// BenchmarkComputeTask is the PE op loop's layer benchmark: computeTask
+// charging tasks of two set operations each, shaped like most of a
+// simulation's operations (a candidate set of up to 24 elements against
+// a neighbor list of up to 48, intersections and subtractions alike),
+// with no memory traffic. It reports host time per operation.
+func BenchmarkComputeTask(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	ops := make([]mine.SetOpExec, 256)
+	for i := range ops {
+		ops[i] = mine.SetOpExec{
+			Kind:  []setops.Op{setops.OpIntersect, setops.OpSubtract}[i%2],
+			Short: randomSortedSet(rng, 24, 2000),
+			Long:  randomSortedSet(rng, 48, 2000),
+		}
+	}
+	pe := DefaultConfig().NewPE(0, nil, nil, nil, nil)
+	fetch := []uint32{0}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := 2 * (i % 128)
+		pe.computeTask(0, mine.TaskInfo{Ops: ops[j : j+2], FetchVertices: fetch})
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*b.N), "ns/op-charged")
 }

@@ -1,6 +1,8 @@
 package fingers
 
 import (
+	"math/bits"
+
 	"fingers/internal/accel"
 	"fingers/internal/graph"
 	"fingers/internal/mem"
@@ -108,22 +110,26 @@ type PE struct {
 	iuBusy []mem.Cycles
 	opBusy []mem.Cycles
 	iuWl   []int
-	// iuKeys is a binary min-heap of packed (busy<<16 | IU index) keys:
-	// plain int64 order is exactly the (busy, index) lexicographic order
-	// the list scheduler's first-minimum scan resolves ties by. Only the
-	// root's key ever grows, so one sift-down per workload maintains it.
+	// fresh counts the IUs assigned work this task. An idle IU is the
+	// list scheduler's (busy, index) minimum, so a task's first workloads
+	// go to IUs 0, 1, 2, … in turn: the busy IUs are exactly [0, fresh),
+	// and the post-task scan and reset touch only those.
+	fresh int
+	// iuKeys is a binary min-heap of packed (busy<<16 | IU index) keys,
+	// built once all IUs are busy: plain int64 order is exactly the
+	// (busy, index) lexicographic order the list scheduler's
+	// first-minimum scan resolves ties by. Only the root's key ever grows,
+	// so one sift-down per workload maintains it.
 	iuKeys []int64
 	opWl   int
-	// tkTouched/opTouched list the IUs assigned work this task / this op,
-	// so the post-op and post-task scans and resets touch only those
-	// instead of sweeping all NumIUs entries per (often tiny) op.
-	tkTouched []int
+	// opTouched lists the IUs assigned work this op, so the post-op scan
+	// and reset touch only those instead of sweeping all NumIUs entries
+	// per (often tiny) op.
 	opTouched []int
 	// members/sorted are the task-group scratch: per-candidate fetch
 	// geometry probed once, then partitioned cache-hits-first.
 	members []member
 	sorted  []member
-	pairing setops.Pairing
 }
 
 // member is one task-group entry: a candidate with its neighbor-list
@@ -151,7 +157,6 @@ func (cfg Config) NewPE(id int, g *graph.Graph, plans []*plan.Plan, roots *accel
 		opBusy:        make([]mem.Cycles, cfg.NumIUs),
 		iuWl:          make([]int, cfg.NumIUs),
 		iuKeys:        make([]int64, cfg.NumIUs),
-		tkTouched:     make([]int, 0, cfg.NumIUs),
 		opTouched:     make([]int, 0, cfg.NumIUs),
 	}
 	pe.stats.NumIUs = cfg.NumIUs
@@ -363,13 +368,8 @@ func (pe *PE) finishTask(engineIdx int, e *mine.Engine, node *mine.Node) {
 // by the sum of all stage latencies.
 func (pe *PE) computeTask(ready mem.Cycles, info mine.TaskInfo) mem.Cycles {
 	pe.tasks++
-	// iuBusy/iuWl are all-zero here (the previous task reset exactly the
-	// entries it touched); zero-busy keys make the identity permutation a
-	// valid min-heap.
-	for i := range pe.iuKeys {
-		pe.iuKeys[i] = int64(i)
-	}
-	pe.tkTouched = pe.tkTouched[:0]
+	// iuBusy/iuWl are all-zero and fresh is zero here: the previous task
+	// reset exactly the IUs it used.
 	fetchStart := ready
 	// Extra fetches beyond the new vertex's list (postponed ancestors).
 	for _, v := range info.FetchVertices[1:] {
@@ -377,7 +377,8 @@ func (pe *PE) computeTask(ready mem.Cycles, info mine.TaskInfo) mem.Cycles {
 	}
 	searchSteps := 0
 	totalWorkloads := 0
-	for _, op := range info.Ops {
+	for i := range info.Ops {
+		op := &info.Ops[i]
 		// Candidate sets beyond the private cache spill via shared cache.
 		if int64(len(op.Short))*4 > pe.cfg.PrivateCacheBytes {
 			ready = pe.shared.Access(ready, pe.g.TotalAdjacencyBytes()+(1<<20), int64(len(op.Short))*4)
@@ -390,10 +391,10 @@ func (pe *PE) computeTask(ready mem.Cycles, info mine.TaskInfo) mem.Cycles {
 	}
 	// Serialized ancestor fetches and spill traffic are exposed latency.
 	pe.bd.MemStall += ready - fetchStart
-	usedIUs := len(pe.tkTouched)
+	usedIUs := pe.fresh
 	var busySum mem.Cycles
-	for _, i := range pe.tkTouched {
-		busySum += pe.iuBusy[i]
+	for _, b := range pe.iuBusy[:usedIUs] {
+		busySum += b
 	}
 	// Each IU receives inputs and surrenders results through the serial
 	// round-robin sweeps (§4.3), whose period is proportional to the
@@ -405,7 +406,7 @@ func (pe *PE) computeTask(ready mem.Cycles, info mine.TaskInfo) mem.Cycles {
 	// scaling shrinks segments (the Figure 12 drop at 48 IUs).
 	rrPeriod := mem.Cycles(usedIUs)
 	var maxBusy mem.Cycles
-	for _, i := range pe.tkTouched {
+	for i := 0; i < usedIUs; i++ {
 		eff := pe.iuBusy[i]
 		if rr := mem.Cycles(pe.iuWl[i]) * rrPeriod; rr > eff {
 			eff = rr
@@ -416,6 +417,7 @@ func (pe *PE) computeTask(ready mem.Cycles, info mine.TaskInfo) mem.Cycles {
 		pe.iuBusy[i] = 0
 		pe.iuWl[i] = 0
 	}
+	pe.fresh = 0
 	pe.stats.BusyIUCycles += busySum
 	// Divider stage: short heads stream through the long-head tree,
 	// spread over the parallel task dividers.
@@ -450,24 +452,34 @@ func (pe *PE) computeTask(ready mem.Cycles, info mine.TaskInfo) mem.Cycles {
 	return ready + step
 }
 
-// chargeOp segments one set operation, derives its balanced workloads
-// (the same geometry Balance produces, without materializing them), and
-// list-schedules each onto the earliest-available IU. It returns the
-// accumulated divider search steps and workload count.
-func (pe *PE) chargeOp(op mine.SetOpExec, searchSteps, totalWorkloads int) (int, int) {
+// chargeOp segments one set operation, pairs its long and short
+// segments by overlapping value ranges, derives the balanced workloads
+// (the geometry setops.Pair and setops.Balance produce, without
+// materializing either), and list-schedules each onto the
+// earliest-available IU. It returns the accumulated divider search steps
+// and workload count.
+//
+// Pairing is one two-pointer walk: the short segments overlapping long
+// segment k are the contiguous range [lo, hi) of those ending at or above
+// its first element and starting at or below its last, and neither end
+// moves backwards as k grows. Long segments that overlap nothing carry a
+// workload only under anti-subtraction; the other operations skip them
+// with one binary search.
+func (pe *PE) chargeOp(op *mine.SetOpExec, searchSteps, totalWorkloads int) (int, int) {
 	long := setops.Segment(op.Long, pe.cfg.LongSegLen)
 	short := setops.Segment(op.Short, pe.cfg.ShortSegLen)
-	setops.PairInto(&pe.pairing, long, short)
-	pairing := &pe.pairing
-	// A task divider matches up to 15 long heads against up to 24 short
-	// heads at a time (§4.2); longer head lists are split into chunks,
-	// each short head re-streaming through every long-head chunk. Shorter
-	// segments mean longer head lists mean more chunking work.
-	longChunks := (long.NumSegments() + dividerLongHeads - 1) / dividerLongHeads
-	if longChunks < 1 {
-		longChunks = 1
+	nl, ns := long.NumSegments(), short.NumSegments()
+	if nl > 0 && ns > 0 {
+		// The divider streams each short head through a binary tree of
+		// the long heads (Figure 7): ceil(log2(nl+1)) comparisons per
+		// short head. A task divider matches up to 15 long heads against
+		// up to 24 short heads at a time (§4.2); longer head lists are
+		// split into chunks, each short head re-streaming through every
+		// long-head chunk. Shorter segments mean longer head lists mean
+		// more chunking work.
+		longChunks := (nl + dividerLongHeads - 1) / dividerLongHeads
+		searchSteps += ns * bits.Len(uint(nl)) * longChunks
 	}
-	searchSteps += pairing.SearchSteps * longChunks
 	maxLoad := pe.cfg.MaxLoad
 	if maxLoad < 1 {
 		maxLoad = 1
@@ -475,35 +487,50 @@ func (pe *PE) chargeOp(op mine.SetOpExec, searchSteps, totalWorkloads int) (int,
 	// opBusy is all-zero here (the previous op reset its touched entries).
 	pe.opTouched = pe.opTouched[:0]
 	pe.opWl = 0
+	ld, sd, sl, ss := long.Data, short.Data, long.SegLen, short.SegLen
+	lo, hi := 0, 0
 	covered := 0 // subtraction: next short segment not yet known unpaired
-	for j, ld := range pairing.Loads {
-		if ld.ShortCount == 0 {
+	for k := 0; k < nl; k++ {
+		first := k * sl
+		last := min(first+sl, len(ld)) - 1
+		for lo < ns && sd[min((lo+1)*ss, len(sd))-1] < ld[first] {
+			lo++
+		}
+		for hi < ns && sd[hi*ss] <= ld[last] {
+			hi++
+		}
+		ll := last - first + 1
+		if lo == hi {
 			if op.Kind == setops.OpAntiSubtract {
-				pe.schedule(mem.Cycles(long.SegSize(j)))
+				pe.schedule(mem.Cycles(ll))
+				continue
 			}
+			// No workload: jump to the first long segment that can
+			// overlap short segment hi, or stop when none can.
+			if hi == ns {
+				break
+			}
+			p := last + 1 + setops.LowerBound(ld[last+1:], sd[hi*ss])
+			if p == len(ld) {
+				break
+			}
+			k = p/sl - 1
 			continue
 		}
 		if op.Kind == setops.OpSubtract {
 			// Unpaired short segments before this long's range survive
 			// wholesale and become pass-through workloads.
-			for ; covered < ld.ShortStart; covered++ {
+			for ; covered < lo; covered++ {
 				pe.schedule(mem.Cycles(short.SegSize(covered)))
 			}
-			if end := ld.ShortStart + ld.ShortCount; end > covered {
-				covered = end
-			}
+			covered = hi
 		}
-		ll := long.SegSize(j)
-		for s := 0; s < ld.ShortCount; s += maxLoad {
-			n := ld.ShortCount - s
-			if n > maxLoad {
-				n = maxLoad
-			}
-			pe.schedule(mem.Cycles(ll + short.SpanSize(ld.ShortStart+s, n)))
+		for s := lo; s < hi; s += maxLoad {
+			pe.schedule(mem.Cycles(ll + short.SpanSize(s, min(maxLoad, hi-s))))
 		}
 	}
 	if op.Kind == setops.OpSubtract {
-		for ; covered < short.NumSegments(); covered++ {
+		for ; covered < ns; covered++ {
 			pe.schedule(mem.Cycles(short.SegSize(covered)))
 		}
 	}
@@ -529,18 +556,22 @@ func (pe *PE) chargeOp(op mine.SetOpExec, searchSteps, totalWorkloads int) (int,
 
 // schedule assigns one workload to the earliest-available IU: the
 // lexicographic (busy, index) minimum, which is exactly the first index a
-// linear scan for the least-busy IU would report. Only the chosen IU's
-// key grows, so the heap root is the only entry that can violate heap
-// order afterwards; the root's new key is sifted down hole-style with
-// primitive int64 comparisons.
+// linear scan for the least-busy IU would report. While some IU is idle
+// that is IU fresh. Once all are busy, a min-heap of packed keys finds
+// it: only the chosen IU's key grows, so the heap root is the only entry
+// that can violate heap order afterwards, and the root's new key is
+// sifted down with primitive int64 comparisons.
 func (pe *PE) schedule(cycles mem.Cycles) {
 	if cycles < 1 {
 		cycles = 1
 	}
 	h := pe.iuKeys
-	best := int(h[0] & 0xffff)
-	if pe.iuBusy[best] == 0 {
-		pe.tkTouched = append(pe.tkTouched, best)
+	idle := pe.fresh < len(h)
+	best := pe.fresh
+	if idle {
+		pe.fresh++
+	} else {
+		best = int(h[0] & 0xffff)
 	}
 	if pe.opBusy[best] == 0 {
 		pe.opTouched = append(pe.opTouched, best)
@@ -549,16 +580,29 @@ func (pe *PE) schedule(cycles mem.Cycles) {
 	pe.opBusy[best] += cycles
 	pe.iuWl[best]++
 	pe.opWl++
-	key := h[0] + int64(cycles)<<16
-	n := len(h)
-	i := 0
+	if !idle {
+		siftIU(h, 0, h[0]+int64(cycles)<<16)
+	} else if pe.fresh == len(h) {
+		// The last idle IU is taken: heap-order every IU's key.
+		for i, b := range pe.iuBusy {
+			h[i] = int64(b)<<16 | int64(i)
+		}
+		for i := len(h)/2 - 1; i >= 0; i-- {
+			siftIU(h, i, h[i])
+		}
+	}
+}
+
+// siftIU places key at position i of the IU heap h, moving it down
+// hole-style past every smaller child.
+func siftIU(h []int64, i int, key int64) {
 	for {
 		l := 2*i + 1
-		if l >= n {
+		if l >= len(h) {
 			break
 		}
 		m := l
-		if r := l + 1; r < n && h[r] < h[l] {
+		if r := l + 1; r < len(h) && h[r] < h[l] {
 			m = r
 		}
 		if h[m] >= key {

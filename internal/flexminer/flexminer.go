@@ -223,7 +223,8 @@ func (pe *PE) charge(info mine.TaskInfo) {
 	// refetch a long input that does not fit in the private cache
 	// (Figure 3's motivating inefficiency). An op's long input counts as
 	// already used when any earlier op of this task consumed it.
-	for i, op := range info.Ops {
+	for i := range info.Ops {
+		op := &info.Ops[i]
 		usedBefore := false
 		for j := 0; j < i; j++ {
 			if info.Ops[j].LongVertex == op.LongVertex {

@@ -249,8 +249,14 @@ func (e *Engine) extend(n *Node, v uint32) (*Node, TaskInfo) {
 	child.Level = level
 	child.Verts = append(child.Verts[:0], n.Verts...)
 	child.Verts = append(child.Verts, v)
-	copy(child.sets, n.sets)
-	copy(child.setID, n.setID)
+	// Element loops: a pattern has a handful of levels, too few for the
+	// runtime copy calls to pay for themselves.
+	for i, s := range n.sets {
+		child.sets[i] = s
+	}
+	for i, id := range n.setID {
+		child.setID[i] = id
+	}
 	child.nbuf = 0
 
 	e.ops = e.ops[:0]
@@ -292,14 +298,7 @@ func (e *Engine) extend(n *Node, v uint32) (*Node, TaskInfo) {
 				out := slices.Grow(child.claimBuf(), len(result))
 				out = e.subtractInto(out, result, ancN, anc)
 				child.storeBuf(out)
-				e.ops = append(e.ops, SetOpExec{
-					Kind:       setops.OpSubtract,
-					Short:      result,
-					Long:       ancN,
-					LongVertex: anc,
-					Targets:    g.targets,
-					Result:     out,
-				})
+				e.addOp(setops.OpSubtract, result, ancN, anc, g.targets, out)
 				result = out
 			}
 		case plan.OpIntersect, plan.OpSubtract:
@@ -315,14 +314,7 @@ func (e *Engine) extend(n *Node, v uint32) (*Node, TaskInfo) {
 				out = e.intersectSrcInto(out, src, g.srcID, nv, v)
 			}
 			child.storeBuf(out)
-			e.ops = append(e.ops, SetOpExec{
-				Kind:       kind,
-				Short:      src,
-				Long:       nv,
-				LongVertex: v,
-				Targets:    g.targets,
-				Result:     out,
-			})
+			e.addOp(kind, src, nv, v, g.targets, out)
 			result = out
 		default:
 			panic(fmt.Sprintf("mine: unexpected op kind %v", g.op))
@@ -334,6 +326,15 @@ func (e *Engine) extend(n *Node, v uint32) (*Node, TaskInfo) {
 		}
 	}
 	return child, TaskInfo{Level: level, NewVertex: v, Ops: e.ops, FetchVertices: e.fetch}
+}
+
+// addOp appends one executed set operation to the task's Ops. It writes
+// the fields in place: appending a SetOpExec literal builds the whole
+// struct on the stack and copies it.
+func (e *Engine) addOp(kind setops.Op, short, long []uint32, longVertex uint32, targets []int, result []uint32) {
+	e.ops = append(e.ops, SetOpExec{})
+	op := &e.ops[len(e.ops)-1]
+	op.Kind, op.Short, op.Long, op.LongVertex, op.Targets, op.Result = kind, short, long, longVertex, targets, result
 }
 
 // sameTaskIntersect returns the result of an earlier group of this task
@@ -458,7 +459,7 @@ func (e *Engine) Candidates(n *Node) []uint32 {
 	// Chosen vertices rarely appear in the window; copy only if needed.
 	clean := true
 	for _, u := range n.Verts {
-		if setops.Contains(window, u) {
+		if inWindow(window, u) {
 			clean = false
 			break
 		}
@@ -485,7 +486,7 @@ func (e *Engine) LeafCount(n *Node) uint64 {
 	a, b := e.window(n, set)
 	count := b - a
 	for _, u := range n.Verts {
-		if setops.Contains(set[a:b], u) {
+		if inWindow(set[a:b], u) {
 			count--
 		}
 	}
@@ -496,6 +497,13 @@ func (e *Engine) LeafCount(n *Node) uint64 {
 // and used vertices applied, for listing embeddings.
 func (e *Engine) LeafSet(n *Node) []uint32 {
 	return e.Candidates(n)
+}
+
+// inWindow reports whether u is in the sorted window w. Chosen vertices
+// mostly lie outside the symmetry-broken window, so a range check spares
+// most of the binary searches.
+func inWindow(w []uint32, u uint32) bool {
+	return len(w) > 0 && u >= w[0] && u <= w[len(w)-1] && setops.Contains(w, u)
 }
 
 func containsVert(vs []uint32, v uint32) bool {

@@ -1,7 +1,9 @@
 package setops
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -39,5 +41,34 @@ func BenchmarkPair(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Pair(long, short)
+	}
+}
+
+// BenchmarkSubtractSubset is the layer benchmark of SubtractSubsetInto's
+// dispatch: a set of |a| elements minus a random subset holding a given
+// fraction of them. Fractions of 20% and more take the linear kernel,
+// 5% the galloping one.
+func BenchmarkSubtractSubset(b *testing.B) {
+	for _, n := range []int{16, 64, 256, 1024} {
+		for _, pct := range []int{5, 20, 50, 80} {
+			rng := rand.New(rand.NewSource(1))
+			a := make([]uint32, n)
+			for i, v := range rng.Perm(4 * n)[:n] {
+				a[i] = uint32(v)
+			}
+			slices.Sort(a)
+			var sub []uint32
+			for _, v := range a {
+				if rng.Intn(100) < pct {
+					sub = append(sub, v)
+				}
+			}
+			dst := make([]uint32, 0, n)
+			b.Run(fmt.Sprintf("a=%d/sub=%d%%", n, pct), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					dst = SubtractSubsetInto(dst[:0], a, sub)
+				}
+			})
+		}
 	}
 }

@@ -34,10 +34,25 @@ func Unmark(bits []uint64, s []uint32) {
 
 // SubtractSubsetInto appends a − sub to dst and returns the extended
 // slice, where sub must be a subset of a (such as a ∩ b, making the
-// result a − b). It copies the runs of a between the elements of sub,
+// result a − b); dst must alias neither input. The kernel is chosen by
+// the subset's density. A dense subset (8·|sub| ≥ |a|) takes one linear
+// pass over a that appends each element unless it is the next element of
+// sub. A sparse one copies the runs of a between the elements of sub,
 // galloping to each, in O(|sub| · log(|a|/|sub|)) comparisons plus the
-// copy; dst must alias neither input.
+// copy; a gallop per removed element costs more than the linear pass once
+// the runs between them are short.
 func SubtractSubsetInto(dst, a, sub []uint32) []uint32 {
+	if 8*len(sub) >= len(a) {
+		j := 0
+		for _, v := range a {
+			if j < len(sub) && sub[j] == v {
+				j++
+				continue
+			}
+			dst = append(dst, v)
+		}
+		return dst
+	}
 	i := 0
 	for _, v := range sub {
 		j := gallopSearch(a, i, v)

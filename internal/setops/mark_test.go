@@ -62,6 +62,21 @@ func TestSubtractSubsetEdges(t *testing.T) {
 			t.Errorf("SubtractSubsetInto(%v, %v) = %v, want %v", a, tc.sub, got, tc.want)
 		}
 	}
+	// Either side of the dispatch threshold 8·|sub| = |a|: a two-element
+	// subset of 17, 16 and 15 elements takes the galloping, then twice
+	// the linear kernel. The subset holds a's two ends, and the result
+	// extends a non-empty prefix.
+	for _, n := range []int{17, 16, 15} {
+		a := make([]uint32, n)
+		for i := range a {
+			a[i] = uint32(3*i + 1)
+		}
+		sub := []uint32{a[0], a[n-1]}
+		want := append([]uint32{99}, a[1:n-1]...)
+		if got := SubtractSubsetInto([]uint32{99}, a, sub); !slices.Equal(got, want) {
+			t.Errorf("|a|=%d: SubtractSubsetInto([99], %v, %v) = %v, want %v", n, a, sub, got, want)
+		}
+	}
 }
 
 // FuzzMarkProbe differentially checks the mark-and-probe kernels against
@@ -71,6 +86,10 @@ func FuzzMarkProbe(f *testing.F) {
 	f.Add([]byte{5}, []byte{5}, byte(0), byte(0))
 	f.Add([]byte{63, 1, 63, 1}, []byte{64, 64}, byte(0), byte(0))
 	f.Add([]byte{1, 1, 1, 1}, []byte{255, 255, 255}, byte(0), byte(3))
+	// s − (s ∩ n) on either side of SubtractSubsetInto's dispatch: half of
+	// 16 elements removed (linear pass), then one of 20 (galloping).
+	f.Add(make([]byte, 16), []byte{0, 1, 1, 1, 1, 1, 1, 1}, byte(0), byte(0))
+	f.Add(make([]byte, 20), []byte{5}, byte(0), byte(0))
 	f.Fuzz(func(t *testing.T, rawS, rawN []byte, scaleS, scaleN byte) {
 		if len(rawS) > 512 || len(rawN) > 512 {
 			return

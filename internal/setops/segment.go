@@ -111,27 +111,10 @@ type Pairing struct {
 // once and charges ceil(log2) comparisons per short segment to
 // SearchSteps, matching the hardware's work.
 func Pair(long, short Segmentation) Pairing {
-	var p Pairing
-	PairInto(&p, long, short)
-	return p
-}
-
-// PairInto is Pair writing into a caller-owned Pairing, reusing its Loads
-// storage — the PE models' hot path calls it once per set operation, with
-// zero steady-state allocation.
-func PairInto(p *Pairing, long, short Segmentation) {
 	nl, ns := long.NumSegments(), short.NumSegments()
-	p.Long, p.Short = long, short
-	p.SearchSteps = 0
-	if cap(p.Loads) < nl {
-		p.Loads = make([]SegLoad, nl)
-	}
-	p.Loads = p.Loads[:nl]
-	for i := range p.Loads {
-		p.Loads[i] = SegLoad{}
-	}
+	p := Pairing{Long: long, Short: short, Loads: make([]SegLoad, nl)}
 	if nl == 0 || ns == 0 {
-		return
+		return p
 	}
 	depth := 1
 	for 1<<depth < nl+1 {
@@ -152,6 +135,7 @@ func PairInto(p *Pairing, long, short Segmentation) {
 			ld.ShortCount++
 		}
 	}
+	return p
 }
 
 // Workload is one unit of work issued to an intersect unit: one long

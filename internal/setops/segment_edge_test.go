@@ -84,43 +84,3 @@ func TestBalanceMaxLoadExactlyMet(t *testing.T) {
 		t.Errorf("load == maxLoad+1 split into %d workloads, want 2", len(ws))
 	}
 }
-
-// TestPairIntoReuse checks PairInto against Pair and that a reused
-// Pairing clears stale loads from a previous, larger pairing.
-func TestPairIntoReuse(t *testing.T) {
-	var p Pairing
-	big := Segment([]uint32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 2)
-	shrt := Segment([]uint32{3, 7}, 1)
-	PairInto(&p, big, shrt)
-	ref := Pair(big, shrt)
-	if len(p.Loads) != len(ref.Loads) || p.SearchSteps != ref.SearchSteps {
-		t.Fatalf("PairInto != Pair: %+v vs %+v", p, ref)
-	}
-	for i := range ref.Loads {
-		if p.Loads[i] != ref.Loads[i] {
-			t.Errorf("load[%d] = %+v, want %+v", i, p.Loads[i], ref.Loads[i])
-		}
-	}
-	// Re-pair into the same Pairing with fewer long segments: stale loads
-	// beyond the new length must be gone, and the shared ones reset.
-	small := Segment([]uint32{100, 200}, 2)
-	PairInto(&p, small, Segment([]uint32{1}, 1))
-	if len(p.Loads) != 1 || p.Loads[0].ShortCount != 0 {
-		t.Errorf("reused pairing kept stale state: %+v", p.Loads)
-	}
-}
-
-// TestPairIntoZeroAllocSteadyState gates the hot path: once Loads has
-// warmed to capacity, PairInto must not allocate.
-func TestPairIntoZeroAllocSteadyState(t *testing.T) {
-	long := Segment([]uint32{2, 5, 9, 25, 26, 40, 42, 48, 50, 58}, 2)
-	short := Segment([]uint32{3, 12, 14, 27, 33, 55}, 2)
-	var p Pairing
-	PairInto(&p, long, short) // warm Loads
-	allocs := testing.AllocsPerRun(100, func() {
-		PairInto(&p, long, short)
-	})
-	if allocs != 0 {
-		t.Errorf("PairInto allocates %.1f objects per call at steady state, want 0", allocs)
-	}
-}
