@@ -249,14 +249,8 @@ func (e *Engine) extend(n *Node, v uint32) (*Node, TaskInfo) {
 	child.Level = level
 	child.Verts = append(child.Verts[:0], n.Verts...)
 	child.Verts = append(child.Verts, v)
-	// Element loops: a pattern has a handful of levels, too few for the
-	// runtime copy calls to pay for themselves.
-	for i, s := range n.sets {
-		child.sets[i] = s
-	}
-	for i, id := range n.setID {
-		child.setID[i] = id
-	}
+	copy(child.sets, n.sets)
+	copy(child.setID, n.setID)
 	child.nbuf = 0
 
 	e.ops = e.ops[:0]
@@ -459,7 +453,7 @@ func (e *Engine) Candidates(n *Node) []uint32 {
 	// Chosen vertices rarely appear in the window; copy only if needed.
 	clean := true
 	for _, u := range n.Verts {
-		if inWindow(window, u) {
+		if setops.Contains(window, u) {
 			clean = false
 			break
 		}
@@ -486,7 +480,7 @@ func (e *Engine) LeafCount(n *Node) uint64 {
 	a, b := e.window(n, set)
 	count := b - a
 	for _, u := range n.Verts {
-		if inWindow(set[a:b], u) {
+		if setops.Contains(set[a:b], u) {
 			count--
 		}
 	}
@@ -497,13 +491,6 @@ func (e *Engine) LeafCount(n *Node) uint64 {
 // and used vertices applied, for listing embeddings.
 func (e *Engine) LeafSet(n *Node) []uint32 {
 	return e.Candidates(n)
-}
-
-// inWindow reports whether u is in the sorted window w. Chosen vertices
-// mostly lie outside the symmetry-broken window, so a range check spares
-// most of the binary searches.
-func inWindow(w []uint32, u uint32) bool {
-	return len(w) > 0 && u >= w[0] && u <= w[len(w)-1] && setops.Contains(w, u)
 }
 
 func containsVert(vs []uint32, v uint32) bool {
