@@ -462,9 +462,7 @@ func (pe *PE) computeTask(ready mem.Cycles, info mine.TaskInfo) mem.Cycles {
 // Pairing is one two-pointer walk: the short segments overlapping long
 // segment k are the contiguous range [lo, hi) of those ending at or above
 // its first element and starting at or below its last, and neither end
-// moves backwards as k grows. Long segments that overlap nothing carry a
-// workload only under anti-subtraction; the other operations skip them
-// with one binary search.
+// moves backwards as k grows.
 func (pe *PE) chargeOp(op *mine.SetOpExec, searchSteps, totalWorkloads int) (int, int) {
 	long := setops.Segment(op.Long, pe.cfg.LongSegLen)
 	short := setops.Segment(op.Short, pe.cfg.ShortSegLen)
@@ -501,20 +499,11 @@ func (pe *PE) chargeOp(op *mine.SetOpExec, searchSteps, totalWorkloads int) (int
 		}
 		ll := last - first + 1
 		if lo == hi {
+			// An unpaired long segment carries a workload only under
+			// anti-subtraction.
 			if op.Kind == setops.OpAntiSubtract {
 				pe.schedule(mem.Cycles(ll))
-				continue
 			}
-			// No workload: jump to the first long segment that can
-			// overlap short segment hi, or stop when none can.
-			if hi == ns {
-				break
-			}
-			p := last + 1 + setops.LowerBound(ld[last+1:], sd[hi*ss])
-			if p == len(ld) {
-				break
-			}
-			k = p/sl - 1
 			continue
 		}
 		if op.Kind == setops.OpSubtract {

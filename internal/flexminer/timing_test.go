@@ -1,27 +1,20 @@
 package flexminer
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
-	"sort"
 	"testing"
 
 	"fingers/internal/graph/gen"
 )
 
-var update = flag.Bool("update", false, "rewrite this package's cells of the targeted timing golden")
+var update = flag.Bool("update", false, "rewrite testdata/timing.targeted.golden.json from the current engine")
 
-// targetedGolden is the root package's second timing golden. This package
-// owns its FlexMiner cell: the façade no longer configures FlexMiner PEs,
-// so the cell is built here with accel.NewChip. The root package's tests
-// own the other cells.
-var targetedGolden = filepath.Join("..", "..", "testdata", "timing.targeted.golden.json")
-
-// targetedCell has the fields of the root package's timing cells.
-type targetedCell struct {
-	Config      string `json:"config"`
+// timingCell has the fields of the root package's timing cells.
+type timingCell struct {
 	Arch        string `json:"arch"`
 	Graph       string `json:"graph"`
 	Pattern     string `json:"pattern"`
@@ -39,17 +32,17 @@ type targetedCell struct {
 
 // TestTimingTargetedGolden pins a FlexMiner run whose private cache is
 // small enough that it refetches long neighbor lists and spills candidate
-// sets through the shared cache — paths no cell of the default grid
-// reaches. The graph, PE count and shared cache are the root golden's
-// plc1500 cell. Regenerate with
+// sets through the shared cache — paths no cell of the root package's
+// timing golden reaches. The façade no longer configures FlexMiner PEs,
+// so the cell is built here with accel.NewChip; the graph, PE count and
+// shared cache are the root golden's plc1500 cell. Regenerate with
 // `go test -run TestTimingTargetedGolden -update ./internal/flexminer/`.
 func TestTimingTargetedGolden(t *testing.T) {
 	g := gen.PowerLawCluster(1500, 5, 0.5, 4)
 	cfg := DefaultConfig()
 	cfg.PrivateCacheBytes = 64
 	r := mustRun(t, mustChip(t, cfg, 2, 32<<10, g, compiled(t, "tt")))
-	got := targetedCell{
-		Config:      "flexminer-spill",
+	cells := []timingCell{{
 		Arch:        "FlexMiner",
 		Graph:       "plc1500",
 		Pattern:     "tt",
@@ -63,35 +56,26 @@ func TestTimingTargetedGolden(t *testing.T) {
 		MemStall:    int64(r.Breakdown.MemStall),
 		Overhead:    int64(r.Breakdown.Overhead),
 		Idle:        int64(r.Breakdown.Idle),
-	}
-	var file []targetedCell
-	data, err := os.ReadFile(targetedGolden)
-	if err == nil {
-		err = json.Unmarshal(data, &file)
-	}
+	}}
+	got, err := json.MarshalIndent(cells, "", "  ")
 	if err != nil {
-		t.Fatalf("%v (run the root package's TestTimingTargetedGolden with -update first)", err)
+		t.Fatal(err)
 	}
-	i := sort.Search(len(file), func(i int) bool { return file[i].Config >= got.Config })
-	found := i < len(file) && file[i].Config == got.Config
+	got = append(got, '\n')
+	path := filepath.Join("testdata", "timing.targeted.golden.json")
 	if *update {
-		if !found {
-			file = append(file[:i], append([]targetedCell{got}, file[i:]...)...)
-		}
-		file[i] = got
-		out, err := json.MarshalIndent(file, "", "  ")
-		if err != nil {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(targetedGolden, append(out, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return
 	}
-	if !found {
-		t.Fatalf("cell %s is missing from %s (run with -update to add it)", got.Config, targetedGolden)
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
 	}
-	if file[i] != got {
-		t.Errorf("cell %s moved:\n got  %+v\n want %+v", got.Config, got, file[i])
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s moved:\n got  %s\n want %s", path, got, want)
 	}
 }

@@ -106,15 +106,20 @@ func newTimingCell(arch, graph, pattern string, r fingers.SimResult) timingCell 
 // silently. Regenerate with `go test -run TestTimingGolden -update .`
 // only for a deliberate model change, and say so in the change log.
 func TestTimingGolden(t *testing.T) {
-	cells := timingGrid(t)
+	checkGolden(t, filepath.Join("testdata", "timing.golden.json"), timingGrid(t))
+}
+
+// checkGolden compares cells with the golden file at path, cell by cell;
+// with -update it first rewrites the file from cells.
+func checkGolden[C comparable](t *testing.T, path string, cells []C) {
+	t.Helper()
 	got, err := json.MarshalIndent(cells, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
 	got = append(got, '\n')
-	path := filepath.Join("testdata", "timing.golden.json")
 	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(path, got, 0o644); err != nil {
@@ -128,7 +133,7 @@ func TestTimingGolden(t *testing.T) {
 	if bytes.Equal(got, want) {
 		return
 	}
-	var wantCells []timingCell
+	var wantCells []C
 	if err := json.Unmarshal(want, &wantCells); err != nil {
 		t.Fatalf("parse %s: %v", path, err)
 	}

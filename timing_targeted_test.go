@@ -1,20 +1,11 @@
 package fingers_test
 
 import (
-	"encoding/json"
-	"os"
 	"path/filepath"
-	"sort"
 	"testing"
 
 	"fingers"
 )
-
-// targetedGolden is the second timing golden: one cell per PE path that
-// no cell of the default grid reaches. This package owns its FINGERS
-// cells; internal/flexminer's tests own the FlexMiner cell, which the
-// façade can no longer configure.
-var targetedGolden = filepath.Join("testdata", "timing.targeted.golden.json")
 
 // targetedCell is a timingCell under the name of the configuration that
 // produced it.
@@ -23,10 +14,12 @@ type targetedCell struct {
 	timingCell
 }
 
-// TestTimingTargetedGolden pins the FINGERS configurations the default
-// grid leaves unreached: a private cache small enough that candidate
-// sets spill through the shared cache, a fixed group size of one, and 48
-// IUs under the iso-area rule of Figure 12 (shorter long segments).
+// TestTimingTargetedGolden pins, in a second timing golden, the FINGERS
+// configurations the default grid leaves unreached: a fixed group size of
+// one, 48 IUs under the iso-area rule of Figure 12 (shorter long
+// segments), and a private cache small enough that candidate sets spill
+// through the shared cache. internal/flexminer pins FlexMiner's spill in
+// its own golden: the façade no longer configures FlexMiner PEs.
 // Regenerate with `go test -run TestTimingTargetedGolden -update .`.
 func TestTimingTargetedGolden(t *testing.T) {
 	g := goldenGraphs[0].g()
@@ -46,9 +39,9 @@ func TestTimingTargetedGolden(t *testing.T) {
 		name string
 		cfg  fingers.AcceleratorConfig
 	}{
-		{"fingers-spill", spill},
 		{"fingers-group1", group1},
 		{"fingers-ius48", fingers.DefaultAcceleratorConfig().WithIUs(48)},
+		{"fingers-spill", spill},
 	}
 	var cells []targetedCell
 	for _, c := range configs {
@@ -60,49 +53,5 @@ func TestTimingTargetedGolden(t *testing.T) {
 		}
 		cells = append(cells, targetedCell{c.name, newTimingCell(fingers.ArchFingers.String(), goldenGraphs[0].name, "tt", rep.Result)})
 	}
-	checkTargetedGolden(t, cells)
-}
-
-// checkTargetedGolden compares cells with the entries of the targeted
-// golden that carry their config names. With -update it first rewrites
-// those entries, keeping the ones other packages own, in name order.
-func checkTargetedGolden(t *testing.T, cells []targetedCell) {
-	t.Helper()
-	var file []targetedCell
-	data, err := os.ReadFile(targetedGolden)
-	if err == nil {
-		err = json.Unmarshal(data, &file)
-	}
-	if err != nil && !(*update && os.IsNotExist(err)) {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	byName := map[string]targetedCell{}
-	for _, c := range file {
-		byName[c.Config] = c
-	}
-	if *update {
-		for _, c := range cells {
-			byName[c.Config] = c
-		}
-		file = file[:0]
-		for _, c := range byName {
-			file = append(file, c)
-		}
-		sort.Slice(file, func(i, j int) bool { return file[i].Config < file[j].Config })
-		out, err := json.MarshalIndent(file, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(targetedGolden, append(out, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, c := range cells {
-		want, ok := byName[c.Config]
-		if !ok {
-			t.Errorf("cell %s is missing from %s (run with -update to add it)", c.Config, targetedGolden)
-		} else if c != want {
-			t.Errorf("cell %s moved:\n got  %+v\n want %+v", c.Config, c, want)
-		}
-	}
+	checkGolden(t, filepath.Join("testdata", "timing.targeted.golden.json"), cells)
 }
