@@ -22,6 +22,9 @@ type Graph struct {
 
 	hybridOnce sync.Once
 	hybridAdj  *HybridAdj // lazily built by Hybrid
+
+	orderOnce sync.Once
+	order     []uint32 // lazily built by DegreeOrder
 }
 
 // Edge is one undirected edge between two vertex IDs.
@@ -241,19 +244,35 @@ func ComputeStats(g *Graph) Stats {
 	}
 }
 
-// DegreeOrder returns a permutation of vertices sorted by descending
-// degree, used by root-vertex scheduling studies.
+// DegreeOrder returns the vertices by descending degree, ties by
+// ascending ID: the parallel miner's root service order and the
+// degree-desc root-order ablation. It is computed on first use with a
+// stable counting sort, O(n + max degree), and cached for the graph's
+// lifetime. The returned slice is shared and must not be modified. Safe
+// for concurrent callers.
 func (g *Graph) DegreeOrder() []uint32 {
-	order := make([]uint32, g.NumVertices())
-	for i := range order {
-		order[i] = uint32(i)
+	g.orderOnce.Do(func() { g.order = g.degreeOrder() })
+	return g.order
+}
+
+// degreeOrder counting-sorts the vertices by rank maxDeg − degree.
+// Vertices are placed in ascending ID order, so ties stay ascending.
+func (g *Graph) degreeOrder() []uint32 {
+	n := g.NumVertices()
+	maxDeg := g.MaxDegree()
+	// next[r] is where the next vertex of rank r goes.
+	next := make([]int, maxDeg+2)
+	for v := 0; v < n; v++ {
+		next[maxDeg-g.Degree(uint32(v))+1]++
 	}
-	sort.Slice(order, func(i, j int) bool {
-		di, dj := g.Degree(order[i]), g.Degree(order[j])
-		if di != dj {
-			return di > dj
-		}
-		return order[i] < order[j]
-	})
+	for r := 1; r < len(next); r++ {
+		next[r] += next[r-1]
+	}
+	order := make([]uint32, n)
+	for v := 0; v < n; v++ {
+		r := maxDeg - g.Degree(uint32(v))
+		order[next[r]] = uint32(v)
+		next[r]++
+	}
 	return order
 }

@@ -3,6 +3,9 @@ package graph
 import (
 	"bytes"
 	"math/rand"
+	"slices"
+	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -111,6 +114,60 @@ func TestDegreeOrder(t *testing.T) {
 		if g.Degree(order[i-1]) < g.Degree(order[i]) {
 			t.Error("DegreeOrder not descending")
 		}
+	}
+	// A random graph has many degree ties: the counting sort must break
+	// them by ascending ID, exactly as the comparator sort it replaced.
+	g = randomGraph(5, 500, 1500)
+	want := make([]uint32, g.NumVertices())
+	for i := range want {
+		want[i] = uint32(i)
+	}
+	sort.Slice(want, func(i, j int) bool {
+		di, dj := g.Degree(want[i]), g.Degree(want[j])
+		if di != dj {
+			return di > dj
+		}
+		return want[i] < want[j]
+	})
+	if got := g.DegreeOrder(); !slices.Equal(got, want) {
+		t.Errorf("DegreeOrder differs from the comparator order:\n got %v\nwant %v", got, want)
+	}
+	if got := FromEdges(0, nil).DegreeOrder(); len(got) != 0 {
+		t.Errorf("empty graph order = %v", got)
+	}
+}
+
+// TestDegreeOrderConcurrent checks that concurrent first callers all get
+// the one cached slice (run under -race).
+func TestDegreeOrderConcurrent(t *testing.T) {
+	g := randomGraph(6, 300, 900)
+	got := make([][]uint32, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = g.DegreeOrder()
+		}()
+	}
+	wg.Wait()
+	for i, o := range got {
+		if len(o) != g.NumVertices() || &o[0] != &got[0][0] {
+			t.Fatalf("caller %d got a different slice", i)
+		}
+	}
+}
+
+var orderSink []uint32
+
+func BenchmarkDegreeOrder(b *testing.B) {
+	g := randomGraph(7, 1<<16, 1<<19)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// A fresh graph value per call, so each iteration pays the sort,
+		// not the cached lookup.
+		orderSink = (&Graph{offsets: g.offsets, neigh: g.neigh}).DegreeOrder()
 	}
 }
 

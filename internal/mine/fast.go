@@ -28,7 +28,10 @@ import (
 //     of merging the set again;
 //   - lean schedules: a subtract reuses its sibling's intersection of the
 //     same set (S − N = S − (S ∩ N)), and steps whose results only matter
-//     below a child wait until the node's first child is found;
+//     below a child wait until the node's first child is found. A
+//     subtract only the leaf reads is not built at all: its source's
+//     marks, with the sibling intersection's bits cleared, are the set
+//     (derived marks, see deriveMarks);
 //   - zero steady-state allocation: candidate sets live in per-level
 //     scratch buffers that are reused across siblings and roots, so after
 //     buffer capacities warm up, mining a root allocates nothing;
@@ -97,6 +100,19 @@ type frame struct {
 	// and cleared when the node's children are done.
 	marks  [][]uint64
 	marked [][]uint32
+
+	// derived is this node's derived step result, if its step ran.
+	derived derived
+}
+
+// derived is the result S = src − cut of a derive step (see
+// step.derive), held as src's marks in the parent frame with cut's bits
+// cleared. It lives in the frame rather than in a cset, because descend
+// copies every cset at every node.
+type derived struct {
+	marks []uint64 // nil when no derived result is live
+	src   []uint32
+	cut   []uint32 // the sibling intersection, cut ⊆ src
 }
 
 // KernelStats counts kernel-dispatch decisions, split between
@@ -106,18 +122,20 @@ type frame struct {
 // list against the marked candidate set (or a bitset one); Subset
 // subtracts a sibling step's intersection. Word is a word-wise
 // AND/AND-NOT of two bitsets, CountWord a leaf popcount of a bitset
-// candidate set against a dense row. Marks counts the sets marked and
-// Decode the word results decoded to arrays.
+// candidate set against a dense row. Derive clears a sibling
+// intersection from its source's marks instead of subtracting it (see
+// deriveMarks). Marks counts the sets marked and Decode the word results
+// decoded to arrays.
 type KernelStats struct {
-	Merge, Gallop, Bits, Probe, Subset, Word      uint64
-	CountGallop, CountBits, CountProbe, CountWord uint64
-	Marks, Decode                                 uint64
+	Merge, Gallop, Bits, Probe, Subset, Word, Derive uint64
+	CountGallop, CountBits, CountProbe, CountWord    uint64
+	Marks, Decode                                    uint64
 }
 
 // Total returns the number of dispatched operations (marking a set or
 // decoding a result is not one).
 func (s KernelStats) Total() uint64 {
-	return s.Merge + s.Gallop + s.Bits + s.Probe + s.Subset + s.Word +
+	return s.Merge + s.Gallop + s.Bits + s.Probe + s.Subset + s.Word + s.Derive +
 		s.CountGallop + s.CountBits + s.CountProbe + s.CountWord
 }
 
@@ -181,8 +199,8 @@ func (c *Counter) Root(v0 uint32) uint64 {
 	return n
 }
 
-// clearMarks zeroes every mark bitset, recovering from a Root that
-// panicked with sets still marked.
+// clearMarks zeroes every mark bitset and drops every derived result,
+// recovering from a Root that panicked with sets still marked.
 func (c *Counter) clearMarks() {
 	for level := range c.frames {
 		f := &c.frames[level]
@@ -190,6 +208,7 @@ func (c *Counter) clearMarks() {
 			clear(f.marks[m])
 			f.marked[m] = nil
 		}
+		f.derived = derived{}
 	}
 }
 
@@ -211,8 +230,15 @@ func (c *Counter) marksFor(level int, st *step, src []uint32) []uint64 {
 	return p.marks[st.mark]
 }
 
-// unmark clears every set the node's children marked in f.
+// unmark clears every set the node's children marked in f, and gives
+// back the bits a derive step of the node cleared from its parent's
+// marks, so that the node's siblings and the parent's unmark see the
+// source marked whole.
 func (f *frame) unmark() {
+	if d := &f.derived; d.marks != nil {
+		setops.Mark(d.marks, d.cut)
+		*d = derived{}
+	}
 	for m, s := range f.marked {
 		if s != nil {
 			setops.Unmark(f.marks[m], s)
@@ -228,7 +254,11 @@ func (c *Counter) descend(level int, v uint32) uint64 {
 		// Leaf fast path: a lone update step materializing only the final
 		// slot can be counted from the parent's slot without writing the
 		// result, or even setting up this level's frame.
-		return c.leafCountUpdate(&steps[0], &c.frames[level-1].sets[steps[0].src], v)
+		p := &c.frames[level-1]
+		if p.derived.marks != nil {
+			return c.leafCountDerived(steps[0].op, &p.derived, v)
+		}
+		return c.leafCountUpdate(&steps[0], &p.sets[steps[0].src], v)
 	}
 	f := &c.frames[level]
 	if level == 0 {
@@ -295,6 +325,9 @@ func (c *Counter) applySteps(level int, f *frame, steps []step, from int, nv []u
 		switch src := &f.sets[st.src]; {
 		case st.op == plan.OpInit:
 			res = c.initSet(f, si, st, nv, v)
+		case st.derive && src.words == nil:
+			// The target holds nothing: the leaf reads f.derived.
+			c.deriveMarks(level, f, st, src.arr)
 		case src.words != nil:
 			res = c.updateWords(level, f, si, st, src, nv, v)
 		default:
@@ -448,6 +481,20 @@ func (c *Counter) updateInto(level int, f *frame, st *step, dst []uint32, src *c
 	return setops.SubtractSubsetInto(dst, src.arr, f.scratch)
 }
 
+// deriveMarks computes the derive step st, src − N(v), as
+// src − (src ∩ N(v)) without building it: it clears the sibling
+// intersection's bits from src's marks in the parent frame and records
+// the result in f.derived, for the leaf to count against. f.unmark sets
+// the bits again when the node is done. src must be an array: a dense
+// row is shared graph storage and is never cleared.
+func (c *Counter) deriveMarks(level int, f *frame, st *step, src []uint32) {
+	cut := f.bufs[st.inter]
+	marks := c.marksFor(level, st, src)
+	c.stats.Derive++
+	setops.ClearBits(marks, cut)
+	f.derived = derived{marks: marks, src: src, cut: cut}
+}
+
 // subtractNeighborsInto computes a − N(anc) into dst (the postponed
 // anti-subtraction of §2.1, candidate side first).
 func (c *Counter) subtractNeighborsInto(dst, a []uint32, anc uint32) []uint32 {
@@ -512,6 +559,34 @@ func (c *Counter) leafCountUpdate(st *step, src *cset, v uint32) uint64 {
 			continue
 		}
 		if c.leafMember(nv, row, u) == (st.op == plan.OpIntersect) {
+			cnt--
+		}
+	}
+	return uint64(cnt)
+}
+
+// leafCountDerived counts op(S, N(v)) for a derived result S = src − cut
+// (see deriveMarks); derive steps only feed unrestricted leaf windows.
+// |S ∩ N(v)| is N(v) probed against S's marks, or, when N(v) is a dense
+// row longer than src and cut together, |src ∩ N(v)| − |cut ∩ N(v)|
+// through the row. Used vertices are excluded with bit tests.
+func (c *Counter) leafCountDerived(op plan.OpKind, d *derived, v uint32) uint64 {
+	nv := c.g.Neighbors(v)
+	row := c.adj.DenseRow(v)
+	var inter int
+	if row != nil && len(d.src)+len(d.cut) < len(nv) {
+		c.stats.CountBits++
+		inter = setops.IntersectCountBits(d.src, row) - setops.IntersectCountBits(d.cut, row)
+	} else {
+		c.stats.CountProbe++
+		inter = setops.IntersectCountBits(nv, d.marks)
+	}
+	cnt := inter
+	if op != plan.OpIntersect {
+		cnt = len(d.src) - len(d.cut) - inter
+	}
+	for _, u := range c.verts[:c.k-1] {
+		if setops.BitsContain(d.marks, u) && c.leafMember(nv, row, u) == (op == plan.OpIntersect) {
 			cnt--
 		}
 	}

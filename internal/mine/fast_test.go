@@ -119,6 +119,49 @@ func TestCounterSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// FuzzCounterMatchesOracle mines a random connected pattern of 3–5
+// vertices, vertex- or edge-induced, on a random small power-law graph
+// with the Counter at a fuzzed hub threshold (0 is the default, 1 makes
+// every vertex dense), and compares the count with CountOracle. The
+// pattern's edges are bits of a fuzz word over its vertex pairs; a
+// disconnected draw gains the path 0–1–…–(k−1).
+func FuzzCounterMatchesOracle(f *testing.F) {
+	f.Add(int64(1), uint8(60), uint8(5), uint8(5), uint8(1), uint16(0b1111), false, uint8(0))     // tt
+	f.Add(int64(2), uint8(40), uint8(6), uint8(8), uint8(2), uint16(0b11111111), false, uint8(1)) // derives
+	f.Add(int64(4), uint8(45), uint8(4), uint8(6), uint8(2), uint16(0b111110), false, uint8(9))   // derives
+	f.Add(int64(3), uint8(50), uint8(3), uint8(2), uint8(1), uint16(0b111111), true, uint8(12))   // 4cl
+	f.Fuzz(func(t *testing.T, seed int64, n, mPer, triad, size uint8, edges uint16, edgeInduced bool, hub uint8) {
+		g := gen.PowerLawCluster(uint32(n%64)+2, int(mPer%8)+1, float64(triad%11)/10, seed)
+		k := int(size%3) + 3
+		var es [][2]int
+		bit := 0
+		for i := 0; i < k; i++ {
+			for j := i + 1; j < k; j++ {
+				if edges>>bit&1 == 1 {
+					es = append(es, [2]int{i, j})
+				}
+				bit++
+			}
+		}
+		p := pattern.New(k, es)
+		if !p.IsConnected() {
+			for i := 0; i+1 < k; i++ {
+				es = append(es, [2]int{i, i + 1})
+			}
+			p = pattern.New(k, es)
+		}
+		pl, err := plan.Compile(p, plan.Options{EdgeInduced: edgeInduced})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := newCounter(g, pl, graph.NewHybridAdj(g, int(hub)))
+		if got, want := countAll(c, g), CountOracle(g, pl); got != want {
+			t.Errorf("%v edgeInduced=%v hub=%d: counter %d, oracle %d", p, edgeInduced, hub, got, want)
+		}
+		assertUnmarked(t, c)
+	})
+}
+
 // TestCountParallelRace drives the work-stealing scheduler with many
 // workers and tiny chunks so the race detector sees real contention on
 // the shared cursor (CI runs the suite with -race).

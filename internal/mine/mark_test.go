@@ -1,6 +1,9 @@
 package mine
 
 import (
+	"context"
+	"fmt"
+	"slices"
 	"testing"
 
 	"fingers/internal/graph"
@@ -54,8 +57,9 @@ func TestMarkProbeMatchesOracle(t *testing.T) {
 }
 
 // TestMarkProbeEngagesOnSparseGraph checks that the sparse soft-mine shapes
-// take the new paths: probing at both the update and the leaf, and tt's
-// subtract reusing its sibling intersection.
+// take the marked paths: probing at both the update and the leaf, and
+// tt's leaf-only subtract derived from its source's marks rather than
+// built from its sibling intersection.
 func TestMarkProbeEngagesOnSparseGraph(t *testing.T) {
 	g := gen.PowerLawCluster(2000, 8, 0.5, 11)
 	for _, name := range []string{"4cl", "tt"} {
@@ -67,16 +71,20 @@ func TestMarkProbeEngagesOnSparseGraph(t *testing.T) {
 		if st.Probe == 0 || st.CountProbe == 0 {
 			t.Errorf("%s: probe kernels idle: %+v", name, st)
 		}
-		if name == "tt" && st.Subset == 0 {
-			t.Errorf("tt: subtract never reused its sibling intersection: %+v", st)
+		if name == "tt" && (st.Derive == 0 || st.Subset != 0) {
+			t.Errorf("tt: leaf subtract not derived from marks: %+v", st)
 		}
 	}
 }
 
-// assertUnmarked checks that a counter between roots holds no marks.
+// assertUnmarked checks that a counter between roots holds no marks and
+// no derived result.
 func assertUnmarked(t *testing.T, c *Counter) {
 	t.Helper()
 	for level, f := range c.frames {
+		if f.derived.marks != nil {
+			t.Fatalf("level %d still records a derived result", level)
+		}
 		for m, bits := range f.marks {
 			if f.marked[m] != nil {
 				t.Fatalf("level %d slot %d still records a marked set", level, m)
@@ -91,9 +99,11 @@ func assertUnmarked(t *testing.T, c *Counter) {
 }
 
 // TestRootRecoversFromStaleMarks simulates a Root that panicked halfway,
-// leaving every mark bitset full of marks and every word-parallel
-// result buffer full of stale bits: the next Root must clear the marks,
-// never read the stale words, and still count exactly. The sparse graph
+// leaving every mark bitset full of marks, every word-parallel result
+// buffer full of stale bits and a derived result recorded in every
+// frame: the next Root must clear the marks, drop the derived results
+// without restoring their bits, never read the stale words, and still
+// count exactly. The sparse graph
 // under forced arrays exercises the marks; the dense graph with every
 // vertex in the dense tier keeps its candidate sets as bitsets.
 func TestRootRecoversFromStaleMarks(t *testing.T) {
@@ -116,6 +126,15 @@ func TestRootRecoversFromStaleMarks(t *testing.T) {
 			for v := range want {
 				want[v] = c.Root(uint32(v))
 			}
+			if w.name == "sparse" && name == "tt" && c.Stats().Derive == 0 {
+				t.Fatalf("%s %s: no step was derived", w.name, name)
+			}
+			// A derived result whose restore would set N(0)'s bits in
+			// the first mark bitset.
+			dm := make([]uint64, c.nwords)
+			if m := c.frames[0].marks; len(m) > 0 && m[0] != nil {
+				dm = m[0]
+			}
 			stale := false
 			for level := range c.frames {
 				f := &c.frames[level]
@@ -131,6 +150,7 @@ func TestRootRecoversFromStaleMarks(t *testing.T) {
 					fill(buf)
 					stale = stale || buf != nil
 				}
+				f.derived = derived{marks: dm, src: g.Neighbors(0), cut: g.Neighbors(0)}
 			}
 			if !stale {
 				t.Fatalf("%s %s: no mark or word buffers were allocated", w.name, name)
@@ -146,6 +166,42 @@ func TestRootRecoversFromStaleMarks(t *testing.T) {
 	}
 }
 
+// TestDerivedMarksNeverTouchDenseRows mines tt, whose leaf-only subtract
+// is derived from marks, through the parallel scheduler with two workers
+// under three views: every vertex dense, the default and forced arrays.
+// Each count must match the oracle, and the dense slab must be
+// byte-identical afterwards: a derive step clears bits only in its
+// Counter's own marks, never in a shared dense row. Under -race the two
+// workers also show that the rows are only read.
+func TestDerivedMarksNeverTouchDenseRows(t *testing.T) {
+	g := gen.PowerLawCluster(400, 6, 0.5, 23)
+	pl := plan.MustCompile(mustPattern(t, "tt"), plan.Options{})
+	want := CountOracle(g, pl)
+	for _, vw := range []storageView{
+		{"dense", graph.NewHybridAdj(g, 1)},
+		{"default", g.Hybrid()},
+		{"array", arrayView(g)},
+	} {
+		before := denseSlab(g, vw.adj)
+		got, err := countCtx(context.Background(), g, pl, 2, vw.adj)
+		if err != nil || got != want {
+			t.Errorf("%s view: count %d err %v, want %d <nil>", vw.name, got, err, want)
+		}
+		if !slices.Equal(denseSlab(g, vw.adj), before) {
+			t.Errorf("%s view: dense rows changed while mining", vw.name)
+		}
+	}
+}
+
+// denseSlab returns a copy of every dense row of adj, back to back.
+func denseSlab(g *graph.Graph, adj *graph.HybridAdj) []uint64 {
+	var out []uint64
+	for v := 0; v < g.NumVertices(); v++ {
+		out = append(out, adj.DenseRow(uint32(v))...)
+	}
+	return out
+}
+
 // fill sets every bit of a bitset.
 func fill(bits []uint64) {
 	for i := range bits {
@@ -157,8 +213,11 @@ func fill(bits []uint64) {
 // on for every named pattern and both semantics: eager steps precede lazy
 // ones, only inner levels have lazy steps, init steps have no mark slot,
 // and a subtract's sibling intersection comes earlier and shares its
-// mark slot, that is, its source.
+// mark slot, that is, its source. Only vertex-induced tt among the named
+// patterns has a derive step, and every derive step meets step.derive's
+// conditions.
 func TestScheduleEagerFirst(t *testing.T) {
+	var derived []string
 	for _, name := range pattern.Names() {
 		for _, edgeInduced := range []bool{false, true} {
 			pl, err := plan.Compile(mustPattern(t, name), plan.Options{EdgeInduced: edgeInduced})
@@ -182,6 +241,14 @@ func TestScheduleEagerFirst(t *testing.T) {
 						}
 						continue
 					}
+					if st.derive {
+						derived = append(derived, fmt.Sprintf("%s/%v", name, edgeInduced))
+						leaf := sched[pl.K()-2]
+						if level != pl.K()-3 || st.inter < 0 || !slices.Equal(st.targets, []int{pl.K() - 1}) ||
+							len(leaf) != 1 || len(pl.Levels[pl.K()-1].Restrictions) > 0 {
+							t.Errorf("%s level %d: step %d derived against its conditions", name, level, i)
+						}
+					}
 					if st.inter >= 0 {
 						sib := steps[st.inter]
 						if st.inter >= i || sib.op != plan.OpIntersect || sib.mark != st.mark || st.op != plan.OpSubtract {
@@ -191,6 +258,9 @@ func TestScheduleEagerFirst(t *testing.T) {
 				}
 			}
 		}
+	}
+	if !slices.Equal(derived, []string{"tt/false"}) {
+		t.Errorf("derive steps in %v, want tt/false only", derived)
 	}
 }
 

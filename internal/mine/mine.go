@@ -89,6 +89,12 @@ func CountParallel(g *graph.Graph, pl *plan.Plan, workers int) uint64 {
 // workers at their next chunk boundary. A nil error means the count is
 // complete.
 func CountCtx(ctx context.Context, g *graph.Graph, pl *plan.Plan, workers int) (uint64, error) {
+	return countCtx(ctx, g, pl, workers, g.Hybrid())
+}
+
+// countCtx is CountCtx with its Counters reading dense rows from adj,
+// which tests build at a forced hub threshold.
+func countCtx(ctx context.Context, g *graph.Graph, pl *plan.Plan, workers int, adj *graph.HybridAdj) (uint64, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -106,7 +112,7 @@ func CountCtx(ctx context.Context, g *graph.Graph, pl *plan.Plan, workers int) (
 		// Serial fast path: no scheduler, but still cancellable and
 		// panic-safe. total accumulates outside the closure so the roots
 		// mined before a failure are not lost.
-		c := NewCounter(g, pl)
+		c := newCounter(g, pl, adj)
 		var total uint64
 		err := func() (err error) {
 			cur := int64(simerr.NoRoot)
@@ -154,7 +160,7 @@ func CountCtx(ctx context.Context, g *graph.Graph, pl *plan.Plan, workers int) (
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			c := NewCounter(g, pl)
+			c := newCounter(g, pl, adj)
 			var local uint64
 			cur := int64(simerr.NoRoot)
 			defer func() {

@@ -35,6 +35,14 @@ type step struct {
 	// counter runs it when the first child is visited, and never for a
 	// node without children. Lazy steps follow the eager ones.
 	lazy bool
+	// derive marks a subtract at level k−3 with a sibling intersection
+	// whose one target only the leaf level's single update reads, under
+	// an unrestricted leaf window, and after which no step of its level
+	// reads the same marks. Over an array source the counter never
+	// builds its result: it clears the sibling's elements from the
+	// source's marks, and the leaf counts against those (see
+	// Counter.deriveMarks).
+	derive bool
 }
 
 // buildSchedule resolves the per-level operation groups statically. The
@@ -149,7 +157,29 @@ func buildSchedule(pl *plan.Plan) [][]step {
 			}
 		}
 	}
+	markDerived(pl, out)
 	return out
+}
+
+// markDerived sets step.derive on the one step of level k−3 that
+// qualifies, if any (see step.derive).
+func markDerived(pl *plan.Plan, sched [][]step) {
+	k := pl.K()
+	if k < 4 || len(pl.Levels[k-1].Restrictions) > 0 {
+		return
+	}
+	leaf := sched[k-2]
+	if len(leaf) != 1 || leaf[0].op == plan.OpInit {
+		return
+	}
+	steps := sched[k-3]
+	for i := range steps {
+		st := &steps[i]
+		if st.op != plan.OpSubtract || st.inter < 0 || !slices.Equal(st.targets, []int{leaf[0].src}) {
+			continue
+		}
+		st.derive = !slices.ContainsFunc(steps[i+1:], func(later step) bool { return later.mark == st.mark })
+	}
 }
 
 func btoi(b bool) int {
