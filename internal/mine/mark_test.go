@@ -103,9 +103,9 @@ func assertUnmarked(t *testing.T, c *Counter) {
 // buffer full of stale bits and a derived result recorded in every
 // frame: the next Root must clear the marks, drop the derived results
 // without restoring their bits, never read the stale words, and still
-// count exactly. The sparse graph
-// under forced arrays exercises the marks; the dense graph with every
-// vertex in the dense tier keeps its candidate sets as bitsets.
+// count exactly. The sparse graph under forced arrays exercises the
+// marks; the dense graph with every vertex in the dense tier keeps its
+// candidate sets as bitsets.
 func TestRootRecoversFromStaleMarks(t *testing.T) {
 	for _, w := range []struct {
 		name string
@@ -217,7 +217,7 @@ func fill(bits []uint64) {
 // patterns has a derive step, and every derive step meets step.derive's
 // conditions.
 func TestScheduleEagerFirst(t *testing.T) {
-	var derived []string
+	var deriving []string
 	for _, name := range pattern.Names() {
 		for _, edgeInduced := range []bool{false, true} {
 			pl, err := plan.Compile(mustPattern(t, name), plan.Options{EdgeInduced: edgeInduced})
@@ -242,7 +242,7 @@ func TestScheduleEagerFirst(t *testing.T) {
 						continue
 					}
 					if st.derive {
-						derived = append(derived, fmt.Sprintf("%s/%v", name, edgeInduced))
+						deriving = append(deriving, fmt.Sprintf("%s/%v", name, edgeInduced))
 						leaf := sched[pl.K()-2]
 						if level != pl.K()-3 || st.inter < 0 || !slices.Equal(st.targets, []int{pl.K() - 1}) ||
 							len(leaf) != 1 || len(pl.Levels[pl.K()-1].Restrictions) > 0 {
@@ -259,8 +259,8 @@ func TestScheduleEagerFirst(t *testing.T) {
 			}
 		}
 	}
-	if !slices.Equal(derived, []string{"tt/false"}) {
-		t.Errorf("derive steps in %v, want tt/false only", derived)
+	if !slices.Equal(deriving, []string{"tt/false"}) {
+		t.Errorf("derive steps in %v, want tt/false only", deriving)
 	}
 }
 
