@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-smoke bench-gate trend profile clean
+.PHONY: all build test race vet bench bench-smoke perf-gate trend profile clean
 
 all: vet build test
 
@@ -23,19 +23,11 @@ vet:
 	$(GO) vet ./...
 	cd bench && $(GO) vet ./... && $(GO) build ./...
 
-# bench runs the software-miner benchmarks in benchstat-friendly text
-# form (BENCH_softmine.txt — feed two of these to `benchstat old new`)
-# and mirrors the raw go-test output as JSON events in
-# BENCH_softmine.json for machine consumption. It then benchmarks the
-# simulator itself — the serial event loop and 4-shard mode on the
-# quick grid — into BENCH_sim.json (wall time, simulated cycles/sec,
-# sharded speedup; the speedup needs a multi-core host, sharded counts
-# are bit-identical anywhere).
+# bench benchmarks the simulator itself — the serial event loop and
+# 4-shard mode on the quick grid — into BENCH_sim.json (wall time,
+# simulated cycles/sec, sharded speedup; the speedup needs a multi-core
+# host, sharded counts are bit-identical anywhere).
 bench:
-	$(GO) test -run '^$$' -bench BenchmarkSoftMine -benchmem -count 5 \
-		./internal/mine/ | tee BENCH_softmine.txt
-	$(GO) test -run '^$$' -bench BenchmarkSoftMine -benchmem -count 1 -json \
-		./internal/mine/ > BENCH_softmine.json
 	$(GO) run ./cmd/simbench -shards 4 -o BENCH_sim.json
 
 # profile captures CPU and heap profiles of one quick-grid cell
@@ -50,15 +42,11 @@ profile:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# bench-gate guards the soft-miner hot path: it re-measures
-# BenchmarkSoftMine with the same protocol that produced the committed
-# BENCH_softmine.txt baseline (5 repetitions, medians per cell) and
-# fails when the ns/op geomean regresses more than 10%. Regenerate the
-# baseline with `make bench` after an intentional performance change.
-bench-gate:
-	$(GO) test -run '^$$' -bench BenchmarkSoftMine -benchmem -count 5 \
-		./internal/mine/ > BENCH_softmine_new.txt
-	$(GO) run ./cmd/benchgate -old BENCH_softmine.txt -new BENCH_softmine_new.txt
+# perf-gate runs bench/ on BASE and on the working tree in alternating
+# pairs on this host, and fails when the change is significantly slower
+# (scripts/perf-gate.sh). Usage: make perf-gate BASE=origin/main
+perf-gate:
+	bash scripts/perf-gate.sh $(BASE)
 
 # trend renders the observability report over every artifact in the
 # checkout — the committed BENCH_sim.json plus any *.jsonl run logs the
@@ -69,5 +57,4 @@ trend:
 	$(GO) run ./cmd/fingerstat -dir . -html TREND.html -json TREND.json
 
 clean:
-	rm -f BENCH_softmine.txt BENCH_softmine.json BENCH_softmine_new.txt \
-		BENCH_sim.json TREND.html TREND.json
+	rm -f BENCH_sim.json TREND.html TREND.json

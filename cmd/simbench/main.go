@@ -8,7 +8,6 @@
 //
 //	simbench [-pes 8] [-shards 2] [-o BENCH_sim.json]
 //	         [-runs 1] [-reps 3] [-run-tag ci] [-min-shard-speedup 1.2]
-//	         [-baseline BENCH_sim.json] [-max-regress-pct 10]
 //
 // Each cell is measured -runs times (every measurement itself best-of
 // -reps timed repetitions) and the medians are reported — single-shot
@@ -17,10 +16,6 @@
 // run count plus provenance (start time, git revision, host shape, and
 // the optional -run-tag batch label) so reports can be ordered and
 // attributed across time.
-//
-// With -baseline, the run compares its serial cycles/sec geomean against
-// the baseline report and exits non-zero when it regressed by more than
-// -max-regress-pct — the CI guard against simulator slowdowns.
 //
 // The JSON report records the host core count: the sharded speedup needs
 // real cores, while sharded counts are bit-identical on any host.
@@ -162,8 +157,6 @@ func main() {
 	runs := flag.Int("runs", 1, "independent measurements per cell; the report carries their median")
 	runTag := flag.String("run-tag", "", "batch label recorded in the report header (groups runs in the trend viewer)")
 	out := flag.String("o", "BENCH_sim.json", "output JSON path")
-	baseline := flag.String("baseline", "", "prior BENCH_sim.json to guard against regression (optional)")
-	maxRegress := flag.Float64("max-regress-pct", 10, "fail when serial cycles/sec geomean drops more than this vs -baseline")
 	flag.Parse()
 
 	if *runs < 1 {
@@ -265,11 +258,6 @@ func main() {
 	}
 	fmt.Println("wrote", *out)
 
-	if *baseline != "" {
-		if err := checkRegression(*baseline, rep, *maxRegress); err != nil {
-			fatal(err)
-		}
-	}
 	if *minShardSpeed > 0 {
 		if effShards <= 1 {
 			fatal(fmt.Errorf("-min-shard-speedup needs -shards > 1"))
@@ -279,29 +267,6 @@ func main() {
 				rep.GeomeanShardSpeed, *minShardSpeed, effShards, rep.HostCores))
 		}
 	}
-}
-
-// checkRegression compares the run's serial cycles/sec geomean against a
-// committed baseline report, failing on a drop beyond maxRegressPct. The
-// baseline's geomean field is recomputed from its cells when absent (v1
-// reports predate it).
-func checkRegression(path string, cur simreport.Report, maxRegressPct float64) error {
-	base, err := simreport.ParseFile(path)
-	if err != nil {
-		return fmt.Errorf("baseline: %w", err)
-	}
-	baseCPS := base.SerialGeomeanCPS()
-	if baseCPS == 0 {
-		return fmt.Errorf("baseline %s: no serial cycles/sec data", path)
-	}
-	ratio := cur.GeomeanSerCPS / baseCPS
-	fmt.Printf("baseline %s: serial geomean %.0f cycles/sec, current %.0f (%.2fx)\n",
-		path, baseCPS, cur.GeomeanSerCPS, ratio)
-	if ratio < 1-maxRegressPct/100 {
-		return fmt.Errorf("serial cycles/sec geomean regressed %.1f%% vs %s (limit %.1f%%)",
-			(1-ratio)*100, path, maxRegressPct)
-	}
-	return nil
 }
 
 func fatal(err error) {

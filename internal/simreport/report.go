@@ -1,6 +1,6 @@
 // Package simreport holds the BENCH_sim.json schema shared by its
-// producer (cmd/simbench) and its consumers (internal/trend,
-// cmd/fingerstat, the CI regression gate). Keeping the types in one
+// producer (cmd/simbench) and its consumers (internal/trend and
+// cmd/fingerstat). Keeping the types in one
 // place is what lets the trend viewer parse every vintage of committed
 // report: v1 (no geomeans), v2 (allocation profile + regression gate),
 // and the current header with provenance metadata.
@@ -9,7 +9,6 @@ package simreport
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"strings"
 
@@ -94,28 +93,8 @@ type Report struct {
 	Warning string `json:"warning,omitempty"`
 }
 
-// SerialGeomeanCPS returns the serial cycles/sec geomean, recomputing
-// it from the cells when the header field is absent (v1 reports
-// predate it). Zero when no cell carries data.
-func (r *Report) SerialGeomeanCPS() float64 {
-	if r.GeomeanSerCPS > 0 {
-		return r.GeomeanSerCPS
-	}
-	logSum, n := 0.0, 0
-	for _, c := range r.Cells {
-		if c.SerialCyclesSec > 0 {
-			logSum += math.Log(c.SerialCyclesSec)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(logSum / float64(n))
-}
-
 // Parse decodes one report, rejecting JSON whose schema tag is not a
-// simbench report (a BENCH_softmine.json full of go-test events, say).
+// simbench report (a `go test -json` event stream, say).
 func Parse(raw []byte) (*Report, error) {
 	var r Report
 	if err := json.Unmarshal(raw, &r); err != nil {

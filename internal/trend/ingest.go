@@ -182,7 +182,7 @@ func (c *Corpus) AddRunLog(path, rel string) error {
 }
 
 // AddBenchFile ingests one simbench report; a JSON file with a foreign
-// schema (BENCH_softmine.json go-test events, say) is recorded as a
+// schema (a `go test -json` event stream, say) is recorded as a
 // skip, never an error. Reports without a started_at header fall back
 // to file mtime — legacy committed reports stay usable, just coarsely
 // ordered.

@@ -11,7 +11,8 @@ import (
 // DefaultWindow is the rolling-statistics window in points.
 const DefaultWindow = 5
 
-// DefaultMaxRegressPct mirrors the simbench gate's default.
+// DefaultMaxRegressPct is the default regression-flag threshold, in
+// percent.
 const DefaultMaxRegressPct = 10.0
 
 // Options filters and tunes series construction.

@@ -12,8 +12,7 @@
 // comparable across commits: rolling means ±1σ of cycles and
 // cycles/sec, breakdown-bucket evolution (compute / stall / overhead /
 // idle as fractions of makespan), shared-cache and DRAM traffic
-// trends, and per-cell regression flags reusing the simbench
-// -max-regress-pct semantics.
+// trends, and per-cell regression flags (fingerstat -max-regress-pct).
 package trend
 
 import (

@@ -116,7 +116,7 @@ func TestMTimeFallbackOrdering(t *testing.T) {
 func TestScanSkipsForeignJSON(t *testing.T) {
 	dir := t.TempDir()
 	// A go-test event stream: valid JSON, wrong schema.
-	if err := os.WriteFile(filepath.Join(dir, "BENCH_softmine.json"),
+	if err := os.WriteFile(filepath.Join(dir, "gotest-events.json"),
 		[]byte(`{"Time":"2026-08-01T00:00:00Z","Action":"run"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}

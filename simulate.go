@@ -54,7 +54,6 @@ type simConfig struct {
 	shards        int
 	ctx           context.Context
 	timeout       time.Duration
-	deadline      time.Time
 	progressEvery int64
 	progressFn    func(SimProgress)
 }
@@ -91,13 +90,6 @@ func WithAcceleratorConfig(cfg AcceleratorConfig) SimOption {
 // alongside a *SimError wrapping ctx.Err(). A nil ctx is ignored.
 func WithContext(ctx context.Context) SimOption {
 	return func(c *simConfig) { c.ctx = ctx }
-}
-
-// WithDeadline bounds the run to end by the given wall-clock instant, as
-// WithContext with a deadline context (the two compose: whichever fires
-// first stops the run).
-func WithDeadline(d time.Time) SimOption {
-	return func(c *simConfig) { c.deadline = d }
 }
 
 // SimProgress is a live snapshot of a running simulation handed to the
@@ -182,7 +174,7 @@ type simChip interface {
 // count, a negative shard count, a nil graph, no plans, an invalid plan)
 // are reported as errors.
 //
-// With WithContext, WithDeadline, or WithTimeout the run is
+// With WithContext or WithTimeout the run is
 // interruptible: on cancellation Simulate returns the partial report
 // (Partial set, Result covering the simulated prefix, per-PE progress,
 // root counts) and a *SimError wrapping the context error. A panic
@@ -211,11 +203,6 @@ func Simulate(arch Arch, g *Graph, plans []*Plan, opts ...SimOption) (rep SimRep
 	ctx := cfg.ctx
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if !cfg.deadline.IsZero() {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, cfg.deadline)
-		defer cancel()
 	}
 	if cfg.timeout != 0 {
 		var cancel context.CancelFunc

@@ -17,8 +17,9 @@ type targetedCell struct {
 // TestTimingTargetedGolden pins, in a second timing golden, the FINGERS
 // configurations the default grid leaves unreached: a fixed group size of
 // one, 48 IUs under the iso-area rule of Figure 12 (shorter long
-// segments), and a private cache small enough that candidate sets spill
-// through the shared cache. internal/flexminer pins FlexMiner's spill in
+// segments), two shards merged into one report, and a private cache small
+// enough that candidate sets spill through the shared cache.
+// internal/flexminer pins FlexMiner's spill in
 // its own golden: the façade no longer configures FlexMiner PEs.
 // Regenerate with `go test -run TestTimingTargetedGolden -update .`.
 func TestTimingTargetedGolden(t *testing.T) {
@@ -37,17 +38,17 @@ func TestTimingTargetedGolden(t *testing.T) {
 	group1.GroupSize = 1
 	configs := []struct {
 		name string
-		cfg  fingers.AcceleratorConfig
+		opt  fingers.SimOption
 	}{
-		{"fingers-group1", group1},
-		{"fingers-ius48", fingers.DefaultAcceleratorConfig().WithIUs(48)},
-		{"fingers-spill", spill},
+		{"fingers-group1", fingers.WithAcceleratorConfig(group1)},
+		{"fingers-ius48", fingers.WithAcceleratorConfig(fingers.DefaultAcceleratorConfig().WithIUs(48))},
+		{"fingers-shards2", fingers.WithShards(2)},
+		{"fingers-spill", fingers.WithAcceleratorConfig(spill)},
 	}
 	var cells []targetedCell
 	for _, c := range configs {
 		rep, err := fingers.Simulate(fingers.ArchFingers, g, []*fingers.Plan{pl},
-			fingers.WithPEs(goldenPEs), fingers.WithSharedCache(goldenCacheBytes),
-			fingers.WithAcceleratorConfig(c.cfg))
+			fingers.WithPEs(goldenPEs), fingers.WithSharedCache(goldenCacheBytes), c.opt)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
