@@ -57,4 +57,4 @@ trend:
 	$(GO) run ./cmd/fingerstat -dir . -html TREND.html -json TREND.json
 
 clean:
-	rm -f BENCH_sim.json TREND.html TREND.json
+	rm -f TREND.html TREND.json

@@ -1,29 +1,75 @@
 package mem
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// refAccess replays the pre-memo Access path: a plain walkAccess with no
-// recording and no fast path. Driving a second cache through it gives a
-// bit-exact reference for the memoized implementation.
-func refAccess(c *Cache, now Cycles, addr, bytes int64) Cycles {
-	return c.walkAccess(now, addr, bytes)
+// lruModel is a plain LRU reference for Cache, written without any of
+// its code: per set, the resident tags in recency order (least recent
+// first), one lookup per line, and missed bytes sent to its own DRAM as
+// one burst from the first missed line. Driving it beside a Cache checks
+// the memo, touch and look paths together.
+type lruModel struct {
+	cfg     CacheConfig
+	numSets int64
+	sets    [][]int64
+	dram    *DRAM
+	stats   CacheStats
 }
 
-// refProbe replays the pre-memo Probe path.
-func refProbe(c *Cache, addr, bytes int64) bool {
-	if bytes <= 0 {
-		return true
+func newLRUModel(cfg CacheConfig) *lruModel {
+	numSets := cfg.CapacityBytes / (cfg.LineBytes * int64(cfg.Ways))
+	return &lruModel{cfg: cfg, numSets: numSets, sets: make([][]int64, numSets), dram: NewDRAM(DefaultDRAMConfig())}
+}
+
+// touch looks one line up, making it the set's most recent, and reports
+// whether it was resident. A miss evicts the least recent tag of a full
+// set.
+func (m *lruModel) touch(line int64) bool {
+	set, tag := line%m.numSets, line/m.numSets
+	tags := m.sets[set]
+	m.stats.LineAccesses++
+	hit := false
+	if i := slices.Index(tags, tag); i >= 0 {
+		tags = slices.Delete(tags, i, i+1)
+		hit = true
+	} else {
+		m.stats.LineMisses++
+		if len(tags) == m.cfg.Ways {
+			tags = slices.Delete(tags, 0, 1)
+		}
 	}
-	first := addr / c.cfg.LineBytes
-	last := (addr + bytes - 1) / c.cfg.LineBytes
-	for line := first; line <= last; line++ {
-		lineAddr := line * c.cfg.LineBytes
-		setIdx := (lineAddr / c.cfg.LineBytes) % c.numSets
-		tag := lineAddr / c.cfg.LineBytes / c.numSets
-		if !resident(c.sets[setIdx], tag) {
+	m.sets[set] = append(tags, tag)
+	return hit
+}
+
+func (m *lruModel) access(now Cycles, addr, bytes int64) Cycles {
+	if bytes <= 0 {
+		return now + m.cfg.HitLatency
+	}
+	lb := m.cfg.LineBytes
+	missed, firstMiss := int64(0), int64(-1)
+	for line := addr / lb; line <= (addr+bytes-1)/lb; line++ {
+		if !m.touch(line) {
+			missed += lb
+			if firstMiss < 0 {
+				firstMiss = line * lb
+			}
+		}
+	}
+	if missed > 0 {
+		return m.dram.Access(now+m.cfg.HitLatency, firstMiss, missed)
+	}
+	return now + m.cfg.HitLatency
+}
+
+func (m *lruModel) probe(addr, bytes int64) bool {
+	lb := m.cfg.LineBytes
+	for line := addr / lb; bytes > 0 && line <= (addr+bytes-1)/lb; line++ {
+		if !slices.Contains(m.sets[line%m.numSets], line/m.numSets) {
 			return false
 		}
 	}
@@ -36,34 +82,37 @@ func tinyCacheConfig() CacheConfig {
 	return CacheConfig{CapacityBytes: 1024, LineBytes: 64, Ways: 2, HitLatency: 16}
 }
 
-func sameCacheState(t *testing.T, got, want *Cache) {
+// sameAsModel fails unless c's counters, its DRAM's counters and, per
+// set, its valid tags in LRU-stamp order equal the model's.
+func sameAsModel(t *testing.T, c *Cache, m *lruModel) {
 	t.Helper()
-	if got.clock != want.clock {
-		t.Fatalf("clock diverged: got %d want %d", got.clock, want.clock)
+	if c.stats != m.stats {
+		t.Fatalf("stats diverged: got %+v, model %+v", c.stats, m.stats)
 	}
-	if got.stats != want.stats {
-		t.Fatalf("stats diverged: got %+v want %+v", got.stats, want.stats)
+	if got, want := c.backing.Stats(), m.dram.Stats(); got != want {
+		t.Fatalf("DRAM stats diverged: got %+v, model %+v", got, want)
 	}
-	for i := range want.sets {
-		for j := range want.sets[i] {
-			if got.sets[i][j] != want.sets[i][j] {
-				t.Fatalf("set %d way %d diverged: got %+v want %+v",
-					i, j, got.sets[i][j], want.sets[i][j])
-			}
+	for i, set := range c.sets {
+		lines := slices.DeleteFunc(slices.Clone(set), func(l cacheLine) bool { return !l.valid })
+		slices.SortFunc(lines, func(a, b cacheLine) int { return cmp.Compare(a.lastUsed, b.lastUsed) })
+		var tags []int64
+		for _, l := range lines {
+			tags = append(tags, l.tag)
+		}
+		if !slices.Equal(tags, m.sets[i]) {
+			t.Fatalf("set %d holds tags %v by recency, model %v", i, tags, m.sets[i])
 		}
 	}
 }
 
-// TestMemoAccessEquivalence drives a memoized cache and a reference cache
-// through the same randomized access/probe sequence — a small working set
-// for memo hits, a moving front for evictions — and requires identical
-// completion cycles, probe answers, counters, and final line state.
+// TestMemoAccessEquivalence drives a cache and the LRU model through the
+// same randomized access/probe sequence — a small working set for memo
+// hits, a moving front for evictions — and requires identical completion
+// cycles, probe answers, counters, and final line state.
 func TestMemoAccessEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	dramA := NewDRAM(DefaultDRAMConfig())
-	dramB := NewDRAM(DefaultDRAMConfig())
-	memoized := NewCache(tinyCacheConfig(), dramA)
-	reference := NewCache(tinyCacheConfig(), dramB)
+	memoized := NewCache(tinyCacheConfig(), NewDRAM(DefaultDRAMConfig()))
+	model := newLRUModel(tinyCacheConfig())
 
 	// Ranges overlap and repeat: ~16 hot neighbor lists plus a streaming
 	// front that keeps evicting them.
@@ -84,23 +133,20 @@ func TestMemoAccessEquivalence(t *testing.T) {
 			addr, bytes = h[0], h[1]
 		}
 		if rng.Intn(5) == 0 {
-			pg, pw := memoized.Probe(addr, bytes), refProbe(reference, addr, bytes)
+			pg, pw := memoized.Probe(addr, bytes), model.probe(addr, bytes)
 			if pg != pw {
-				t.Fatalf("step %d: Probe(%d,%d) = %v, reference %v", step, addr, bytes, pg, pw)
+				t.Fatalf("step %d: Probe(%d,%d) = %v, model %v", step, addr, bytes, pg, pw)
 			}
 			continue
 		}
 		dg := memoized.Access(now, addr, bytes)
-		dw := refAccess(reference, now, addr, bytes)
+		dw := model.access(now, addr, bytes)
 		if dg != dw {
-			t.Fatalf("step %d: Access(%d,%d,%d) = %d, reference %d", step, now, addr, bytes, dg, dw)
+			t.Fatalf("step %d: Access(%d,%d,%d) = %d, model %d", step, now, addr, bytes, dg, dw)
 		}
 		now += Cycles(rng.Intn(40))
 	}
-	sameCacheState(t, memoized, reference)
-	if dramA.Stats() != dramB.Stats() {
-		t.Fatalf("DRAM stats diverged: got %+v want %+v", dramA.Stats(), dramB.Stats())
-	}
+	sameAsModel(t, memoized, model)
 }
 
 // TestMemoZeroAndEdgeBytes pins the degenerate ranges.
@@ -116,15 +162,14 @@ func TestMemoZeroAndEdgeBytes(t *testing.T) {
 		t.Fatalf("zero-byte access counted lines: %+v", c.stats)
 	}
 	// One-byte range at a line boundary: exactly one line, twice — the
-	// second access must take the memo path yet keep identical counters to
-	// a reference.
-	ref := NewCache(tinyCacheConfig(), NewDRAM(DefaultDRAMConfig()))
+	// second access must take the memo path yet keep the model's counters.
+	model := newLRUModel(tinyCacheConfig())
 	for i := 0; i < 2; i++ {
-		if g, w := c.Access(0, 64, 1), refAccess(ref, 0, 64, 1); g != w {
+		if g, w := c.Access(0, 64, 1), model.access(0, 64, 1); g != w {
 			t.Fatalf("access %d: got %d want %d", i, g, w)
 		}
 	}
-	sameCacheState(t, c, ref)
+	sameAsModel(t, c, model)
 }
 
 // TestMemoSurvivesReset checks Reset drops stale geometry: entries from
@@ -141,8 +186,7 @@ func TestMemoSurvivesReset(t *testing.T) {
 	if c.Probe(0, 256) {
 		t.Fatal("range resident after Reset")
 	}
-	ref := NewCache(tinyCacheConfig(), NewDRAM(DefaultDRAMConfig()))
-	if g, w := c.Access(0, 0, 256), refAccess(ref, 0, 0, 256); g != w {
+	if g, w := c.Access(0, 0, 256), newLRUModel(tinyCacheConfig()).access(0, 0, 256); g != w {
 		t.Fatalf("post-Reset access: got %d want %d", g, w)
 	}
 }

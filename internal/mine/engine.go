@@ -33,7 +33,12 @@ type SetOpExec struct {
 	// Targets lists the plan levels whose candidate sets this operation
 	// materializes (several when updates are shared).
 	Targets []int
-	// Result is the operation's output.
+	// Result is the operation's output, except for the one update of a
+	// task at level K−2 whose result is the leaf level's candidate set:
+	// the engine counts that set inside the leaf window instead of
+	// building it (see Engine.LeafCount), and Result is nil. Kind, Short,
+	// Long, LongVertex and Targets describe the operation as the
+	// hardware performs it either way.
 	Result []uint32
 }
 
@@ -67,7 +72,9 @@ type Node struct {
 	// Verts holds the chosen vertices for levels 0..Level.
 	Verts []uint32
 	// sets[j] is the materialized partial candidate set S_j(Level) for
-	// j > Level; nil when not yet started.
+	// j > Level; nil when not yet started. On a counted node (see
+	// counted) only the last slot is set, and it holds the leaf update's
+	// source.
 	sets [][]uint32
 	// setID[j] identifies the operation that produced sets[j]; equal IDs
 	// mean shared storage (used for common-subexpression detection). IDs
@@ -77,6 +84,12 @@ type Node struct {
 	// (one per set operation); capacity survives pooling.
 	bufs [][]uint32
 	nbuf int
+	// counted marks a level K−2 node whose leaf update was counted, not
+	// built: leafCount holds its count, and leaf is the buffer Candidates
+	// builds the leaf set into on demand.
+	counted   bool
+	leafCount uint64
+	leaf      []uint32
 }
 
 // claimBuf hands out the node's next result arena, empty.
@@ -114,6 +127,12 @@ type opGroup struct {
 // kernels differ per call but the set algebra does not, so results,
 // TaskInfo geometry, and therefore modeled timing are bit-identical to
 // the plain merge walk.
+//
+// When level K−2 runs one intersect or subtract, whose result is the
+// leaf level's candidate set, a task at that level counts the result
+// inside the leaf window instead of building it, as the Counter does:
+// LeafCount reads the count, and Candidates (LeafSet) builds the set
+// only when asked.
 type Engine struct {
 	G      *graph.Graph
 	Plan   *plan.Plan
@@ -121,6 +140,11 @@ type Engine struct {
 
 	adj  *graph.HybridAdj // read for dense rows only
 	root *Node            // persistent level -1 parent for Start
+
+	// leafTargets is the counted leaf update's Targets, or nil when
+	// level K−2 does not run one lone intersect or subtract.
+	leafTargets []int
+	leafAdj     leafAdj // what the plan fixes about used vertices' adjacency to u_{K−2}
 
 	free []*Node // node pool
 
@@ -144,8 +168,12 @@ type Engine struct {
 
 // NewEngine returns an engine for the plan on g.
 func NewEngine(g *graph.Graph, pl *plan.Plan) *Engine {
-	e := &Engine{G: g, Plan: pl, adj: g.Hybrid()}
+	e := &Engine{G: g, Plan: pl, adj: g.Hybrid(), leafAdj: leafAdjacency(pl)}
 	k := pl.K()
+	if acts := pl.Levels[k-2].Actions; k > 2 && len(acts) == 1 &&
+		(acts[0].Op == plan.OpIntersect || acts[0].Op == plan.OpSubtract) {
+		e.leafTargets = []int{acts[0].Target}
+	}
 	e.root = &Node{
 		Level: -1,
 		Verts: make([]uint32, 0, k),
@@ -249,16 +277,20 @@ func (e *Engine) extend(n *Node, v uint32) (*Node, TaskInfo) {
 	child.Level = level
 	child.Verts = append(child.Verts[:0], n.Verts...)
 	child.Verts = append(child.Verts, v)
-	copy(child.sets, n.sets)
-	copy(child.setID, n.setID)
 	child.nbuf = 0
+	child.counted = false
 
 	e.ops = e.ops[:0]
-	e.fetch = e.fetch[:0]
-	e.ngroups = 0
-
+	e.fetch = append(e.fetch[:0], v)
 	nv := e.G.Neighbors(v)
-	e.fetch = append(e.fetch, v)
+	if e.leafTargets != nil && level == e.Plan.K()-2 {
+		e.countLeafTask(n, child, nv, v)
+		return child, TaskInfo{Level: level, NewVertex: v, Ops: e.ops, FetchVertices: e.fetch}
+	}
+
+	copy(child.sets, n.sets)
+	copy(child.setID, n.setID)
+	e.ngroups = 0
 
 	// Group this level's actions so shared updates compute once:
 	// initializations keyed by their pending-ancestor list, arithmetic
@@ -320,6 +352,21 @@ func (e *Engine) extend(n *Node, v uint32) (*Node, TaskInfo) {
 		}
 	}
 	return child, TaskInfo{Level: level, NewVertex: v, Ops: e.ops, FetchVertices: e.fetch}
+}
+
+// countLeafTask performs a level K−2 task whose one update yields the
+// leaf's candidate set: it counts that set inside the leaf window
+// instead of building it. The leaf slot keeps the update's source for
+// Candidates; the child's other slots are never read again, so they are
+// not copied.
+func (e *Engine) countLeafTask(n, child *Node, nv []uint32, v uint32) {
+	t := e.Plan.K() - 1
+	src, id := n.sets[t], n.setID[t]
+	child.sets[t], child.setID[t] = src, id
+	op := e.Plan.Levels[child.Level].Actions[0].Op
+	child.leafCount = e.leafCountOp(child, op == plan.OpIntersect, src, id, nv, v)
+	child.counted = true
+	e.addOp(op.SetOp(), src, nv, v, e.leafTargets, nil)
 }
 
 // addOp appends one executed set operation to the task's Ops. It writes
@@ -406,6 +453,83 @@ func (e *Engine) subtractInto(dst, src, nv []uint32, v uint32) []uint32 {
 	}
 }
 
+// leafCountOp counts op(src, N(v)), an intersection when intersect and a
+// subtraction otherwise, inside the symmetry-breaking window of the leaf
+// below n, less the used vertices it holds, without building it. id is
+// src's set ID. The kernel choice is Counter.leafIntersectCount's: v's
+// dense row probed with the window, the window galloped through an N(v)
+// many times longer, or N(v) clipped to the window and probed against
+// src's marks. A subtraction counts the window less that intersection.
+func (e *Engine) leafCountOp(n *Node, intersect bool, src []uint32, id int64, nv []uint32, v uint32) uint64 {
+	a, b := e.window(n, src)
+	win := src[a:b]
+	if len(win) == 0 {
+		return 0
+	}
+	row := e.adj.DenseRow(v)
+	var inter int
+	if row != nil {
+		inter = setops.IntersectCountBits(win, row)
+	} else {
+		// Clip N(v) to win's value range where the window cut src: there
+		// the marked src holds exactly win.
+		clip := nv
+		if a > 0 {
+			clip = clip[setops.LowerBound(clip, win[0]):]
+		}
+		if b < len(src) {
+			clip = clip[:setops.UpperBound(clip, win[len(win)-1])]
+		}
+		if len(clip) >= setops.GallopSkewThreshold*len(win) {
+			inter = setops.IntersectCountGalloping(win, clip)
+		} else {
+			inter = setops.IntersectCountBits(clip, e.marksFor(id, src))
+		}
+	}
+	cnt := inter
+	if !intersect {
+		cnt = len(win) - inter
+	}
+	// Within [first, last], u ∈ win is one bit test while src is marked.
+	var marks []uint64
+	if e.markID == id {
+		marks = e.marks
+	}
+	first, last := win[0], win[len(win)-1]
+	for i, u := range n.Verts {
+		if u < first || u > last {
+			continue
+		}
+		if marks != nil {
+			if !setops.BitsContain(marks, u) {
+				continue
+			}
+		} else if !setops.Contains(win, u) {
+			continue
+		}
+		if e.leafAdj.member(i, nv, row, u) == intersect {
+			cnt--
+		}
+	}
+	return uint64(cnt)
+}
+
+// buildLeaf builds the leaf set of the counted node n into its leaf
+// buffer: the update the counting task skipped, from the source still in
+// the leaf slot.
+func (e *Engine) buildLeaf(n *Node) []uint32 {
+	t := n.Level + 1
+	src, id := n.sets[t], n.setID[t]
+	v := n.Verts[n.Level]
+	nv := e.G.Neighbors(v)
+	if e.Plan.Levels[n.Level].Actions[0].Op == plan.OpIntersect {
+		n.leaf = e.intersectSrcInto(n.leaf[:0], src, id, nv, v)
+	} else {
+		n.leaf = e.subtractSrcInto(slices.Grow(n.leaf[:0], len(src)), src, id, nv, v, nil)
+	}
+	return n.leaf
+}
+
 // bounds computes the symmetry-breaking window (lo, hi) for selecting the
 // vertex at the given level: candidates must satisfy lo < v < hi.
 func (e *Engine) bounds(n *Node, level int) (lo, hi uint32, hasLo, hasHi bool) {
@@ -448,6 +572,9 @@ func (e *Engine) window(n *Node, set []uint32) (a, b int) {
 // allocated on the rare path where chosen vertices intrude).
 func (e *Engine) Candidates(n *Node) []uint32 {
 	set := n.sets[n.Level+1]
+	if n.counted {
+		set = e.buildLeaf(n)
+	}
 	a, b := e.window(n, set)
 	window := set[a:b]
 	// Chosen vertices rarely appear in the window; copy only if needed.
@@ -471,10 +598,15 @@ func (e *Engine) Candidates(n *Node) []uint32 {
 }
 
 // LeafCount counts the valid vertices at the final level below n, i.e.
-// the embeddings completed through n. n.Level must be K-2.
+// the embeddings completed through n. n.Level must be K-2. When the task
+// that made n counted its leaf update, this returns that count; otherwise
+// it counts the materialized leaf set's window.
 func (e *Engine) LeafCount(n *Node) uint64 {
 	if n.Level != e.Plan.K()-2 {
 		panic("mine: LeafCount on non-penultimate node")
+	}
+	if n.counted {
+		return n.leafCount
 	}
 	set := n.sets[n.Level+1]
 	a, b := e.window(n, set)
@@ -488,7 +620,8 @@ func (e *Engine) LeafCount(n *Node) uint64 {
 }
 
 // LeafSet returns the final-level candidate set below n with restrictions
-// and used vertices applied, for listing embeddings.
+// and used vertices applied, for listing embeddings. A counted node's set
+// is built on demand into a buffer n owns.
 func (e *Engine) LeafSet(n *Node) []uint32 {
 	return e.Candidates(n)
 }

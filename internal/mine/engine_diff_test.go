@@ -160,10 +160,14 @@ func (d *diffChecker) task(n *Node, rn *refNode, v uint32) (*Node, *refNode) {
 			d.tasks, rchild.verts, got.Level, got.NewVertex, got.FetchVertices, len(got.Ops),
 			want.Level, want.NewVertex, want.FetchVertices, len(want.Ops))
 	}
+	counted := countedLeafTask(d.ref.pl, got.Level)
 	for i, w := range want.Ops {
 		o := got.Ops[i]
+		if counted && o.Result != nil {
+			d.tb.Fatalf("task %d (verts %v): the counted leaf update has result %v, want nil", d.tasks, rchild.verts, o.Result)
+		}
 		if o.Kind != w.Kind || o.LongVertex != w.LongVertex || !slices.Equal(o.Targets, w.Targets) ||
-			!slices.Equal(o.Short, w.Short) || !slices.Equal(o.Long, w.Long) || !slices.Equal(o.Result, w.Result) {
+			!slices.Equal(o.Short, w.Short) || !slices.Equal(o.Long, w.Long) || !counted && !slices.Equal(o.Result, w.Result) {
 			d.tb.Fatalf("task %d (verts %v) op %d:\n got  %v long %d targets %v short %v long %v result %v\n want %v long %d targets %v short %v long %v result %v",
 				d.tasks, rchild.verts, i, o.Kind, o.LongVertex, o.Targets, o.Short, o.Long, o.Result,
 				w.Kind, w.LongVertex, w.Targets, w.Short, w.Long, w.Result)
@@ -172,8 +176,22 @@ func (d *diffChecker) task(n *Node, rn *refNode, v uint32) (*Node, *refNode) {
 	return child, rchild
 }
 
+// countedLeafTask reports whether a task at the given level counts its
+// one update instead of building it: level K−2 runs a single intersect or
+// subtract, whose result is the leaf's candidate set.
+func countedLeafTask(pl *plan.Plan, level int) bool {
+	k := pl.K()
+	if k < 3 || level != k-2 || len(pl.Levels[level].Actions) != 1 {
+		return false
+	}
+	op := pl.Levels[level].Actions[0].Op
+	return op == plan.OpIntersect || op == plan.OpSubtract
+}
+
 // finish counts a leaf or returns the node's candidates, which must match
 // the reference's; a nil result means the node is done (leaf or dead end).
+// At a leaf, LeafCount and the set LeafSet builds must both agree with
+// the reference's merged leaf set.
 func (d *diffChecker) finish(n *Node, rn *refNode) []uint32 {
 	d.tb.Helper()
 	rc := d.ref.candidates(rn)
@@ -181,6 +199,9 @@ func (d *diffChecker) finish(n *Node, rn *refNode) []uint32 {
 		got := d.e.LeafCount(n)
 		if got != uint64(len(rc)) {
 			d.tb.Fatalf("leaf %v: count %d, reference %d", rn.verts, got, len(rc))
+		}
+		if set := d.e.LeafSet(n); !slices.Equal(set, rc) {
+			d.tb.Fatalf("leaf %v: LeafSet %v (count %d), reference %v", rn.verts, set, got, rc)
 		}
 		d.count += got
 		return nil
@@ -282,8 +303,14 @@ func assertMarksClean(tb testing.TB, e *Engine) {
 
 // diffPatterns are the timing grid's patterns: intersect-only (tc, 4cl),
 // intersect and subtract from one source (tt), and postponed ancestors
-// peeled by anti-subtraction (cyc).
-var diffPatterns = []string{"tc", "tt", "cyc", "4cl"}
+// peeled by anti-subtraction (cyc); plus wedge without symmetry
+// breaking, whose counted leaf subtraction has a used vertex inside its
+// window that the count must exclude.
+var diffPatterns = []struct {
+	name string
+	opts plan.Options
+}{{"tc", plan.Options{}}, {"tt", plan.Options{}}, {"cyc", plan.Options{}}, {"4cl", plan.Options{}},
+	{"wedge", plan.Options{NoSymmetryBreaking: true}}}
 
 // TestEngineTaskInfoMatchesMerge is the differential test of the engine's
 // adaptive kernels: every SetOpExec of every task — Kind, Short, Long,
@@ -301,12 +328,12 @@ func TestEngineTaskInfoMatchesMerge(t *testing.T) {
 		gen.Star(24), // |N(hub)| ≥ 16·|src|: the gallop branch
 	}
 	for gi, g := range graphs {
-		for _, name := range diffPatterns {
-			pl := plan.MustCompile(mustPattern(t, name), plan.Options{})
+		for _, dp := range diffPatterns {
+			pl := plan.MustCompile(mustPattern(t, dp.name), dp.opts)
 			want := CountOracle(g, pl)
 			for _, th := range []int{0, midHubThreshold(g, g.NumVertices()), g.NumVertices() + 1} {
 				for _, mode := range diffModes {
-					t.Run(fmt.Sprintf("g%d/%s/hub%d/%s", gi, name, th, mode), func(t *testing.T) {
+					t.Run(fmt.Sprintf("g%d/%s/hub%d/%s", gi, dp.name, th, mode), func(t *testing.T) {
 						d := newDiffChecker(t, g, pl, th)
 						runDiffWalk(d, mode)
 						if d.count != want {
@@ -350,7 +377,8 @@ func FuzzEngineTaskInfo(f *testing.F) {
 	f.Add(int64(17), uint8(60), uint8(7), uint8(5), uint8(3), uint8(4), uint8(2))
 	f.Fuzz(func(t *testing.T, seed int64, n, mPer, triad, pat, hub, mode uint8) {
 		g := gen.PowerLawCluster(uint32(n%96)+2, int(mPer%12)+1, float64(triad%11)/10, seed)
-		pl := plan.MustCompile(mustPattern(t, diffPatterns[int(pat)%len(diffPatterns)]), plan.Options{})
+		dp := diffPatterns[int(pat)%len(diffPatterns)]
+		pl := plan.MustCompile(mustPattern(t, dp.name), dp.opts)
 		d := newDiffChecker(t, g, pl, int(hub))
 		runDiffWalk(d, diffModes[int(mode)%len(diffModes)])
 		if want := CountOracle(g, pl); d.count != want {

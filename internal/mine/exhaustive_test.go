@@ -1,6 +1,7 @@
 package mine
 
 import (
+	"slices"
 	"testing"
 
 	"fingers/internal/graph/gen"
@@ -90,4 +91,53 @@ func TestDeterministicRuns(t *testing.T) {
 	if a != b {
 		t.Errorf("counts differ across runs: %d vs %d", a, b)
 	}
+}
+
+// TestLeafAdjacencyMatchesPattern checks the leaf counters' fixed
+// adjacency table against the pattern itself, for every connected
+// pattern of 3 to 5 vertices under every valid vertex order, vertex- and
+// edge-induced: u_i and u_{k−2} are adjacent when the (relabeled)
+// pattern has the edge, not adjacent when it lacks it under
+// vertex-induced mining or when i = k−2, and unknown otherwise.
+func TestLeafAdjacencyMatchesPattern(t *testing.T) {
+	for k := 3; k <= 5; k++ {
+		for _, p := range pattern.ConnectedSubpatternsOfSize(k) {
+			for _, order := range permutations(k) {
+				for _, edgeInduced := range []bool{false, true} {
+					pl, err := plan.Compile(p, plan.Options{Order: order, EdgeInduced: edgeInduced})
+					if err != nil {
+						continue // not a connected order
+					}
+					got := leafAdjacency(pl)
+					for i := 0; i <= k-2; i++ {
+						want := adjNo
+						switch {
+						case i == k-2:
+						case pl.Pattern.HasEdge(i, k-2):
+							want = adjYes
+						case edgeInduced:
+							want = adjUnknown
+						}
+						if got[i] != want {
+							t.Fatalf("%v order %v edgeInduced=%v: level %d adjacency %d, want %d", p, order, edgeInduced, i, got[i], want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// permutations returns every ordering of 0..n−1.
+func permutations(n int) [][]int {
+	if n == 0 {
+		return [][]int{{}}
+	}
+	var out [][]int
+	for _, rest := range permutations(n - 1) {
+		for at := 0; at <= len(rest); at++ {
+			out = append(out, slices.Insert(slices.Clone(rest), at, n-1))
+		}
+	}
+	return out
 }

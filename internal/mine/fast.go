@@ -51,6 +51,7 @@ type Counter struct {
 	eager []int // per level, the count of leading non-lazy steps
 	adj   *graph.HybridAdj
 	k     int
+	leaf  leafAdj // what the plan fixes about used vertices' adjacency to u_{k−2}
 
 	verts  []uint32
 	frames []frame
@@ -155,6 +156,7 @@ func newCounter(g *graph.Graph, pl *plan.Plan, adj *graph.HybridAdj) *Counter {
 		sched: buildSchedule(pl),
 		adj:   adj,
 		k:     pl.K(),
+		leaf:  leafAdjacency(pl),
 	}
 	c.eager = make([]int, len(c.sched))
 	for level, steps := range c.sched {
@@ -547,7 +549,7 @@ func (c *Counter) leafCountUpdate(st *step, src *cset, v uint32) uint64 {
 	}
 	// Within [first, last], u ∈ win is one bit test when src is marked.
 	first, last := win[0], win[len(win)-1]
-	for _, u := range c.verts[:c.k-1] {
+	for i, u := range c.verts[:c.k-1] {
 		if u < first || u > last {
 			continue
 		}
@@ -558,7 +560,7 @@ func (c *Counter) leafCountUpdate(st *step, src *cset, v uint32) uint64 {
 		} else if !setops.Contains(win, u) {
 			continue
 		}
-		if c.leafMember(nv, row, u) == (st.op == plan.OpIntersect) {
+		if c.leaf.member(i, nv, row, u) == (st.op == plan.OpIntersect) {
 			cnt--
 		}
 	}
@@ -585,8 +587,8 @@ func (c *Counter) leafCountDerived(op plan.OpKind, d *derived, v uint32) uint64 
 	if op != plan.OpIntersect {
 		cnt = len(d.src) - len(d.cut) - inter
 	}
-	for _, u := range c.verts[:c.k-1] {
-		if setops.BitsContain(d.marks, u) && c.leafMember(nv, row, u) == (op == plan.OpIntersect) {
+	for i, u := range c.verts[:c.k-1] {
+		if setops.BitsContain(d.marks, u) && c.leaf.member(i, nv, row, u) == (op == plan.OpIntersect) {
 			cnt--
 		}
 	}
@@ -644,23 +646,15 @@ func (c *Counter) leafCountWords(op plan.OpKind, s *cset, v uint32) uint64 {
 	if op != plan.OpIntersect {
 		cnt = setops.CountBitsBounded(s.words, lo, hi, hasLo, hasHi) - inter
 	}
-	for _, u := range c.verts[:c.k-1] {
+	for i, u := range c.verts[:c.k-1] {
 		if hasLo && u <= lo || hasHi && u >= hi || !setops.BitsContain(s.words, u) {
 			continue
 		}
-		if c.leafMember(nv, row, u) == (op == plan.OpIntersect) {
+		if c.leaf.member(i, nv, row, u) == (op == plan.OpIntersect) {
 			cnt--
 		}
 	}
 	return uint64(cnt)
-}
-
-// leafMember reports u ∈ N(v) through v's dense row when it has one.
-func (c *Counter) leafMember(nv []uint32, row []uint64, u uint32) bool {
-	if row != nil {
-		return setops.BitsContain(row, u)
-	}
-	return setops.Contains(nv, u)
 }
 
 // leafCountSet counts a materialized final-level set within its window,

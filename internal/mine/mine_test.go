@@ -155,6 +155,46 @@ func TestListEnumeratesValidEmbeddings(t *testing.T) {
 	}
 }
 
+// TestListMatchesBruteForce checks List, whose leaves the engine builds
+// on demand from counted nodes, against an oracle outside the engine:
+// every listed embedding must be distinct and must map the plan's pattern
+// (edges, and non-edges when vertex-induced) onto distinct vertices, and
+// the number listed times |Aut| must equal BruteForceLabeled.
+func TestListMatchesBruteForce(t *testing.T) {
+	graphs := []*graph.Graph{gen.ErdosRenyi(16, 40, 5), gen.PowerLawCluster(18, 3, 0.6, 2)}
+	for gi, g := range graphs {
+		for _, name := range []string{"tc", "tt", "4cl", "cyc"} {
+			for _, edgeInduced := range []bool{false, true} {
+				pl := plan.MustCompile(mustPattern(t, name), plan.Options{EdgeInduced: edgeInduced})
+				k := pl.K()
+				seen := map[[4]uint32]bool{}
+				List(g, pl, func(emb []uint32) bool {
+					var key [4]uint32
+					copy(key[:], emb)
+					if seen[key] {
+						t.Errorf("g%d/%s edgeInduced=%v: %v listed twice", gi, name, edgeInduced, emb)
+					}
+					seen[key] = true
+					for i := 0; i < k; i++ {
+						for j := i + 1; j < k; j++ {
+							edge, adj := pl.Pattern.HasEdge(i, j), g.HasEdge(emb[i], emb[j])
+							if emb[i] == emb[j] || edge && !adj || !edgeInduced && !edge && adj {
+								t.Errorf("g%d/%s edgeInduced=%v: %v is not an embedding", gi, name, edgeInduced, emb)
+							}
+						}
+					}
+					return true
+				})
+				want := BruteForceLabeled(g, pl.Pattern, !edgeInduced)
+				if got := uint64(len(seen)) * uint64(pl.AutSize); got != want {
+					t.Errorf("g%d/%s edgeInduced=%v: listed %d × |Aut| %d = %d, brute force %d",
+						gi, name, edgeInduced, len(seen), pl.AutSize, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestListEarlyStop(t *testing.T) {
 	g := gen.Complete(6)
 	pl := plan.MustCompile(pattern.Triangle(), plan.Options{})

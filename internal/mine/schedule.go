@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"fingers/internal/plan"
+	"fingers/internal/setops"
 )
 
 // step is one grouped set operation of a level's schedule: the same
@@ -187,4 +188,63 @@ func btoi(b bool) int {
 		return 1
 	}
 	return 0
+}
+
+// adjacency is what a plan fixes about whether a used vertex u_i is a
+// neighbour of u_{k−2}, the vertex whose list the leaf update reads.
+type adjacency uint8
+
+const (
+	adjUnknown adjacency = iota // the plan leaves it open: look it up
+	adjYes
+	adjNo
+)
+
+// leafAdj holds, per level i ≤ k−2, what the plan fixes about
+// u_i ∈ N(u_{k−2}). Both leaf counters read it to skip the membership
+// search for every used vertex in the leaf window whose answer the plan
+// already gives.
+type leafAdj []adjacency
+
+// leafAdjacency builds the plan's leafAdj. u_{k−2} was drawn from
+// S_{k−2}, which the plan built from N(u_i) by initialization or
+// intersection (adjacent) or by anti-subtraction or subtraction (not
+// adjacent); u_{k−2} is not its own neighbour, since graphs hold no
+// self-loops. Only a level that S_{k−2} never read, an edge-induced
+// non-edge, stays unknown.
+func leafAdjacency(pl *plan.Plan) leafAdj {
+	t := pl.K() - 2
+	adj := make(leafAdj, t+1)
+	adj[t] = adjNo
+	for i := 0; i < t; i++ {
+		for _, act := range pl.Levels[i].Actions {
+			if act.Target != t {
+				continue
+			}
+			switch act.Op {
+			case plan.OpInit, plan.OpIntersect:
+				adj[i] = adjYes
+			case plan.OpSubtract:
+				adj[i] = adjNo
+			}
+			for _, m := range act.Pending {
+				adj[m] = adjNo
+			}
+		}
+	}
+	return adj
+}
+
+// member reports u_i ∈ N(v) for v = u_{k−2}: from the plan when it fixes
+// it, otherwise through v's dense row when it has one, and otherwise by
+// binary search in N(v).
+func (a leafAdj) member(i int, nv []uint32, row []uint64, u uint32) bool {
+	switch {
+	case a[i] != adjUnknown:
+		return a[i] == adjYes
+	case row != nil:
+		return setops.BitsContain(row, u)
+	default:
+		return setops.Contains(nv, u)
+	}
 }

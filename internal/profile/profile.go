@@ -76,7 +76,8 @@ type LevelProfile struct {
 	// WorkloadsPerOp summarizes segment-level parallelism: balanced
 	// workloads per set operation.
 	WorkloadsPerOp stats.Summary
-	// SetSizes histograms the materialized candidate-set sizes.
+	// SetSizes histograms the candidate-set sizes the level's operations
+	// produce, including the leaf update the engine only counts.
 	SetSizes stats.Histogram
 }
 
@@ -134,7 +135,12 @@ func (p *Profile) record(level int, info mine.TaskInfo, cfg Config) {
 		pairing := setops.Pair(long, short)
 		workloads := setops.Balance(pairing, op.Kind, cfg.maxLoad())
 		lp.WorkloadsPerOp.AddN(len(workloads))
-		lp.SetSizes.Add(len(op.Result))
+		res := op.Result
+		if res == nil {
+			// The engine counts the leaf update instead of building it.
+			res = setops.Apply(op.Kind, op.Short, op.Long)
+		}
+		lp.SetSizes.Add(len(res))
 	}
 }
 

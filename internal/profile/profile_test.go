@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -113,5 +114,31 @@ func TestConfigDefaults(t *testing.T) {
 	var c Config
 	if c.longSeg() != 16 || c.shortSeg() != 4 || c.maxLoad() != 2 {
 		t.Errorf("defaults = %d/%d/%d", c.longSeg(), c.shortSeg(), c.maxLoad())
+	}
+}
+
+// TestSetSizesPinned pins the per-level candidate-set size histograms of
+// tc, tt and 4cl on one small graph. Their last extending level's update
+// is counted, not built, by the engine, so its sizes come from
+// recomputing the operation; the values were recorded while the engine
+// still built that set.
+func TestSetSizesPinned(t *testing.T) {
+	g := gen.PowerLawCluster(300, 6, 0.5, 3)
+	want := map[string][][]int64{
+		"tc":  {nil, {738, 669, 281, 82, 9}, nil},
+		"tt":  {nil, {1477, 1397, 1651, 1262, 790, 464, 75}, {82, 476, 929, 840, 1245, 792, 121}, nil},
+		"4cl": {nil, {738, 669, 281, 82, 9}, {1089, 277, 116, 13}, nil},
+	}
+	for name, levels := range want {
+		p, err := pattern.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof := Run(g, plan.MustCompile(p, plan.Options{}), Config{})
+		for i, w := range levels {
+			if got := prof.Levels[i].SetSizes.Buckets(); !slices.Equal(got, w) {
+				t.Errorf("%s level %d: set-size buckets %v, want %v", name, i, got, w)
+			}
+		}
 	}
 }
