@@ -106,15 +106,6 @@ func (n *Node) storeBuf(b []uint32) {
 	n.nbuf++
 }
 
-// opGroup is one distinct set operation during action grouping.
-type opGroup struct {
-	op      plan.OpKind
-	pending []int
-	srcID   int64
-	targets []int
-	result  []uint32 // the group's output, once computed
-}
-
 // Engine walks one plan's search tree on one graph. An Engine is not safe
 // for concurrent use; create one per worker goroutine.
 //
@@ -128,23 +119,27 @@ type opGroup struct {
 // TaskInfo geometry, and therefore modeled timing are bit-identical to
 // the plain merge walk.
 //
-// When level K−2 runs one intersect or subtract, whose result is the
-// leaf level's candidate set, a task at that level counts the result
-// inside the leaf window instead of building it, as the Counter does:
-// LeafCount reads the count, and Candidates (LeafSet) builds the set
-// only when asked.
+// A task runs its level's steps of the plan's static schedule
+// (buildSchedule), the one the Counter runs: each step is one SetOpExec
+// group, in schedule order. When level K−2 runs one intersect or
+// subtract, whose result is the leaf level's candidate set, a task at
+// that level counts the result inside the leaf window instead of
+// building it, as the Counter does: LeafCount reads the count, and
+// Candidates builds the set only when asked.
 type Engine struct {
 	G      *graph.Graph
 	Plan   *plan.Plan
 	nextID int64
 
-	adj  *graph.HybridAdj // read for dense rows only
-	root *Node            // persistent level -1 parent for Start
+	adj   *graph.HybridAdj // read for dense rows only
+	root  *Node            // persistent level -1 parent for Start
+	sched [][]step         // the plan's static schedule (buildSchedule)
 
-	// leafTargets is the counted leaf update's Targets, or nil when
-	// level K−2 does not run one lone intersect or subtract.
-	leafTargets []int
-	leafAdj     leafAdj // what the plan fixes about used vertices' adjacency to u_{K−2}
+	// countedLeaf is countsLeaf(sched): a level K−2 task counts its lone
+	// update instead of building it.
+	countedLeaf bool
+	leafAdj     leafAdj     // what the plan fixes about used vertices' adjacency to u_{K−2}
+	stats       KernelStats // the counted leaves' kernels (only the Count fields move)
 
 	free []*Node // node pool
 
@@ -160,20 +155,15 @@ type Engine struct {
 	probe  []uint32 // src ∩ N(v) scratch for probed subtractions
 
 	// Per-task scratch backing TaskInfo; valid until the next task.
-	ops     []SetOpExec
-	fetch   []uint32
-	groups  []opGroup
-	ngroups int
+	ops   []SetOpExec
+	fetch []uint32
 }
 
 // NewEngine returns an engine for the plan on g.
 func NewEngine(g *graph.Graph, pl *plan.Plan) *Engine {
-	e := &Engine{G: g, Plan: pl, adj: g.Hybrid(), leafAdj: leafAdjacency(pl)}
+	e := &Engine{G: g, Plan: pl, adj: g.Hybrid(), sched: buildSchedule(pl), leafAdj: leafAdjacency(pl)}
+	e.countedLeaf = countsLeaf(e.sched)
 	k := pl.K()
-	if acts := pl.Levels[k-2].Actions; k > 2 && len(acts) == 1 &&
-		(acts[0].Op == plan.OpIntersect || acts[0].Op == plan.OpSubtract) {
-		e.leafTargets = []int{acts[0].Target}
-	}
 	e.root = &Node{
 		Level: -1,
 		Verts: make([]uint32, 0, k),
@@ -229,48 +219,6 @@ func (e *Engine) Extend(n *Node, v uint32) (*Node, TaskInfo) {
 	return e.extend(n, v)
 }
 
-// claimGroup appends a grouping-scratch slot, reusing its targets backing.
-func (e *Engine) claimGroup(op plan.OpKind, pending []int, srcID int64) *opGroup {
-	if e.ngroups == len(e.groups) {
-		e.groups = append(e.groups, opGroup{})
-	}
-	g := &e.groups[e.ngroups]
-	e.ngroups++
-	g.op, g.pending, g.srcID = op, pending, srcID
-	g.targets, g.result = g.targets[:0], nil
-	return g
-}
-
-func (e *Engine) findInit(pending []int) *opGroup {
-	for i := 0; i < e.ngroups; i++ {
-		g := &e.groups[i]
-		if g.op != plan.OpInit || len(g.pending) != len(pending) {
-			continue
-		}
-		same := true
-		for x := range pending {
-			if g.pending[x] != pending[x] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return g
-		}
-	}
-	return e.claimGroup(plan.OpInit, pending, 0)
-}
-
-func (e *Engine) findUpdate(op plan.OpKind, srcID int64) *opGroup {
-	for i := 0; i < e.ngroups; i++ {
-		g := &e.groups[i]
-		if g.op == op && g.op != plan.OpInit && g.srcID == srcID {
-			return g
-		}
-	}
-	return e.claimGroup(op, nil, srcID)
-}
-
 func (e *Engine) extend(n *Node, v uint32) (*Node, TaskInfo) {
 	level := n.Level + 1
 	child := e.newNode()
@@ -283,38 +231,23 @@ func (e *Engine) extend(n *Node, v uint32) (*Node, TaskInfo) {
 	e.ops = e.ops[:0]
 	e.fetch = append(e.fetch[:0], v)
 	nv := e.G.Neighbors(v)
-	if e.leafTargets != nil && level == e.Plan.K()-2 {
-		e.countLeafTask(n, child, nv, v)
+	steps := e.sched[level]
+	if e.countedLeaf && level == e.Plan.K()-2 {
+		e.countLeafTask(n, child, &steps[0], nv, v)
 		return child, TaskInfo{Level: level, NewVertex: v, Ops: e.ops, FetchVertices: e.fetch}
 	}
 
 	copy(child.sets, n.sets)
 	copy(child.setID, n.setID)
-	e.ngroups = 0
-
-	// Group this level's actions so shared updates compute once:
-	// initializations keyed by their pending-ancestor list, arithmetic
-	// updates keyed by (source set identity, op kind).
-	for _, act := range e.Plan.Levels[level].Actions {
-		var g *opGroup
-		if act.Op == plan.OpInit {
-			g = e.findInit(act.Pending)
-		} else {
-			g = e.findUpdate(act.Op, n.setID[act.Target])
-		}
-		g.targets = append(g.targets, act.Target)
-	}
-
-	for gi := 0; gi < e.ngroups; gi++ {
-		g := &e.groups[gi]
+	for i := range steps {
+		st := &steps[i]
 		var result []uint32
-		id := e.newID()
-		switch g.op {
+		switch st.op {
 		case plan.OpInit:
 			result = nv
 			// Postponed anti-subtractions: peel each pending ancestor's
 			// neighbor list off N(v) (paper §2.1).
-			for _, m := range g.pending {
+			for _, m := range st.pending {
 				anc := child.Verts[m]
 				ancN := e.G.Neighbors(anc)
 				e.fetch = append(e.fetch, anc)
@@ -324,29 +257,34 @@ func (e *Engine) extend(n *Node, v uint32) (*Node, TaskInfo) {
 				out := slices.Grow(child.claimBuf(), len(result))
 				out = e.subtractInto(out, result, ancN, anc)
 				child.storeBuf(out)
-				e.addOp(setops.OpSubtract, result, ancN, anc, g.targets, out)
+				e.addOp(setops.OpSubtract, result, ancN, anc, st.targets, out)
 				result = out
 			}
-		case plan.OpIntersect, plan.OpSubtract:
-			src := n.sets[g.targets[0]]
-			kind := setops.OpIntersect
-			var out []uint32
-			if g.op == plan.OpSubtract {
-				kind = setops.OpSubtract
-				out = slices.Grow(child.claimBuf(), len(src))
-				out = e.subtractSrcInto(out, src, g.srcID, nv, v, e.sameTaskIntersect(gi))
+		case plan.OpIntersect:
+			src := n.sets[st.src]
+			out := slices.Grow(child.claimBuf(), min(len(src), len(nv)))
+			out = e.intersectSrcInto(out, src, n.setID[st.src], nv, v)
+			child.storeBuf(out)
+			e.addOp(setops.OpIntersect, src, nv, v, st.targets, out)
+			result = out
+		case plan.OpSubtract:
+			src := n.sets[st.src]
+			out := slices.Grow(child.claimBuf(), len(src))
+			if st.inter >= 0 {
+				// src − N(v) = src − (src ∩ N(v)), and the sibling
+				// intersection has written its targets already.
+				out = setops.SubtractSubsetInto(out, src, child.sets[steps[st.inter].targets[0]])
 			} else {
-				out = slices.Grow(child.claimBuf(), min(len(src), len(nv)))
-				out = e.intersectSrcInto(out, src, g.srcID, nv, v)
+				out = e.subtractSrcInto(out, src, n.setID[st.src], nv, v)
 			}
 			child.storeBuf(out)
-			e.addOp(kind, src, nv, v, g.targets, out)
+			e.addOp(setops.OpSubtract, src, nv, v, st.targets, out)
 			result = out
 		default:
-			panic(fmt.Sprintf("mine: unexpected op kind %v", g.op))
+			panic(fmt.Sprintf("mine: unexpected op kind %v", st.op))
 		}
-		g.result = result
-		for _, t := range g.targets {
+		id := e.newID()
+		for _, t := range st.targets {
 			child.sets[t] = result
 			child.setID[t] = id
 		}
@@ -354,19 +292,22 @@ func (e *Engine) extend(n *Node, v uint32) (*Node, TaskInfo) {
 	return child, TaskInfo{Level: level, NewVertex: v, Ops: e.ops, FetchVertices: e.fetch}
 }
 
-// countLeafTask performs a level K−2 task whose one update yields the
+// countLeafTask performs a level K−2 task whose one update st yields the
 // leaf's candidate set: it counts that set inside the leaf window
 // instead of building it. The leaf slot keeps the update's source for
 // Candidates; the child's other slots are never read again, so they are
 // not copied.
-func (e *Engine) countLeafTask(n, child *Node, nv []uint32, v uint32) {
-	t := e.Plan.K() - 1
+func (e *Engine) countLeafTask(n, child *Node, st *step, nv []uint32, v uint32) {
+	t := st.src
 	src, id := n.sets[t], n.setID[t]
 	child.sets[t], child.setID[t] = src, id
-	op := e.Plan.Levels[child.Level].Actions[0].Op
-	child.leafCount = e.leafCountOp(child, op == plan.OpIntersect, src, id, nv, v)
+	lo, hi, hasLo, hasHi := windowBounds(e.Plan, t, child.Verts)
+	a, b := window(src, lo, hi, hasLo, hasHi)
+	marks := func() []uint64 { return e.marksFor(id, src) }
+	child.leafCount = countLeafWindow(st.op == plan.OpIntersect, src, a, b, nv, e.adj.DenseRow(v),
+		child.Verts, e.leafAdj, marks, &e.stats)
 	child.counted = true
-	e.addOp(op.SetOp(), src, nv, v, e.leafTargets, nil)
+	e.addOp(st.op.SetOp(), src, nv, v, st.targets, nil)
 }
 
 // addOp appends one executed set operation to the task's Ops. It writes
@@ -376,18 +317,6 @@ func (e *Engine) addOp(kind setops.Op, short, long []uint32, longVertex uint32, 
 	e.ops = append(e.ops, SetOpExec{})
 	op := &e.ops[len(e.ops)-1]
 	op.Kind, op.Short, op.Long, op.LongVertex, op.Targets, op.Result = kind, short, long, longVertex, targets, result
-}
-
-// sameTaskIntersect returns the result of an earlier group of this task
-// that intersected the source of group gi with N(v), or nil.
-func (e *Engine) sameTaskIntersect(gi int) []uint32 {
-	id := e.groups[gi].srcID
-	for i := 0; i < gi; i++ {
-		if g := &e.groups[i]; g.op == plan.OpIntersect && g.srcID == id {
-			return g.result
-		}
-	}
-	return nil
 }
 
 // marksFor returns the marks of src, whose set ID is id, marking it now
@@ -422,17 +351,12 @@ func (e *Engine) intersectSrcInto(dst, src []uint32, id int64, nv []uint32, v ui
 	}
 }
 
-// subtractSrcInto computes src − N(v) into dst, where id is src's set ID
-// and inter, when non-nil, is src ∩ N(v) as this task already computed
-// it. Without inter, src ∩ N(v) is probed from src's marks into scratch
-// unless a dense row or galloping wins; the subtraction then removes
-// that subset from src.
-func (e *Engine) subtractSrcInto(dst, src []uint32, id int64, nv []uint32, v uint32, inter []uint32) []uint32 {
+// subtractSrcInto computes src − N(v) into dst, where id is src's set
+// ID: src ∩ N(v) is probed from src's marks into scratch and removed
+// from src, unless a dense row of v or galloping wins.
+func (e *Engine) subtractSrcInto(dst, src []uint32, id int64, nv []uint32, v uint32) []uint32 {
 	if len(src) == 0 {
 		return dst
-	}
-	if inter != nil {
-		return setops.SubtractSubsetInto(dst, src, inter)
 	}
 	if e.adj.DenseRow(v) != nil || len(nv) >= setops.GallopSkewThreshold*len(src) {
 		return e.subtractInto(dst, src, nv, v)
@@ -441,77 +365,15 @@ func (e *Engine) subtractSrcInto(dst, src []uint32, id int64, nv []uint32, v uin
 	return setops.SubtractSubsetInto(dst, src, e.probe)
 }
 
-// subtractInto computes src − N(v) into dst with adaptive dispatch.
+// subtractInto computes src − N(v) into dst through v's dense row when
+// it has one, and otherwise with setops.SubtractGallopingInto, which
+// gallops through an N(v) many times longer than src and merges
+// otherwise.
 func (e *Engine) subtractInto(dst, src, nv []uint32, v uint32) []uint32 {
-	switch row := e.adj.DenseRow(v); {
-	case row != nil:
+	if row := e.adj.DenseRow(v); row != nil {
 		return setops.SubtractBitsInto(dst, src, row)
-	case len(nv) >= setops.GallopSkewThreshold*len(src):
-		return setops.SubtractGallopingInto(dst, src, nv)
-	default:
-		return setops.SubtractInto(dst, src, nv)
 	}
-}
-
-// leafCountOp counts op(src, N(v)), an intersection when intersect and a
-// subtraction otherwise, inside the symmetry-breaking window of the leaf
-// below n, less the used vertices it holds, without building it. id is
-// src's set ID. The kernel choice is Counter.leafIntersectCount's: v's
-// dense row probed with the window, the window galloped through an N(v)
-// many times longer, or N(v) clipped to the window and probed against
-// src's marks. A subtraction counts the window less that intersection.
-func (e *Engine) leafCountOp(n *Node, intersect bool, src []uint32, id int64, nv []uint32, v uint32) uint64 {
-	a, b := e.window(n, src)
-	win := src[a:b]
-	if len(win) == 0 {
-		return 0
-	}
-	row := e.adj.DenseRow(v)
-	var inter int
-	if row != nil {
-		inter = setops.IntersectCountBits(win, row)
-	} else {
-		// Clip N(v) to win's value range where the window cut src: there
-		// the marked src holds exactly win.
-		clip := nv
-		if a > 0 {
-			clip = clip[setops.LowerBound(clip, win[0]):]
-		}
-		if b < len(src) {
-			clip = clip[:setops.UpperBound(clip, win[len(win)-1])]
-		}
-		if len(clip) >= setops.GallopSkewThreshold*len(win) {
-			inter = setops.IntersectCountGalloping(win, clip)
-		} else {
-			inter = setops.IntersectCountBits(clip, e.marksFor(id, src))
-		}
-	}
-	cnt := inter
-	if !intersect {
-		cnt = len(win) - inter
-	}
-	// Within [first, last], u ∈ win is one bit test while src is marked.
-	var marks []uint64
-	if e.markID == id {
-		marks = e.marks
-	}
-	first, last := win[0], win[len(win)-1]
-	for i, u := range n.Verts {
-		if u < first || u > last {
-			continue
-		}
-		if marks != nil {
-			if !setops.BitsContain(marks, u) {
-				continue
-			}
-		} else if !setops.Contains(win, u) {
-			continue
-		}
-		if e.leafAdj.member(i, nv, row, u) == intersect {
-			cnt--
-		}
-	}
-	return uint64(cnt)
+	return setops.SubtractGallopingInto(dst, src, nv)
 }
 
 // buildLeaf builds the leaf set of the counted node n into its leaf
@@ -522,47 +384,12 @@ func (e *Engine) buildLeaf(n *Node) []uint32 {
 	src, id := n.sets[t], n.setID[t]
 	v := n.Verts[n.Level]
 	nv := e.G.Neighbors(v)
-	if e.Plan.Levels[n.Level].Actions[0].Op == plan.OpIntersect {
+	if e.sched[n.Level][0].op == plan.OpIntersect {
 		n.leaf = e.intersectSrcInto(n.leaf[:0], src, id, nv, v)
 	} else {
-		n.leaf = e.subtractSrcInto(slices.Grow(n.leaf[:0], len(src)), src, id, nv, v, nil)
+		n.leaf = e.subtractSrcInto(slices.Grow(n.leaf[:0], len(src)), src, id, nv, v)
 	}
 	return n.leaf
-}
-
-// bounds computes the symmetry-breaking window (lo, hi) for selecting the
-// vertex at the given level: candidates must satisfy lo < v < hi.
-func (e *Engine) bounds(n *Node, level int) (lo, hi uint32, hasLo, hasHi bool) {
-	for _, r := range e.Plan.Levels[level].Restrictions {
-		bound := n.Verts[r.Earlier]
-		if r.Greater {
-			if !hasLo || bound > lo {
-				lo, hasLo = bound, true
-			}
-		} else {
-			if !hasHi || bound < hi {
-				hi, hasHi = bound, true
-			}
-		}
-	}
-	return
-}
-
-// window returns the index range [a, b) of n's candidate set for the next
-// level that survives the symmetry-breaking bounds.
-func (e *Engine) window(n *Node, set []uint32) (a, b int) {
-	lo, hi, hasLo, hasHi := e.bounds(n, n.Level+1)
-	a, b = 0, len(set)
-	if hasLo {
-		a = setops.UpperBound(set, lo)
-	}
-	if hasHi {
-		b = setops.LowerBound(set, hi)
-	}
-	if b < a {
-		b = a
-	}
-	return a, b
 }
 
 // Candidates returns the valid vertices for extending n at the next
@@ -575,21 +402,22 @@ func (e *Engine) Candidates(n *Node) []uint32 {
 	if n.counted {
 		set = e.buildLeaf(n)
 	}
-	a, b := e.window(n, set)
-	window := set[a:b]
+	lo, hi, hasLo, hasHi := windowBounds(e.Plan, n.Level+1, n.Verts)
+	a, b := window(set, lo, hi, hasLo, hasHi)
+	win := set[a:b]
 	// Chosen vertices rarely appear in the window; copy only if needed.
 	clean := true
 	for _, u := range n.Verts {
-		if setops.Contains(window, u) {
+		if setops.Contains(win, u) {
 			clean = false
 			break
 		}
 	}
 	if clean {
-		return window
+		return win
 	}
-	out := make([]uint32, 0, len(window))
-	for _, v := range window {
+	out := make([]uint32, 0, len(win))
+	for _, v := range win {
 		if !containsVert(n.Verts, v) {
 			out = append(out, v)
 		}
@@ -609,7 +437,8 @@ func (e *Engine) LeafCount(n *Node) uint64 {
 		return n.leafCount
 	}
 	set := n.sets[n.Level+1]
-	a, b := e.window(n, set)
+	lo, hi, hasLo, hasHi := windowBounds(e.Plan, n.Level+1, n.Verts)
+	a, b := window(set, lo, hi, hasLo, hasHi)
 	count := b - a
 	for _, u := range n.Verts {
 		if setops.Contains(set[a:b], u) {
@@ -617,13 +446,6 @@ func (e *Engine) LeafCount(n *Node) uint64 {
 		}
 	}
 	return uint64(count)
-}
-
-// LeafSet returns the final-level candidate set below n with restrictions
-// and used vertices applied, for listing embeddings. A counted node's set
-// is built on demand into a buffer n owns.
-func (e *Engine) LeafSet(n *Node) []uint32 {
-	return e.Candidates(n)
 }
 
 func containsVert(vs []uint32, v uint32) bool {

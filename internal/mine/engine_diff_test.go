@@ -37,16 +37,12 @@ type refGroup struct {
 	targets []int
 }
 
-// extend returns the child of n for vertex v and the task it performed.
-func (r *refWalk) extend(n *refNode, v uint32) (*refNode, TaskInfo) {
-	level := len(n.verts)
-	child := &refNode{
-		verts: append(slices.Clone(n.verts), v),
-		sets:  slices.Clone(n.sets),
-		ids:   slices.Clone(n.ids),
-	}
+// groups groups the actions of the level below n so identical updates
+// run once: inits by their pending-ancestor list, arithmetic updates by
+// (op, the ID of the set they read), in the order of their first action.
+func (r *refWalk) groups(n *refNode) []*refGroup {
 	var groups []*refGroup
-	for _, act := range r.pl.Levels[level].Actions {
+	for _, act := range r.pl.Levels[len(n.verts)].Actions {
 		var g *refGroup
 		for _, h := range groups {
 			if act.Op == plan.OpInit && h.op == plan.OpInit && slices.Equal(h.pending, act.Pending) ||
@@ -64,6 +60,18 @@ func (r *refWalk) extend(n *refNode, v uint32) (*refNode, TaskInfo) {
 		}
 		g.targets = append(g.targets, act.Target)
 	}
+	return groups
+}
+
+// extend returns the child of n for vertex v and the task it performed.
+func (r *refWalk) extend(n *refNode, v uint32) (*refNode, TaskInfo) {
+	level := len(n.verts)
+	child := &refNode{
+		verts: append(slices.Clone(n.verts), v),
+		sets:  slices.Clone(n.sets),
+		ids:   slices.Clone(n.ids),
+	}
+	groups := r.groups(n)
 	nv := r.g.Neighbors(v)
 	info := TaskInfo{Level: level, NewVertex: v, FetchVertices: []uint32{v}}
 	for _, g := range groups {
@@ -190,8 +198,8 @@ func countedLeafTask(pl *plan.Plan, level int) bool {
 
 // finish counts a leaf or returns the node's candidates, which must match
 // the reference's; a nil result means the node is done (leaf or dead end).
-// At a leaf, LeafCount and the set LeafSet builds must both agree with
-// the reference's merged leaf set.
+// At a leaf, LeafCount and the set Candidates builds must both agree
+// with the reference's merged leaf set.
 func (d *diffChecker) finish(n *Node, rn *refNode) []uint32 {
 	d.tb.Helper()
 	rc := d.ref.candidates(rn)
@@ -200,8 +208,8 @@ func (d *diffChecker) finish(n *Node, rn *refNode) []uint32 {
 		if got != uint64(len(rc)) {
 			d.tb.Fatalf("leaf %v: count %d, reference %d", rn.verts, got, len(rc))
 		}
-		if set := d.e.LeafSet(n); !slices.Equal(set, rc) {
-			d.tb.Fatalf("leaf %v: LeafSet %v (count %d), reference %v", rn.verts, set, got, rc)
+		if set := d.e.Candidates(n); !slices.Equal(set, rc) {
+			d.tb.Fatalf("leaf %v: Candidates %v (count %d), reference %v", rn.verts, set, got, rc)
 		}
 		d.count += got
 		return nil
@@ -318,9 +326,11 @@ var diffPatterns = []struct {
 // random graphs, under the default hub threshold, a median-degree one
 // (dense rows in play) and one above every degree (none), driven both in
 // FINGERS-style sibling groups and in FlexMiner's DFS with node release,
-// plus the stale-mark sequence of checkStaleMark.
+// plus the stale-mark sequence of checkStaleMark. Across the runs the
+// counted leaves must take each of their three kernels.
 func TestEngineTaskInfoMatchesMerge(t *testing.T) {
 	t.Run("stale-mark", checkStaleMark)
+	var leaves KernelStats
 	graphs := []*graph.Graph{
 		gen.PowerLawCluster(160, 5, 0.5, 3),
 		gen.PowerLawCluster(120, 12, 0.3, 8), // long lists: galloping and dense rows
@@ -342,10 +352,16 @@ func TestEngineTaskInfoMatchesMerge(t *testing.T) {
 						if d.e.marks != nil {
 							assertMarksClean(t, d.e)
 						}
+						leaves.CountBits += d.e.stats.CountBits
+						leaves.CountGallop += d.e.stats.CountGallop
+						leaves.CountProbe += d.e.stats.CountProbe
 					})
 				}
 			}
 		}
+	}
+	if leaves.CountBits == 0 || leaves.CountGallop == 0 || leaves.CountProbe == 0 {
+		t.Errorf("counted leaf kernels: %d dense-row, %d galloping, %d probed; want each run", leaves.CountBits, leaves.CountGallop, leaves.CountProbe)
 	}
 }
 

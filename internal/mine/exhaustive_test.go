@@ -128,6 +128,62 @@ func TestLeafAdjacencyMatchesPattern(t *testing.T) {
 	}
 }
 
+// TestScheduleMatchesMergeGrouping checks buildSchedule's static steps
+// against the groups the merge walk forms at run time, for every
+// connected pattern of 3 to 5 vertices under every valid vertex order,
+// vertex- and edge-induced. The Engine runs the schedule, so its steps
+// alone decide the op structure of every TaskInfo. Along one path of a
+// complete graph, step i of each level must equal the walk's group i in
+// op, pending list and targets. An update must also read its first
+// target's slot, share a mark slot exactly with the updates that read
+// the same set, and name as its inter the first earlier intersection of
+// that set.
+func TestScheduleMatchesMergeGrouping(t *testing.T) {
+	g := gen.Complete(5)
+	for k := 3; k <= 5; k++ {
+		for _, p := range pattern.ConnectedSubpatternsOfSize(k) {
+			for _, order := range permutations(k) {
+				for _, edgeInduced := range []bool{false, true} {
+					pl, err := plan.Compile(p, plan.Options{Order: order, EdgeInduced: edgeInduced})
+					if err != nil {
+						continue // not a connected order
+					}
+					r := &refWalk{g: g, pl: pl}
+					n := r.root()
+					for level, steps := range buildSchedule(pl) {
+						groups := r.groups(n)
+						if len(steps) != len(groups) {
+							t.Fatalf("%v order %v edgeInduced=%v level %d: %d steps, %d groups", p, order, edgeInduced, level, len(steps), len(groups))
+						}
+						for i, st := range steps {
+							w := groups[i]
+							if st.op != w.op || !slices.Equal(st.pending, w.pending) || !slices.Equal(st.targets, w.targets) {
+								t.Fatalf("%v order %v edgeInduced=%v level %d step %d: %v pending %v targets %v, group %v pending %v targets %v",
+									p, order, edgeInduced, level, i, st.op, st.pending, st.targets, w.op, w.pending, w.targets)
+							}
+							if st.op == plan.OpInit {
+								continue
+							}
+							inter := slices.IndexFunc(groups[:i], func(h *refGroup) bool { return h.op == plan.OpIntersect && h.srcID == w.srcID })
+							if st.src != w.targets[0] || st.inter != inter {
+								t.Fatalf("%v order %v edgeInduced=%v level %d step %d: src %d inter %d, want %d and %d",
+									p, order, edgeInduced, level, i, st.src, st.inter, w.targets[0], inter)
+							}
+							for j, h := range groups {
+								if h.op != plan.OpInit && (steps[j].mark == st.mark) != (h.srcID == w.srcID) {
+									t.Fatalf("%v order %v edgeInduced=%v level %d: steps %d and %d share a mark slot %v, want %v",
+										p, order, edgeInduced, level, i, j, steps[j].mark == st.mark, h.srcID == w.srcID)
+								}
+							}
+						}
+						n, _ = r.extend(n, uint32(level))
+					}
+				}
+			}
+		}
+	}
+}
+
 // permutations returns every ordering of 0..n−1.
 func permutations(n int) [][]int {
 	if n == 0 {

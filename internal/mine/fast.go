@@ -60,6 +60,9 @@ type Counter struct {
 	// dirty is set while Root runs; finding it set on entry means an
 	// earlier Root panicked and may have left sets marked.
 	dirty bool
+	// countedLeaf is countsLeaf(sched): level k−2's lone update is
+	// counted, not built.
+	countedLeaf bool
 }
 
 // cset is one slot's candidate set, held in one of two formats. As an
@@ -158,6 +161,7 @@ func newCounter(g *graph.Graph, pl *plan.Plan, adj *graph.HybridAdj) *Counter {
 		k:     pl.K(),
 		leaf:  leafAdjacency(pl),
 	}
+	c.countedLeaf = countsLeaf(c.sched)
 	c.eager = make([]int, len(c.sched))
 	for level, steps := range c.sched {
 		for _, st := range steps {
@@ -252,7 +256,7 @@ func (f *frame) unmark() {
 func (c *Counter) descend(level int, v uint32) uint64 {
 	c.verts[level] = v
 	steps := c.sched[level]
-	if level == c.k-2 && level > 0 && len(steps) == 1 && steps[0].op != plan.OpInit {
+	if level == c.k-2 && c.countedLeaf {
 		// Leaf fast path: a lone update step materializing only the final
 		// slot can be counted from the parent's slot without writing the
 		// result, or even setting up this level's frame.
@@ -278,7 +282,7 @@ func (c *Counter) descend(level int, v uint32) uint64 {
 	eager := c.eager[level]
 	c.applySteps(level, f, steps[:eager], 0, nv, v)
 	set := &f.sets[level+1] // lazy steps never write this slot
-	lo, hi, hasLo, hasHi := c.windowBounds(level + 1)
+	lo, hi, hasLo, hasHi := windowBounds(c.pl, level+1, c.verts)
 	used := c.verts[:level+1]
 	var total uint64
 	if set.hasArr() {
@@ -535,36 +539,11 @@ func (c *Counter) leafCountUpdate(st *step, src *cset, v uint32) uint64 {
 	if src.words != nil {
 		return c.leafCountWords(st.op, src, v)
 	}
-	lo, hi, hasLo, hasHi := c.windowBounds(c.k - 1)
+	lo, hi, hasLo, hasHi := windowBounds(c.pl, c.k-1, c.verts)
 	a, b := window(src.arr, lo, hi, hasLo, hasHi)
-	win := src.arr[a:b]
-	if len(win) == 0 {
-		return 0
-	}
-	nv := c.g.Neighbors(v)
-	row := c.adj.DenseRow(v)
-	cnt, marks := c.leafIntersectCount(st, src.arr, a, b, nv, row)
-	if st.op != plan.OpIntersect {
-		cnt = len(win) - cnt
-	}
-	// Within [first, last], u ∈ win is one bit test when src is marked.
-	first, last := win[0], win[len(win)-1]
-	for i, u := range c.verts[:c.k-1] {
-		if u < first || u > last {
-			continue
-		}
-		if marks != nil {
-			if !setops.BitsContain(marks, u) {
-				continue
-			}
-		} else if !setops.Contains(win, u) {
-			continue
-		}
-		if c.leaf.member(i, nv, row, u) == (st.op == plan.OpIntersect) {
-			cnt--
-		}
-	}
-	return uint64(cnt)
+	marks := func() []uint64 { return c.marksFor(c.k-2, st, src.arr) }
+	return countLeafWindow(st.op == plan.OpIntersect, src.arr, a, b, c.g.Neighbors(v), c.adj.DenseRow(v),
+		c.verts[:c.k-1], c.leaf, marks, &c.stats)
 }
 
 // leafCountDerived counts op(S, N(v)) for a derived result S = src − cut
@@ -595,41 +574,12 @@ func (c *Counter) leafCountDerived(op plan.OpKind, d *derived, v uint32) uint64 
 	return uint64(cnt)
 }
 
-// leafIntersectCount returns |win ∩ N(v)| for the leaf update st, where
-// win = src[a:b] is a nonempty window of st's source: through v's dense
-// row when it has one, by galloping win's elements through an N(v) many
-// times longer, and otherwise by walking N(v) against the marked src.
-// It also returns the bitset src is marked in when it probed, nil
-// otherwise.
-func (c *Counter) leafIntersectCount(st *step, src []uint32, a, b int, nv []uint32, row []uint64) (int, []uint64) {
-	win := src[a:b]
-	if row != nil {
-		c.stats.CountBits++
-		return setops.IntersectCountBits(win, row), nil
-	}
-	// Clip N(v) to win's value range where the window cut src: there the
-	// marked src holds exactly win.
-	if a > 0 {
-		nv = nv[setops.LowerBound(nv, win[0]):]
-	}
-	if b < len(src) {
-		nv = nv[:setops.UpperBound(nv, win[len(win)-1])]
-	}
-	if len(nv) >= setops.GallopSkewThreshold*len(win) {
-		c.stats.CountGallop++
-		return setops.IntersectCountGalloping(win, nv), nil
-	}
-	marks := c.marksFor(c.k-2, st, src)
-	c.stats.CountProbe++
-	return setops.IntersectCountBits(nv, marks), marks
-}
-
 // leafCountWords counts op(S, N(v)) within the leaf window for a bitset
 // candidate set S: popcount(S & N(v) & window) against a dense row, or
 // N(v)'s window-clipped elements probed against S's words. Used
 // vertices are excluded with bit tests.
 func (c *Counter) leafCountWords(op plan.OpKind, s *cset, v uint32) uint64 {
-	lo, hi, hasLo, hasHi := c.windowBounds(c.k - 1)
+	lo, hi, hasLo, hasHi := windowBounds(c.pl, c.k-1, c.verts)
 	row := c.adj.DenseRow(v)
 	var nv []uint32
 	var inter int
@@ -660,7 +610,7 @@ func (c *Counter) leafCountWords(op plan.OpKind, s *cset, v uint32) uint64 {
 // leafCountSet counts a materialized final-level set within its window,
 // excluding used vertices (the generic leaf path).
 func (c *Counter) leafCountSet(s *cset) uint64 {
-	lo, hi, hasLo, hasHi := c.windowBounds(c.k - 1)
+	lo, hi, hasLo, hasHi := windowBounds(c.pl, c.k-1, c.verts)
 	if s.hasArr() {
 		a, b := window(s.arr, lo, hi, hasLo, hasHi)
 		cnt := b - a
@@ -678,39 +628,4 @@ func (c *Counter) leafCountSet(s *cset) uint64 {
 		}
 	}
 	return uint64(cnt)
-}
-
-// windowBounds resolves the symmetry-breaking restrictions of the given
-// level to the open interval (lo, hi): candidates must be strictly
-// greater than lo when hasLo and strictly less than hi when hasHi.
-func (c *Counter) windowBounds(level int) (lo, hi uint32, hasLo, hasHi bool) {
-	for _, r := range c.pl.Levels[level].Restrictions {
-		bound := c.verts[r.Earlier]
-		if r.Greater {
-			if !hasLo || bound > lo {
-				lo, hasLo = bound, true
-			}
-		} else {
-			if !hasHi || bound < hi {
-				hi, hasHi = bound, true
-			}
-		}
-	}
-	return lo, hi, hasLo, hasHi
-}
-
-// window returns the index range of the sorted set inside the open
-// window (lo, hi), mirroring Engine.window.
-func window(set []uint32, lo, hi uint32, hasLo, hasHi bool) (a, b int) {
-	a, b = 0, len(set)
-	if hasLo {
-		a = setops.UpperBound(set, lo)
-	}
-	if hasHi {
-		b = setops.LowerBound(set, hi)
-	}
-	if b < a {
-		b = a
-	}
-	return a, b
 }

@@ -23,10 +23,12 @@ func Count(g *graph.Graph, pl *plan.Plan) uint64 {
 	return total
 }
 
-// CountOracle mines the plan with the reference Engine — the slow,
-// allocation-heavy tree walk the accelerator timing models replay. It
-// exists so tests can cross-check the adaptive Counter's kernels against
-// an independent implementation.
+// CountOracle mines the plan with the reference Engine, the task-granular
+// tree walk the accelerator timing models replay. The Engine runs the
+// Counter's schedule and leaf kernel, but materializes every inner
+// candidate set as an array in its own pooled nodes, so tests
+// cross-check the Counter's bitset sets, lazy steps and derived marks
+// against it; the Engine itself is checked against a plain merge walk.
 func CountOracle(g *graph.Graph, pl *plan.Plan) uint64 {
 	e := NewEngine(g, pl)
 	var total uint64
@@ -212,7 +214,7 @@ func List(g *graph.Graph, pl *plan.Plan, visit func(emb []uint32) bool) {
 	rec = func(n *Node) bool {
 		if n.Level == pl.K()-2 {
 			copy(emb, n.Verts)
-			for _, v := range e.LeafSet(n) {
+			for _, v := range e.Candidates(n) {
 				emb[pl.K()-1] = v
 				if !visit(emb) {
 					return false

@@ -1,7 +1,6 @@
 package mine
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -9,9 +8,11 @@ import (
 	"fingers/internal/setops"
 )
 
-// step is one grouped set operation of a level's schedule: the same
-// common-subexpression sharing Engine.extend performs dynamically
-// (identical updates compute once, paper §3.3), resolved ahead of time.
+// step is one grouped set operation of a level's schedule: identical
+// updates compute once (paper §3.3), with the sharing resolved ahead of
+// time. Both miners run it: Engine.extend executes a level's steps in
+// order, one SetOpExec group each, and the Counter runs them over its
+// frames.
 type step struct {
 	// op is plan.OpInit, plan.OpIntersect or plan.OpSubtract.
 	op plan.OpKind
@@ -34,7 +35,8 @@ type step struct {
 	// lazy marks a step none of whose targets is the next level's
 	// candidate slot: its result only matters below a child, so the
 	// counter runs it when the first child is visited, and never for a
-	// node without children. Lazy steps follow the eager ones.
+	// node without children. Lazy steps follow the eager ones (see
+	// buildSchedule).
 	lazy bool
 	// derive marks a subtract at level k−3 with a sibling intersection
 	// whose one target only the leaf level's single update reads, under
@@ -46,17 +48,19 @@ type step struct {
 	derive bool
 }
 
-// buildSchedule resolves the per-level operation groups statically. The
-// grouping Engine.extend computes per node depends only on the identity
-// structure of the candidate slots — which operation produced each slot's
-// set — and that structure evolves identically down every root-to-leaf
-// path (levels are always visited 0, 1, 2, …). Simulating the set-ID
-// propagation symbolically once therefore yields the exact groups the
-// engine would form at every node, letting the hot loop skip the
-// per-task grouping work entirely.
+// buildSchedule resolves the per-level operation groups statically.
+// Which actions of a level share one operation depends only on the
+// identity structure of the candidate slots — which operation produced
+// each slot's set — and that structure evolves identically down every
+// root-to-leaf path (levels are always visited 0, 1, 2, …). Simulating
+// the set-ID propagation symbolically once therefore yields the groups of
+// every node, in the order their first actions appear.
 //
-// Within a level the steps are independent — each reads only its own
-// targets' parent values — so they are reordered eager-first.
+// The Counter runs a node's lazy steps only once it has a child, so they
+// must follow the eager ones. plan.Compile emits a level's actions in
+// ascending target order, and only a step targeting the next level's
+// slot is eager, so that step comes first; a schedule that breaks this
+// panics, as one that writes a slot twice does.
 func buildSchedule(pl *plan.Plan) [][]step {
 	k := pl.K()
 	setID := make([]int32, k)
@@ -129,6 +133,9 @@ func buildSchedule(pl *plan.Plan) [][]step {
 			// The leaf level's steps all target the last slot, so only
 			// inner levels have lazy steps.
 			st.lazy = level < k-2 && !slices.Contains(g.targets, level+1)
+			if n := len(out[level]); !st.lazy && n > 0 && out[level][n-1].lazy {
+				panic(fmt.Sprintf("mine: eager step after a lazy one at level %d", level))
+			}
 			for _, t := range g.targets {
 				// The counter reads update sources from the current frame
 				// after copying the parent's slots, which is only the
@@ -143,9 +150,6 @@ func buildSchedule(pl *plan.Plan) [][]step {
 			out[level] = append(out[level], st)
 		}
 		steps := out[level]
-		slices.SortStableFunc(steps, func(a, b step) int {
-			return cmp.Compare(btoi(a.lazy), btoi(b.lazy))
-		})
 		for i := range steps {
 			if steps[i].op != plan.OpSubtract {
 				continue
@@ -181,13 +185,6 @@ func markDerived(pl *plan.Plan, sched [][]step) {
 		}
 		st.derive = !slices.ContainsFunc(steps[i+1:], func(later step) bool { return later.mark == st.mark })
 	}
-}
-
-func btoi(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // adjacency is what a plan fixes about whether a used vertex u_i is a
@@ -247,4 +244,111 @@ func (a leafAdj) member(i int, nv []uint32, row []uint64, u uint32) bool {
 	default:
 		return setops.Contains(nv, u)
 	}
+}
+
+// countsLeaf reports whether level k−2 of the schedule runs one lone
+// update, whose result is the leaf level's candidate set. Both miners
+// then count that set inside the leaf window instead of building it.
+func countsLeaf(sched [][]step) bool {
+	k := len(sched) + 1
+	return k > 2 && len(sched[k-2]) == 1 && sched[k-2][0].op != plan.OpInit
+}
+
+// countLeafWindow counts op(src, N(v)), an intersection when intersect
+// and a subtraction otherwise, inside the leaf window src[a:b], less the
+// used vertices it holds, without building it. row is v's dense row or
+// nil; marks returns the bitset the caller keeps src marked in, marking
+// it if needed. The kernel, which stats counts, is v's dense row probed
+// with the window, the window galloped through an N(v) many times
+// longer, or N(v) clipped to the window and probed against src's marks.
+// A subtraction counts the window less that intersection. A used vertex
+// in the window's range is found in src with a bit test when the kernel
+// marked it and a binary search otherwise; fixed then gives its
+// adjacency to v.
+func countLeafWindow(intersect bool, src []uint32, a, b int, nv []uint32, row []uint64, used []uint32, fixed leafAdj, marks func() []uint64, stats *KernelStats) uint64 {
+	win := src[a:b]
+	if len(win) == 0 {
+		return 0
+	}
+	var inter int
+	var marked []uint64
+	if row != nil {
+		stats.CountBits++
+		inter = setops.IntersectCountBits(win, row)
+	} else {
+		// Clip N(v) to win's value range where the window cut src: there
+		// the marked src holds exactly win.
+		clip := nv
+		if a > 0 {
+			clip = clip[setops.LowerBound(clip, win[0]):]
+		}
+		if b < len(src) {
+			clip = clip[:setops.UpperBound(clip, win[len(win)-1])]
+		}
+		if len(clip) >= setops.GallopSkewThreshold*len(win) {
+			stats.CountGallop++
+			inter = setops.IntersectCountGalloping(win, clip)
+		} else {
+			marked = marks()
+			stats.CountProbe++
+			inter = setops.IntersectCountBits(clip, marked)
+		}
+	}
+	cnt := inter
+	if !intersect {
+		cnt = len(win) - inter
+	}
+	first, last := win[0], win[len(win)-1]
+	for i, u := range used {
+		if u < first || u > last {
+			continue
+		}
+		if marked != nil {
+			if !setops.BitsContain(marked, u) {
+				continue
+			}
+		} else if !setops.Contains(win, u) {
+			continue
+		}
+		if fixed.member(i, nv, row, u) == intersect {
+			cnt--
+		}
+	}
+	return uint64(cnt)
+}
+
+// windowBounds resolves the symmetry-breaking restrictions of the given
+// level against the chosen vertices verts to the open interval (lo, hi):
+// candidates must be strictly greater than lo when hasLo and strictly
+// less than hi when hasHi.
+func windowBounds(pl *plan.Plan, level int, verts []uint32) (lo, hi uint32, hasLo, hasHi bool) {
+	for _, r := range pl.Levels[level].Restrictions {
+		bound := verts[r.Earlier]
+		if r.Greater {
+			if !hasLo || bound > lo {
+				lo, hasLo = bound, true
+			}
+		} else {
+			if !hasHi || bound < hi {
+				hi, hasHi = bound, true
+			}
+		}
+	}
+	return lo, hi, hasLo, hasHi
+}
+
+// window returns the index range [a, b) of the sorted set inside the
+// open window (lo, hi).
+func window(set []uint32, lo, hi uint32, hasLo, hasHi bool) (a, b int) {
+	a, b = 0, len(set)
+	if hasLo {
+		a = setops.UpperBound(set, lo)
+	}
+	if hasHi {
+		b = setops.LowerBound(set, hi)
+	}
+	if b < a {
+		b = a
+	}
+	return a, b
 }
