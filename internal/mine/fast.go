@@ -541,6 +541,9 @@ func (c *Counter) leafCountUpdate(st *step, src *cset, v uint32) uint64 {
 	}
 	lo, hi, hasLo, hasHi := windowBounds(c.pl, c.k-1, c.verts)
 	a, b := window(src.arr, lo, hi, hasLo, hasHi)
+	if a == b {
+		return 0 // without fetching N(v) and v's row, a cache miss per leaf
+	}
 	marks := func() []uint64 { return c.marksFor(c.k-2, st, src.arr) }
 	return countLeafWindow(st.op == plan.OpIntersect, src.arr, a, b, c.g.Neighbors(v), c.adj.DenseRow(v),
 		c.verts[:c.k-1], c.leaf, marks, &c.stats)
