@@ -19,14 +19,12 @@ package fingers
 
 import "fingers/internal/mem"
 
-// dividerLongHeads and dividerShortHeads are the head-list capacities of
-// one task divider match (§4.2): 15 long heads (a 240-element neighbor
-// list at s_l = 16) against 24 short heads (a 96-element candidate set at
-// s_s = 4). Longer head lists are processed in chunks.
-const (
-	dividerLongHeads  = 15
-	dividerShortHeads = 24
-)
+// dividerLongHeads is the long head-list capacity of one task divider
+// match (§4.2): 15 long heads, a 240-element neighbor list at s_l = 16.
+// The paper pairs them with 24 short heads (a 96-element candidate set
+// at s_s = 4); the model chunks only the long head list, 15 heads per
+// chunk.
+const dividerLongHeads = 15
 
 // Config parameterizes one FINGERS PE. The zero value is not valid; start
 // from DefaultConfig.

@@ -16,6 +16,16 @@ func buildTriangleWithTail(t *testing.T) *Graph {
 	return FromEdges(4, []Edge{{0, 1}, {1, 2}, {0, 2}, {0, 3}})
 }
 
+// randomGraph builds a graph on n vertices from m random edge draws.
+func randomGraph(seed int64, n uint32, m int) *Graph {
+	rng := rand.New(rand.NewSource(seed))
+	b := NewBuilder(n)
+	for i := 0; i < m; i++ {
+		b.AddEdge(rng.Uint32()%n, rng.Uint32()%n)
+	}
+	return b.Build()
+}
+
 func TestBuilderNormalizes(t *testing.T) {
 	b := NewBuilder(3)
 	b.AddEdge(1, 0) // reversed

@@ -33,7 +33,7 @@ func FuzzReplayJournal(f *testing.F) {
 	f.Add(bytes.Replace(append([]byte{}, v1...), []byte("job-000001"), []byte("job-0000ZZ"), 1))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, skips := Replay(bytes.NewReader(data))
+		recs, skips := replaySegment(bytes.NewReader(data), "", map[int64]bool{})
 		seen := map[int64]bool{}
 		for _, r := range recs {
 			if r.Seq <= 0 {
@@ -49,7 +49,7 @@ func FuzzReplayJournal(f *testing.F) {
 				t.Fatal("skip without reason")
 			}
 		}
-		// Reduce must tolerate anything Replay returns.
+		// Reduce must tolerate anything replay returns.
 		_ = Reduce(recs)
 
 		// Lenient invariant: append one known-good line after the fuzz
@@ -58,7 +58,7 @@ func FuzzReplayJournal(f *testing.F) {
 		// duplicate must be reported).
 		probe := valid(999999, "job-probe", EventSubmitted)
 		combined := append(append(append([]byte{}, data...), '\n'), probe...)
-		recs2, skips2 := Replay(bytes.NewReader(combined))
+		recs2, skips2 := replaySegment(bytes.NewReader(combined), "", map[int64]bool{})
 		found := false
 		for _, r := range recs2 {
 			if r.Job == "job-probe" {

@@ -218,9 +218,6 @@ func (j *Journal) Replayed() []Record { return j.replayed }
 // Skips returns the lines replay rejected when the journal was opened.
 func (j *Journal) Skips() []Skip { return j.skips }
 
-// Dir returns the journal's root directory.
-func (j *Journal) Dir() string { return j.dir }
-
 // Append assigns the record its sequence number, writes it as one
 // CRC-enveloped JSONL line, and (unless NoSync) fsyncs before
 // returning — the write-ahead contract: when Append returns nil, the
@@ -326,12 +323,6 @@ func ReplayDir(dir string) ([]Record, []Skip, error) {
 	}
 	sort.SliceStable(recs, func(a, b int) bool { return recs[a].Seq < recs[b].Seq })
 	return recs, skips, nil
-}
-
-// Replay leniently reads one segment stream. Exposed for tests and
-// tooling; ReplayDir is the directory-level entry point.
-func Replay(r io.Reader) ([]Record, []Skip) {
-	return replaySegment(r, "", map[int64]bool{})
 }
 
 func replaySegment(r io.Reader, name string, seen map[int64]bool) ([]Record, []Skip) {

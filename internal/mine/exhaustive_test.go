@@ -30,7 +30,7 @@ func TestAllSize4PatternsAgainstOracle(t *testing.T) {
 					t.Fatalf("pattern %d: %v", i, err)
 				}
 				got := Count(g, pl)
-				want := BruteForceUnique(g, p, !edgeInduced)
+				want := bruteForceUnique(g, p, !edgeInduced)
 				if got != want {
 					t.Errorf("%s pattern %d (%v) edgeInduced=%v: %d, want %d",
 						tc.name, i, p, edgeInduced, got, want)
@@ -50,7 +50,7 @@ func TestAllSize5PatternsSpotCheck(t *testing.T) {
 			t.Fatalf("pattern %d: %v", i, err)
 		}
 		got := Count(g, pl)
-		want := BruteForceUnique(g, p, true)
+		want := bruteForceUnique(g, p, true)
 		if got != want {
 			t.Errorf("pattern %d (%v): %d, want %d", i, p, got, want)
 		}
@@ -62,7 +62,7 @@ func TestAllSize5PatternsSpotCheck(t *testing.T) {
 func TestForcedOrdersAllAgree(t *testing.T) {
 	g := gen.PowerLawCluster(60, 4, 0.6, 41)
 	p := pattern.TailedTriangle()
-	want := BruteForceUnique(g, p, true)
+	want := bruteForceUnique(g, p, true)
 	orders := [][]int{
 		{0, 1, 2, 3},
 		{0, 2, 1, 3},

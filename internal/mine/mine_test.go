@@ -41,7 +41,7 @@ func TestCountMatchesOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 				got := Count(tc.g, pl)
-				want := BruteForceUnique(tc.g, p, !edgeInduced)
+				want := bruteForceUnique(tc.g, p, !edgeInduced)
 				if got != want {
 					t.Errorf("%s/%s edgeInduced=%v: count = %d, want %d",
 						tc.name, name, edgeInduced, got, want)
@@ -51,7 +51,7 @@ func TestCountMatchesOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 				gotLabeled := Count(tc.g, plNoSB)
-				wantLabeled := BruteForceLabeled(tc.g, p, !edgeInduced)
+				wantLabeled := bruteForceLabeled(tc.g, p, !edgeInduced)
 				if gotLabeled != wantLabeled {
 					t.Errorf("%s/%s edgeInduced=%v labeled: count = %d, want %d",
 						tc.name, name, edgeInduced, gotLabeled, wantLabeled)
@@ -159,7 +159,7 @@ func TestListEnumeratesValidEmbeddings(t *testing.T) {
 // on demand from counted nodes, against an oracle outside the engine:
 // every listed embedding must be distinct and must map the plan's pattern
 // (edges, and non-edges when vertex-induced) onto distinct vertices, and
-// the number listed times |Aut| must equal BruteForceLabeled.
+// the number listed times |Aut| must equal bruteForceLabeled.
 func TestListMatchesBruteForce(t *testing.T) {
 	graphs := []*graph.Graph{gen.ErdosRenyi(16, 40, 5), gen.PowerLawCluster(18, 3, 0.6, 2)}
 	for gi, g := range graphs {
@@ -185,7 +185,7 @@ func TestListMatchesBruteForce(t *testing.T) {
 					}
 					return true
 				})
-				want := BruteForceLabeled(g, pl.Pattern, !edgeInduced)
+				want := bruteForceLabeled(g, pl.Pattern, !edgeInduced)
 				if got := uint64(len(seen)) * uint64(pl.AutSize); got != want {
 					t.Errorf("g%d/%s edgeInduced=%v: listed %d × |Aut| %d = %d, brute force %d",
 						gi, name, edgeInduced, len(seen), pl.AutSize, got, want)

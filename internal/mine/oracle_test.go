@@ -5,14 +5,14 @@ import (
 	"fingers/internal/pattern"
 )
 
-// BruteForceLabeled counts the injective mappings f from pattern vertices
+// bruteForceLabeled counts the injective mappings f from pattern vertices
 // to graph vertices that preserve adjacency — and, for vertex-induced
 // mining, non-adjacency too. Every automorphic image counts separately
 // (the "labeled" count), so it equals the plan-based count compiled with
 // NoSymmetryBreaking, and AutSize times the symmetry-broken count.
 //
 // It is exponential and exists purely as a test oracle for small graphs.
-func BruteForceLabeled(g *graph.Graph, p pattern.Pattern, vertexInduced bool) uint64 {
+func bruteForceLabeled(g *graph.Graph, p pattern.Pattern, vertexInduced bool) uint64 {
 	k := p.Size()
 	n := g.NumVertices()
 	mapped := make([]uint32, k)
@@ -54,11 +54,11 @@ func BruteForceLabeled(g *graph.Graph, p pattern.Pattern, vertexInduced bool) ui
 	return count
 }
 
-// BruteForceUnique counts embeddings up to pattern automorphism (each
+// bruteForceUnique counts embeddings up to pattern automorphism (each
 // subgraph occurrence counted once), matching the symmetry-broken plan
 // count.
-func BruteForceUnique(g *graph.Graph, p pattern.Pattern, vertexInduced bool) uint64 {
-	labeled := BruteForceLabeled(g, p, vertexInduced)
+func bruteForceUnique(g *graph.Graph, p pattern.Pattern, vertexInduced bool) uint64 {
+	labeled := bruteForceLabeled(g, p, vertexInduced)
 	aut := uint64(len(p.Automorphisms()))
 	return labeled / aut
 }

@@ -50,9 +50,6 @@ func New(cfg Config, numPEs int) *Network {
 	}
 }
 
-// Shape returns the mesh dimensions (columns, rows).
-func (n *Network) Shape() (cols, rows int) { return n.cols, n.rows }
-
 // position returns PE i's mesh coordinates (row-major placement).
 func (n *Network) position(pe int) (x, y int) {
 	return pe % n.cols, pe / n.cols
@@ -81,16 +78,6 @@ func (n *Network) RoundTrip(pe int) mem.Cycles {
 		h = 1
 	}
 	return 2 * mem.Cycles(h) * n.cfg.HopLatency
-}
-
-// MeanRoundTrip returns the average round-trip latency over numPEs PEs,
-// for reporting.
-func (n *Network) MeanRoundTrip(numPEs int) float64 {
-	total := mem.Cycles(0)
-	for pe := 0; pe < numPEs; pe++ {
-		total += n.RoundTrip(pe)
-	}
-	return float64(total) / float64(numPEs)
 }
 
 // String describes the topology.

@@ -18,7 +18,7 @@ func TestMeshShape(t *testing.T) {
 	}
 	for _, c := range cases {
 		n := New(DefaultConfig(), c.pes)
-		cols, rows := n.Shape()
+		cols, rows := n.cols, n.rows
 		if cols != c.cols || rows != c.rows {
 			t.Errorf("%d PEs: mesh %d×%d, want %d×%d", c.pes, cols, rows, c.cols, c.rows)
 		}
@@ -30,7 +30,7 @@ func TestMeshShape(t *testing.T) {
 
 func TestHopsSymmetricAndBounded(t *testing.T) {
 	n := New(DefaultConfig(), 20)
-	cols, rows := n.Shape()
+	cols, rows := n.cols, n.rows
 	maxHops := cols + rows
 	for pe := 0; pe < 20; pe++ {
 		h := n.Hops(pe)
@@ -50,18 +50,10 @@ func TestHopsSymmetricAndBounded(t *testing.T) {
 
 func TestCornerFartherThanCenter(t *testing.T) {
 	n := New(DefaultConfig(), 20)
-	cols, rows := n.Shape()
+	cols, rows := n.cols, n.rows
 	center := (rows/2)*cols + cols/2
 	if n.RoundTrip(0) <= n.RoundTrip(center) {
 		t.Errorf("corner (%d) should pay more than center (%d)", n.RoundTrip(0), n.RoundTrip(center))
-	}
-}
-
-func TestMeanRoundTrip(t *testing.T) {
-	n := New(DefaultConfig(), 16)
-	mean := n.MeanRoundTrip(16)
-	if mean <= 0 {
-		t.Errorf("mean round trip = %v", mean)
 	}
 }
 

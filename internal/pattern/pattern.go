@@ -201,22 +201,6 @@ func (p Pattern) Automorphisms() [][]int {
 	return out
 }
 
-// IsomorphicTo reports whether p and q are isomorphic, by brute force.
-func (p Pattern) IsomorphicTo(q Pattern) bool {
-	if p.n != q.n || p.NumEdges() != q.NumEdges() {
-		return false
-	}
-	found := false
-	permutations(p.n, func(perm []int) bool {
-		if p.Relabel(perm).Equal(q) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
 // CanonicalCode returns a label-invariant encoding of the pattern: the
 // lexicographically smallest adjacency bitstring over all relabelings.
 // Two patterns have equal codes iff they are isomorphic; motif counting

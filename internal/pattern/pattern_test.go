@@ -99,21 +99,6 @@ func TestAutomorphismsPreserveAdjacency(t *testing.T) {
 	}
 }
 
-func TestIsomorphicTo(t *testing.T) {
-	// The same diamond with different labels.
-	d1 := Diamond()
-	d2 := mustNew(t, 4, [][2]int{{1, 0}, {1, 2}, {1, 3}, {0, 3}, {3, 2}})
-	if !d1.IsomorphicTo(d2) {
-		t.Error("relabeled diamond not isomorphic")
-	}
-	if d1.IsomorphicTo(Cycle(4)) {
-		t.Error("diamond isomorphic to 4-cycle")
-	}
-	if Triangle().IsomorphicTo(Wedge()) {
-		t.Error("triangle isomorphic to wedge")
-	}
-}
-
 func TestCanonicalCode(t *testing.T) {
 	d2 := mustNew(t, 4, [][2]int{{1, 0}, {1, 2}, {1, 3}, {0, 3}, {3, 2}})
 	if Diamond().CanonicalCode() != d2.CanonicalCode() {

@@ -44,17 +44,6 @@ func Motif(k int, opts Options) (*MultiPlan, error) {
 	return CompileMulti(pattern.ConnectedSubpatternsOfSize(k), opts)
 }
 
-// MaxK returns the largest pattern size in the multi-plan.
-func (mp *MultiPlan) MaxK() int {
-	max := 0
-	for _, pl := range mp.Plans {
-		if pl.K() > max {
-			max = pl.K()
-		}
-	}
-	return max
-}
-
 func sharedPrefix(plans []*Plan) int {
 	if len(plans) == 1 {
 		return plans[0].K()

@@ -210,9 +210,6 @@ func TestMotifMulti(t *testing.T) {
 	if mp.SharedLevels < 1 {
 		t.Errorf("3-motif shares %d levels, want ≥ 1 (the root)", mp.SharedLevels)
 	}
-	if mp.MaxK() != 3 {
-		t.Errorf("MaxK = %d", mp.MaxK())
-	}
 }
 
 func TestCompileMultiErrors(t *testing.T) {

@@ -101,7 +101,7 @@ func TestRateLimitPerClient(t *testing.T) {
 	}
 	// Anonymous in-process submissions are never rate limited.
 	for i := 0; i < 5; i++ {
-		if _, err := m.Submit(spec); err != nil {
+		if _, err := m.SubmitFrom("", spec); err != nil {
 			t.Fatalf("anonymous submission %d rejected: %v", i, err)
 		}
 	}
@@ -266,11 +266,11 @@ func TestQueueLatencyEstimate(t *testing.T) {
 	if m.QueueLatency() != 0 {
 		t.Fatalf("idle latency %s, want 0", m.QueueLatency())
 	}
-	if _, err := m.Submit(spec); err != nil {
+	if _, err := m.SubmitFrom("", spec); err != nil {
 		t.Fatal(err)
 	}
 	<-started // worker holds job 1; queue empty again
-	if _, err := m.Submit(spec); err != nil {
+	if _, err := m.SubmitFrom("", spec); err != nil {
 		t.Fatal(err)
 	}
 	clock.advance(3 * time.Second)

@@ -87,7 +87,7 @@ func TestJournalReplayRestoresJobs(t *testing.T) {
 		}
 	}
 	// New submissions continue the ID sequence instead of colliding.
-	j, err := m2.Submit(spec)
+	j, err := m2.SubmitFrom("", spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestJournalFaultRejectsSubmission(t *testing.T) {
 	defer m.Drain(0)
 	spec := fingers.JobSpec{Arch: "fingers", Graph: "As", Pattern: "tc"}
 
-	if _, err := m.Submit(spec); err == nil {
+	if _, err := m.SubmitFrom("", spec); err == nil {
 		t.Fatal("submission acknowledged despite journal append failure")
 	}
 	if rs := m.Recovery(); rs.AppendErrors != 1 {
@@ -335,7 +335,7 @@ func TestJournalFaultRejectsSubmission(t *testing.T) {
 	}
 	// The next submission (injector exhausted) succeeds, and the
 	// journal contains no trace of the rejected one.
-	j, err := m.Submit(spec)
+	j, err := m.SubmitFrom("", spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +472,7 @@ func directResult(t *testing.T, spec fingers.JobSpec) accel.Result {
 	return rep.Result
 }
 
-// jsonMarshalSpec serializes a spec the way Submit journals it.
+// jsonMarshalSpec serializes a spec the way SubmitFrom journals it.
 func jsonMarshalSpec(spec fingers.JobSpec) ([]byte, error) {
 	return json.Marshal(spec)
 }

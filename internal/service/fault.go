@@ -82,13 +82,6 @@ func NewFaultInjector(points ...FaultPoint) *FaultInjector {
 	return &FaultInjector{counts: map[FaultOp]int64{}, points: points, sleep: time.Sleep}
 }
 
-// Fired reports how many scheduled points have fired so far.
-func (fi *FaultInjector) Fired() int {
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	return fi.fired
-}
-
 // Fire advances op's invocation counter and triggers any point
 // scheduled for it: latency sleeps then continues down the schedule,
 // an error returns, a panic panics. A nil injector never fires.

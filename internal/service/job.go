@@ -1,5 +1,5 @@
 // Job lifecycle: a bounded admission queue feeding a fixed worker pool,
-// made crash-safe by a write-ahead journal. Submit validates the spec,
+// made crash-safe by a write-ahead journal. SubmitFrom validates the spec,
 // applies per-client admission control, and journals the admission
 // before acknowledging it (so an acknowledged job survives kill -9);
 // workers journal each start; and every outcome — done, canceled,
@@ -488,11 +488,6 @@ func (m *Manager) QueueDepth() (int, int) {
 
 // Registry returns the graph registry the manager serves from.
 func (m *Manager) Registry() *Registry { return m.reg }
-
-// Submit validates and admits one job with no client attribution.
-func (m *Manager) Submit(spec fingers.JobSpec) (*Job, error) {
-	return m.SubmitFrom("", spec)
-}
 
 // SubmitFrom validates and admits one job on behalf of clientID. The
 // spec's graph name is canonicalized against the registry (unknown

@@ -88,12 +88,6 @@ func (r *Registry) Add(name string, build func() (*graph.Graph, error)) {
 	r.entries[name] = &regEntry{name: name, build: build}
 }
 
-// AddFile registers the graph file at path under name; the file is read
-// on first use.
-func (r *Registry) AddFile(name, path string) {
-	r.Add(name, func() (*graph.Graph, error) { return graph.LoadFile(path) })
-}
-
 // Names returns the registered graph names in registration order.
 func (r *Registry) Names() []string {
 	r.mu.Lock()

@@ -164,7 +164,7 @@ func TestTransientFailureRetriesThenSucceeds(t *testing.T) {
 		}
 		return fingers.SimReport{}, nil
 	}
-	j, err := m.Submit(fingers.JobSpec{Arch: "fingers", Graph: "As", Pattern: "tc"})
+	j, err := m.SubmitFrom("", fingers.JobSpec{Arch: "fingers", Graph: "As", Pattern: "tc"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestTransientFailureExhaustsBudget(t *testing.T) {
 		calls++
 		return fingers.SimReport{}, fmt.Errorf("always flaky: %w", ErrRetryable)
 	}
-	j, err := m.Submit(fingers.JobSpec{Arch: "fingers", Graph: "As", Pattern: "tc"})
+	j, err := m.SubmitFrom("", fingers.JobSpec{Arch: "fingers", Graph: "As", Pattern: "tc"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestPermanentFailureFailsFast(t *testing.T) {
 		calls++
 		return fingers.SimReport{}, fmt.Errorf("bad input: %w", fingers.ErrMalformedGraph)
 	}
-	j, err := m.Submit(fingers.JobSpec{Arch: "fingers", Graph: "As", Pattern: "tc"})
+	j, err := m.SubmitFrom("", fingers.JobSpec{Arch: "fingers", Graph: "As", Pattern: "tc"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestDeadlineRetryOnlyWithBudget(t *testing.T) {
 				calls++
 				return fingers.SimReport{Partial: true}, fmt.Errorf("sim: %w", context.DeadlineExceeded)
 			}
-			j, err := m.Submit(fingers.JobSpec{
+			j, err := m.SubmitFrom("", fingers.JobSpec{
 				Arch: "fingers", Graph: "As", Pattern: "tc",
 				TimeoutMS: 50, MaxAttempts: tc.maxAttempts,
 			})
@@ -296,7 +296,7 @@ func TestCancelDuringBackoffWait(t *testing.T) {
 		calls++
 		return fingers.SimReport{}, fmt.Errorf("flaky: %w", ErrRetryable)
 	}
-	j, err := m.Submit(fingers.JobSpec{Arch: "fingers", Graph: "As", Pattern: "tc"})
+	j, err := m.SubmitFrom("", fingers.JobSpec{Arch: "fingers", Graph: "As", Pattern: "tc"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestDrainDuringBackoffInterrupts(t *testing.T) {
 	m.simulate = func(ctx context.Context, arch fingers.Arch, g *fingers.Graph, plans []*fingers.Plan, opts ...fingers.SimOption) (fingers.SimReport, error) {
 		return fingers.SimReport{}, fmt.Errorf("flaky: %w", ErrRetryable)
 	}
-	j, err := m.Submit(fingers.JobSpec{Arch: "fingers", Graph: "As", Pattern: "tc"})
+	j, err := m.SubmitFrom("", fingers.JobSpec{Arch: "fingers", Graph: "As", Pattern: "tc"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestInjectedPanicIsTransient(t *testing.T) {
 		Retry:         RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond},
 		FaultInjector: fi,
 	})
-	j, err := m.Submit(fingers.JobSpec{Arch: "fingers", Graph: "As", Pattern: "tc"})
+	j, err := m.SubmitFrom("", fingers.JobSpec{Arch: "fingers", Graph: "As", Pattern: "tc"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,8 +382,11 @@ func TestInjectedPanicIsTransient(t *testing.T) {
 	if st.Attempt != 2 {
 		t.Errorf("attempt %d, want 2", st.Attempt)
 	}
-	if fi.Fired() != 1 {
-		t.Errorf("injector fired %d times, want 1", fi.Fired())
+	fi.mu.Lock()
+	fired := fi.fired
+	fi.mu.Unlock()
+	if fired != 1 {
+		t.Errorf("injector fired %d times, want 1", fired)
 	}
 }
 

@@ -279,14 +279,14 @@ func TestDefaultAndMaxTimeout(t *testing.T) {
 	defer close(release)
 	m.simulate = blockingSim(nil, release)
 
-	j1, err := m.Submit(fingers.JobSpec{Arch: "fingers", Graph: "As", Pattern: "tc"})
+	j1, err := m.SubmitFrom("", fingers.JobSpec{Arch: "fingers", Graph: "As", Pattern: "tc"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if j1.Spec.TimeoutMS != 250 {
 		t.Errorf("defaulted timeout %d ms, want 250", j1.Spec.TimeoutMS)
 	}
-	j2, err := m.Submit(fingers.JobSpec{Arch: "fingers", Graph: "As", Pattern: "tc", TimeoutMS: 60_000})
+	j2, err := m.SubmitFrom("", fingers.JobSpec{Arch: "fingers", Graph: "As", Pattern: "tc", TimeoutMS: 60_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,11 +422,11 @@ func TestCancelQueuedJob(t *testing.T) {
 	m, _ := newTestServer(t, Config{Concurrency: 1, QueueDepth: 2})
 	m.simulate = blockingSim(started, release)
 
-	if _, err := m.Submit(fingers.JobSpec{Arch: "fingers", Graph: "As", Pattern: "tc"}); err != nil {
+	if _, err := m.SubmitFrom("", fingers.JobSpec{Arch: "fingers", Graph: "As", Pattern: "tc"}); err != nil {
 		t.Fatal(err)
 	}
 	<-started
-	queued, err := m.Submit(fingers.JobSpec{Arch: "fingers", Graph: "As", Pattern: "tc"})
+	queued, err := m.SubmitFrom("", fingers.JobSpec{Arch: "fingers", Graph: "As", Pattern: "tc"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -593,7 +593,7 @@ func TestFailedRunNoRecord(t *testing.T) {
 	m.simulate = func(ctx context.Context, arch fingers.Arch, g *fingers.Graph, plans []*fingers.Plan, opts ...fingers.SimOption) (fingers.SimReport, error) {
 		return fingers.SimReport{}, fmt.Errorf("chip exploded")
 	}
-	j, err := m.Submit(fingers.JobSpec{Arch: "fingers", Graph: "As", Pattern: "tc"})
+	j, err := m.SubmitFrom("", fingers.JobSpec{Arch: "fingers", Graph: "As", Pattern: "tc"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -611,14 +611,14 @@ func TestFailedRunNoRecord(t *testing.T) {
 }
 
 // TestSubmitValidatesBeforeQueueing checks an invalid spec is rejected
-// by Submit directly (no queue slot consumed) with the structured
+// by SubmitFrom directly (no queue slot consumed) with the structured
 // dataset error intact.
 func TestSubmitValidatesBeforeQueueing(t *testing.T) {
 	m, _ := newTestServer(t, Config{})
-	if _, err := m.Submit(fingers.JobSpec{Arch: "fingers", Graph: "", Pattern: "tc"}); err == nil {
+	if _, err := m.SubmitFrom("", fingers.JobSpec{Arch: "fingers", Graph: "", Pattern: "tc"}); err == nil {
 		t.Error("empty graph accepted")
 	}
-	_, err := m.Submit(fingers.JobSpec{Arch: "fingers", Graph: "Oz", Pattern: "tc"})
+	_, err := m.SubmitFrom("", fingers.JobSpec{Arch: "fingers", Graph: "Oz", Pattern: "tc"})
 	if err == nil {
 		t.Fatal("unknown graph accepted")
 	}
@@ -789,7 +789,7 @@ func TestFinishedJobReleasesContext(t *testing.T) {
 	var jobs []*Job
 	for _, f := range []bool{false, true} {
 		fail = f
-		j, err := m.Submit(spec)
+		j, err := m.SubmitFrom("", spec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -60,17 +60,6 @@ func (s Segmentation) SpanSize(start, count int) int {
 	return hi - lo
 }
 
-// Heads returns the head list: the first element of every segment. The
-// data controller generates this list before segment pairing (§4 stage 2).
-func (s Segmentation) Heads() []uint32 {
-	n := s.NumSegments()
-	heads := make([]uint32, n)
-	for i := 0; i < n; i++ {
-		heads[i] = s.Data[i*s.SegLen]
-	}
-	return heads
-}
-
 // segMin and segMax return the value range covered by segment i.
 func (s Segmentation) segMin(i int) uint32 { return s.Data[i*s.SegLen] }
 

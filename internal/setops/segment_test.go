@@ -18,18 +18,12 @@ func TestSegmentationBasics(t *testing.T) {
 	if got := s.Seg(2); !eq(got, []uint32{7}) {
 		t.Errorf("Seg(2) = %v", got)
 	}
-	if got := s.Heads(); !eq(got, []uint32{1, 4, 7}) {
-		t.Errorf("Heads = %v", got)
-	}
 }
 
 func TestSegmentationEmpty(t *testing.T) {
 	s := Segment(nil, 4)
 	if s.NumSegments() != 0 {
 		t.Errorf("NumSegments(empty) = %d", s.NumSegments())
-	}
-	if len(s.Heads()) != 0 {
-		t.Errorf("Heads(empty) = %v", s.Heads())
 	}
 }
 

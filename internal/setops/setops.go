@@ -7,7 +7,7 @@
 //
 // The package also provides the segment-level primitives the FINGERS
 // processing element charges its set operations from: fixed-length
-// segments, head lists, the segment-pairing binary search, and the
+// segments, the head-list pairing with its binary-search cost, and the
 // load-balanced intersect-unit workloads (paper §3.4, §4.2, §4.3).
 //
 // # Aliasing contract
@@ -48,17 +48,6 @@ func (op Op) String() string {
 	default:
 		return "unknown-op"
 	}
-}
-
-// IsSorted reports whether s is strictly increasing, the invariant every
-// set in this package maintains.
-func IsSorted(s []uint32) bool {
-	for i := 1; i < len(s); i++ {
-		if s[i] <= s[i-1] {
-			return false
-		}
-	}
-	return true
 }
 
 // Intersect returns a ∩ b as a new sorted slice.

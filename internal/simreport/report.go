@@ -9,7 +9,6 @@ package simreport
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 
 	"fingers/internal/mem"
@@ -104,17 +103,4 @@ func Parse(raw []byte) (*Report, error) {
 		return nil, fmt.Errorf("schema %q is not a %s* report", r.Schema, SchemaPrefix)
 	}
 	return &r, nil
-}
-
-// ParseFile reads and decodes the report at path.
-func ParseFile(path string) (*Report, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	r, err := Parse(raw)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return r, nil
 }

@@ -212,13 +212,6 @@ func (c *Chrome) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, err
 }
 
-// ReadTrace decodes a trace written by WriteTo, for tests and tooling.
-func ReadTrace(r io.Reader) (TraceFile, error) {
-	var tf TraceFile
-	err := json.NewDecoder(r).Decode(&tf)
-	return tf, err
-}
-
 type countingWriter struct {
 	w io.Writer
 	n int64

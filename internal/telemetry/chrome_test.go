@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -53,8 +54,8 @@ func TestChromeGoldenRoundTrip(t *testing.T) {
 		t.Errorf("encoded trace differs from golden file\ngot:  %s\nwant: %s", buf.Bytes(), want)
 	}
 
-	decoded, err := ReadTrace(bytes.NewReader(buf.Bytes()))
-	if err != nil {
+	var decoded TraceFile
+	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
 		t.Fatal(err)
 	}
 	wantFile := TraceFile{TraceEvents: c.Events(), DisplayTimeUnit: "ms"}

@@ -51,29 +51,6 @@ func TestReadRecordsLenientSkipsCorruptLines(t *testing.T) {
 	}
 }
 
-// TestReadRecordsLenientMatchesStrictOnCleanLog checks the two readers
-// agree when nothing is wrong.
-func TestReadRecordsLenientMatchesStrictOnCleanLog(t *testing.T) {
-	var buf bytes.Buffer
-	log := NewRunLog(&buf)
-	for _, r := range fixedRecords() {
-		if err := log.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	strict, err := ReadRecords(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lenient, skipped, err := ReadRecordsLenient(bytes.NewReader(buf.Bytes()))
-	if err != nil || len(skipped) != 0 {
-		t.Fatalf("lenient read of clean log: skipped=%v err=%v", skipped, err)
-	}
-	if len(strict) != len(lenient) {
-		t.Fatalf("strict read %d records, lenient %d", len(strict), len(lenient))
-	}
-}
-
 // TestRunLogSetMetaStamps checks session-wide provenance is filled into
 // records that lack it while per-record values win.
 func TestRunLogSetMetaStamps(t *testing.T) {
@@ -91,10 +68,7 @@ func TestRunLogSetMetaStamps(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs, err := ReadRecords(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := readClean(t, &buf)
 	if recs[0].StartedAt != "2026-08-07T11:22:33Z" || recs[0].WallNS != 77 {
 		t.Errorf("per-record meta overwritten: %+v", recs[0].Meta)
 	}
@@ -122,10 +96,7 @@ func TestMetaBackwardCompatible(t *testing.T) {
 	withMeta := `{"schema":"fingers.run/v1","arch":"fingers","pattern":"tc","cycles":10,` +
 		`"started_at":"2026-08-07T00:00:00Z","wall_ns":123,"git_rev":"deadbeef","run_tag":"t1",` +
 		`"graph":{"name":"As"},"some_future_field":true}` + "\n"
-	recs, err := ReadRecords(strings.NewReader(withMeta))
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := readClean(t, strings.NewReader(withMeta))
 	if recs[0].RunTag != "t1" || recs[0].WallNS != 123 || recs[0].GitRev != "deadbeef" {
 		t.Errorf("meta fields not decoded: %+v", recs[0].Meta)
 	}
@@ -201,10 +172,7 @@ func TestMetaSourceAndJobID(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs, err := ReadRecords(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := readClean(t, &buf)
 	if recs[0].Source != "fingersd" || recs[0].JobID != "job-000042" {
 		t.Errorf("record 0 meta %+v, want stamped source and its own job id", recs[0].Meta)
 	}

@@ -90,25 +90,6 @@ func WriteRecord(w io.Writer, rec RunRecord) error {
 	return json.NewEncoder(w).Encode(rec)
 }
 
-// ReadRecords decodes every JSONL line of r, skipping blank lines.
-func ReadRecords(r io.Reader) ([]RunRecord, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	var out []RunRecord
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var rec RunRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return out, err
-		}
-		out = append(out, rec)
-	}
-	return out, sc.Err()
-}
-
 // SkippedLine reports one JSONL line the lenient reader rejected: its
 // 1-based line number and a short reason (a JSON syntax error from a
 // truncated flush, or a foreign schema tag).
@@ -117,9 +98,9 @@ type SkippedLine struct {
 	Err  string
 }
 
-// ReadRecordsLenient decodes the JSONL lines of r like ReadRecords but
-// skips — rather than aborts on — lines that fail to parse or carry a
-// non-run-record schema, returning them with line numbers so a
+// ReadRecordsLenient decodes every non-blank JSONL line of r as a run
+// record. Lines that fail to parse or carry a non-run-record schema are
+// skipped, not fatal, and returned with their line numbers so a
 // directory scan can report what it dropped. A partial log from a
 // SIGINT'd run (the CLIs flush records mid-sweep) therefore yields
 // every intact record plus a skip entry for the torn tail. The error

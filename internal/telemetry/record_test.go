@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -63,13 +64,21 @@ func TestRunRecordGoldenRoundTrip(t *testing.T) {
 		t.Errorf("encoded records differ from golden file\ngot:  %s\nwant: %s", buf.Bytes(), want)
 	}
 
-	decoded, err := ReadRecords(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	decoded := readClean(t, bytes.NewReader(buf.Bytes()))
 	if !reflect.DeepEqual(decoded, recs) {
 		t.Errorf("decode(encode(records)) != records\ngot:  %+v\nwant: %+v", decoded, recs)
 	}
+}
+
+// readClean reads the records of r and fails the test on any line the
+// reader skips.
+func readClean(t *testing.T, r io.Reader) []RunRecord {
+	t.Helper()
+	recs, skipped, err := ReadRecordsLenient(r)
+	if err != nil || len(skipped) != 0 {
+		t.Fatalf("read records: skipped %v, err %v", skipped, err)
+	}
+	return recs
 }
 
 // TestRunLogAppends checks OpenRunLog appends across reopen, the
@@ -93,10 +102,7 @@ func TestRunLogAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	recs, err := ReadRecords(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := readClean(t, f)
 	if len(recs) != 2 || recs[0].Arch != "fingers" || recs[1].Arch != "flexminer" {
 		t.Fatalf("reopened log holds %d records: %+v", len(recs), recs)
 	}
@@ -109,10 +115,7 @@ func TestWriteRecordFillsSchema(t *testing.T) {
 	if err := WriteRecord(&buf, RunRecord{Arch: "fingers"}); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadRecords(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := readClean(t, &buf)
 	if len(recs) != 1 || recs[0].Schema != RunSchema {
 		t.Fatalf("schema not stamped: %+v", recs)
 	}
