@@ -52,7 +52,9 @@ perf-gate:
 # checkout — the committed BENCH_sim.json plus any *.jsonl run logs the
 # CLIs have appended (fingersim/experiments/mine -json, simbench -o) —
 # as terminal tables, a self-contained TREND.html, and a
-# machine-readable fingers.trend/v1 TREND.json.
+# machine-readable fingers.trend/v2 TREND.json. It reports one series
+# per run configuration and flags nothing: speed is judged by
+# perf-gate, modelled cycles by the timing goldens.
 trend:
 	$(GO) run ./cmd/fingerstat -dir . -html TREND.html -json TREND.json
 

@@ -3,8 +3,7 @@
 // the repo's chart conventions: categorical series colors in fixed
 // order, a single hue with a ±1σ band for magnitude-over-time, a
 // blue↔red diverging scale with a neutral midpoint for the bench heat
-// table, status-red regression flags always paired with an icon and
-// text, and native <title> tooltips on hover targets.
+// table, and native <title> tooltips on hover targets.
 
 package main
 
@@ -39,7 +38,6 @@ const pageCSS = `
   --surface-1: #fcfcfb; --surface-2: #f0efec;
   --text-primary: #0b0b0b; --text-secondary: #52514e; --text-muted: #73726e;
   --series-1: #2a78d6; --series-2: #eb6834; --series-3: #1baf7a; --series-4: #eda100;
-  --status-critical: #d03b3b;
   --pos: 42,120,214; --neg: 208,59,59;
   font: 14px/1.45 system-ui, sans-serif;
   background: var(--surface-1); color: var(--text-primary);
@@ -59,8 +57,6 @@ h2 { font-size: 16px; margin: 28px 0 8px; border-bottom: 1px solid var(--surface
 h3 { font-size: 14px; margin: 0 0 6px; font-weight: 600; }
 .meta, .src { color: var(--text-secondary); margin: 0 0 4px; }
 .card { border: 1px solid var(--surface-2); border-radius: 8px; padding: 12px 14px; margin: 0 0 14px; }
-.flag { color: var(--status-critical); font-weight: 600; }
-.ok { color: var(--text-secondary); }
 .legend { display: flex; gap: 14px; margin: 4px 0 0; color: var(--text-secondary); font-size: 12px; flex-wrap: wrap; }
 .legend .sw { display: inline-block; width: 10px; height: 10px; border-radius: 2px; margin-right: 4px; vertical-align: -1px; }
 figure { margin: 8px 0 0; }
@@ -249,21 +245,19 @@ func renderHTML(w io.Writer, m *trend.Model, generatedAt string) error {
 	if generatedAt != "" {
 		fmt.Fprintf(&sb, "<p class=\"meta\">generated %s</p>\n", html.EscapeString(generatedAt))
 	}
-	fmt.Fprintf(&sb, "<p class=\"src\">sources: %d run log(s) / %d record(s), %d bench report(s) / %d cell(s), %d skip(s) · window %d · flag &gt;%.0f%% beyond ±1σ</p>\n",
-		src.RunFiles, src.Records, src.BenchFiles, len(src.Bench), len(src.Skips), m.Window, m.MaxRegressPct)
-	if n := m.Regressions(); n > 0 {
-		fmt.Fprintf(&sb, "<p class=\"flag\">⚠ %d flagged regression(s)</p>\n", n)
-	} else {
-		sb.WriteString("<p class=\"ok\">no flagged regressions</p>\n")
-	}
+	fmt.Fprintf(&sb, "<p class=\"src\">sources: %d run log(s) / %d record(s), %d bench report(s) / %d cell(s), %d skip(s) · window %d</p>\n",
+		src.RunFiles, src.Records, src.BenchFiles, len(src.Bench), len(src.Skips), m.Window)
 
 	if len(m.Series) > 0 {
 		sb.WriteString("<h2>Run-record trends</h2>\n")
 		for _, s := range m.Series {
 			n := len(s.Points)
 			last := s.Points[n-1]
-			fmt.Fprintf(&sb, "<div class=\"card\">\n<h3>%s · %s · %s</h3>\n",
-				html.EscapeString(s.Key.Arch), html.EscapeString(s.Key.Graph), html.EscapeString(s.Key.Pattern))
+			title := strings.Join([]string{s.Key.Arch, s.Key.Graph, s.Key.Pattern}, " · ")
+			if cfg := s.Key.Config(); cfg != "" {
+				title += " · " + cfg
+			}
+			fmt.Fprintf(&sb, "<div class=\"card\">\n<h3>%s</h3>\n", html.EscapeString(title))
 			fmt.Fprintf(&sb, "<p class=\"meta\">%d point(s), latest %d cycles", n, last.Cycles)
 			if last.CyclesPerSec > 0 {
 				fmt.Fprintf(&sb, " at %s cycles/sec", fmtSI(last.CyclesPerSec))
@@ -275,10 +269,6 @@ func renderHTML(w io.Writer, m *trend.Model, generatedAt string) error {
 				fmt.Fprintf(&sb, ", DRAM %s B", fmtSI(float64(last.DRAMBytes)))
 			}
 			sb.WriteString("</p>\n")
-			if s.Flag != nil {
-				fmt.Fprintf(&sb, "<p class=\"flag\">⚠ regression: %s %+.1f%% vs rolling mean %s (σ %s)</p>\n",
-					html.EscapeString(s.Flag.Metric), s.Flag.DeltaPct, fmtSI(s.Flag.Baseline), fmtSI(s.Flag.Sigma))
-			}
 
 			cps, cyc := make([]float64, n), make([]float64, n)
 			labels := make([]string, n)
@@ -339,7 +329,7 @@ func renderHTML(w io.Writer, m *trend.Model, generatedAt string) error {
 		for i := 0; i < maxCols; i++ {
 			fmt.Fprintf(&sb, "<th>#%d</th>", i+1)
 		}
-		sb.WriteString("<th class=\"rowh\">flag</th></tr>\n")
+		sb.WriteString("</tr>\n")
 		for _, b := range m.Bench {
 			fmt.Fprintf(&sb, "<tr><td class=\"rowh\">%s/%s</td>", html.EscapeString(b.Graph), html.EscapeString(b.Pattern))
 			for i := 0; i < maxCols; i++ {
@@ -352,11 +342,6 @@ func renderHTML(w io.Writer, m *trend.Model, generatedAt string) error {
 					delta = (b.Points[i].SerialCPS - b.Roll[i-1].MeanCPS) / b.Roll[i-1].MeanCPS * 100
 				}
 				heatCell(&sb, b.Points[i], delta, i == 0)
-			}
-			if b.Flag != nil {
-				fmt.Fprintf(&sb, "<td class=\"rowh flag\">⚠ %+.1f%%</td>", b.Flag.DeltaPct)
-			} else {
-				sb.WriteString("<td class=\"rowh ok\">ok</td>")
 			}
 			sb.WriteString("</tr>\n")
 		}

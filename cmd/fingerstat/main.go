@@ -1,13 +1,17 @@
 // fingerstat renders bench-trend and run-record observability reports
 // from the JSONL run logs and BENCH_sim.json reports a checkout (or CI
-// artifact directory) accumulates. Three outputs from one model: an
-// ANSI terminal table with sparkline trends, a self-contained HTML
-// page with inline SVG charts, and a machine-readable fingers.trend/v1
-// JSON summary.
+// artifact directory) accumulates. Records group into one series per
+// run configuration (arch, graph, pattern, experiment, PEs, IUs, shared
+// cache, shards). Three outputs from one model: an ANSI terminal table
+// with sparkline trends, a self-contained HTML page with inline SVG
+// charts, and a machine-readable fingers.trend/v2 JSON summary.
+//
+// The report shows how series moved; it does not judge a move. Speed
+// is judged by paired same-host runs (scripts/perf-gate.sh) and
+// modelled cycles by the timing goldens.
 //
 // Exit codes: 0 ok; 1 usage or I/O error; 2 with -strict when any
-// input was skipped; 3 with -fail-on-regress when a regression is
-// flagged.
+// input was skipped.
 package main
 
 import (
@@ -21,20 +25,18 @@ import (
 )
 
 type config struct {
-	dir           string
-	files         []string
-	htmlPath      string
-	jsonPath      string
-	window        int
-	maxRegressPct float64
-	arch          string
-	graph         string
-	pattern       string
-	tag           string
-	last          int
-	noColor       bool
-	failOnRegress bool
-	strict        bool
+	dir      string
+	files    []string
+	htmlPath string
+	jsonPath string
+	window   int
+	arch     string
+	graph    string
+	pattern  string
+	tag      string
+	last     int
+	noColor  bool
+	strict   bool
 
 	// now stamps generated_at; tests pin it for reproducible output.
 	now func() time.Time
@@ -48,16 +50,14 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 	cfg := config{now: time.Now}
 	fs.StringVar(&cfg.dir, "dir", "", "directory tree to scan for *.jsonl run logs and *.json simbench reports")
 	fs.StringVar(&cfg.htmlPath, "html", "", "write a self-contained HTML report to this path")
-	fs.StringVar(&cfg.jsonPath, "json", "", "write a fingers.trend/v1 JSON summary to this path ('-' for stdout)")
+	fs.StringVar(&cfg.jsonPath, "json", "", "write a fingers.trend/v2 JSON summary to this path ('-' for stdout)")
 	fs.IntVar(&cfg.window, "window", trend.DefaultWindow, "rolling-statistics window in points")
-	fs.Float64Var(&cfg.maxRegressPct, "max-regress-pct", trend.DefaultMaxRegressPct, "flag the newest point when it is this % worse than the rolling mean and beyond ±1σ")
 	fs.StringVar(&cfg.arch, "arch", "", "keep only this architecture (fingers, flexminer, ...)")
 	fs.StringVar(&cfg.graph, "graph", "", "keep only this graph")
 	fs.StringVar(&cfg.pattern, "pattern", "", "keep only this pattern")
 	fs.StringVar(&cfg.tag, "tag", "", "keep only records and reports with this run_tag")
 	fs.IntVar(&cfg.last, "last", 0, "keep only the newest N points per series (0 = all)")
 	fs.BoolVar(&cfg.noColor, "no-color", false, "disable ANSI colors in the terminal report")
-	fs.BoolVar(&cfg.failOnRegress, "fail-on-regress", false, "exit 3 when any series is flagged")
 	fs.BoolVar(&cfg.strict, "strict", false, "exit 2 when any input file or line was skipped")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: fingerstat [flags] [file.jsonl|file.json ...]\n")
@@ -73,9 +73,6 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 	}
 	if cfg.window < 1 {
 		return cfg, fmt.Errorf("-window must be >= 1 (got %d)", cfg.window)
-	}
-	if cfg.maxRegressPct <= 0 {
-		return cfg, fmt.Errorf("-max-regress-pct must be > 0 (got %g)", cfg.maxRegressPct)
 	}
 	return cfg, nil
 }
@@ -102,17 +99,22 @@ func run(cfg config, stdout, stderr io.Writer) int {
 	}
 
 	m := trend.Build(c, trend.Options{
-		Window:        cfg.window,
-		MaxRegressPct: cfg.maxRegressPct,
-		Arch:          cfg.arch,
-		Graph:         cfg.graph,
-		Pattern:       cfg.pattern,
-		Tag:           cfg.tag,
-		Last:          cfg.last,
+		Window:  cfg.window,
+		Arch:    cfg.arch,
+		Graph:   cfg.graph,
+		Pattern: cfg.pattern,
+		Tag:     cfg.tag,
+		Last:    cfg.last,
 	})
 
 	generatedAt := cfg.now().UTC().Format(time.RFC3339)
-	renderTerm(stdout, m, colorizer{on: !cfg.noColor})
+	// With -json - stdout carries only the summary, so it pipes into a
+	// JSON tool; the human-readable report moves to stderr.
+	report := stdout
+	if cfg.jsonPath == "-" {
+		report = stderr
+	}
+	renderTerm(report, m, colorizer{on: !cfg.noColor})
 
 	if cfg.htmlPath != "" {
 		f, err := os.Create(cfg.htmlPath)
@@ -128,7 +130,7 @@ func run(cfg config, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "fingerstat: write %s: %v\n", cfg.htmlPath, werr)
 			return 1
 		}
-		fmt.Fprintf(stdout, "wrote %s\n", cfg.htmlPath)
+		fmt.Fprintf(report, "wrote %s\n", cfg.htmlPath)
 	}
 	if cfg.jsonPath != "" {
 		sum := m.Summary(generatedAt)
@@ -158,10 +160,6 @@ func run(cfg config, stdout, stderr io.Writer) int {
 	if cfg.strict && len(c.Skips) > 0 {
 		fmt.Fprintf(stderr, "fingerstat: -strict: %d input(s) skipped\n", len(c.Skips))
 		return 2
-	}
-	if cfg.failOnRegress && m.Regressions() > 0 {
-		fmt.Fprintf(stderr, "fingerstat: -fail-on-regress: %d regression(s) flagged\n", m.Regressions())
-		return 3
 	}
 	return 0
 }

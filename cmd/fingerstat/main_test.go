@@ -105,35 +105,7 @@ func TestGoldenTrendJSON(t *testing.T) {
 		t.Fatalf("schema = %q, want %q", parsed.Schema, trend.SummarySchema)
 	}
 	if !reflect.DeepEqual(parsed, m.Summary("")) {
-		t.Error("summary did not round-trip through fingers.trend/v1 JSON")
-	}
-}
-
-// TestExpectedRegressions pins the corpus's designed signal: the
-// fingers/mico/triangle run series slows from ~500k to 400k cycles/sec
-// and the mico/triangle bench cell drops from ~2.05M to 1.5M serial
-// cycles/sec; the stable flexminer and wv series must stay unflagged.
-func TestExpectedRegressions(t *testing.T) {
-	m := buildModel(t)
-	if got := m.Regressions(); got != 2 {
-		t.Fatalf("Regressions() = %d, want 2", got)
-	}
-	for _, s := range m.Series {
-		flagged := s.Flag != nil
-		want := s.Key.Arch == "fingers" && s.Key.Graph == "mico"
-		if flagged != want {
-			t.Errorf("series %v flagged=%v, want %v", s.Key, flagged, want)
-		}
-		if flagged && s.Flag.Metric != "cycles_per_sec" {
-			t.Errorf("series flag metric = %q, want cycles_per_sec", s.Flag.Metric)
-		}
-	}
-	for _, b := range m.Bench {
-		flagged := b.Flag != nil
-		want := b.Graph == "mico"
-		if flagged != want {
-			t.Errorf("bench %s/%s flagged=%v, want %v", b.Graph, b.Pattern, flagged, want)
-		}
+		t.Error("summary did not round-trip through fingers.trend/v2 JSON")
 	}
 }
 
@@ -252,9 +224,6 @@ func TestDaemonProvenanceCarried(t *testing.T) {
 	if len(s.Points) != 3 {
 		t.Fatalf("daemon series has %d points, want 3", len(s.Points))
 	}
-	if s.Flag != nil {
-		t.Errorf("stable daemon series flagged: %+v", s.Flag)
-	}
 	p := s.Points[1]
 	if p.Attempt != 2 || !p.Recovered || p.ClientID != "ci" {
 		t.Errorf("retried point provenance lost: %+v", p)
@@ -297,19 +266,17 @@ func TestSituationFilters(t *testing.T) {
 }
 
 // TestRunExitCodes drives the CLI end to end: render all three outputs
-// from the committed corpus, then check the -strict and
-// -fail-on-regress gates.
+// from the committed corpus, then check the -strict gate.
 func TestRunExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	base := config{
-		dir:           "testdata/corpus",
-		htmlPath:      filepath.Join(dir, "report.html"),
-		jsonPath:      filepath.Join(dir, "trend.json"),
-		window:        trend.DefaultWindow,
-		maxRegressPct: trend.DefaultMaxRegressPct,
-		noColor:       true,
-		now:           func() time.Time { return time.Date(2026, 8, 6, 0, 0, 0, 0, time.UTC) },
-		mtime:         testMTime,
+		dir:      "testdata/corpus",
+		htmlPath: filepath.Join(dir, "report.html"),
+		jsonPath: filepath.Join(dir, "trend.json"),
+		window:   trend.DefaultWindow,
+		noColor:  true,
+		now:      func() time.Time { return time.Date(2026, 8, 6, 0, 0, 0, 0, time.UTC) },
+		mtime:    testMTime,
 	}
 	var out, errb bytes.Buffer
 	if code := run(base, &out, &errb); code != 0 {
@@ -332,27 +299,26 @@ func TestRunExitCodes(t *testing.T) {
 		t.Errorf("generated_at = %q", sum.GeneratedAt)
 	}
 
+	// -json - leaves stdout to the summary alone, so it parses whole.
+	piped := base
+	piped.htmlPath, piped.jsonPath = "", "-"
+	out.Reset()
+	errb.Reset()
+	if code := run(piped, &out, &errb); code != 0 {
+		t.Fatalf("run -json - = %d, stderr: %s", code, errb.String())
+	}
+	if _, err := trend.ParseSummary(out.Bytes()); err != nil {
+		t.Errorf("-json - stdout is not a bare summary: %v", err)
+	}
+	if !strings.Contains(errb.String(), "RUN-RECORD TRENDS") {
+		t.Error("-json - dropped the terminal report instead of moving it to stderr")
+	}
+
 	strict := base
 	strict.htmlPath, strict.jsonPath = "", ""
 	strict.strict = true
 	if code := run(strict, &bytes.Buffer{}, &bytes.Buffer{}); code != 2 {
 		t.Errorf("-strict over a corpus with skips: exit %d, want 2", code)
-	}
-
-	gate := base
-	gate.htmlPath, gate.jsonPath = "", ""
-	gate.failOnRegress = true
-	if code := run(gate, &bytes.Buffer{}, &bytes.Buffer{}); code != 3 {
-		t.Errorf("-fail-on-regress over a regressed corpus: exit %d, want 3", code)
-	}
-
-	// Filtered down to the healthy series, the gate passes.
-	clean := gate
-	clean.arch = "flexminer"
-	clean.graph = "wv"
-	clean.pattern = "4-clique"
-	if code := run(clean, &bytes.Buffer{}, &bytes.Buffer{}); code != 0 {
-		t.Errorf("-fail-on-regress on healthy slice: exit %d, want 0", code)
 	}
 }
 
@@ -364,7 +330,11 @@ func TestParseFlagRejects(t *testing.T) {
 	if _, err := parseFlags([]string{"-dir", "x", "-window", "0"}, &errb); err == nil {
 		t.Error("-window 0 must be an error")
 	}
-	if _, err := parseFlags([]string{"-dir", "x", "-max-regress-pct", "-5"}, &errb); err == nil {
-		t.Error("negative -max-regress-pct must be an error")
+	// The report observes and never judges, so the old verdict flags
+	// are unknown.
+	for _, f := range []string{"-max-regress-pct=10", "-fail-on-regress"} {
+		if _, err := parseFlags([]string{"-dir", "x", f}, &errb); err == nil {
+			t.Errorf("%s must be rejected as an unknown flag", f)
+		}
 	}
 }

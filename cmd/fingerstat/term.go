@@ -1,5 +1,5 @@
 // Terminal renderer: ANSI tables with sparkline trend glyphs, rolling
-// mean ±1σ columns, breakdown fractions, and flagged regressions.
+// mean ±1σ columns, and breakdown fractions.
 
 package main
 
@@ -75,7 +75,6 @@ func (c colorizer) wrap(code, s string) string {
 	return "\x1b[" + code + "m" + s + "\x1b[0m"
 }
 
-func (c colorizer) red(s string) string  { return c.wrap("31", s) }
 func (c colorizer) dim(s string) string  { return c.wrap("2", s) }
 func (c colorizer) bold(s string) string { return c.wrap("1", s) }
 
@@ -88,28 +87,23 @@ func fracCell(f trend.BreakdownFrac) string {
 		100*f.Compute, 100*f.Stall, 100*f.Overhead, 100*f.Idle)
 }
 
-// flagCell renders a regression flag.
-func flagCell(c colorizer, r *trend.Regression) string {
-	if r == nil {
-		return ""
-	}
-	return c.red(fmt.Sprintf("⚠ %+.1f%% %s", r.DeltaPct, r.Metric))
-}
-
 // renderTerm writes the full terminal report for the model.
 func renderTerm(w io.Writer, m *trend.Model, c colorizer) {
 	src := m.Corpus
 	fmt.Fprintf(w, "%s\n", c.bold("fingerstat — bench-trend & run-record observability"))
 	fmt.Fprintf(w, "sources: %d run log(s) / %d record(s), %d bench report(s) / %d cell(s), %d skip(s)\n",
 		src.RunFiles, src.Records, src.BenchFiles, len(src.Bench), len(src.Skips))
-	fmt.Fprintf(w, "window %d, regression flag: >%.0f%% beyond ±1σ of the preceding window\n\n",
-		m.Window, m.MaxRegressPct)
+	fmt.Fprintf(w, "window %d; Δ%% is the newest point against the preceding window's mean\n\n", m.Window)
 
 	if len(m.Series) > 0 {
+		cfgW := len("CONFIG")
+		for _, s := range m.Series {
+			cfgW = max(cfgW, len(s.Key.Config()))
+		}
 		fmt.Fprintln(w, c.bold("RUN-RECORD TRENDS (cycles, cycles/sec, breakdown c/s/o/i %)"))
-		fmt.Fprintf(w, "%-10s %-6s %-8s %3s  %12s %7s  %-*s  %8s  %-*s  %-12s %s\n",
-			"ARCH", "GRAPH", "PATTERN", "N", "CYCLES", "Δ%", sparkWidth, "TREND",
-			"CYC/SEC", sparkWidth, "TREND", "BREAKDOWN", "FLAG")
+		fmt.Fprintf(w, "%-10s %-6s %-8s %-*s %3s  %12s %7s  %-*s  %8s  %-*s  %s\n",
+			"ARCH", "GRAPH", "PATTERN", cfgW, "CONFIG", "N", "CYCLES", "Δ%", sparkWidth, "TREND",
+			"CYC/SEC", sparkWidth, "TREND", "BREAKDOWN")
 		for _, s := range m.Series {
 			n := len(s.Points)
 			last := s.Points[n-1]
@@ -127,19 +121,19 @@ func renderTerm(w io.Writer, m *trend.Model, c colorizer) {
 			if last.Partial {
 				partial = c.dim(" [partial]")
 			}
-			fmt.Fprintf(w, "%-10s %-6s %-8s %3d  %12d %7s  %-*s  %8s  %-*s  %-12s %s%s\n",
-				s.Key.Arch, s.Key.Graph, s.Key.Pattern, n,
+			fmt.Fprintf(w, "%-10s %-6s %-8s %-*s %3d  %12d %7s  %-*s  %8s  %-*s  %s%s\n",
+				s.Key.Arch, s.Key.Graph, s.Key.Pattern, cfgW, s.Key.Config(), n,
 				last.Cycles, delta, sparkWidth, spark(cyc),
 				siFloat(last.CyclesPerSec), sparkWidth, spark(cps),
-				fracCell(last.Frac), flagCell(c, s.Flag), partial)
+				fracCell(last.Frac), partial)
 		}
 		fmt.Fprintln(w)
 	}
 
 	if len(m.Bench) > 0 {
 		fmt.Fprintln(w, c.bold("SIMBENCH TRENDS (serial simulated cycles/sec)"))
-		fmt.Fprintf(w, "%-6s %-8s %3s  %10s %18s  %-*s  %9s %9s  %s\n",
-			"GRAPH", "PATTERN", "N", "CPS", "MEAN±σ", sparkWidth, "TREND", "SHARD", "HYB", "FLAG")
+		fmt.Fprintf(w, "%-6s %-8s %3s  %10s %18s  %-*s  %9s %9s\n",
+			"GRAPH", "PATTERN", "N", "CPS", "MEAN±σ", sparkWidth, "TREND", "SHARD", "HYB")
 		for _, b := range m.Bench {
 			n := len(b.Points)
 			last := b.Points[n-1]
@@ -160,11 +154,10 @@ func renderTerm(w io.Writer, m *trend.Model, c colorizer) {
 			if last.HybridBytes > 0 {
 				hyb = siFloat(float64(last.HybridBytes)) + "B"
 			}
-			fmt.Fprintf(w, "%-6s %-8s %3d  %10s %18s  %-*s  %9s %9s  %s\n",
+			fmt.Fprintf(w, "%-6s %-8s %3d  %10s %18s  %-*s  %9s %9s\n",
 				b.Graph, b.Pattern, n, siFloat(last.SerialCPS),
 				fmt.Sprintf("%s±%s", siFloat(roll.MeanCPS), siFloat(roll.SigmaCPS)),
-				sparkWidth, spark(cps), shard, hyb,
-				flagCell(c, b.Flag))
+				sparkWidth, spark(cps), shard, hyb)
 		}
 		fmt.Fprintln(w)
 	}
@@ -179,11 +172,5 @@ func renderTerm(w io.Writer, m *trend.Model, c colorizer) {
 			fmt.Fprintf(w, "  %s\n", c.dim(fmt.Sprintf("%s — %s", loc, sk.Reason)))
 		}
 		fmt.Fprintln(w)
-	}
-
-	if n := m.Regressions(); n > 0 {
-		fmt.Fprintf(w, "%s\n", c.red(fmt.Sprintf("%d flagged regression(s)", n)))
-	} else {
-		fmt.Fprintln(w, "no flagged regressions")
 	}
 }

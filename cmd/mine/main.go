@@ -22,8 +22,8 @@ import (
 	"syscall"
 	"time"
 
+	"fingers"
 	"fingers/internal/datasets"
-	"fingers/internal/graph"
 	"fingers/internal/mine"
 	"fingers/internal/pattern"
 	"fingers/internal/plan"
@@ -57,7 +57,7 @@ func realMain() int {
 	// chunk, the partial count is reported, and the process exits 130.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	g, err := loadGraph(*graphArg)
+	g, err := datasets.Resolve(*graphArg)
 	if err != nil {
 		return fail(err)
 	}
@@ -70,6 +70,7 @@ func realMain() int {
 		defer runLog.Close()
 		meta := telemetry.HostMeta()
 		meta.RunTag = *runTag
+		meta.Source = "mine"
 		runLog.SetMeta(meta)
 	}
 	opts := plan.Options{EdgeInduced: *edgeInduced}
@@ -136,26 +137,22 @@ func realMain() int {
 
 // logMineRecord appends one fingers.run/v1 record for a software count:
 // arch "software", no accelerator timing (cycles stay zero), wall time
-// and count carried so the trend viewer can track miner throughput.
+// and count carried so the trend viewer can track miner throughput. The
+// graph summary is the one every record carries (fingers.NewGraphInfo),
+// built after the wall time is taken so it does not count towards it.
 // No-op without -json; log I/O failures are reported, never fatal.
-func logMineRecord(log *telemetry.RunLog, g *graph.Graph, graphName, patternName string, workers int, count uint64, partial bool, started time.Time) {
+func logMineRecord(log *telemetry.RunLog, g *fingers.Graph, graphName, patternName string, workers int, count uint64, partial bool, started time.Time) {
 	if log == nil {
 		return
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	st := graph.ComputeStats(g)
+	wall := time.Since(started)
 	rec := telemetry.RunRecord{
-		Schema: telemetry.RunSchema,
-		Arch:   "software",
-		Graph: telemetry.GraphInfo{
-			Name:      graphName,
-			Vertices:  st.Vertices,
-			Edges:     st.Edges,
-			AvgDegree: st.AvgDegree,
-			MaxDegree: st.MaxDegree,
-		},
+		Schema:     telemetry.RunSchema,
+		Arch:       "software",
+		Graph:      fingers.NewGraphInfo(graphName, g),
 		Experiment: "mine",
 		Pattern:    patternName,
 		PEs:        workers,
@@ -163,17 +160,10 @@ func logMineRecord(log *telemetry.RunLog, g *graph.Graph, graphName, patternName
 		Partial:    partial,
 	}
 	rec.StartedAt = started.UTC().Format(time.RFC3339Nano)
-	rec.WallNS = time.Since(started).Nanoseconds()
+	rec.WallNS = wall.Nanoseconds()
 	if err := log.Write(rec); err != nil {
 		fmt.Fprintln(os.Stderr, "mine: run log:", err)
 	}
-}
-
-func loadGraph(arg string) (*graph.Graph, error) {
-	if d, err := datasets.ByName(arg); err == nil {
-		return d.Graph(), nil
-	}
-	return graph.LoadFile(arg)
 }
 
 func fail(err error) int {

@@ -14,7 +14,6 @@ import (
 	"os"
 
 	"fingers/internal/datasets"
-	"fingers/internal/graph"
 	"fingers/internal/pattern"
 	"fingers/internal/plan"
 	"fingers/internal/profile"
@@ -28,7 +27,7 @@ func main() {
 	shortSeg := flag.Int("ss", 0, "short segment length (0 = paper default 4)")
 	flag.Parse()
 
-	g, err := loadGraph(*graphArg)
+	g, err := datasets.Resolve(*graphArg)
 	if err != nil {
 		fatal(err)
 	}
@@ -48,13 +47,6 @@ func main() {
 		ShortSegLen: *shortSeg,
 	})
 	fmt.Print(prof)
-}
-
-func loadGraph(arg string) (*graph.Graph, error) {
-	if d, err := datasets.ByName(arg); err == nil {
-		return d.Graph(), nil
-	}
-	return graph.LoadFile(arg)
 }
 
 func fatal(err error) {

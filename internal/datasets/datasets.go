@@ -177,6 +177,28 @@ func ByName(name string) (*Dataset, error) {
 	return nil, &NotFoundError{Name: name, Known: known, Suggestion: nearest(name)}
 }
 
+// Resolve loads a graph argument as the CLIs and JobSpec take it: a
+// bundled dataset mnemonic resolves to its cached analogue, anything
+// else is read as a graph file (binary CSR for ".bin", SNAP-style edge
+// list otherwise). A bare name with no path shape that is neither a
+// dataset nor a file was probably meant as a dataset, so it reports
+// ByName's *NotFoundError (with its did-you-mean hint) rather than a
+// file-open failure.
+func Resolve(arg string) (*graph.Graph, error) {
+	d, derr := ByName(arg)
+	if derr == nil {
+		return d.Graph(), nil
+	}
+	g, ferr := graph.LoadFile(arg)
+	if ferr != nil {
+		if !strings.ContainsAny(arg, "./\\") {
+			return nil, derr
+		}
+		return nil, ferr
+	}
+	return g, nil
+}
+
 // nearest returns the registered mnemonic or full name closest to name,
 // or "" when nothing is within typo distance.
 func nearest(name string) string {

@@ -182,6 +182,28 @@ func TestByNameStructuredError(t *testing.T) {
 	}
 }
 
+// TestResolveBareNameError pins the one graph-argument resolver the
+// CLIs and JobSpec share: a mnemonic loads the dataset, a bare unknown
+// name is the structured did-you-mean error, and a path-shaped miss is
+// the file error naming the path.
+func TestResolveBareNameError(t *testing.T) {
+	if g, err := Resolve("Mi"); err != nil || g == nil {
+		t.Fatalf("Resolve(Mi) = %v, %v", g, err)
+	}
+	_, err := Resolve("Mii")
+	var nf *NotFoundError
+	if !errors.As(err, &nf) {
+		t.Fatalf("bare unknown name: error %T %v, want *NotFoundError", err, err)
+	}
+	if nf.Name != "Mii" || nf.Suggestion != "Mi" {
+		t.Errorf("NotFoundError %+v, want Name=Mii Suggestion=Mi", nf)
+	}
+	_, err = Resolve("no/such/file.txt")
+	if err == nil || errors.As(err, &nf) || !strings.Contains(err.Error(), "no/such/file.txt") {
+		t.Errorf("path-shaped miss: %v, want a file error naming the path", err)
+	}
+}
+
 func TestSuggestOverCustomCandidates(t *testing.T) {
 	cands := []string{"As", "Mi", "wiki-local"}
 	if got := Suggest("wiki-locl", cands); got != "wiki-local" {

@@ -156,7 +156,6 @@ func (c *Corpus) AddRunLog(path, rel string) error {
 			Attempt:   rec.Attempt,
 			ClientID:  rec.ClientID,
 			Recovered: rec.RecoveredFromCrash,
-			PEs:       rec.PEs,
 			Cycles:    int64(rec.Cycles),
 			Count:     rec.Count,
 			WallNS:    rec.WallNS,
@@ -174,7 +173,11 @@ func (c *Corpus) AddRunLog(path, rel string) error {
 		if p.WallNS > 0 && p.Cycles > 0 {
 			p.CyclesPerSec = float64(p.Cycles) / (float64(p.WallNS) / 1e9)
 		}
-		k := Key{Arch: rec.Arch, Graph: rec.Graph.Name, Pattern: rec.Pattern}
+		k := Key{
+			Arch: rec.Arch, Graph: rec.Graph.Name, Pattern: rec.Pattern,
+			Experiment: rec.Experiment, PEs: rec.PEs, IUs: rec.IUs,
+			SharedCacheBytes: rec.SharedCacheBytes, SimShards: rec.SimShards,
+		}
 		c.Points[k] = append(c.Points[k], p)
 		c.Records++
 	}

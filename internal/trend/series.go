@@ -1,6 +1,5 @@
-// Series construction: group the corpus into per-key series, compute
-// rolling means ±1σ over a sliding window, and flag regressions of the
-// latest point against the window preceding it.
+// Series construction: group the corpus into per-key series and
+// compute rolling means ±1σ over a sliding window.
 
 package trend
 
@@ -11,16 +10,10 @@ import (
 // DefaultWindow is the rolling-statistics window in points.
 const DefaultWindow = 5
 
-// DefaultMaxRegressPct is the default regression-flag threshold, in
-// percent.
-const DefaultMaxRegressPct = 10.0
-
 // Options filters and tunes series construction.
 type Options struct {
 	// Window is the rolling-statistics width in points (default 5).
 	Window int
-	// MaxRegressPct is the regression-flag threshold (default 10).
-	MaxRegressPct float64
 	// Arch/Graph/Pattern/Tag keep only matching series or batches;
 	// empty matches everything (the viewer's situation filter).
 	Arch, Graph, Pattern, Tag string
@@ -35,13 +28,6 @@ func (o Options) window() int {
 	return DefaultWindow
 }
 
-func (o Options) maxRegressPct() float64 {
-	if o.MaxRegressPct > 0 {
-		return o.MaxRegressPct
-	}
-	return DefaultMaxRegressPct
-}
-
 // Roll is the rolling statistics at one point: mean and population σ
 // over the window ending there (shorter near the series head).
 type Roll struct {
@@ -53,59 +39,36 @@ type Roll struct {
 	SigmaCPS float64 `json:"sigma_cps"`
 }
 
-// Series is one (arch, graph, pattern) cell's history.
+// Series is one run configuration's history (see Key).
 type Series struct {
 	Key    Key
 	Points []Point
 	// Roll is aligned with Points: Roll[i] summarises the window
 	// ending at Points[i].
 	Roll []Roll
-	// Flag is non-nil when the newest point regressed against the
-	// window preceding it.
-	Flag *Regression
 }
 
 // BenchSeries is one (graph, pattern) simbench cell's history across
-// reports; the tracked metric is serial cycles/sec, the same quantity
-// the CI gate guards.
+// reports; the tracked metric is serial cycles/sec.
 type BenchSeries struct {
 	Graph, Pattern string
 	Points         []BenchPoint
 	Roll           []Roll // MeanCPS/SigmaCPS of SerialCPS; cycle fields unused
-	Flag           *Regression
 }
 
 // Model is the shared structure all three renderers consume.
 type Model struct {
-	Window        int
-	MaxRegressPct float64
-	Series        []*Series
-	Bench         []*BenchSeries
-	Corpus        *Corpus
-}
-
-// Regressions counts flagged series of both kinds.
-func (m *Model) Regressions() int {
-	n := 0
-	for _, s := range m.Series {
-		if s.Flag != nil {
-			n++
-		}
-	}
-	for _, b := range m.Bench {
-		if b.Flag != nil {
-			n++
-		}
-	}
-	return n
+	Window int
+	Series []*Series
+	Bench  []*BenchSeries
+	Corpus *Corpus
 }
 
 // Build groups the corpus into sorted series and computes rolling
-// statistics and regression flags.
+// statistics.
 func Build(c *Corpus, opt Options) *Model {
 	w := opt.window()
-	maxPct := opt.maxRegressPct()
-	m := &Model{Window: w, MaxRegressPct: maxPct, Corpus: c}
+	m := &Model{Window: w, Corpus: c}
 
 	keys := make([]Key, 0, len(c.Points))
 	for k := range c.Points {
@@ -123,7 +86,6 @@ func Build(c *Corpus, opt Options) *Model {
 		}
 		s := &Series{Key: k, Points: pts}
 		s.Roll = rollStats(pts, w)
-		s.Flag = seriesFlag(pts, w, maxPct)
 		m.Series = append(m.Series, s)
 	}
 
@@ -154,13 +116,6 @@ func Build(c *Corpus, opt Options) *Model {
 			cps[i] = p.SerialCPS
 		}
 		b.Roll = rollCPS(cps, w)
-		if n := len(cps); n >= 3 {
-			lo := n - 1 - w
-			if lo < 0 {
-				lo = 0
-			}
-			b.Flag = flagRegress("serial_cycles_sec", cps[n-1], cps[lo:n-1], maxPct, false)
-		}
 		m.Bench = append(m.Bench, b)
 	}
 	return m
@@ -224,43 +179,4 @@ func rollCPS(cps []float64, w int) []Roll {
 		out[i].MeanCPS, out[i].SigmaCPS = meanStd(cps[lo : i+1])
 	}
 	return out
-}
-
-// seriesFlag checks the newest point against the window before it.
-// Cycles/sec is preferred when both the latest point and the baseline
-// window carry wall time (a wall-clock slowdown is the actionable
-// signal); otherwise simulated cycles stand in (an algorithmic
-// regression — more cycles for the same cell — is still visible
-// without timestamps). Partial records never participate: a truncated
-// run's cycle count says nothing about speed.
-func seriesFlag(pts []Point, w int, maxPct float64) *Regression {
-	full := make([]Point, 0, len(pts))
-	for _, p := range pts {
-		if !p.Partial {
-			full = append(full, p)
-		}
-	}
-	n := len(full)
-	if n < 3 {
-		return nil
-	}
-	lo := n - 1 - w
-	if lo < 0 {
-		lo = 0
-	}
-	latest, base := full[n-1], full[lo:n-1]
-	var baseCPS []float64
-	for _, p := range base {
-		if p.CyclesPerSec > 0 {
-			baseCPS = append(baseCPS, p.CyclesPerSec)
-		}
-	}
-	if latest.CyclesPerSec > 0 && len(baseCPS) >= 2 {
-		return flagRegress("cycles_per_sec", latest.CyclesPerSec, baseCPS, maxPct, false)
-	}
-	baseCyc := make([]float64, len(base))
-	for i, p := range base {
-		baseCyc[i] = float64(p.Cycles)
-	}
-	return flagRegress("cycles", float64(latest.Cycles), baseCyc, maxPct, true)
 }

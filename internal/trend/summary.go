@@ -1,4 +1,4 @@
-// fingers.trend/v1: the machine-readable projection of a Model, stable
+// fingers.trend/v2: the machine-readable projection of a Model, stable
 // enough for CI to diff across runs and for golden tests to pin.
 
 package trend
@@ -12,21 +12,23 @@ import (
 
 // SummarySchema identifies the trend summary layout; bump on breaking
 // changes.
-const SummarySchema = "fingers.trend/v1"
+//
+// v2 keys run-record series by the run configuration (experiment, pes,
+// ius, shared_cache_bytes, sim_shards) as well as the cell, and drops
+// v1's max_regress_pct, regressions and per-series regression fields.
+const SummarySchema = "fingers.trend/v2"
 
-// Summary is the fingers.trend/v1 document.
+// Summary is the fingers.trend/v2 document.
 type Summary struct {
 	Schema string `json:"schema"`
 	// GeneratedAt is stamped by the caller (empty in golden tests so
 	// output is reproducible).
-	GeneratedAt   string          `json:"generated_at,omitempty"`
-	Window        int             `json:"window"`
-	MaxRegressPct float64         `json:"max_regress_pct"`
-	Sources       Sources         `json:"sources"`
-	Regressions   int             `json:"regressions"`
-	Series        []SeriesSummary `json:"series"`
-	Bench         []BenchSummary  `json:"bench"`
-	Skips         []Skip          `json:"skips,omitempty"`
+	GeneratedAt string          `json:"generated_at,omitempty"`
+	Window      int             `json:"window"`
+	Sources     Sources         `json:"sources"`
+	Series      []SeriesSummary `json:"series"`
+	Bench       []BenchSummary  `json:"bench"`
+	Skips       []Skip          `json:"skips,omitempty"`
 }
 
 // Sources counts what the scan ingested and dropped.
@@ -39,8 +41,8 @@ type Sources struct {
 }
 
 // SeriesSummary condenses one run-record series: latest values,
-// rolling statistics, breakdown evolution from the first to the newest
-// point, and the regression flag if any.
+// rolling statistics, and breakdown evolution from the first to the
+// newest point.
 type SeriesSummary struct {
 	Key
 	Points  int `json:"points"`
@@ -69,8 +71,6 @@ type SeriesSummary struct {
 
 	BreakdownFirst  BreakdownFrac `json:"breakdown_first"`
 	BreakdownLatest BreakdownFrac `json:"breakdown_latest"`
-
-	Regression *Regression `json:"regression,omitempty"`
 }
 
 // BenchSummary condenses one simbench cell series.
@@ -93,8 +93,6 @@ type BenchSummary struct {
 	DenseRows   int   `json:"dense_rows,omitempty"`
 	BitmapRows  int   `json:"bitmap_rows,omitempty"`
 	HybridBytes int64 `json:"hybrid_bytes,omitempty"`
-
-	Regression *Regression `json:"regression,omitempty"`
 }
 
 // round6 trims floats to six decimals so summaries stay readable and
@@ -122,31 +120,16 @@ func roundFrac(f BreakdownFrac) BreakdownFrac {
 	}
 }
 
-func roundRegression(r *Regression) *Regression {
-	if r == nil {
-		return nil
-	}
-	return &Regression{
-		Metric:   r.Metric,
-		Latest:   round6(r.Latest),
-		Baseline: round6(r.Baseline),
-		Sigma:    round6(r.Sigma),
-		DeltaPct: round6(r.DeltaPct),
-	}
-}
-
-// Summary projects the model onto the fingers.trend/v1 schema.
+// Summary projects the model onto the fingers.trend/v2 schema.
 // generatedAt is stamped verbatim; pass "" for reproducible output.
 func (m *Model) Summary(generatedAt string) Summary {
 	s := Summary{
-		Schema:        SummarySchema,
-		GeneratedAt:   generatedAt,
-		Window:        m.Window,
-		MaxRegressPct: m.MaxRegressPct,
-		Regressions:   m.Regressions(),
-		Series:        []SeriesSummary{},
-		Bench:         []BenchSummary{},
-		Skips:         m.Corpus.Skips,
+		Schema:      SummarySchema,
+		GeneratedAt: generatedAt,
+		Window:      m.Window,
+		Series:      []SeriesSummary{},
+		Bench:       []BenchSummary{},
+		Skips:       m.Corpus.Skips,
 	}
 	s.Sources = Sources{
 		RunFiles:   m.Corpus.RunFiles,
@@ -174,7 +157,6 @@ func (m *Model) Summary(generatedAt string) Summary {
 			LatestDRAMBytes: last.DRAMBytes,
 			BreakdownFirst:  roundFrac(sr.Points[0].Frac),
 			BreakdownLatest: roundFrac(last.Frac),
-			Regression:      roundRegression(sr.Flag),
 		}
 		for _, p := range sr.Points {
 			if p.Partial {
@@ -210,7 +192,6 @@ func (m *Model) Summary(generatedAt string) Summary {
 			DenseRows:          last.DenseRows,
 			BitmapRows:         last.BitmapRows,
 			HybridBytes:        last.HybridBytes,
-			Regression:         roundRegression(b.Flag),
 		})
 	}
 	return s
@@ -223,7 +204,7 @@ func WriteSummary(w io.Writer, s Summary) error {
 	return enc.Encode(s)
 }
 
-// ParseSummary decodes a fingers.trend/v1 document (the golden-test
+// ParseSummary decodes a fingers.trend/v2 document (the golden-test
 // round-trip and any CI differ use this).
 func ParseSummary(raw []byte) (Summary, error) {
 	var s Summary

@@ -1,44 +1,102 @@
 // Package trend turns the repo's accumulated observability artifacts —
 // JSONL fingers.run/v1 record logs and BENCH_sim.json simbench reports
-// of every vintage — into time-ordered per-(arch, graph, pattern)
-// series with rolling statistics and self-auditing regression flags.
-// It is the analysis layer under cmd/fingerstat: ingest a directory
-// tree (Scan), group and order the records (Build), then render the
-// resulting Model as terminal tables, static HTML/SVG, or the
-// machine-readable fingers.trend/v1 summary (Summary).
+// of every vintage — into time-ordered series, one per run
+// configuration, with rolling statistics. It is the analysis layer
+// under cmd/fingerstat: ingest a directory tree (Scan), group and order
+// the records (Build), then render the resulting Model as terminal
+// tables, static HTML/SVG, or the machine-readable fingers.trend/v2
+// summary (Summary).
 //
-// The paper's whole evaluation is a grid of per-workload cycle
-// breakdowns and speedups; this package is what makes that grid
-// comparable across commits: rolling means ±1σ of cycles and
-// cycles/sec, breakdown-bucket evolution (compute / stall / overhead /
-// idle as fractions of makespan), shared-cache and DRAM traffic
-// trends, and per-cell regression flags (fingerstat -max-regress-pct).
+// The package observes; it does not judge. Rolling means ±1σ of cycles
+// and cycles/sec, breakdown-bucket evolution (compute / stall /
+// overhead / idle as fractions of makespan), and shared-cache and DRAM
+// traffic are reported per series. Whether a change is slower is
+// decided by paired same-host runs (scripts/perf-gate.sh), and whether
+// modelled cycles moved by the timing goldens.
 package trend
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"time"
 
 	"fingers/internal/telemetry"
 )
 
 // Key identifies one trend series: an architecture × graph × pattern
-// cell of the evaluation grid.
+// cell of the evaluation grid at the run configuration its records
+// state. Points of one series differ only in when and where they ran,
+// so the rolling statistics compare like with like. Knobs a record does
+// not carry (ablation parameters, fig12's iso-area switch) stay merged
+// under the record's experiment name.
 type Key struct {
-	Arch    string `json:"arch"`
-	Graph   string `json:"graph"`
-	Pattern string `json:"pattern"`
+	Arch             string `json:"arch"`
+	Graph            string `json:"graph"`
+	Pattern          string `json:"pattern"`
+	Experiment       string `json:"experiment,omitempty"`
+	PEs              int    `json:"pes,omitempty"`
+	IUs              int    `json:"ius,omitempty"`
+	SharedCacheBytes int64  `json:"shared_cache_bytes,omitempty"`
+	SimShards        int    `json:"sim_shards,omitempty"`
 }
 
-// Less orders keys lexicographically for stable output.
+// Less orders keys by cell first, then by configuration, for stable
+// output.
 func (k Key) Less(o Key) bool {
-	if k.Arch != o.Arch {
+	switch {
+	case k.Arch != o.Arch:
 		return k.Arch < o.Arch
-	}
-	if k.Graph != o.Graph {
+	case k.Graph != o.Graph:
 		return k.Graph < o.Graph
+	case k.Pattern != o.Pattern:
+		return k.Pattern < o.Pattern
+	case k.Experiment != o.Experiment:
+		return k.Experiment < o.Experiment
+	case k.PEs != o.PEs:
+		return k.PEs < o.PEs
+	case k.IUs != o.IUs:
+		return k.IUs < o.IUs
+	case k.SharedCacheBytes != o.SharedCacheBytes:
+		return k.SharedCacheBytes < o.SharedCacheBytes
 	}
-	return k.Pattern < o.Pattern
+	return k.SimShards < o.SimShards
+}
+
+// Config renders the configuration half of the key compactly (for
+// example "8pe 16iu 1MiB x4 fig9"), omitting what the records left
+// unset; renderers print it next to the cell so rows that share a cell
+// stay distinguishable.
+func (k Key) Config() string {
+	var parts []string
+	if k.PEs > 0 {
+		parts = append(parts, fmt.Sprintf("%dpe", k.PEs))
+	}
+	if k.IUs > 0 {
+		parts = append(parts, fmt.Sprintf("%diu", k.IUs))
+	}
+	if k.SharedCacheBytes > 0 {
+		parts = append(parts, fmtBytes(k.SharedCacheBytes))
+	}
+	if k.SimShards > 0 {
+		parts = append(parts, fmt.Sprintf("x%d", k.SimShards))
+	}
+	if k.Experiment != "" {
+		parts = append(parts, k.Experiment)
+	}
+	return strings.Join(parts, " ")
+}
+
+// fmtBytes renders a cache capacity in the largest binary unit that
+// divides it exactly.
+func fmtBytes(b int64) string {
+	switch {
+	case b%(1<<20) == 0:
+		return fmt.Sprintf("%dMiB", b>>20)
+	case b%(1<<10) == 0:
+		return fmt.Sprintf("%dKiB", b>>10)
+	}
+	return fmt.Sprintf("%dB", b)
 }
 
 // BreakdownFrac is a cycle breakdown normalised to fractions of the
@@ -90,7 +148,6 @@ type Point struct {
 	ClientID  string `json:"client_id,omitempty"`
 	Recovered bool   `json:"recovered,omitempty"`
 
-	PEs          int           `json:"pes,omitempty"`
 	Cycles       int64         `json:"cycles"`
 	Count        uint64        `json:"count"`
 	WallNS       int64         `json:"wall_ns,omitempty"`
@@ -133,25 +190,6 @@ type BenchPoint struct {
 	File string `json:"file"`
 }
 
-// Regression is one flagged metric movement: the latest point against
-// the rolling mean of the preceding window, in the metric's "worse"
-// direction. Flagging follows the simbench gate semantics (a relative
-// drop beyond MaxRegressPct) tightened by a noise guard: when the
-// baseline window has measurable spread, the excursion must also clear
-// one standard deviation.
-type Regression struct {
-	// Metric is "cycles_per_sec", "cycles", or "serial_cycles_sec".
-	Metric string `json:"metric"`
-	// Latest is the newest point's value; Baseline the rolling mean of
-	// the window preceding it; Sigma that window's stddev.
-	Latest   float64 `json:"latest"`
-	Baseline float64 `json:"baseline"`
-	Sigma    float64 `json:"sigma"`
-	// DeltaPct is how far Latest moved in the worse direction, as a
-	// percentage of Baseline (positive = regressed).
-	DeltaPct float64 `json:"delta_pct"`
-}
-
 // meanStd returns the mean and population standard deviation of vs.
 func meanStd(vs []float64) (mean, std float64) {
 	if len(vs) == 0 {
@@ -166,32 +204,4 @@ func meanStd(vs []float64) (mean, std float64) {
 		std += d * d
 	}
 	return mean, math.Sqrt(std / float64(len(vs)))
-}
-
-// flagRegress applies the rolling-window/σ heuristic to one metric:
-// baseline is the mean of base (the window preceding the latest
-// point), and the latest value is flagged when it moved more than
-// maxPct in the worse direction AND the move clears the window's ±1σ
-// noise band. higherIsWorse selects the direction (cycles up = bad;
-// cycles/sec down = bad). Returns nil with fewer than two baseline
-// points — a single prior sample has no measurable noise floor.
-func flagRegress(metric string, latest float64, base []float64, maxPct float64, higherIsWorse bool) *Regression {
-	if len(base) < 2 || latest == 0 {
-		return nil
-	}
-	mean, sigma := meanStd(base)
-	if mean == 0 {
-		return nil
-	}
-	delta := (latest - mean) / mean * 100
-	if !higherIsWorse {
-		delta = -delta
-	}
-	if delta <= maxPct {
-		return nil
-	}
-	if sigma > 0 && math.Abs(latest-mean) <= sigma {
-		return nil
-	}
-	return &Regression{Metric: metric, Latest: latest, Baseline: mean, Sigma: sigma, DeltaPct: delta}
 }

@@ -9,7 +9,6 @@ import (
 
 	"fingers/internal/datasets"
 	fingerspe "fingers/internal/fingers"
-	"fingers/internal/graph"
 	"fingers/internal/plan"
 )
 
@@ -175,27 +174,12 @@ func (s JobSpec) Plans() ([]*Plan, error) {
 	return plans, nil
 }
 
-// ResolveGraph loads the spec's graph: a bundled dataset mnemonic
-// resolves to its cached analogue, anything else is read as a graph
-// file (binary CSR for ".bin", SNAP-style edge list otherwise). A
-// service that restricts jobs to registered datasets resolves the name
-// against its own registry instead.
+// ResolveGraph loads the spec's graph with datasets.Resolve: a bundled
+// dataset mnemonic, else a graph file, and a *datasets.NotFoundError
+// for a bare unknown name. A service that restricts jobs to registered
+// datasets resolves the name against its own registry instead.
 func (s JobSpec) ResolveGraph() (*Graph, error) {
-	d, derr := datasets.ByName(s.Graph)
-	if derr == nil {
-		return d.Graph(), nil
-	}
-	g, ferr := graph.LoadFile(s.Graph)
-	if ferr != nil {
-		// A bare name with no path shape was probably meant as a
-		// dataset: surface the structured not-found error (with its
-		// did-you-mean hint) rather than a file-open failure.
-		if !strings.ContainsAny(s.Graph, "./\\") {
-			return nil, derr
-		}
-		return nil, ferr
-	}
-	return g, nil
+	return datasets.Resolve(s.Graph)
 }
 
 // ToOptions bridges the spec to the Simulate option list: PEs, shared
