@@ -9,6 +9,10 @@
 // transfers. This reproduces the behaviours the paper's evaluation turns
 // on — streaming reuse, capacity pressure, and bandwidth saturation —
 // without per-beat simulation.
+//
+// The shared cache stores only tags, one flat pointer-free array per
+// cache with each set kept in recency order, so a lookup is a short scan
+// of adjacent words and the cache is a single allocation.
 package mem
 
 // Cycles counts accelerator clock cycles (1 GHz in the default config).
@@ -49,10 +53,11 @@ type DRAMObserver interface {
 // by address interleave and occupies its bandwidth for bytes divided by
 // the per-channel rate, on top of the fixed latency.
 type DRAM struct {
-	cfg      DRAMConfig
-	nextFree []Cycles
-	stats    DRAMStats
-	obs      DRAMObserver
+	cfg        DRAMConfig
+	perChannel float64 // bytes per cycle of one channel
+	nextFree   []Cycles
+	stats      DRAMStats
+	obs        DRAMObserver
 }
 
 // SetObserver attaches (or, with nil, detaches) a burst observer.
@@ -63,7 +68,8 @@ func NewDRAM(cfg DRAMConfig) *DRAM {
 	if cfg.Channels < 1 {
 		cfg.Channels = 1
 	}
-	return &DRAM{cfg: cfg, nextFree: make([]Cycles, cfg.Channels)}
+	return &DRAM{cfg: cfg, perChannel: cfg.BytesPerCycle / float64(cfg.Channels),
+		nextFree: make([]Cycles, cfg.Channels)}
 }
 
 // Access requests bytes at addr at time now and returns the completion
@@ -74,8 +80,7 @@ func (d *DRAM) Access(now Cycles, addr int64, bytes int64) Cycles {
 	if d.nextFree[ch] > start {
 		start = d.nextFree[ch]
 	}
-	perChannel := d.cfg.BytesPerCycle / float64(d.cfg.Channels)
-	transfer := Cycles(float64(bytes) / perChannel)
+	transfer := Cycles(float64(bytes) / d.perChannel)
 	if transfer < 1 {
 		transfer = 1
 	}
@@ -91,14 +96,6 @@ func (d *DRAM) Access(now Cycles, addr int64, bytes int64) Cycles {
 
 // Stats returns the traffic counters so far.
 func (d *DRAM) Stats() DRAMStats { return d.stats }
-
-// Reset clears timing and counters, keeping the configuration.
-func (d *DRAM) Reset() {
-	for i := range d.nextFree {
-		d.nextFree[i] = 0
-	}
-	d.stats = DRAMStats{}
-}
 
 // CacheConfig describes a set-associative cache.
 type CacheConfig struct {
@@ -131,34 +128,24 @@ func (s CacheStats) MissRate() float64 {
 	return float64(s.LineMisses) / float64(s.LineAccesses)
 }
 
-type cacheLine struct {
-	tag      int64
-	valid    bool
-	lastUsed int64
-}
-
 // Cache is a set-associative LRU cache backed by DRAM. It is shared by
 // all PEs; accesses carry the requesting time so the interleaved
 // multi-PE simulation keeps one coherent LRU state.
+//
+// The line state is one flat array of tags, set-major: set s owns
+// tags[s*ways : (s+1)*ways], most recent first, with empty ways (-1)
+// trailing the resident tags. Only the recency order is kept, never a
+// line's physical way, because LRU outcomes do not depend on it: a hit
+// moves its tag to the front and a miss shifts the set down by one,
+// over the first empty way or the least recent tag of a full set, and
+// inserts at the front.
 type Cache struct {
 	cfg     CacheConfig
-	sets    [][]cacheLine
+	tags    []int64
+	ways    int64
 	numSets int64
 	backing *DRAM
-	clock   int64 // LRU tick
 	stats   CacheStats
-
-	// memo caches line-walk geometry per byte range: the dominant access
-	// pattern is re-fetching the same neighbor lists, and a validated memo
-	// entry resolves such a fetch in O(lines) single compares instead of
-	// O(lines × ways) scans with per-line address divisions. The table is
-	// direct-mapped (collisions replace — entries are hints, losing one
-	// only costs a slow walk), which keeps the per-access lookup a hash,
-	// a mask, and one key compare.
-	memo []memoEntry
-	// rec, when non-nil, receives one wayRef per line from look — the
-	// slow-walk recording that (re)builds a memo entry.
-	rec *[]wayRef
 }
 
 // NewCache builds a cache from the config over the given DRAM.
@@ -173,169 +160,36 @@ func NewCache(cfg CacheConfig, backing *DRAM) *Cache {
 	if numSets < 1 {
 		numSets = 1
 	}
-	sets := make([][]cacheLine, numSets)
-	for i := range sets {
-		sets[i] = make([]cacheLine, cfg.Ways)
+	tags := make([]int64, numSets*int64(cfg.Ways))
+	for i := range tags {
+		tags[i] = -1
 	}
-	return &Cache{cfg: cfg, sets: sets, numSets: numSets, backing: backing,
-		memo: make([]memoEntry, memoTableSlots)}
+	return &Cache{cfg: cfg, tags: tags, ways: int64(cfg.Ways), numSets: numSets, backing: backing}
 }
 
-// memoTableSlots sizes the direct-mapped walk memo; must be a power of
-// two. 8 Ki slots cover the hot neighbor lists of the bundled datasets
-// with few collisions at ~400 KB per cache.
-const memoTableSlots = 1 << 13
-
-// memoHash spreads a memoKey over the table (SplitMix64-style mixing).
-func memoHash(k memoKey) uint64 {
-	h := uint64(k.first)*0x9E3779B97F4A7C15 + uint64(k.lines)*0xBF58476D1CE4E5B9
-	h ^= h >> 29
-	h *= 0xBF58476D1CE4E5B9
-	return h ^ h>>32
+// span returns the first line of [addr, addr+bytes) (bytes > 0), its
+// line count, and the set and tag of its first line. The range's lines
+// fall in consecutive sets, so callers step the set and carry into the
+// tag on wrap-around instead of dividing per line.
+func (c *Cache) span(addr, bytes int64) (first, lines, set, tag int64) {
+	first = addr / c.cfg.LineBytes
+	lines = (addr+bytes-1)/c.cfg.LineBytes - first + 1
+	return first, lines, first % c.numSets, first / c.numSets
 }
 
-// memoFind returns the table's entry for key when it currently holds
-// key, nil otherwise. Read-only.
-func (c *Cache) memoFind(key memoKey) *memoEntry {
-	e := &c.memo[memoHash(key)&(memoTableSlots-1)]
-	if e.used && e.key == key {
-		return e
-	}
-	return nil
+// set returns set s's ways, most recent first.
+func (c *Cache) set(s int64) []int64 {
+	return c.tags[s*c.ways : (s+1)*c.ways]
 }
 
-// memoClaim claims key's slot for (re)recording, displacing whatever the
-// slot held and resetting the ref list (its storage is reused).
-func (c *Cache) memoClaim(key memoKey) *memoEntry {
-	e := &c.memo[memoHash(key)&(memoTableSlots-1)]
-	e.key = key
-	e.used = true
-	e.refs = e.refs[:0]
-	return e
-}
-
-// tryMemo attempts the memoized all-hit fast path: if every ref of the
-// range's memo entry still matches its way, the access is a pure hit walk
-// and its bookkeeping (line-access counters, per-line LRU stamps, clock
-// ticks) is replayed exactly as the slow walk would. Validation strictly
-// precedes mutation so a failed attempt leaves no trace.
-func (c *Cache) tryMemo(e *memoEntry) bool {
-	for _, r := range e.refs {
-		ln := &c.sets[r.set][r.way]
-		if !ln.valid || ln.tag != r.tag {
-			return false
-		}
+// scan returns the index in ways of tag, or else of the first empty way,
+// or else of the least recent way.
+func scan(ways []int64, tag int64) int {
+	i, last := 0, len(ways)-1
+	for i < last && ways[i] != tag && ways[i] >= 0 {
+		i++
 	}
-	c.stats.LineAccesses += int64(len(e.refs))
-	for _, r := range e.refs {
-		c.clock++
-		c.sets[r.set][r.way].lastUsed = c.clock
-	}
-	return true
-}
-
-// touch looks tag up in one set at LRU tick clock, updating replacement
-// state in place: a hit refreshes the line's stamp, a miss installs the
-// line over the LRU way (the last invalid way wins, otherwise the least
-// recently used). It returns the way the line now occupies, so callers
-// can memoize the location.
-func touch(set []cacheLine, tag int64, clock int64) (hit bool, way int) {
-	victim := 0
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].lastUsed = clock
-			return true, i
-		}
-		if !set[i].valid {
-			victim = i
-		} else if set[victim].valid && set[i].lastUsed < set[victim].lastUsed {
-			victim = i
-		}
-	}
-	set[victim] = cacheLine{tag: tag, valid: true, lastUsed: clock}
-	return false, victim
-}
-
-// wayRef pins one cache line of a memoized byte range to the way it was
-// last seen in. The ref is valid exactly while sets[set][way] still holds
-// tag — the same condition under which the line is resident — so a memo
-// entry whose refs all validate proves an all-hit walk without scanning
-// ways or dividing addresses.
-type wayRef struct {
-	set int32
-	way int32
-	tag int64
-}
-
-// memoKey identifies one byte range at line granularity.
-type memoKey struct {
-	first int64 // first line index
-	lines int64 // line count
-}
-
-// memoEntry is one direct-mapped table slot: the cached line-walk
-// geometry of the byte range in key — the way locations of all its lines
-// as of the last slow walk. Entries are hints, not authority — every use
-// revalidates each ref against the current sets, so neither eviction nor
-// slot displacement needs an invalidation protocol. The refs slice is
-// reused across refreshes and displacements.
-type memoEntry struct {
-	key  memoKey
-	used bool
-	refs []wayRef
-}
-
-// resident reports whether tag is in the set, without touching LRU state.
-func resident(set []cacheLine, tag int64) bool {
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return true
-		}
-	}
-	return false
-}
-
-// walkAccess walks every line of [addr, addr+bytes) through look, then
-// charges the missed bytes to DRAM as one pipelined burst starting at the
-// first missed line, and returns the completion cycle.
-func (c *Cache) walkAccess(now Cycles, addr, bytes int64) Cycles {
-	if bytes <= 0 {
-		return now + c.cfg.HitLatency
-	}
-	first := addr / c.cfg.LineBytes
-	last := (addr + bytes - 1) / c.cfg.LineBytes
-	missedBytes := int64(0)
-	firstMissAddr := int64(-1)
-	for line := first; line <= last; line++ {
-		if !c.look(line * c.cfg.LineBytes) {
-			missedBytes += c.cfg.LineBytes
-			if firstMissAddr < 0 {
-				firstMissAddr = line * c.cfg.LineBytes
-			}
-		}
-	}
-	if missedBytes > 0 {
-		return c.backing.Access(now+c.cfg.HitLatency, firstMissAddr, missedBytes)
-	}
-	return now + c.cfg.HitLatency
-}
-
-// look walks one line through its set, updating LRU state and counters.
-func (c *Cache) look(lineAddr int64) bool {
-	c.clock++
-	setIdx := (lineAddr / c.cfg.LineBytes) % c.numSets
-	tag := lineAddr / c.cfg.LineBytes / c.numSets
-	c.stats.LineAccesses++
-	hit, way := touch(c.sets[setIdx], tag, c.clock)
-	if c.rec != nil {
-		// The line is resident in `way` after touch, hit or fill.
-		*c.rec = append(*c.rec, wayRef{set: int32(setIdx), way: int32(way), tag: tag})
-	}
-	if hit {
-		return true
-	}
-	c.stats.LineMisses++
-	return false
+	return i
 }
 
 // Access reads the byte range [addr, addr+bytes) at time now and returns
@@ -347,15 +201,30 @@ func (c *Cache) Access(now Cycles, addr int64, bytes int64) Cycles {
 	if bytes <= 0 {
 		return now + c.cfg.HitLatency
 	}
-	key := memoKey{first: addr / c.cfg.LineBytes, lines: (addr+bytes-1)/c.cfg.LineBytes - addr/c.cfg.LineBytes + 1}
-	if e := c.memoFind(key); e != nil && c.tryMemo(e) {
+	first, lines, s, tag := c.span(addr, bytes)
+	c.stats.LineAccesses += lines
+	firstMiss, missed := int64(-1), int64(0)
+	for k := int64(0); k < lines; k++ {
+		ways := c.set(s)
+		i := scan(ways, tag)
+		if ways[i] != tag {
+			missed++
+			if firstMiss < 0 {
+				firstMiss = first + k
+			}
+		}
+		copy(ways[1:i+1], ways[:i])
+		ways[0] = tag
+		if s++; s == c.numSets {
+			s, tag = 0, tag+1
+		}
+	}
+	if missed == 0 {
 		return now + c.cfg.HitLatency
 	}
-	e := c.memoClaim(key)
-	c.rec = &e.refs
-	done := c.walkAccess(now, addr, bytes)
-	c.rec = nil
-	return done
+	c.stats.LineMisses += missed
+	lb := c.cfg.LineBytes
+	return c.backing.Access(now+c.cfg.HitLatency, firstMiss*lb, missed*lb)
 }
 
 // Probe reports whether the whole byte range is currently resident,
@@ -365,28 +234,14 @@ func (c *Cache) Probe(addr int64, bytes int64) bool {
 	if bytes <= 0 {
 		return true
 	}
-	first := addr / c.cfg.LineBytes
-	last := (addr + bytes - 1) / c.cfg.LineBytes
-	if e := c.memoFind(memoKey{first: first, lines: last - first + 1}); e != nil {
-		ok := true
-		for _, r := range e.refs {
-			ln := &c.sets[r.set][r.way]
-			if !ln.valid || ln.tag != r.tag {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return true
-		}
-		// Stale refs prove nothing either way; fall through to the walk.
-	}
-	for line := first; line <= last; line++ {
-		lineAddr := line * c.cfg.LineBytes
-		setIdx := (lineAddr / c.cfg.LineBytes) % c.numSets
-		tag := lineAddr / c.cfg.LineBytes / c.numSets
-		if !resident(c.sets[setIdx], tag) {
+	_, lines, s, tag := c.span(addr, bytes)
+	for ; lines > 0; lines-- {
+		ways := c.set(s)
+		if ways[scan(ways, tag)] != tag {
 			return false
+		}
+		if s++; s == c.numSets {
+			s, tag = 0, tag+1
 		}
 	}
 	return true
@@ -394,24 +249,6 @@ func (c *Cache) Probe(addr int64, bytes int64) bool {
 
 // Stats returns the hit/miss counters so far.
 func (c *Cache) Stats() CacheStats { return c.stats }
-
-// Config returns the cache geometry.
-func (c *Cache) Config() CacheConfig { return c.cfg }
-
-// Reset invalidates all lines and clears counters and the walk memo.
-func (c *Cache) Reset() {
-	for i := range c.sets {
-		for j := range c.sets[i] {
-			c.sets[i][j] = cacheLine{}
-		}
-	}
-	c.stats = CacheStats{}
-	c.clock = 0
-	for i := range c.memo {
-		c.memo[i].used = false
-	}
-	c.rec = nil
-}
 
 // Hierarchy bundles the chip-level shared memory system.
 type Hierarchy struct {

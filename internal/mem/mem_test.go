@@ -31,15 +31,6 @@ func TestDRAMChannelsIndependent(t *testing.T) {
 	}
 }
 
-func TestDRAMReset(t *testing.T) {
-	d := NewDRAM(DefaultDRAMConfig())
-	d.Access(0, 0, 1000)
-	d.Reset()
-	if d.Stats() != (DRAMStats{}) {
-		t.Error("reset did not clear stats")
-	}
-}
-
 func TestCacheHitAfterMiss(t *testing.T) {
 	d := NewDRAM(DRAMConfig{Channels: 1, LatencyCycles: 100, BytesPerCycle: 64})
 	c := NewCache(CacheConfig{CapacityBytes: 1 << 12, LineBytes: 64, Ways: 4, HitLatency: 5}, d)
@@ -120,7 +111,7 @@ func TestCacheZeroByteAccess(t *testing.T) {
 	d := NewDRAM(DefaultDRAMConfig())
 	c := NewCache(DefaultSharedCacheConfig(), d)
 	done := c.Access(7, 0, 0)
-	if done != 7+c.Config().HitLatency {
+	if done != 7+c.cfg.HitLatency {
 		t.Errorf("zero-byte access done = %d", done)
 	}
 	if !c.Probe(0, 0) {
@@ -148,26 +139,13 @@ func TestLargerCacheReducesMisses(t *testing.T) {
 }
 
 func TestHierarchyDefaults(t *testing.T) {
-	h := NewHierarchy(0)
-	if h.Shared.Config().CapacityBytes != 4<<20 {
-		t.Errorf("default capacity = %d", h.Shared.Config().CapacityBytes)
+	// The capacity is read off the tag array: one tag per line.
+	capacity := func(c *Cache) int64 { return int64(len(c.tags)) * c.cfg.LineBytes }
+	if got := capacity(NewHierarchy(0).Shared); got != 4<<20 {
+		t.Errorf("default capacity = %d", got)
 	}
-	h2 := NewHierarchy(2 << 20)
-	if h2.Shared.Config().CapacityBytes != 2<<20 {
-		t.Errorf("override capacity = %d", h2.Shared.Config().CapacityBytes)
-	}
-}
-
-func TestCacheReset(t *testing.T) {
-	d := NewDRAM(DefaultDRAMConfig())
-	c := NewCache(DefaultSharedCacheConfig(), d)
-	c.Access(0, 0, 4096)
-	c.Reset()
-	if c.Stats() != (CacheStats{}) {
-		t.Error("reset did not clear stats")
-	}
-	if c.Probe(0, 64) {
-		t.Error("reset did not invalidate lines")
+	if got := capacity(NewHierarchy(2 << 20).Shared); got != 2<<20 {
+		t.Errorf("override capacity = %d", got)
 	}
 }
 

@@ -64,7 +64,7 @@ func TestPortAddsLatency(t *testing.T) {
 	port := NewPort(n, 0, cache)
 	direct := cache.Access(0, 0, 64)
 	through := port.Access(direct, 0, 64) // now a hit
-	hitOnly := cache.Config().HitLatency
+	hitOnly := mem.DefaultSharedCacheConfig().HitLatency
 	if through-direct != hitOnly+port.Trip {
 		t.Errorf("port latency = %d, want hit %d + trip %d", through-direct, hitOnly, port.Trip)
 	}
