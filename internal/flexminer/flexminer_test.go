@@ -12,7 +12,7 @@ import (
 	"fingers/internal/plan"
 )
 
-func compiled(t *testing.T, name string) []*plan.Plan {
+func compiled(t testing.TB, name string) []*plan.Plan {
 	t.Helper()
 	p, err := pattern.ByName(name)
 	if err != nil {

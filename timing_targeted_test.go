@@ -18,8 +18,10 @@ type targetedCell struct {
 // configurations the default grid leaves unreached: a fixed group size of
 // one, 48 IUs under the iso-area rule of Figure 12 (shorter long
 // segments), two shards merged into one report, and a private cache small
-// enough that candidate sets spill through the shared cache.
-// internal/flexminer pins FlexMiner's spill in
+// enough that candidate sets spill through the shared cache. It also pins
+// a multi-plan run, 3-motif counting, on every architecture: the order in
+// which a PE starts the trunks of several plans from one root is reached
+// by no single-pattern cell. internal/flexminer pins FlexMiner's spill in
 // its own golden: the façade no longer configures FlexMiner PEs.
 // Regenerate with `go test -run TestTimingTargetedGolden -update .`.
 func TestTimingTargetedGolden(t *testing.T) {
@@ -53,6 +55,18 @@ func TestTimingTargetedGolden(t *testing.T) {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		cells = append(cells, targetedCell{c.name, newTimingCell(fingers.ArchFingers.String(), goldenGraphs[0].name, "tt", rep.Result)})
+	}
+	motif, err := fingers.CompileMotif(3, fingers.PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, arch := range goldenArchs {
+		rep, err := fingers.Simulate(arch, g, motif.Plans,
+			fingers.WithPEs(goldenPEs), fingers.WithSharedCache(goldenCacheBytes))
+		if err != nil {
+			t.Fatalf("%s motif3: %v", arch, err)
+		}
+		cells = append(cells, targetedCell{"motif3", newTimingCell(arch.String(), goldenGraphs[0].name, "motif3", rep.Result)})
 	}
 	checkGolden(t, filepath.Join("testdata", "timing.targeted.golden.json"), cells)
 }
