@@ -1,6 +1,7 @@
-// Package accel provides the chip shared by the FlexMiner baseline and
-// the FINGERS accelerator models: the Chip itself, generic over the PE
-// type, a global root-vertex scheduler (the coarse-grained, tree-level
+// Package accel provides what the FlexMiner baseline and the FINGERS
+// accelerator models share: the Chip itself, the PE state both models
+// embed (clock, counters, root dispatch and one search-tree frame
+// stack), a global root-vertex scheduler (the coarse-grained, tree-level
 // parallelism of §3.1), an event-ordered multi-PE execution loop over
 // the shared memory system, and the result/statistics types the
 // experiment harness consumes.
@@ -93,26 +94,12 @@ type MemPort interface {
 	Probe(addr, bytes int64) bool
 }
 
-// PE is one processing element driven by the chip's event loop. Step
-// executes the PE's next unit of work (a task, or a task group) beginning
-// at its local time, advancing it; it returns false once the PE is
-// permanently idle (empty stack and no roots left).
-type PE interface {
-	// Time returns the PE's local clock. Only Step may change it: Run
-	// caches the value between a PE's steps.
-	Time() mem.Cycles
-	// Step advances the PE by one scheduling quantum.
-	Step() bool
-	// Count returns the embeddings found so far (per pattern for
-	// multi-pattern runs, summed by the harness).
-	Count() uint64
-}
-
-// peEntry is one scheduled PE with its chip index and a cached copy of
-// its local clock. A PE's clock changes only inside its own Step, so Run
-// refreshes t right after each step and the heap never calls Time.
+// peEntry is one scheduled PE with its state, its chip index and a
+// cached copy of its local clock. A PE's clock changes only inside its
+// own Step, so Run refreshes t right after each step.
 type peEntry struct {
 	pe PE
+	st *PEState
 	id int
 	t  mem.Cycles
 }
@@ -202,24 +189,6 @@ type Progress struct {
 // a millisecond of host time.
 const CancelCheckQuantum = 64
 
-// RootHolder is an optional PE capability: a PE that can report the root
-// vertex of the search tree it is currently mining, for failure
-// attribution and partial-progress reporting. Both accelerator PE models
-// implement it; Run falls back to simerr.NoRoot when absent.
-type RootHolder interface {
-	CurrentRoot() (root uint32, ok bool)
-}
-
-// currentRoot reports the PE's in-flight root for error attribution.
-func currentRoot(pe PE) int64 {
-	if rh, ok := pe.(RootHolder); ok {
-		if v, ok := rh.CurrentRoot(); ok {
-			return int64(v)
-		}
-	}
-	return simerr.NoRoot
-}
-
 // Run drives the PEs in event order until all are idle and returns the
 // makespan. Each heap pop selects the PE with the smallest local clock so
 // shared cache and DRAM state evolve in near-global order.
@@ -236,7 +205,8 @@ func currentRoot(pe PE) int64 {
 func Run(ctx context.Context, pes []PE, every int64, fn func(Progress)) (makespan mem.Cycles, err error) {
 	h := make(peHeap, 0, len(pes))
 	for i, pe := range pes {
-		h = append(h, peEntry{pe: pe, id: i, t: pe.Time()})
+		st := pe.State()
+		h = append(h, peEntry{pe: pe, st: st, id: i, t: st.Now})
 	}
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		h.down(i)
@@ -246,7 +216,7 @@ func Run(ctx context.Context, pes []PE, every int64, fn func(Progress)) (makespa
 	horizon := func() mem.Cycles {
 		out := makespan
 		for _, en := range h {
-			if t := en.pe.Time(); t > out {
+			if t := en.st.Now; t > out {
 				out = t
 			}
 		}
@@ -260,8 +230,8 @@ func Run(ctx context.Context, pes []PE, every int64, fn func(Progress)) (makespa
 	defer func() {
 		if stepping {
 			if r := recover(); r != nil {
-				pe := h[0].pe
-				err = simerr.FromPanic("serial", h[0].id, int64(pe.Time()), currentRoot(pe), r)
+				st := h[0].st
+				err = simerr.FromPanic("serial", h[0].id, int64(st.Now), st.rootID(), r)
 				makespan = horizon()
 			}
 		}
@@ -279,10 +249,10 @@ func Run(ctx context.Context, pes []PE, every int64, fn func(Progress)) (makespa
 		stepping = false
 		steps++
 		if alive {
-			top.t = top.pe.Time()
+			top.t = top.st.Now
 			h.down(0)
 		} else {
-			if t := top.pe.Time(); t > makespan {
+			if t := top.st.Now; t > makespan {
 				makespan = t
 			}
 			h[0] = h[len(h)-1]

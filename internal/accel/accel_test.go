@@ -30,20 +30,17 @@ func TestRootSchedulerHandsOutAllRoots(t *testing.T) {
 
 // fakePE consumes a fixed number of steps, each advancing time.
 type fakePE struct {
-	now   mem.Cycles
-	step  mem.Cycles
-	left  int
-	count uint64
+	PEState
+	step mem.Cycles
+	left int
 }
 
-func (f *fakePE) Time() mem.Cycles { return f.now }
-func (f *fakePE) Count() uint64    { return f.count }
 func (f *fakePE) Step() bool {
 	if f.left == 0 {
 		return false
 	}
 	f.left--
-	f.now += f.step
+	f.Now += f.step
 	return true
 }
 
@@ -94,21 +91,19 @@ func TestResultString(t *testing.T) {
 
 // orderedPE records the times at which it steps, via a shared log.
 type orderedPE struct {
-	now  mem.Cycles
+	PEState
 	step mem.Cycles
 	left int
 	log  *[]mem.Cycles
 }
 
-func (o *orderedPE) Time() mem.Cycles { return o.now }
-func (o *orderedPE) Count() uint64    { return 0 }
 func (o *orderedPE) Step() bool {
 	if o.left == 0 {
 		return false
 	}
-	*o.log = append(*o.log, o.now)
+	*o.log = append(*o.log, o.Now)
 	o.left--
-	o.now += o.step
+	o.Now += o.step
 	return true
 }
 

@@ -11,31 +11,13 @@ import (
 	"fingers/internal/telemetry"
 )
 
-// ChipPE is the PE surface a Chip drives and rolls up: the event-loop
-// PE plus its work counters, cycle attribution and tracer hook.
-type ChipPE interface {
-	PE
-	// Tasks returns the number of extension tasks executed.
-	Tasks() int64
-	// Breakdown returns the PE's cycle attribution; Idle is zero and the
-	// chip fills it in as makespan − Time().
-	Breakdown() telemetry.Breakdown
-	// SetTracer attaches (or, with nil, detaches) an event tracer.
-	SetTracer(telemetry.Tracer)
-}
-
-// PEFactory builds PE id of a chip mining plans over g, drawing roots
-// from the chip's scheduler and reaching memory through port. Each PE
-// model's Config.NewPE method value is one.
-type PEFactory[P ChipPE] func(id int, g *graph.Graph, plans []*plan.Plan, roots *RootScheduler, port MemPort) P
-
 // Chip assembles a multi-PE accelerator over one shared memory hierarchy
 // (Figure 5): a root scheduler handing search trees to the PEs, and each
 // PE on its own NoC port into the shared cache and DRAM. FINGERS and the
 // FlexMiner baseline (with its set-centric SISA variant) run on the same
-// chip; only the PE type P changes.
-type Chip[P ChipPE] struct {
-	PEs  []P
+// chip; only the PEs' Step differs.
+type Chip struct {
+	PEs  []PE
 	Hier *mem.Hierarchy
 
 	ports    []*noc.Port
@@ -45,11 +27,12 @@ type Chip[P ChipPE] struct {
 
 // NewChip builds a chip of numPEs PEs mining plans over g;
 // sharedCacheBytes = 0 keeps the paper's 4 MB default, and newPE builds
-// every PE. A nil sched hands out every root in ID order; a custom
-// one serves root-ordering studies (§6.3) and the root slices of a
+// each PE around the state the chip made for it (each PE model's
+// Config.NewPE method value is one). A nil sched hands out every root
+// in ID order; a custom one serves root-ordering studies (§6.3) and the root slices of a
 // sharded run. A non-positive PE count, a nil graph, an empty plan list,
 // or a nil or invalid plan (plan.Validate) is reported as an error.
-func NewChip[P ChipPE](numPEs int, sharedCacheBytes int64, g *graph.Graph, plans []*plan.Plan, sched *RootScheduler, newPE PEFactory[P]) (*Chip[P], error) {
+func NewChip(numPEs int, sharedCacheBytes int64, g *graph.Graph, plans []*plan.Plan, sched *RootScheduler, newPE func(PEState) PE) (*Chip, error) {
 	if numPEs < 1 {
 		return nil, fmt.Errorf("accel: NewChip: number of PEs must be >= 1, got %d", numPEs)
 	}
@@ -68,11 +51,11 @@ func NewChip[P ChipPE](numPEs int, sharedCacheBytes int64, g *graph.Graph, plans
 		sched = NewRootScheduler(g.NumVertices())
 	}
 	hier := mem.NewHierarchy(sharedCacheBytes)
-	c := &Chip[P]{Hier: hier, sched: sched}
+	c := &Chip{Hier: hier, sched: sched}
 	net := noc.New(noc.DefaultConfig(), numPEs)
 	for i := 0; i < numPEs; i++ {
 		port := noc.NewPort(net, i, hier.Shared)
-		c.PEs = append(c.PEs, newPE(i, g, plans, sched, port))
+		c.PEs = append(c.PEs, newPE(NewPEState(i, g, plans, sched, port)))
 		c.ports = append(c.ports, port)
 	}
 	return c, nil
@@ -80,17 +63,17 @@ func NewChip[P ChipPE](numPEs int, sharedCacheBytes int64, g *graph.Graph, plans
 
 // RootsTotal returns the number of search-tree roots the chip's
 // scheduler was built with.
-func (c *Chip[P]) RootsTotal() int { return c.sched.Total() }
+func (c *Chip) RootsTotal() int { return c.sched.Total() }
 
 // RootsDispatched returns the number of roots handed to PEs so far — the
 // completed-root progress measure of a partial run.
-func (c *Chip[P]) RootsDispatched() int { return c.sched.Total() - c.sched.Remaining() }
+func (c *Chip) RootsDispatched() int { return c.sched.Total() - c.sched.Remaining() }
 
 // SetTracer attaches an event tracer to every PE, every NoC port, and
 // the DRAM model; nil detaches, restoring the zero-overhead path.
-func (c *Chip[P]) SetTracer(t telemetry.Tracer) {
+func (c *Chip) SetTracer(t telemetry.Tracer) {
 	for _, pe := range c.PEs {
-		pe.SetTracer(t)
+		pe.State().Trc = t
 	}
 	if t == nil {
 		for _, p := range c.ports {
@@ -113,17 +96,13 @@ func (c *Chip[P]) SetTracer(t telemetry.Tracer) {
 // cache/DRAM state, per-PE breakdowns) alongside a *simerr.SimError
 // wrapping ctx.Err(). A panic inside a PE step returns the same way
 // instead of crashing.
-func (c *Chip[P]) Run(ctx context.Context, every int64, fn func(Progress)) (Result, error) {
-	pes := make([]PE, len(c.PEs))
-	for i, pe := range c.PEs {
-		pes[i] = pe
-	}
-	makespan, err := Run(ctx, pes, every, fn)
+func (c *Chip) Run(ctx context.Context, every int64, fn func(Progress)) (Result, error) {
+	makespan, err := Run(ctx, c.PEs, every, fn)
 	return c.assemble(makespan), err
 }
 
 // assemble rolls the per-PE outcomes of a completed run into a Result.
-func (c *Chip[P]) assemble(makespan mem.Cycles) Result {
+func (c *Chip) assemble(makespan mem.Cycles) Result {
 	c.makespan = makespan
 	res := Result{
 		Cycles:      makespan,
@@ -131,11 +110,12 @@ func (c *Chip[P]) assemble(makespan mem.Cycles) Result {
 		DRAM:        c.Hier.DRAM.Stats(),
 	}
 	for _, pe := range c.PEs {
-		res.Count += pe.Count()
-		res.Tasks += pe.Tasks()
-		res.PEBusy += pe.Time()
-		bd := pe.Breakdown()
-		bd.Idle = makespan - pe.Time()
+		st := pe.State()
+		res.Count += st.Found
+		res.Tasks += st.Tasks
+		res.PEBusy += st.Now
+		bd := st.BD
+		bd.Idle = makespan - st.Now
 		res.Breakdown.Accumulate(bd)
 	}
 	return res
@@ -143,22 +123,22 @@ func (c *Chip[P]) assemble(makespan mem.Cycles) Result {
 
 // PERecords returns each PE's telemetry record for the completed run:
 // cycle attribution (summing to the makespan), finishing time and work
-// counters, with task groups for PEs that form them. Call after Run.
-func (c *Chip[P]) PERecords() []telemetry.PERecord {
+// counters, with task groups for PEs that form them (zero, and left out
+// of the JSON, for the others). Call after Run.
+func (c *Chip) PERecords() []telemetry.PERecord {
 	out := make([]telemetry.PERecord, len(c.PEs))
 	for i, pe := range c.PEs {
-		bd := pe.Breakdown()
-		bd.Idle = c.makespan - pe.Time()
+		st := pe.State()
+		bd := st.BD
+		bd.Idle = c.makespan - st.Now
 		out[i] = telemetry.PERecord{
 			PE:         i,
 			Cycles:     c.makespan,
-			FinishedAt: pe.Time(),
+			FinishedAt: st.Now,
 			Breakdown:  bd,
-			Tasks:      pe.Tasks(),
-			Count:      pe.Count(),
-		}
-		if gp, ok := any(pe).(interface{ Groups() int64 }); ok {
-			out[i].Groups = gp.Groups()
+			Tasks:      st.Tasks,
+			Groups:     st.Groups,
+			Count:      st.Found,
 		}
 	}
 	return out

@@ -28,7 +28,7 @@ func (c *cancellingPE) Step() bool {
 	return c.fakePE.Step()
 }
 
-// panicPE panics on its Nth step and reports a current root.
+// panicPE draws root on its first step and panics on its Nth.
 type panicPE struct {
 	fakePE
 	panicAt int
@@ -38,13 +38,15 @@ type panicPE struct {
 
 func (p *panicPE) Step() bool {
 	p.steps++
+	if p.steps == 1 {
+		p.roots = NewRootSchedulerWithOrder([]uint32{p.root})
+		p.NextRoot()
+	}
 	if p.steps == p.panicAt {
 		panic("injected PE fault")
 	}
 	return p.fakePE.Step()
 }
-
-func (p *panicPE) CurrentRoot() (uint32, bool) { return p.root, true }
 
 func TestRunCtxAlreadyCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())

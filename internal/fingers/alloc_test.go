@@ -32,7 +32,7 @@ func TestFingersSteadyStateAllocs(t *testing.T) {
 			}
 		}
 		roots := accel.NewRootSchedulerWithOrder(order)
-		pe := DefaultConfig().NewPE(0, g, plansFor(t, name), roots, fixedPort{})
+		pe := DefaultConfig().NewPE(accel.NewPEState(0, g, plansFor(t, name), roots, fixedPort{})).(*PE)
 		// A pass steps until the PE has drawn n more roots; the tree of
 		// the last one is finished by the next pass.
 		pass := func() {
@@ -42,9 +42,9 @@ func TestFingersSteadyStateAllocs(t *testing.T) {
 		}
 		pass()
 		pass()
-		tasks := pe.Tasks()
+		tasks := pe.Tasks
 		allocs := testing.AllocsPerRun(1, pass)
-		if pe.Tasks() == tasks {
+		if pe.Tasks == tasks {
 			t.Fatalf("%s: no tasks in a pass", name)
 		}
 		if allocs != 0 {

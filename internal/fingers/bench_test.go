@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"fingers/internal/accel"
 	"fingers/internal/graph/gen"
 	"fingers/internal/mine"
 	"fingers/internal/pattern"
@@ -87,7 +88,7 @@ func BenchmarkComputeTask(b *testing.B) {
 			Long:  randomSortedSet(rng, 48, 2000),
 		}
 	}
-	pe := DefaultConfig().NewPE(0, nil, nil, nil, nil)
+	pe := DefaultConfig().NewPE(accel.PEState{}).(*PE)
 	fetch := []uint32{0}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"fingers/internal/accel"
 	"fingers/internal/mem"
 	"fingers/internal/mine"
 	"fingers/internal/setops"
@@ -36,7 +37,7 @@ func TestChargeOpMatchesBalance(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ops := []setops.Op{setops.OpIntersect, setops.OpSubtract, setops.OpAntiSubtract}
 	geoms := [][2]int{{16, 4}, {5, 3}}
-	newPE := func(cfg Config) *PE { return cfg.NewPE(0, nil, nil, nil, nil) }
+	newPE := func(cfg Config) *PE { return cfg.NewPE(accel.PEState{}).(*PE) }
 	for trial := 0; trial < 200; trial++ {
 		short := randomSortedSet(rng, 60, 400)
 		long := randomSortedSet(rng, 200, 400)
@@ -74,7 +75,7 @@ func TestScheduleIsListScheduling(t *testing.T) {
 	for _, n := range []int{1, 3, 24, 48} {
 		cfg := DefaultConfig()
 		cfg.NumIUs = n
-		pe := cfg.NewPE(0, nil, nil, nil, nil)
+		pe := cfg.NewPE(accel.PEState{}).(*PE)
 		for w := 0; w < 8*n+20; w++ {
 			want := 0
 			for i, b := range pe.iuBusy {

@@ -28,7 +28,7 @@ func plansFor(t *testing.T, names ...string) []*plan.Plan {
 
 // newChip builds a chip through the validating constructor, failing the
 // test on error.
-func newChip[P accel.ChipPE](tb testing.TB, numPEs int, sharedCacheBytes int64, g *graph.Graph, plans []*plan.Plan, sched *accel.RootScheduler, newPE accel.PEFactory[P]) *accel.Chip[P] {
+func newChip(tb testing.TB, numPEs int, sharedCacheBytes int64, g *graph.Graph, plans []*plan.Plan, sched *accel.RootScheduler, newPE func(accel.PEState) accel.PE) *accel.Chip {
 	tb.Helper()
 	chip, err := accel.NewChip(numPEs, sharedCacheBytes, g, plans, sched, newPE)
 	if err != nil {
@@ -38,24 +38,19 @@ func newChip[P accel.ChipPE](tb testing.TB, numPEs int, sharedCacheBytes int64, 
 }
 
 // mustChip builds a FINGERS chip with the default root order.
-func mustChip(tb testing.TB, cfg Config, numPEs int, sharedCacheBytes int64, g *graph.Graph, plans []*plan.Plan) *accel.Chip[*PE] {
+func mustChip(tb testing.TB, cfg Config, numPEs int, sharedCacheBytes int64, g *graph.Graph, plans []*plan.Plan) *accel.Chip {
 	tb.Helper()
 	return newChip(tb, numPEs, sharedCacheBytes, g, plans, nil, cfg.NewPE)
 }
 
 // mustFlexChip builds a FlexMiner chip with the default root order.
-func mustFlexChip(tb testing.TB, cfg flexminer.Config, numPEs int, sharedCacheBytes int64, g *graph.Graph, plans []*plan.Plan) *accel.Chip[*flexminer.PE] {
+func mustFlexChip(tb testing.TB, cfg flexminer.Config, numPEs int, sharedCacheBytes int64, g *graph.Graph, plans []*plan.Plan) *accel.Chip {
 	tb.Helper()
 	return newChip(tb, numPEs, sharedCacheBytes, g, plans, nil, cfg.NewPE)
 }
 
-// runner is the chip surface mustRun drives, satisfied by both models.
-type runner interface {
-	Run(context.Context, int64, func(accel.Progress)) (accel.Result, error)
-}
-
 // mustRun simulates a chip to completion, failing the test on error.
-func mustRun(tb testing.TB, c runner) accel.Result {
+func mustRun(tb testing.TB, c *accel.Chip) accel.Result {
 	tb.Helper()
 	res, err := c.Run(context.Background(), 0, nil)
 	if err != nil {
@@ -173,20 +168,20 @@ func TestGroupSizeAdapts(t *testing.T) {
 	pls := plansFor(t, "tc")
 	chip := mustChip(t, DefaultConfig(), 1, 0, g, pls)
 	mustRun(t, chip)
-	pe := chip.PEs[0]
+	pe := chip.PEs[0].(*PE)
 	if pe.groupSize() < 1 || pe.groupSize() > pe.cfg.MaxGroupSize {
 		t.Errorf("group size out of range: %d", pe.groupSize())
 	}
 	// Fixed group size must be honored.
 	cfg := DefaultConfig()
 	cfg.GroupSize = 3
-	pe2 := mustChip(t, cfg, 1, 0, g, pls).PEs[0]
+	pe2 := mustChip(t, cfg, 1, 0, g, pls).PEs[0].(*PE)
 	if pe2.groupSize() != 3 {
 		t.Errorf("fixed group size = %d, want 3", pe2.groupSize())
 	}
 	// Disabled pseudo-DFS forces single-task groups.
 	cfg.PseudoDFS = false
-	pe3 := mustChip(t, cfg, 1, 0, g, pls).PEs[0]
+	pe3 := mustChip(t, cfg, 1, 0, g, pls).PEs[0].(*PE)
 	if pe3.groupSize() != 1 {
 		t.Errorf("strict DFS group size = %d, want 1", pe3.groupSize())
 	}
@@ -197,7 +192,7 @@ func TestIUStatsSane(t *testing.T) {
 	pls := plansFor(t, "tt")
 	chip := mustChip(t, DefaultConfig(), 1, 0, g, pls)
 	mustRun(t, chip)
-	st := AggregateStats(chip.PEs)
+	st := chip.PEs[0].(*PE).Stats()
 	active, balance := st.ActiveRate(), st.BalanceRate()
 	if active <= 0 || active > 1 {
 		t.Errorf("active rate = %v", active)

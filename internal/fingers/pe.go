@@ -4,18 +4,13 @@ import (
 	"math/bits"
 
 	"fingers/internal/accel"
-	"fingers/internal/graph"
 	"fingers/internal/mem"
 	"fingers/internal/mine"
-	"fingers/internal/plan"
 	"fingers/internal/setops"
-	"fingers/internal/telemetry"
 )
 
 // IUStats reports the utilization measures of Table 3.
 type IUStats struct {
-	// BusyIUCycles sums, over all IUs, the cycles they executed workloads.
-	BusyIUCycles mem.Cycles
 	// AssignedIUCycles sums, per compute load, its subset size times its
 	// duration — the paper's active-rate numerator (§6.4's worked
 	// example: 2 IUs assigned a 10-cycle load in a 20-cycle window on 4
@@ -51,7 +46,6 @@ func (s IUStats) BalanceRate() float64 {
 
 // Add merges o's counters into s; NumIUs is taken from o.
 func (s *IUStats) Add(o IUStats) {
-	s.BusyIUCycles += o.BusyIUCycles
 	s.AssignedIUCycles += o.AssignedIUCycles
 	s.TotalCycles += o.TotalCycles
 	s.BalanceNum += o.BalanceNum
@@ -59,47 +53,12 @@ func (s *IUStats) Add(o IUStats) {
 	s.NumIUs = o.NumIUs
 }
 
-// AggregateStats merges the IU utilization counters of a chip's PEs.
-func AggregateStats(pes []*PE) IUStats {
-	var out IUStats
-	for _, pe := range pes {
-		out.Add(pe.Stats())
-	}
-	return out
-}
-
-// frame is one stack entry: a parent node with its remaining unexplored
-// sibling candidates — the unit the pseudo-DFS scheduler pops task groups
-// from (§4.1).
-type frame struct {
-	engine int
-	node   *mine.Node
-	cands  []uint32
-	next   int
-}
-
-// PE is one FINGERS processing element.
+// PE is one FINGERS processing element: the shared PE state walked in
+// pseudo-DFS task groups, each group's tasks computed on the IU array.
 type PE struct {
-	cfg     Config
-	g       *graph.Graph
-	engines []*mine.Engine
-	roots   *accel.RootScheduler
-	shared  accel.MemPort
-	now     mem.Cycles
-	count   uint64
-	tasks   int64
-	groups  int64
-	stack   []frame
-	stats   IUStats
-
-	// id is the PE's chip index, for telemetry attribution.
-	id int
-	// trc receives fine-grained events; nil (the default) disables every
-	// hook without affecting timing.
-	trc telemetry.Tracer
-	// bd attributes every local-clock advance: Compute + MemStall +
-	// Overhead == now at all times (Idle is filled by the chip rollup).
-	bd telemetry.Breakdown
+	accel.PEState
+	cfg   Config
+	stats IUStats
 
 	// Adaptive group sizing: exponential moving average of the IUs one
 	// task occupies, from its workload count (§4.1 uses average set sizes;
@@ -142,16 +101,12 @@ type member struct {
 	hit   bool
 }
 
-// NewPE builds FINGERS PE id of a chip, mining plans over g with roots
-// from the chip's scheduler and memory reached through shared; the
+// NewPE builds a FINGERS PE around the state the chip made for it; the
 // method value cfg.NewPE is the PE factory accel.NewChip takes.
-func (cfg Config) NewPE(id int, g *graph.Graph, plans []*plan.Plan, roots *accel.RootScheduler, shared accel.MemPort) *PE {
+func (cfg Config) NewPE(st accel.PEState) accel.PE {
 	pe := &PE{
-		id:            id,
+		PEState:       st,
 		cfg:           cfg,
-		g:             g,
-		roots:         roots,
-		shared:        shared,
 		emaIUsPerTask: float64(cfg.NumIUs),
 		iuBusy:        make([]mem.Cycles, cfg.NumIUs),
 		opBusy:        make([]mem.Cycles, cfg.NumIUs),
@@ -160,53 +115,16 @@ func (cfg Config) NewPE(id int, g *graph.Graph, plans []*plan.Plan, roots *accel
 		opTouched:     make([]int, 0, cfg.NumIUs),
 	}
 	pe.stats.NumIUs = cfg.NumIUs
-	for _, pl := range plans {
-		pe.engines = append(pe.engines, mine.NewEngine(g, pl))
-	}
 	return pe
 }
-
-// Time returns the PE's local clock.
-func (pe *PE) Time() mem.Cycles { return pe.now }
-
-// Count returns the embeddings found so far.
-func (pe *PE) Count() uint64 { return pe.count }
-
-// Tasks returns the number of extension tasks executed.
-func (pe *PE) Tasks() int64 { return pe.tasks }
 
 // Stats returns the IU utilization counters (finalized with the current
 // clock).
 func (pe *PE) Stats() IUStats {
 	s := pe.stats
-	s.TotalCycles = pe.now
+	s.TotalCycles = pe.Now
 	return s
 }
-
-// Groups returns the number of task groups executed.
-func (pe *PE) Groups() int64 { return pe.groups }
-
-// CurrentRoot reports the root vertex of the search tree the PE is
-// mining right now (accel.RootHolder): the first embedded vertex of the
-// bottom stack frame. ok is false between search trees, when a failure
-// cannot be attributed to any root.
-func (pe *PE) CurrentRoot() (uint32, bool) {
-	if len(pe.stack) == 0 {
-		return 0, false
-	}
-	n := pe.stack[0].node
-	if n == nil || len(n.Verts) == 0 {
-		return 0, false
-	}
-	return n.Verts[0], true
-}
-
-// Breakdown returns the PE's cycle attribution so far. Idle is zero; the
-// chip rollup fills it in as makespan − Time().
-func (pe *PE) Breakdown() telemetry.Breakdown { return pe.bd }
-
-// SetTracer attaches (or, with nil, detaches) an event tracer.
-func (pe *PE) SetTracer(t telemetry.Tracer) { pe.trc = t }
 
 // groupSize returns the pseudo-DFS task-group size.
 func (pe *PE) groupSize() int {
@@ -232,53 +150,35 @@ func (pe *PE) groupSize() int {
 
 // Step processes one task group (or starts a new root tree).
 func (pe *PE) Step() bool {
-	// Drop exhausted frames, returning their nodes to the engine pool.
-	for len(pe.stack) > 0 && pe.stack[len(pe.stack)-1].next >= len(pe.stack[len(pe.stack)-1].cands) {
-		fr := pe.stack[len(pe.stack)-1]
-		pe.stack = pe.stack[:len(pe.stack)-1]
-		pe.engines[fr.engine].Release(fr.node)
-	}
-	if len(pe.stack) == 0 {
-		v, ok := pe.roots.Next()
-		if !ok {
-			return false
-		}
-		pe.startRoot(v)
+	if e, parent, group := pe.Next(pe.groupSize()); group != nil {
+		pe.runGroup(e, parent, group)
 		return true
 	}
-	top := &pe.stack[len(pe.stack)-1]
-	g := pe.groupSize()
-	n := len(top.cands) - top.next
-	if n > g {
-		n = g
+	v, ok := pe.NextRoot()
+	if !ok {
+		return false
 	}
-	group := top.cands[top.next : top.next+n]
-	engineIdx := top.engine
-	parent := top.node
-	top.next += n
-	pe.runGroup(engineIdx, parent, group)
+	pe.startRoot(v)
 	return true
 }
 
 // startRoot begins the search tree rooted at v: one task per plan trunk,
 // processed as a group so multi-pattern trunks share the root fetch.
 func (pe *PE) startRoot(v uint32) {
-	start := pe.now
-	if pe.trc != nil {
-		pe.trc.TaskGroupBegin(pe.id, -1, start, len(pe.engines))
+	if pe.Trc != nil {
+		pe.Trc.TaskGroupBegin(pe.ID, -1, pe.Now, len(pe.Engines))
 	}
-	done := pe.shared.Access(start, pe.g.NeighborAddr(v), pe.g.NeighborBytes(v))
-	pe.bd.MemStall += done - start
-	t := done
-	for i, e := range pe.engines {
+	pe.Access(pe.G.NeighborAddr(v), pe.G.NeighborBytes(v))
+	t := pe.Now
+	for i, e := range pe.Engines {
 		node, info := e.Start(v)
 		t = pe.computeTask(t, info)
-		pe.finishTask(i, e, node)
+		pe.Finish(i, node)
 	}
-	pe.now = t
-	pe.groups++
-	if pe.trc != nil {
-		pe.trc.TaskGroupEnd(pe.id, t)
+	pe.Now = t
+	pe.Groups++
+	if pe.Trc != nil {
+		pe.Trc.TaskGroupEnd(pe.ID, t)
 	}
 }
 
@@ -287,12 +187,12 @@ func (pe *PE) startRoot(v uint32) {
 // reorder ahead, §4.1), and member tasks compute back-to-back on the IU
 // array while later fetches are still in flight.
 func (pe *PE) runGroup(engineIdx int, parent *mine.Node, cands []uint32) {
-	e := pe.engines[engineIdx]
-	start := pe.now
+	e := pe.Engines[engineIdx]
+	start := pe.Now
 	probed := pe.members[:0]
 	for _, v := range cands {
-		addr, bytes := pe.g.NeighborAddr(v), pe.g.NeighborBytes(v)
-		probed = append(probed, member{v: v, addr: addr, bytes: bytes, hit: pe.shared.Probe(addr, bytes)})
+		addr, bytes := pe.G.NeighborAddr(v), pe.G.NeighborBytes(v)
+		probed = append(probed, member{v: v, addr: addr, bytes: bytes, hit: pe.Mem.Probe(addr, bytes)})
 	}
 	pe.members = probed
 	// Cache-resident tasks are scheduled first — the implicit selection
@@ -311,11 +211,11 @@ func (pe *PE) runGroup(engineIdx int, parent *mine.Node, cands []uint32) {
 		}
 	}
 	pe.sorted = members
-	if pe.trc != nil {
-		pe.trc.TaskGroupBegin(pe.id, engineIdx, start, len(cands))
+	if pe.Trc != nil {
+		pe.Trc.TaskGroupBegin(pe.ID, engineIdx, start, len(cands))
 	}
 	for i := range members {
-		members[i].ready = pe.shared.Access(start, members[i].addr, members[i].bytes)
+		members[i].ready = pe.Mem.Access(start, members[i].addr, members[i].bytes)
 	}
 	t := start
 	for i := range members {
@@ -326,34 +226,17 @@ func (pe *PE) runGroup(engineIdx int, parent *mine.Node, cands []uint32) {
 		} else {
 			// The fetch outlived all overlapped computation: the rest is
 			// exposed memory latency.
-			pe.bd.MemStall += ready - t
+			pe.BD.MemStall += ready - t
 		}
 		node, info := e.Extend(parent, m.v)
 		t = pe.computeTask(ready, info)
-		pe.finishTask(engineIdx, e, node)
+		pe.Finish(engineIdx, node)
 	}
-	pe.now = t
-	pe.groups++
-	if pe.trc != nil {
-		pe.trc.TaskGroupEnd(pe.id, t)
+	pe.Now = t
+	pe.Groups++
+	if pe.Trc != nil {
+		pe.Trc.TaskGroupEnd(pe.ID, t)
 	}
-}
-
-// finishTask counts leaves or pushes the child's frame. Nodes that gain
-// no frame (leaves, dead ends) are released to the engine pool at once;
-// framed nodes are released when their frame pops.
-func (pe *PE) finishTask(engineIdx int, e *mine.Engine, node *mine.Node) {
-	if node.Level == e.Plan.K()-2 {
-		pe.count += e.LeafCount(node)
-		e.Release(node)
-		return
-	}
-	cands := e.Candidates(node)
-	if len(cands) == 0 {
-		e.Release(node)
-		return
-	}
-	pe.stack = append(pe.stack, frame{engine: engineIdx, node: node, cands: cands})
 }
 
 // computeTask charges one task's compute phase: every distinct set
@@ -367,13 +250,13 @@ func (pe *PE) finishTask(engineIdx int, e *mine.Engine, node *mine.Node) {
 // tasks, or the divider / round-robin collection time for tiny ones — not
 // by the sum of all stage latencies.
 func (pe *PE) computeTask(ready mem.Cycles, info mine.TaskInfo) mem.Cycles {
-	pe.tasks++
+	pe.Tasks++
 	// iuBusy/iuWl are all-zero and fresh is zero here: the previous task
 	// reset exactly the IUs it used.
 	fetchStart := ready
 	// Extra fetches beyond the new vertex's list (postponed ancestors).
 	for _, v := range info.FetchVertices[1:] {
-		ready = pe.shared.Access(ready, pe.g.NeighborAddr(v), pe.g.NeighborBytes(v))
+		ready = pe.Mem.Access(ready, pe.G.NeighborAddr(v), pe.G.NeighborBytes(v))
 	}
 	searchSteps := 0
 	totalWorkloads := 0
@@ -381,21 +264,17 @@ func (pe *PE) computeTask(ready mem.Cycles, info mine.TaskInfo) mem.Cycles {
 		op := &info.Ops[i]
 		// Candidate sets beyond the private cache spill via shared cache.
 		if int64(len(op.Short))*4 > pe.cfg.PrivateCacheBytes {
-			ready = pe.shared.Access(ready, pe.g.TotalAdjacencyBytes()+(1<<20), int64(len(op.Short))*4)
+			ready = pe.Mem.Access(ready, pe.SpillAddr(), int64(len(op.Short))*4)
 		}
 		before := totalWorkloads
 		searchSteps, totalWorkloads = pe.chargeOp(op, searchSteps, totalWorkloads)
-		if pe.trc != nil {
-			pe.trc.SetOpIssue(pe.id, ready, op.Kind.String(), len(op.Long), len(op.Short), totalWorkloads-before)
+		if pe.Trc != nil {
+			pe.Trc.SetOpIssue(pe.ID, ready, op.Kind.String(), len(op.Long), len(op.Short), totalWorkloads-before)
 		}
 	}
 	// Serialized ancestor fetches and spill traffic are exposed latency.
-	pe.bd.MemStall += ready - fetchStart
+	pe.BD.MemStall += ready - fetchStart
 	usedIUs := pe.fresh
-	var busySum mem.Cycles
-	for _, b := range pe.iuBusy[:usedIUs] {
-		busySum += b
-	}
 	// Each IU receives inputs and surrenders results through the serial
 	// round-robin sweeps (§4.3), whose period is proportional to the
 	// number of IUs in flight: an IU's next workload arrives one sweep
@@ -418,7 +297,6 @@ func (pe *PE) computeTask(ready mem.Cycles, info mine.TaskInfo) mem.Cycles {
 		pe.iuWl[i] = 0
 	}
 	pe.fresh = 0
-	pe.stats.BusyIUCycles += busySum
 	// Divider stage: short heads stream through the long-head tree,
 	// spread over the parallel task dividers.
 	divider := mem.Cycles((searchSteps + pe.cfg.NumDividers - 1) / pe.cfg.NumDividers)
@@ -447,8 +325,8 @@ func (pe *PE) computeTask(ready mem.Cycles, info mine.TaskInfo) mem.Cycles {
 	}
 	// Attribution: the IU-bound portion is compute; anything the divider,
 	// collector sweeps, or fixed task cost add beyond it is overhead.
-	pe.bd.Compute += maxBusy
-	pe.bd.Overhead += step - maxBusy
+	pe.BD.Compute += maxBusy
+	pe.BD.Overhead += step - maxBusy
 	return ready + step
 }
 

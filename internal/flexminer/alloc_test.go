@@ -4,8 +4,10 @@ import (
 	"testing"
 
 	"fingers/internal/accel"
+	"fingers/internal/graph"
 	"fingers/internal/graph/gen"
 	"fingers/internal/mem"
+	"fingers/internal/plan"
 )
 
 // fixedPort is a MemPort with a constant latency and no state, so the
@@ -15,19 +17,15 @@ type fixedPort struct{}
 func (fixedPort) Access(now mem.Cycles, addr, bytes int64) mem.Cycles { return now + 10 }
 func (fixedPort) Probe(addr, bytes int64) bool                        { return true }
 
-// stepRoots steps pe through the next n root trees.
-func stepRoots(pe *PE, n int) {
-	for i := 0; i < n; i++ {
-		pe.Step() // takes the next root
-		for len(pe.stack) > 0 {
-			pe.Step()
-		}
-	}
+// newPE builds a stand-alone FlexMiner PE mining plans over g with
+// roots from the given scheduler and memory behind a fixedPort.
+func newPE(cfg Config, g *graph.Graph, plans []*plan.Plan, roots *accel.RootScheduler) *PE {
+	return cfg.NewPE(accel.NewPEState(0, g, plans, roots, fixedPort{})).(*PE)
 }
 
 // TestFlexSteadyStateAllocs asserts that once warmed, stepping a PE
 // through further roots allocates nothing: interior nodes go back to the
-// engine pool through their release markers, and every scratch buffer
+// engine pool when their frames are exhausted, and every scratch buffer
 // keeps its capacity.
 func TestFlexSteadyStateAllocs(t *testing.T) {
 	g := gen.PowerLawCluster(150, 5, 0.5, 13)
@@ -41,11 +39,20 @@ func TestFlexSteadyStateAllocs(t *testing.T) {
 				order = append(order, uint32(v))
 			}
 		}
-		pe := DefaultConfig().NewPE(0, g, compiled(t, name), accel.NewRootSchedulerWithOrder(order), fixedPort{})
-		stepRoots(pe, 2*n)
-		tasks := pe.Tasks()
-		allocs := testing.AllocsPerRun(1, func() { stepRoots(pe, n) })
-		if pe.Tasks() == tasks {
+		roots := accel.NewRootSchedulerWithOrder(order)
+		pe := newPE(DefaultConfig(), g, compiled(t, name), roots)
+		// A pass steps until the PE has drawn n more roots; the tree of
+		// the last one is finished by the next pass.
+		pass := func() {
+			for left := roots.Remaining() - n; roots.Remaining() > left; {
+				pe.Step()
+			}
+		}
+		pass()
+		pass()
+		tasks := pe.Tasks
+		allocs := testing.AllocsPerRun(1, pass)
+		if pe.Tasks == tasks {
 			t.Fatalf("%s: no tasks in a pass", name)
 		}
 		if allocs != 0 {

@@ -23,7 +23,7 @@ func compiled(t testing.TB, name string) []*plan.Plan {
 
 // mustChip builds a chip through the validating constructor, failing the
 // test on error.
-func mustChip(tb testing.TB, cfg Config, numPEs int, sharedCacheBytes int64, g *graph.Graph, plans []*plan.Plan) *accel.Chip[*PE] {
+func mustChip(tb testing.TB, cfg Config, numPEs int, sharedCacheBytes int64, g *graph.Graph, plans []*plan.Plan) *accel.Chip {
 	tb.Helper()
 	chip, err := accel.NewChip(numPEs, sharedCacheBytes, g, plans, nil, cfg.NewPE)
 	if err != nil {
@@ -33,7 +33,7 @@ func mustChip(tb testing.TB, cfg Config, numPEs int, sharedCacheBytes int64, g *
 }
 
 // mustRun simulates a chip to completion, failing the test on error.
-func mustRun(tb testing.TB, c *accel.Chip[*PE]) accel.Result {
+func mustRun(tb testing.TB, c *accel.Chip) accel.Result {
 	tb.Helper()
 	res, err := c.Run(context.Background(), 0, nil)
 	if err != nil {
@@ -122,34 +122,29 @@ func TestFlexNewChipRejectsNonPositivePEs(t *testing.T) {
 	}
 }
 
-// TestFlexStepsAndCurrentRoot pins what the release markers must not
-// change: every Step that returns true is one root fetch or one task, and
-// CurrentRoot names the tree being mined until its last task is done,
-// then reports no root between trees.
-func TestFlexStepsAndCurrentRoot(t *testing.T) {
+// TestFlexStepsAndRoot pins what the frame walk with groups of one must
+// keep: every Step that returns true is one task, trees do not
+// interleave, and Root names the tree being mined — every embedding of
+// root v's tree is found while Root is v.
+func TestFlexStepsAndRoot(t *testing.T) {
 	g := gen.PowerLawCluster(120, 5, 0.5, 23)
 	for _, name := range []string{"tt", "4cl"} {
-		pe := DefaultConfig().NewPE(0, g, compiled(t, name), accel.NewRootScheduler(g.NumVertices()), fixedPort{})
+		pls := compiled(t, name)
+		pe := newPE(DefaultConfig(), g, pls, accel.NewRootScheduler(g.NumVertices()))
+		found := make([]uint64, g.NumVertices())
 		var steps int64
-		for v := 0; v < g.NumVertices(); v++ {
-			for first := true; first || len(pe.stack) > 0; first = false {
-				if !pe.Step() {
-					t.Fatalf("%s: PE stopped before root %d", name, v)
-				}
-				steps++
-				if r, ok := pe.CurrentRoot(); len(pe.stack) > 0 && (!ok || r != uint32(v)) {
-					t.Fatalf("%s: CurrentRoot = %d, %v while mining root %d", name, r, ok, v)
-				}
-			}
-			if _, ok := pe.CurrentRoot(); ok {
-				t.Fatalf("%s: CurrentRoot reports a root after tree %d is done", name, v)
-			}
+		for prev := uint64(0); pe.Step(); prev = pe.Found {
+			steps++
+			found[pe.Root] += pe.Found - prev
 		}
-		if pe.Step() {
-			t.Fatalf("%s: PE still stepping after the last root", name)
+		if steps != pe.Tasks {
+			t.Errorf("%s: %d steps, want one per task = %d", name, steps, pe.Tasks)
 		}
-		if want := int64(g.NumVertices()) + pe.Tasks(); steps != want {
-			t.Errorf("%s: %d steps, want one per root plus one per task = %d", name, steps, want)
+		e := mine.NewEngine(g, pls[0])
+		for v := range found {
+			if want := e.CountFromRoot(uint32(v)); found[v] != want {
+				t.Fatalf("%s: %d embeddings found while mining root %d, want %d", name, found[v], v, want)
+			}
 		}
 	}
 }

@@ -88,22 +88,21 @@ func runSharded(ctx context.Context, arch Arch, g *Graph, plans []*Plan, cfg sim
 		}
 	}
 
-	chips := make([]simChip, shards)
-	var fiChips []*accel.Chip[*fingerspe.PE]
+	var newPE func(accel.PEState) accel.PE
+	switch arch {
+	case ArchFingers:
+		newPE = cfg.fiCfg.NewPE
+	case ArchFlexMiner, ArchSISA:
+		fmCfg := flexminer.DefaultConfig()
+		fmCfg.SetCentric = arch == ArchSISA
+		newPE = fmCfg.NewPE
+	default:
+		return rep, fmt.Errorf("fingers: Simulate: unknown architecture %d", int(arch))
+	}
+	chips := make([]*accel.Chip, shards)
 	for s := range chips {
 		var cerr error
-		switch arch {
-		case ArchFingers:
-			var c *accel.Chip[*fingerspe.PE]
-			c, cerr = accel.NewChip(shares[s], cfg.cacheBytes, g, plans, scheds[s], cfg.fiCfg.NewPE)
-			fiChips, chips[s] = append(fiChips, c), c
-		case ArchFlexMiner, ArchSISA:
-			fmCfg := flexminer.DefaultConfig()
-			fmCfg.SetCentric = arch == ArchSISA
-			chips[s], cerr = accel.NewChip(shares[s], cfg.cacheBytes, g, plans, scheds[s], fmCfg.NewPE)
-		default:
-			return rep, fmt.Errorf("fingers: Simulate: unknown architecture %d", int(arch))
-		}
+		chips[s], cerr = accel.NewChip(shares[s], cfg.cacheBytes, g, plans, scheds[s], newPE)
 		if cerr != nil {
 			return rep, fmt.Errorf("fingers: Simulate: %w", cerr)
 		}
@@ -184,7 +183,7 @@ func runSharded(ctx context.Context, arch Arch, g *Graph, plans []*Plan, cfg sim
 		wg.Wait()
 	}
 
-	rep = mergeShardReports(cfg, chips, fiChips, shares, results, errs)
+	rep = mergeShardReports(cfg, chips, shares, results, errs)
 	if shards > 1 {
 		rep.ShardWallNS = walls
 	}
@@ -200,7 +199,7 @@ func runSharded(ctx context.Context, arch Arch, g *Graph, plans []*Plan, cfg sim
 // makespan is the fleet horizon (max over shards); per-PE records are
 // renamed into the global PE id space with Idle extended to the global
 // horizon, keeping the breakdown-sums-to-makespan invariant.
-func mergeShardReports(cfg simConfig, chips []simChip, fiChips []*accel.Chip[*fingerspe.PE], shares []int, results []SimResult, errs []error) SimReport {
+func mergeShardReports(cfg simConfig, chips []*accel.Chip, shares []int, results []SimResult, errs []error) SimReport {
 	rep := SimReport{Shards: len(chips)}
 	for _, r := range results {
 		if r.Cycles > rep.Result.Cycles {
@@ -240,8 +239,12 @@ func mergeShardReports(cfg simConfig, chips []simChip, fiChips []*accel.Chip[*fi
 		}
 	}
 	if cfg.stats {
-		for _, c := range fiChips {
-			rep.IU.Add(fingerspe.AggregateStats(c.PEs))
+		for _, c := range chips {
+			for _, pe := range c.PEs {
+				if fi, ok := pe.(*fingerspe.PE); ok {
+					rep.IU.Add(fi.Stats())
+				}
+			}
 		}
 	}
 	return rep

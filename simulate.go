@@ -9,7 +9,6 @@ import (
 	fingerspe "fingers/internal/fingers"
 	"fingers/internal/mine"
 	"fingers/internal/simerr"
-	"fingers/internal/telemetry"
 )
 
 // Arch selects which accelerator timing model Simulate runs.
@@ -149,16 +148,6 @@ type SimReport struct {
 	// nanoseconds, in shard order; nil on unsharded runs. The spread is
 	// the sharded mode's load-balance signal.
 	ShardWallNS []int64
-}
-
-// simChip is the chip surface Simulate drives: accel.Chip over any PE
-// model.
-type simChip interface {
-	SetTracer(telemetry.Tracer)
-	Run(context.Context, int64, func(accel.Progress)) (accel.Result, error)
-	PERecords() []telemetry.PERecord
-	RootsTotal() int
-	RootsDispatched() int
 }
 
 // Simulate runs one accelerator timing model over the graph and plans
