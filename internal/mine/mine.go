@@ -110,33 +110,6 @@ func countCtx(ctx context.Context, g *graph.Graph, pl *plan.Plan, workers int, a
 	if int64(workers) > n {
 		workers = int(n)
 	}
-	if workers == 1 {
-		// Serial fast path: no scheduler, but still cancellable and
-		// panic-safe. total accumulates outside the closure so the roots
-		// mined before a failure are not lost.
-		c := newCounter(g, pl, adj)
-		var total uint64
-		err := func() (err error) {
-			cur := int64(simerr.NoRoot)
-			defer func() {
-				if r := recover(); r != nil {
-					err = simerr.FromPanic("miner", 0, 0, cur, r)
-				}
-			}()
-			for v := int64(0); v < n; v++ {
-				if v%maxRootChunk == 0 {
-					if cerr := ctx.Err(); cerr != nil {
-						return simerr.Cancelled("miner", 0, cerr)
-					}
-				}
-				cur = v
-				total += c.Root(uint32(v))
-			}
-			return nil
-		}()
-		return total, err
-	}
-
 	chunk := n / int64(workers*chunksPerWorker)
 	if chunk < 1 {
 		chunk = 1
@@ -252,7 +225,7 @@ func CountMulti(g *graph.Graph, mp *plan.MultiPlan) []uint64 {
 
 // CountMultiCtx is CountMulti with cancellation and panic recovery,
 // parallelized over root vertices within each pattern (workers ≤ 0 uses
-// GOMAXPROCS, 1 reproduces CountMulti's serial order). On a failure it
+// GOMAXPROCS; CountMulti runs one). On a failure it
 // returns the counts completed so far — later patterns hold their
 // partial counts — alongside the *simerr.SimError from CountCtx.
 func CountMultiCtx(ctx context.Context, g *graph.Graph, mp *plan.MultiPlan, workers int) ([]uint64, error) {
