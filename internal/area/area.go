@@ -44,8 +44,6 @@ const (
 	// ComputePowerMW and CachePowerMW are one PE's power split.
 	ComputePowerMW = 98.5
 	CachePowerMW   = 85.6
-	// FrequencyGHz is the synthesized PE clock at 28 nm.
-	FrequencyGHz = 1.0
 	// FlexMinerChipPEs is the baseline chip configuration compared
 	// against (its largest in the original paper).
 	FlexMinerChipPEs = 40

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"fingers/internal/graph/gen"
+	"fingers/internal/mem"
 	"fingers/internal/telemetry"
 )
 
@@ -112,13 +113,47 @@ func TestChromeTraceHasEventsPerPE(t *testing.T) {
 	}
 }
 
-// TestMultiTracerFansOut checks Multi delivers every event to all sinks.
+// multi fans every event out to several tracers.
+type multi []telemetry.Tracer
+
+func (m multi) TaskGroupBegin(pe, engine int, at mem.Cycles, size int) {
+	for _, t := range m {
+		t.TaskGroupBegin(pe, engine, at, size)
+	}
+}
+
+func (m multi) TaskGroupEnd(pe int, at mem.Cycles) {
+	for _, t := range m {
+		t.TaskGroupEnd(pe, at)
+	}
+}
+
+func (m multi) SetOpIssue(pe int, at mem.Cycles, kind string, longLen, shortLen, workloads int) {
+	for _, t := range m {
+		t.SetOpIssue(pe, at, kind, longLen, shortLen, workloads)
+	}
+}
+
+func (m multi) CacheAccess(pe int, at mem.Cycles, bytes, lines, misses int64, done mem.Cycles) {
+	for _, t := range m {
+		t.CacheAccess(pe, at, bytes, lines, misses, done)
+	}
+}
+
+func (m multi) DRAMBurst(start, done mem.Cycles, addr, bytes int64) {
+	for _, t := range m {
+		t.DRAMBurst(start, done, addr, bytes)
+	}
+}
+
+// TestMultiTracerFansOut checks that a chip run delivers the same event
+// stream to every tracer a fan-out tracer holds.
 func TestMultiTracerFansOut(t *testing.T) {
 	g := gen.PowerLawCluster(200, 4, 0.5, 29)
 	pls := plansFor(t, "tc")
 	var a, b telemetry.Counting
 	chip := mustChip(t, DefaultConfig(), 2, 0, g, pls)
-	chip.SetTracer(telemetry.Multi{&a, &b})
+	chip.SetTracer(multi{&a, &b})
 	mustRun(t, chip)
 	if a == (telemetry.Counting{}) || a != b {
 		t.Errorf("fan-out mismatch: a=%+v b=%+v", a, b)

@@ -136,13 +136,6 @@ type KernelStats struct {
 	Marks, Decode                                    uint64
 }
 
-// Total returns the number of dispatched operations (marking a set or
-// decoding a result is not one).
-func (s KernelStats) Total() uint64 {
-	return s.Merge + s.Gallop + s.Bits + s.Probe + s.Subset + s.Word + s.Derive +
-		s.CountGallop + s.CountBits + s.CountProbe + s.CountWord
-}
-
 // NewCounter returns a reusable adaptive miner for the plan on g, using
 // the dense rows of the graph's cached hybrid view (so parallel workers
 // never duplicate them) and the CSR arrays for every other list.
@@ -189,9 +182,6 @@ func newCounter(g *graph.Graph, pl *plan.Plan, adj *graph.HybridAdj) *Counter {
 	}
 	return c
 }
-
-// Stats returns the kernel-dispatch counters accumulated so far.
-func (c *Counter) Stats() KernelStats { return c.stats }
 
 // Root mines the search tree rooted at v0 and returns its embedding
 // count. After buffer warm-up it performs no heap allocation.

@@ -13,6 +13,16 @@ import (
 	"fingers/internal/simerr"
 )
 
+// Stats returns the kernel-dispatch counters accumulated so far.
+func (c *Counter) Stats() KernelStats { return c.stats }
+
+// Total returns the number of dispatched operations (marking a set or
+// decoding a result is not one).
+func (s KernelStats) Total() uint64 {
+	return s.Merge + s.Gallop + s.Bits + s.Probe + s.Subset + s.Word + s.Derive +
+		s.CountGallop + s.CountBits + s.CountProbe + s.CountWord
+}
+
 // sampleRoots picks a bounded root sample that still exercises every
 // kernel class: a stride through the whole ID range (whose subtrees
 // touch hub vertices as candidates) plus a few heavier-than-average

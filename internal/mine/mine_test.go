@@ -217,7 +217,7 @@ func TestCountMulti3Motif(t *testing.T) {
 	counts := CountMulti(gen.Complete(4), mp)
 	var tri, wedge uint64
 	for i, pl := range mp.Plans {
-		if pl.Pattern.NumEdges() == 3 {
+		if len(pl.Pattern.Edges()) == 3 {
 			tri = counts[i]
 		} else {
 			wedge = counts[i]
@@ -228,7 +228,7 @@ func TestCountMulti3Motif(t *testing.T) {
 	}
 	counts = CountMulti(gen.Path(3), mp)
 	for i, pl := range mp.Plans {
-		if pl.Pattern.NumEdges() == 3 {
+		if len(pl.Pattern.Edges()) == 3 {
 			tri = counts[i]
 		} else {
 			wedge = counts[i]

@@ -77,15 +77,6 @@ func (p Pattern) Degree(i int) int {
 	return d
 }
 
-// NumEdges returns the pattern's edge count.
-func (p Pattern) NumEdges() int {
-	total := 0
-	for i := 0; i < p.n; i++ {
-		total += p.Degree(i)
-	}
-	return total / 2
-}
-
 // Edges returns all edges with i < j in sorted order.
 func (p Pattern) Edges() [][2]int {
 	var out [][2]int
@@ -94,17 +85,6 @@ func (p Pattern) Edges() [][2]int {
 			if p.HasEdge(i, j) {
 				out = append(out, [2]int{i, j})
 			}
-		}
-	}
-	return out
-}
-
-// Neighbors returns the sorted neighbor indices of vertex i.
-func (p Pattern) Neighbors(i int) []int {
-	var out []int
-	for j := 0; j < p.n; j++ {
-		if p.HasEdge(i, j) {
-			out = append(out, j)
 		}
 	}
 	return out

@@ -48,11 +48,11 @@ func (e *AdmissionError) Error() string {
 // Unwrap exposes the sentinel to errors.Is.
 func (e *AdmissionError) Unwrap() error { return e.Err }
 
-// Priority levels a JobSpec may carry. The empty string means normal.
+// Priority levels a JobSpec may carry besides normal, which the empty
+// string and "normal" both mean.
 const (
-	PriorityLow    = "low"
-	PriorityNormal = "normal"
-	PriorityHigh   = "high"
+	PriorityLow  = "low"
+	PriorityHigh = "high"
 )
 
 // priorityRank orders priorities: -1 low, 0 normal, 1 high.

@@ -202,13 +202,6 @@ func (j *Job) Status() JobStatus {
 	return st
 }
 
-// State returns the job's current lifecycle phase.
-func (j *Job) State() State {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state
-}
-
 func rfc3339(t time.Time) string {
 	if t.IsZero() {
 		return ""

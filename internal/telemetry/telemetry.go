@@ -88,44 +88,6 @@ type Tracer interface {
 	DRAMBurst(start, done mem.Cycles, addr, bytes int64)
 }
 
-// Multi fans every event out to several tracers.
-type Multi []Tracer
-
-// TaskGroupBegin implements Tracer.
-func (m Multi) TaskGroupBegin(pe, engine int, at mem.Cycles, size int) {
-	for _, t := range m {
-		t.TaskGroupBegin(pe, engine, at, size)
-	}
-}
-
-// TaskGroupEnd implements Tracer.
-func (m Multi) TaskGroupEnd(pe int, at mem.Cycles) {
-	for _, t := range m {
-		t.TaskGroupEnd(pe, at)
-	}
-}
-
-// SetOpIssue implements Tracer.
-func (m Multi) SetOpIssue(pe int, at mem.Cycles, kind string, longLen, shortLen, workloads int) {
-	for _, t := range m {
-		t.SetOpIssue(pe, at, kind, longLen, shortLen, workloads)
-	}
-}
-
-// CacheAccess implements Tracer.
-func (m Multi) CacheAccess(pe int, at mem.Cycles, bytes, lines, misses int64, done mem.Cycles) {
-	for _, t := range m {
-		t.CacheAccess(pe, at, bytes, lines, misses, done)
-	}
-}
-
-// DRAMBurst implements Tracer.
-func (m Multi) DRAMBurst(start, done mem.Cycles, addr, bytes int64) {
-	for _, t := range m {
-		t.DRAMBurst(start, done, addr, bytes)
-	}
-}
-
 // Counting is a Tracer that only counts events — the cheapest possible
 // sink, used by tests and overhead benchmarks.
 type Counting struct {
