@@ -29,9 +29,10 @@ type Chip struct {
 // sharedCacheBytes = 0 keeps the paper's 4 MB default, and newPE builds
 // each PE around the state the chip made for it (each PE model's
 // Config.NewPE method value is one). A nil sched hands out every root
-// in ID order; a custom one serves root-ordering studies (§6.3) and the root slices of a
-// sharded run. A non-positive PE count, a nil graph, an empty plan list,
-// or a nil or invalid plan (plan.Validate) is reported as an error.
+// in ID order; a custom one serves root-ordering studies (§6.3) and the
+// root slices of a sharded run. A non-positive PE count, a nil graph, an
+// empty plan list, or a nil or invalid plan (plan.Validate) is reported
+// as an error.
 func NewChip(numPEs int, sharedCacheBytes int64, g *graph.Graph, plans []*plan.Plan, sched *RootScheduler, newPE func(PEState) PE) (*Chip, error) {
 	if numPEs < 1 {
 		return nil, fmt.Errorf("accel: NewChip: number of PEs must be >= 1, got %d", numPEs)

@@ -14,7 +14,9 @@
 // The model is functional plus transaction-level timing: embedding counts
 // are exact (the same Engine as the software miner), and cycles are
 // charged from the segment pipeline geometry, the IU list schedule, and
-// the shared memory system.
+// the shared memory system. A PE embeds accel.PEState, the clock,
+// counters and search-tree frame stack it shares with the FlexMiner
+// model, and adds the task-group sizing and IU charging.
 package fingers
 
 import "fingers/internal/mem"

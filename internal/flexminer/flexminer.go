@@ -7,6 +7,10 @@
 // list too large for the PE-private cache is refetched for every set
 // operation that consumes it (§3.3, Figure 3).
 //
+// A PE walks the frame stack of accel.PEState, which the FINGERS model
+// shares, in task groups of one: strict DFS is pseudo-DFS with single-task
+// groups (§4.1).
+//
 // As in the paper's own reimplementation, the c-map module is omitted:
 // candidate sets are cached in the PE private cache instead (§5).
 package flexminer
