@@ -42,6 +42,15 @@ var testOnlyExports = map[string]string{
 	"trend.ParseSummary":       "the fingerstat golden tests parse the trend JSON back",
 }
 
+// writeOnlyFields are the struct fields that non-test code writes and
+// only tests read, kept on purpose. A pkg.Type key covers every field of
+// the type.
+var writeOnlyFields = map[string]string{
+	"mine.KernelStats":           "the kernel-engagement tests can see the Counter's dispatch only through these counters",
+	"setops.Pairing.SearchSteps": "part of the reference model TestChargeOpMatchesBalance compares chargeOp against",
+	"simerr.SimError.Stack":      "a panic's stack, captured for failure diagnostics that do not read it yet",
+}
+
 // goPackage is one package as `go list` reports it.
 type goPackage struct {
 	path, dir, export string
@@ -103,6 +112,16 @@ func newModuleChecker(pkgs map[string]goPackage) *moduleChecker {
 	return m
 }
 
+// newInfo returns the type-checker records the checks read.
+func newInfo() *types.Info {
+	return &types.Info{
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+}
+
 func (m *moduleChecker) Import(path string) (*types.Package, error) {
 	if p, ok := m.done[path]; ok {
 		return p, nil
@@ -119,13 +138,26 @@ func (m *moduleChecker) Import(path string) (*types.Package, error) {
 		}
 		files = append(files, f)
 	}
-	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	info := newInfo()
 	pkg, err := (&types.Config{Importer: m}).Check(path, m.fset, files, info)
 	if err != nil {
 		return nil, err
 	}
 	m.done[path], m.files[path], m.info[path] = pkg, files, info
 	return pkg, nil
+}
+
+// pkgKey names a package in declaration keys: its import path, with
+// internal/ packages shortened to the path below internal/.
+func pkgKey(p *types.Package) string {
+	return strings.TrimPrefix(p.Path(), "fingers/internal/")
+}
+
+// checked reports whether the declarations of the module package at
+// path are checked: the main module's are, bench/'s are not (bench/
+// only uses).
+func checked(path string) bool {
+	return !strings.HasPrefix(path+"/", "fingers/bench/")
 }
 
 // declKey names a package-level object or method as pkg.Name or
@@ -146,7 +178,7 @@ func declKey(obj types.Object) string {
 			if !ok {
 				return ""
 			}
-			return obj.Pkg().Name() + "." + n.Origin().Obj().Name() + "." + obj.Name()
+			return pkgKey(obj.Pkg()) + "." + n.Origin().Obj().Name() + "." + obj.Name()
 		}
 	case *types.Var:
 		if o.IsField() {
@@ -156,20 +188,12 @@ func declKey(obj types.Object) string {
 	if obj.Parent() != obj.Pkg().Scope() {
 		return ""
 	}
-	return obj.Pkg().Name() + "." + obj.Name()
+	return pkgKey(obj.Pkg()) + "." + obj.Name()
 }
 
-// TestNoTestOnlyExports fails on any exported function, method, type,
-// const or var declared under internal/ that no non-test .go file of the
-// repo (bench/, cmd/ and examples/ included) uses outside its own
-// declaration and other such declarations. Such code is reached only by
-// tests: delete it with its tests, or move it into the _test.go file of
-// the package that uses it. Uses are resolved with go/types, so a name
-// shared with another identifier does not count; a method called through
-// one of the module's interfaces is used when a type whose method set
-// holds it implements that interface.
-func TestNoTestOnlyExports(t *testing.T) {
-	start := time.Now()
+// loadModule type-checks every package of the module and of bench/ and
+// returns their import paths, sorted.
+func loadModule(t *testing.T) (*moduleChecker, []string) {
 	pkgs := map[string]goPackage{}
 	listPackages(t, ".", pkgs)
 	listPackages(t, "bench", pkgs)
@@ -186,11 +210,40 @@ func TestNoTestOnlyExports(t *testing.T) {
 			t.Fatalf("type-check %s: %v", path, err)
 		}
 	}
+	return m, paths
+}
 
+// TestNoTestOnlyExports fails on code that only tests reach. Uses are
+// resolved with go/types over every non-test .go file of the repo
+// (bench/, cmd/ and examples/ included), so a name shared with another
+// identifier does not count. It checks three kinds of dead code:
+//   - an exported function, method, type, const or var declared under
+//     internal/ that nothing uses outside its own declaration and other
+//     such dead declarations; a method called through one of the
+//     module's interfaces is used when a type whose method set holds it
+//     implements that interface;
+//   - an unexported package-level declaration or method of the main
+//     module that nothing uses in the same way;
+//   - a struct field of the main module that code writes but never
+//     reads (see fieldUses).
+//
+// Delete such code with its tests, or move it into the _test.go file of
+// the package that uses it.
+func TestNoTestOnlyExports(t *testing.T) {
+	start := time.Now()
+	m, paths := loadModule(t)
+	checkDeadDecls(t, m, paths)
+	checkWriteOnlyFields(t, m, paths)
+	t.Logf("type-checked and walked %d packages in %v", len(paths), time.Since(start).Round(time.Millisecond))
+}
+
+// checkDeadDecls reports the exported internal/ declarations and the
+// unexported declarations of the main module that no live code uses.
+func checkDeadDecls(t *testing.T, m *moduleChecker, paths []string) {
 	type decl struct{ key, pos string }
 	var decls []decl
-	// refs maps a declaration's key to the exported internal/
-	// declarations whose bodies use it; "" stands for any other code.
+	// refs maps a declaration's key to the declarations whose bodies use
+	// it; "" stands for code outside any package-level declaration.
 	refs := map[string][]string{}
 	// ifaceUses holds the interface methods called anywhere, each with
 	// the declarations the calls sit in.
@@ -209,12 +262,18 @@ func TestNoTestOnlyExports(t *testing.T) {
 		}
 		internal := strings.HasPrefix(path, "fingers/internal/")
 		info := m.info[path]
+		// candidate reports whether the declaration of obj is checked.
+		candidate := func(obj types.Object) bool {
+			if obj.Exported() {
+				return internal
+			}
+			return checked(path) && obj.Name() != "main"
+		}
 		// walk records the uses in n, made by the declaration of id.
 		walk := func(n ast.Node, id *ast.Ident) {
-			owner := ""
-			if key := declKey(info.Defs[id]); internal && id.IsExported() && key != "" {
-				owner = key
-				decls = append(decls, decl{key, m.fset.Position(id.Pos()).String()})
+			owner := declKey(info.Defs[id])
+			if owner != "" && candidate(info.Defs[id]) {
+				decls = append(decls, decl{owner, m.fset.Position(id.Pos()).String()})
 			}
 			ast.Inspect(n, func(n ast.Node) bool {
 				id, ok := n.(*ast.Ident)
@@ -319,5 +378,237 @@ func TestNoTestOnlyExports(t *testing.T) {
 			t.Errorf("testOnlyExports lists %s, which is no longer declared", key)
 		}
 	}
-	t.Logf("type-checked %d packages in %v", len(paths), time.Since(start).Round(time.Millisecond))
+}
+
+// fieldDecl is a named, untagged struct field.
+type fieldDecl struct {
+	v        *types.Var
+	typ, key string // pkg.Type and pkg.Type.Field
+	pos      token.Pos
+}
+
+// structFields returns the named, untagged fields of the struct types in
+// files. A field's type is the package-level declaration its struct
+// sits in: the type, or the func or var of a struct declared inline.
+func structFields(pkg string, files []*ast.File, info *types.Info) []fieldDecl {
+	var out []fieldDecl
+	add := func(n ast.Node, typ string) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			if st, ok := n.(*ast.StructType); ok {
+				for _, f := range st.Fields.List {
+					if f.Tag != nil {
+						continue
+					}
+					for _, id := range f.Names { // an embedded field has none
+						out = append(out, fieldDecl{info.Defs[id].(*types.Var), typ, typ + "." + id.Name, id.Pos()})
+					}
+				}
+			}
+			return true
+		})
+	}
+	for _, f := range files {
+		for _, dcl := range f.Decls {
+			switch d := dcl.(type) {
+			case *ast.FuncDecl:
+				add(d, pkg+"."+d.Name.Name)
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						add(s, pkg+"."+s.Name.Name)
+					case *ast.ValueSpec:
+						add(s, pkg+"."+s.Names[0].Name)
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// fieldUses records which struct fields code writes and which it reads.
+// A field is written by an assignment, op-assignment or ++/-- to it, by
+// a composite-literal key, and when a selector or array index on an
+// assignment's left side reaches into it by value: x.s.f = 1 writes s
+// when s is a struct, and x.arr[0].f = 1 writes arr when arr is an
+// array. Every other use reads it, including &x.f and x.p.f = 1 for a
+// pointer p.
+type fieldUses struct {
+	info          *types.Info // of the package being inspected
+	written, read map[*types.Var]bool
+}
+
+func newFieldUses() *fieldUses {
+	return &fieldUses{written: map[*types.Var]bool{}, read: map[*types.Var]bool{}}
+}
+
+// field returns the field x selects, or nil.
+func (u *fieldUses) field(x *ast.SelectorExpr) (*types.Var, *types.Selection) {
+	sel := u.info.Selections[x]
+	if sel == nil || sel.Kind() != types.FieldVal {
+		return nil, nil
+	}
+	return sel.Obj().(*types.Var).Origin(), sel
+}
+
+// inspect records the field uses in n.
+func (u *fieldUses) inspect(n ast.Node) {
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, e := range n.Lhs {
+				u.assign(e)
+			}
+			for _, e := range n.Rhs {
+				u.inspect(e)
+			}
+			return false
+		case *ast.IncDecStmt:
+			u.assign(n.X)
+			return false
+		case *ast.KeyValueExpr:
+			if id, ok := n.Key.(*ast.Ident); ok {
+				if v, ok := u.info.Uses[id].(*types.Var); ok && v.IsField() {
+					u.written[v.Origin()] = true
+					u.inspect(n.Value)
+					return false
+				}
+			}
+		case *ast.SelectorExpr:
+			if v, _ := u.field(n); v != nil {
+				u.read[v] = true
+			}
+		}
+		return true
+	})
+}
+
+// assign records the field uses of an assignment to e.
+func (u *fieldUses) assign(e ast.Expr) {
+	switch x := ast.Unparen(e).(type) {
+	case *ast.SelectorExpr:
+		if v, sel := u.field(x); v != nil {
+			u.written[v] = true
+			if sel.Indirect() {
+				u.inspect(x.X)
+			} else {
+				u.assign(x.X)
+			}
+			return
+		}
+	case *ast.IndexExpr:
+		if _, ok := u.info.TypeOf(x.X).Underlying().(*types.Array); ok {
+			u.assign(x.X)
+			u.inspect(x.Index)
+			return
+		}
+	}
+	u.inspect(e)
+}
+
+// checkWriteOnlyFields reports the fields of the main module that code
+// writes but never reads. It skips embedded and tagged fields (reflection
+// encodes the latter) and the fields of types in testOnlyExports.
+func checkWriteOnlyFields(t *testing.T, m *moduleChecker, paths []string) {
+	var fields []fieldDecl
+	u := newFieldUses()
+	for _, path := range paths {
+		u.info = m.info[path]
+		for _, f := range m.files[path] {
+			u.inspect(f)
+		}
+		if checked(path) {
+			fields = append(fields, structFields(pkgKey(m.done[path]), m.files[path], u.info)...)
+		}
+	}
+	var report []string
+	for _, f := range fields {
+		if _, kept := testOnlyExports[f.typ]; kept || !u.written[f.v] || u.read[f.v] {
+			continue
+		}
+		_, byField := writeOnlyFields[f.key]
+		_, byType := writeOnlyFields[f.typ]
+		if !byField && !byType {
+			report = append(report, m.fset.Position(f.pos).String()+": "+f.key)
+		}
+	}
+	sort.Strings(report)
+	for _, r := range report {
+		t.Errorf("%s is written but never read outside _test.go files", r)
+	}
+	for key := range writeOnlyFields {
+		declared := false
+		for _, f := range fields {
+			if f.key != key && f.typ != key {
+				continue
+			}
+			declared = true
+			if !u.written[f.v] || u.read[f.v] {
+				t.Errorf("writeOnlyFields lists %s, but non-test code reads %s or never writes it", key, f.key)
+			}
+		}
+		if !declared {
+			t.Errorf("writeOnlyFields lists %s, which is no longer declared", key)
+		}
+	}
+}
+
+// TestFieldUses pins the write/read classification of the write-only
+// field check on a small package.
+func TestFieldUses(t *testing.T) {
+	const src = `package p
+
+type S struct{ f int }
+
+type T struct {
+	f   int
+	arr [2]S
+	p   *S
+}
+
+func use(x T) {
+	%s
+}
+`
+	cases := []struct {
+		stmt          string
+		written, read []string
+	}{
+		{"x.f = 1", []string{"T.f"}, nil},
+		{"x.f += 1", []string{"T.f"}, nil},
+		{"x.f++", []string{"T.f"}, nil},
+		{"_ = T{f: 1}", []string{"T.f"}, nil},
+		{"x.arr[0].f = 1", []string{"S.f", "T.arr"}, nil},
+		{"_ = &x.f", nil, []string{"T.f"}},
+		{"y := x.f; _ = y", nil, []string{"T.f"}},
+		{"x.p.f = 1", []string{"S.f"}, []string{"T.p"}},
+	}
+	for _, c := range cases {
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, "p.go", fmt.Sprintf(src, c.stmt), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info := newInfo()
+		if _, err := new(types.Config).Check("p", fset, []*ast.File{f}, info); err != nil {
+			t.Fatalf("%s: %v", c.stmt, err)
+		}
+		u := newFieldUses()
+		u.info = info
+		u.inspect(f)
+		var written, read []string
+		for _, fd := range structFields("p", []*ast.File{f}, info) {
+			name := strings.TrimPrefix(fd.key, "p.")
+			if u.written[fd.v] {
+				written = append(written, name)
+			}
+			if u.read[fd.v] {
+				read = append(read, name)
+			}
+		}
+		if fmt.Sprint(written) != fmt.Sprint(c.written) || fmt.Sprint(read) != fmt.Sprint(c.read) {
+			t.Errorf("%s: written %v read %v, want written %v read %v", c.stmt, written, read, c.written, c.read)
+		}
+	}
 }

@@ -86,7 +86,8 @@ type Pattern = pattern.Pattern
 // and symmetry-breaking restrictions.
 type Plan = plan.Plan
 
-// MultiPlan mines several patterns in one traversal with a shared prefix.
+// MultiPlan mines several patterns together, one trunk per plan from
+// each root.
 type MultiPlan = plan.MultiPlan
 
 // PlanOptions configures plan compilation.
@@ -164,8 +165,10 @@ func CompilePlan(p Pattern, opts PlanOptions) (*Plan, error) { return plan.Compi
 // pattern on k vertices).
 func CompileMotif(k int, opts PlanOptions) (*MultiPlan, error) { return plan.Motif(k, opts) }
 
-// Count mines the plan on g with the software reference miner and returns
-// the number of embeddings (each automorphism class counted once).
+// Count mines the plan on g with the adaptive software miner
+// (mine.Counter) and returns the number of embeddings (each automorphism
+// class counted once). The result is bit-identical to the reference
+// miner, mine.CountOracle.
 func Count(g *Graph, pl *Plan) uint64 { return mine.Count(g, pl) }
 
 // CountParallel is Count parallelized over root vertices; workers ≤ 0

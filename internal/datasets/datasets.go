@@ -58,8 +58,6 @@ type Dataset struct {
 	FullName string
 	// Paper is the original's published statistics.
 	Paper PaperStats
-	// Regime summarizes why this analogue matches the original's role.
-	Regime string
 	// Build generates the analogue graph.
 	Build func() *graph.Graph
 
@@ -74,59 +72,60 @@ func (d *Dataset) Graph() *graph.Graph {
 	return d.g
 }
 
-// registry lists the analogues in the paper's Table 1 order.
+// registry lists the analogues in the paper's Table 1 order. The comment
+// on each entry names the regime that makes it the original's analogue.
 var registry = []*Dataset{
+	// As: small collaboration graph, fits on chip, high clustering.
 	{
 		Name:     "As",
 		FullName: "AstroPh",
 		Paper:    PaperStats{Vertices: 18_800, Edges: 198_000, AvgDegree: 21.1, MaxDegree: 504},
-		Regime:   "small collaboration graph, fits on chip, high clustering",
 		Build: func() *graph.Graph {
 			return gen.PowerLawCluster(3000, 10, 0.50, 101)
 		},
 	},
+	// Mi: small co-authorship graph, fits on chip, clique-rich.
 	{
 		Name:     "Mi",
 		FullName: "Mico",
 		Paper:    PaperStats{Vertices: 80_000, Edges: 432_000, AvgDegree: 10.8, MaxDegree: 936},
-		Regime:   "small co-authorship graph, fits on chip, clique-rich",
 		Build: func() *graph.Graph {
 			base := gen.PowerLawCluster(6000, 4, 0.85, 102)
 			return gen.WithPlantedCliques(base, 80, 6, 202)
 		},
 	},
+	// Yo: large graph, lowest average degree, small sets limit parallelism.
 	{
 		Name:     "Yo",
 		FullName: "Youtube",
 		Paper:    PaperStats{Vertices: 1_100_000, Edges: 3_000_000, AvgDegree: 5.3, MaxDegree: 28_754},
-		Regime:   "large graph, lowest average degree, small sets limit parallelism",
 		Build: func() *graph.Graph {
 			return gen.PowerLawCluster(120_000, 2, 0.15, 103)
 		},
 	},
+	// Pa: large graph, low degree skew, much data but limited work.
 	{
 		Name:     "Pa",
 		FullName: "Patents",
 		Paper:    PaperStats{Vertices: 3_800_000, Edges: 16_500_000, AvgDegree: 8.8, MaxDegree: 793},
-		Regime:   "large graph, low degree skew, much data but limited work",
 		Build: func() *graph.Graph {
 			return gen.ErdosRenyi(150_000, 660_000, 104)
 		},
 	},
+	// Lj: large social graph exceeding the shared cache, rich dense structure.
 	{
 		Name:     "Lj",
 		FullName: "LiveJournal",
 		Paper:    PaperStats{Vertices: 4_800_000, Edges: 42_900_000, AvgDegree: 17.7, MaxDegree: 20_333},
-		Regime:   "large social graph exceeding the shared cache, rich dense structure",
 		Build: func() *graph.Graph {
 			return gen.PowerLawCluster(40_000, 9, 0.55, 105)
 		},
 	},
+	// Or: largest and densest, highest degree, fewer dense clusters than Lj.
 	{
 		Name:     "Or",
 		FullName: "Orkut",
 		Paper:    PaperStats{Vertices: 3_100_000, Edges: 117_200_000, AvgDegree: 76.3, MaxDegree: 33_313},
-		Regime:   "largest and densest, highest degree, fewer dense clusters than Lj",
 		Build: func() *graph.Graph {
 			return gen.PowerLawCluster(12_000, 16, 0.35, 106)
 		},

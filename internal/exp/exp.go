@@ -119,11 +119,11 @@ func (o Options) simulate(arch fingers.Arch, experiment string, c gridCell, cfg 
 	return rep
 }
 
-// SpeedupCell is one (graph, pattern) comparison.
+// SpeedupCell is one (graph, pattern) comparison; its grid's Cells map
+// keys it by pattern and graph.
 type SpeedupCell struct {
-	Graph, Pattern string
-	Fingers, Flex  accel.Result
-	Speedup        float64
+	Fingers, Flex accel.Result
+	Speedup       float64
 }
 
 // SpeedupGrid is a patterns × graphs speedup table (Figures 9 and 10).

@@ -30,10 +30,7 @@ func Fig9(opts Options) *SpeedupGrid {
 		c := cells[i]
 		fi := opts.simulate(fingers.ArchFingers, "fig9", c, fingers.DefaultAcceleratorConfig(), 1, opts.cacheBytes()).Result
 		fm := opts.simulate(fingers.ArchFlexMiner, "fig9", c, fingers.DefaultAcceleratorConfig(), 1, opts.cacheBytes()).Result
-		out[i] = SpeedupCell{
-			Graph: c.d.Name, Pattern: c.pattern,
-			Fingers: fi, Flex: fm, Speedup: fi.Speedup(fm),
-		}
+		out[i] = SpeedupCell{Fingers: fi, Flex: fm, Speedup: fi.Speedup(fm)}
 		done[i] = true
 	})
 	fillGrid(grid, cells, out, done)
@@ -53,10 +50,7 @@ func Fig10(opts Options) *SpeedupGrid {
 		c := cells[i]
 		fi := opts.simulate(fingers.ArchFingers, "fig10", c, fingers.DefaultAcceleratorConfig(), fiPEs, opts.cacheBytes()).Result
 		fm := opts.simulate(fingers.ArchFlexMiner, "fig10", c, fingers.DefaultAcceleratorConfig(), fmPEs, opts.cacheBytes()).Result
-		out[i] = SpeedupCell{
-			Graph: c.d.Name, Pattern: c.pattern,
-			Fingers: fi, Flex: fm, Speedup: fi.Speedup(fm),
-		}
+		out[i] = SpeedupCell{Fingers: fi, Flex: fm, Speedup: fi.Speedup(fm)}
 		done[i] = true
 	})
 	fillGrid(grid, cells, out, done)
@@ -96,10 +90,7 @@ func Fig11(opts Options) *SpeedupGrid {
 		c := cells[i]
 		with := opts.simulate(fingers.ArchFingers, "fig11", c, fingers.DefaultAcceleratorConfig(), 1, opts.cacheBytes()).Result
 		without := opts.simulate(fingers.ArchFingers, "fig11-strict-dfs", c, off, 1, opts.cacheBytes()).Result
-		out[i] = SpeedupCell{
-			Graph: c.d.Name, Pattern: c.pattern,
-			Fingers: with, Flex: without, Speedup: with.Speedup(without),
-		}
+		out[i] = SpeedupCell{Fingers: with, Flex: without, Speedup: with.Speedup(without)}
 		done[i] = true
 	})
 	fillGrid(grid, cells, out, done)
@@ -225,10 +216,9 @@ type Fig13Point struct {
 
 // Fig13Curve is one graph × design miss curve.
 type Fig13Curve struct {
-	Graph   string
-	Design  string // "FINGERS" or "FlexMiner"
-	Points  []Fig13Point
-	Pattern string
+	Graph  string
+	Design string // "FINGERS" or "FlexMiner"
+	Points []Fig13Point
 }
 
 // Fig13Result is the shared-cache study of Figure 13.
@@ -257,8 +247,8 @@ func Fig13(opts Options) *Fig13Result {
 	nCaps := len(Fig13PaperCapacitiesMB)
 	for _, gn := range graphNames {
 		res.Curves = append(res.Curves,
-			Fig13Curve{Graph: gn, Design: "FINGERS", Pattern: "cyc", Points: make([]Fig13Point, nCaps)},
-			Fig13Curve{Graph: gn, Design: "FlexMiner", Pattern: "cyc", Points: make([]Fig13Point, nCaps)})
+			Fig13Curve{Graph: gn, Design: "FINGERS", Points: make([]Fig13Point, nCaps)},
+			Fig13Curve{Graph: gn, Design: "FlexMiner", Points: make([]Fig13Point, nCaps)})
 	}
 	opts.runCells(len(graphNames)*nCaps, func(i int) {
 		gn := graphNames[i/nCaps]

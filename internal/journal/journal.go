@@ -399,9 +399,6 @@ type JobState struct {
 	Client  string
 	Err     string
 	Spec    json.RawMessage // newest non-empty spec payload
-	// FirstSeq is the sequence number of the job's first record — the
-	// submission-order key re-enqueueing preserves.
-	FirstSeq int64
 }
 
 // Reduce folds a replayed record stream into per-job final states, in
@@ -413,7 +410,7 @@ func Reduce(recs []Record) []JobState {
 	for _, r := range recs {
 		st, ok := byJob[r.Job]
 		if !ok {
-			st = &JobState{Job: r.Job, FirstSeq: r.Seq}
+			st = &JobState{Job: r.Job}
 			byJob[r.Job] = st
 			order = append(order, r.Job)
 		}

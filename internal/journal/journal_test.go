@@ -344,7 +344,7 @@ func TestReduceAttemptAndSpecCarry(t *testing.T) {
 		t.Fatalf("states %+v", states)
 	}
 	st := states[0]
-	if st.Attempt != 2 || st.Client != "c1" || st.Event != EventStarted || len(st.Spec) == 0 || st.FirstSeq != 1 {
+	if st.Attempt != 2 || st.Client != "c1" || st.Event != EventStarted || len(st.Spec) == 0 {
 		t.Errorf("reduced state %+v", st)
 	}
 }

@@ -30,15 +30,12 @@ type SetOpExec struct {
 	// LongVertex is the graph vertex whose neighbor list is Long, for
 	// memory-traffic accounting.
 	LongVertex uint32
-	// Targets lists the plan levels whose candidate sets this operation
-	// materializes (several when updates are shared).
-	Targets []int
 	// Result is the operation's output, except for the one update of a
 	// task at level K−2 whose result is the leaf level's candidate set:
 	// the engine counts that set inside the leaf window instead of
 	// building it (see Engine.LeafCount), and Result is nil. Kind, Short,
-	// Long, LongVertex and Targets describe the operation as the
-	// hardware performs it either way.
+	// Long and LongVertex describe the operation as the hardware performs
+	// it either way.
 	Result []uint32
 }
 
@@ -47,10 +44,6 @@ type SetOpExec struct {
 // the same engine reuses: consume (or copy) a TaskInfo before issuing the
 // engine's next task.
 type TaskInfo struct {
-	// Level is the tree level the new vertex was added at.
-	Level int
-	// NewVertex is the vertex extending the embedding.
-	NewVertex uint32
 	// Ops are the distinct set operations, in dependency order.
 	Ops []SetOpExec
 	// FetchVertices are the distinct vertices whose neighbor lists the
@@ -234,7 +227,7 @@ func (e *Engine) extend(n *Node, v uint32) (*Node, TaskInfo) {
 	steps := e.sched[level]
 	if e.countedLeaf && level == e.Plan.K()-2 {
 		e.countLeafTask(n, child, &steps[0], nv, v)
-		return child, TaskInfo{Level: level, NewVertex: v, Ops: e.ops, FetchVertices: e.fetch}
+		return child, TaskInfo{Ops: e.ops, FetchVertices: e.fetch}
 	}
 
 	copy(child.sets, n.sets)
@@ -257,7 +250,7 @@ func (e *Engine) extend(n *Node, v uint32) (*Node, TaskInfo) {
 				out := slices.Grow(child.claimBuf(), len(result))
 				out = e.subtractInto(out, result, ancN, anc)
 				child.storeBuf(out)
-				e.addOp(setops.OpSubtract, result, ancN, anc, st.targets, out)
+				e.addOp(setops.OpSubtract, result, ancN, anc, out)
 				result = out
 			}
 		case plan.OpIntersect:
@@ -265,7 +258,7 @@ func (e *Engine) extend(n *Node, v uint32) (*Node, TaskInfo) {
 			out := slices.Grow(child.claimBuf(), min(len(src), len(nv)))
 			out = e.intersectSrcInto(out, src, n.setID[st.src], nv, v)
 			child.storeBuf(out)
-			e.addOp(setops.OpIntersect, src, nv, v, st.targets, out)
+			e.addOp(setops.OpIntersect, src, nv, v, out)
 			result = out
 		case plan.OpSubtract:
 			src := n.sets[st.src]
@@ -278,7 +271,7 @@ func (e *Engine) extend(n *Node, v uint32) (*Node, TaskInfo) {
 				out = e.subtractSrcInto(out, src, n.setID[st.src], nv, v)
 			}
 			child.storeBuf(out)
-			e.addOp(setops.OpSubtract, src, nv, v, st.targets, out)
+			e.addOp(setops.OpSubtract, src, nv, v, out)
 			result = out
 		default:
 			panic(fmt.Sprintf("mine: unexpected op kind %v", st.op))
@@ -289,7 +282,7 @@ func (e *Engine) extend(n *Node, v uint32) (*Node, TaskInfo) {
 			child.setID[t] = id
 		}
 	}
-	return child, TaskInfo{Level: level, NewVertex: v, Ops: e.ops, FetchVertices: e.fetch}
+	return child, TaskInfo{Ops: e.ops, FetchVertices: e.fetch}
 }
 
 // countLeafTask performs a level K−2 task whose one update st yields the
@@ -307,16 +300,16 @@ func (e *Engine) countLeafTask(n, child *Node, st *step, nv []uint32, v uint32) 
 	child.leafCount = countLeafWindow(st.op == plan.OpIntersect, src, a, b, nv, e.adj.DenseRow(v),
 		child.Verts, e.leafAdj, marks, &e.stats)
 	child.counted = true
-	e.addOp(st.op.SetOp(), src, nv, v, st.targets, nil)
+	e.addOp(st.op.SetOp(), src, nv, v, nil)
 }
 
 // addOp appends one executed set operation to the task's Ops. It writes
 // the fields in place: appending a SetOpExec literal builds the whole
 // struct on the stack and copies it.
-func (e *Engine) addOp(kind setops.Op, short, long []uint32, longVertex uint32, targets []int, result []uint32) {
+func (e *Engine) addOp(kind setops.Op, short, long []uint32, longVertex uint32, result []uint32) {
 	e.ops = append(e.ops, SetOpExec{})
 	op := &e.ops[len(e.ops)-1]
-	op.Kind, op.Short, op.Long, op.LongVertex, op.Targets, op.Result = kind, short, long, longVertex, targets, result
+	op.Kind, op.Short, op.Long, op.LongVertex, op.Result = kind, short, long, longVertex, result
 }
 
 // marksFor returns the marks of src, whose set ID is id, marking it now

@@ -65,7 +65,6 @@ func (r *refWalk) groups(n *refNode) []*refGroup {
 
 // extend returns the child of n for vertex v and the task it performed.
 func (r *refWalk) extend(n *refNode, v uint32) (*refNode, TaskInfo) {
-	level := len(n.verts)
 	child := &refNode{
 		verts: append(slices.Clone(n.verts), v),
 		sets:  slices.Clone(n.sets),
@@ -73,7 +72,7 @@ func (r *refWalk) extend(n *refNode, v uint32) (*refNode, TaskInfo) {
 	}
 	groups := r.groups(n)
 	nv := r.g.Neighbors(v)
-	info := TaskInfo{Level: level, NewVertex: v, FetchVertices: []uint32{v}}
+	info := TaskInfo{FetchVertices: []uint32{v}}
 	for _, g := range groups {
 		var result []uint32
 		switch g.op {
@@ -84,17 +83,17 @@ func (r *refWalk) extend(n *refNode, v uint32) (*refNode, TaskInfo) {
 				ancN := r.g.Neighbors(anc)
 				info.FetchVertices = append(info.FetchVertices, anc)
 				out := setops.SubtractInto(nil, result, ancN)
-				info.Ops = append(info.Ops, SetOpExec{Kind: setops.OpSubtract, Short: result, Long: ancN, LongVertex: anc, Targets: g.targets, Result: out})
+				info.Ops = append(info.Ops, SetOpExec{Kind: setops.OpSubtract, Short: result, Long: ancN, LongVertex: anc, Result: out})
 				result = out
 			}
 		case plan.OpIntersect:
 			src := n.sets[g.targets[0]]
 			result = setops.IntersectInto(nil, src, nv)
-			info.Ops = append(info.Ops, SetOpExec{Kind: setops.OpIntersect, Short: src, Long: nv, LongVertex: v, Targets: g.targets, Result: result})
+			info.Ops = append(info.Ops, SetOpExec{Kind: setops.OpIntersect, Short: src, Long: nv, LongVertex: v, Result: result})
 		case plan.OpSubtract:
 			src := n.sets[g.targets[0]]
 			result = setops.SubtractInto(nil, src, nv)
-			info.Ops = append(info.Ops, SetOpExec{Kind: setops.OpSubtract, Short: src, Long: nv, LongVertex: v, Targets: g.targets, Result: result})
+			info.Ops = append(info.Ops, SetOpExec{Kind: setops.OpSubtract, Short: src, Long: nv, LongVertex: v, Result: result})
 		}
 		r.nextID++
 		for _, t := range g.targets {
@@ -162,23 +161,21 @@ func (d *diffChecker) task(n *Node, rn *refNode, v uint32) (*Node, *refNode) {
 	}
 	rchild, want := d.ref.extend(rn, v)
 	d.tasks++
-	if got.Level != want.Level || got.NewVertex != want.NewVertex ||
-		!slices.Equal(got.FetchVertices, want.FetchVertices) || len(got.Ops) != len(want.Ops) {
-		d.tb.Fatalf("task %d (verts %v): got level %d vertex %d fetch %v with %d ops, want level %d vertex %d fetch %v with %d ops",
-			d.tasks, rchild.verts, got.Level, got.NewVertex, got.FetchVertices, len(got.Ops),
-			want.Level, want.NewVertex, want.FetchVertices, len(want.Ops))
+	if !slices.Equal(got.FetchVertices, want.FetchVertices) || len(got.Ops) != len(want.Ops) {
+		d.tb.Fatalf("task %d (verts %v): got fetch %v with %d ops, want fetch %v with %d ops",
+			d.tasks, rchild.verts, got.FetchVertices, len(got.Ops), want.FetchVertices, len(want.Ops))
 	}
-	counted := countedLeafTask(d.ref.pl, got.Level)
+	counted := countedLeafTask(d.ref.pl, len(rchild.verts)-1)
 	for i, w := range want.Ops {
 		o := got.Ops[i]
 		if counted && o.Result != nil {
 			d.tb.Fatalf("task %d (verts %v): the counted leaf update has result %v, want nil", d.tasks, rchild.verts, o.Result)
 		}
-		if o.Kind != w.Kind || o.LongVertex != w.LongVertex || !slices.Equal(o.Targets, w.Targets) ||
+		if o.Kind != w.Kind || o.LongVertex != w.LongVertex ||
 			!slices.Equal(o.Short, w.Short) || !slices.Equal(o.Long, w.Long) || !counted && !slices.Equal(o.Result, w.Result) {
-			d.tb.Fatalf("task %d (verts %v) op %d:\n got  %v long %d targets %v short %v long %v result %v\n want %v long %d targets %v short %v long %v result %v",
-				d.tasks, rchild.verts, i, o.Kind, o.LongVertex, o.Targets, o.Short, o.Long, o.Result,
-				w.Kind, w.LongVertex, w.Targets, w.Short, w.Long, w.Result)
+			d.tb.Fatalf("task %d (verts %v) op %d:\n got  %v long %d short %v long %v result %v\n want %v long %d short %v long %v result %v",
+				d.tasks, rchild.verts, i, o.Kind, o.LongVertex, o.Short, o.Long, o.Result,
+				w.Kind, w.LongVertex, w.Short, w.Long, w.Result)
 		}
 	}
 	return child, rchild
@@ -322,7 +319,7 @@ var diffPatterns = []struct {
 
 // TestEngineTaskInfoMatchesMerge is the differential test of the engine's
 // adaptive kernels: every SetOpExec of every task — Kind, Short, Long,
-// LongVertex, Targets and Result — must equal the plain merge walk's, on
+// LongVertex and Result — must equal the plain merge walk's, on
 // random graphs, under the default hub threshold, a median-degree one
 // (dense rows in play) and one above every degree (none), driven both in
 // FINGERS-style sibling groups and in FlexMiner's DFS with node release,

@@ -1,6 +1,7 @@
 package mine
 
 import (
+	"slices"
 	"testing"
 
 	"fingers/internal/graph"
@@ -276,7 +277,7 @@ func TestMotifSumEqualsSubsetCount(t *testing.T) {
 
 // TestTaskInfoSharing checks the common-subexpression sharing the paper
 // describes in §3.3: in a 4-clique all future candidate sets are updated
-// by the same intersection and must be computed once.
+// by the same intersection, which the schedule runs once for both.
 func TestTaskInfoSharing(t *testing.T) {
 	g := gen.Complete(6)
 	pl := plan.MustCompile(pattern.Clique(4), plan.Options{})
@@ -293,8 +294,8 @@ func TestTaskInfoSharing(t *testing.T) {
 	if len(info1.Ops) != 1 {
 		t.Fatalf("level 1 of 4-clique should share one intersect, got %d ops", len(info1.Ops))
 	}
-	if got := len(info1.Ops[0].Targets); got != 2 {
-		t.Errorf("shared op covers %d targets, want 2", got)
+	if steps := buildSchedule(pl)[1]; len(steps) != 1 || !slices.Equal(steps[0].targets, []int{2, 3}) {
+		t.Errorf("level-1 schedule = %+v, want one step targeting levels 2 and 3", steps)
 	}
 }
 
@@ -306,14 +307,15 @@ func TestTaskInfoTailedTriangle(t *testing.T) {
 	pl := plan.MustCompile(pattern.TailedTriangle(), plan.Options{})
 	e := NewEngine(g, pl)
 	root, _ := e.Start(0)
-	_, info := e.Extend(root, e.Candidates(root)[0])
+	v := e.Candidates(root)[0]
+	_, info := e.Extend(root, v)
 	if len(info.Ops) != 2 {
 		t.Fatalf("level 1 ops = %d, want 2", len(info.Ops))
 	}
 	kinds := map[string]bool{}
 	for _, op := range info.Ops {
 		kinds[op.Kind.String()] = true
-		if op.LongVertex != info.NewVertex {
+		if op.LongVertex != v {
 			t.Errorf("long input should be the new vertex's neighbor list")
 		}
 	}

@@ -28,6 +28,6 @@ func ExampleMotif() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("%d patterns, %d shared level(s)\n", len(mp.Plans), mp.SharedLevels)
-	// Output: 2 patterns, 1 shared level(s)
+	fmt.Printf("%d patterns\n", len(mp.Plans))
+	// Output: 2 patterns
 }

@@ -2,9 +2,9 @@
 // pattern-aware graph mining (paper §2.1): a vertex ordering, the
 // incremental set-operation schedule of Equation (1) — including postponed
 // anti-subtractions — and symmetry-breaking restrictions derived from the
-// pattern's automorphism group. It also merges the plans of several
-// patterns into a multi-pattern plan with a shared search-tree prefix
-// (paper §2.1 "Multi-pattern mining").
+// pattern's automorphism group. It also compiles several patterns into
+// a multi-pattern plan (paper §2.1 "Multi-pattern mining"), which runs
+// one trunk per plan from each root.
 //
 // The plan format is the generic one the paper's hardware consumes, so the
 // software reference miner and both accelerator models execute identical

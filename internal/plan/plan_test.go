@@ -207,8 +207,10 @@ func TestMotifMulti(t *testing.T) {
 	if len(mp.Plans) != 2 {
 		t.Fatalf("3-motif plans = %d, want 2 (wedge + triangle)", len(mp.Plans))
 	}
-	if mp.SharedLevels < 1 {
-		t.Errorf("3-motif shares %d levels, want ≥ 1 (the root)", mp.SharedLevels)
+	for _, pl := range mp.Plans {
+		if pl.K() != 3 {
+			t.Errorf("3-motif plan has %d vertices, want 3", pl.K())
+		}
 	}
 }
 
@@ -218,13 +220,14 @@ func TestCompileMultiErrors(t *testing.T) {
 	}
 }
 
-func TestSingletonMultiSharesAll(t *testing.T) {
+func TestSingletonMultiIsCompile(t *testing.T) {
 	mp, err := CompileMulti([]pattern.Pattern{pattern.Triangle()}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mp.SharedLevels != 3 {
-		t.Errorf("singleton shared levels = %d, want 3", mp.SharedLevels)
+	want := MustCompile(pattern.Triangle(), Options{})
+	if len(mp.Plans) != 1 || mp.Plans[0].String() != want.String() {
+		t.Errorf("singleton multi-plan = %v, want [%v]", mp.Plans, want)
 	}
 }
 

@@ -72,7 +72,6 @@ type FaultInjector struct {
 	mu     sync.Mutex
 	counts map[FaultOp]int64
 	points []FaultPoint
-	fired  int
 	// sleep is swappable so latency tests do not wait in real time.
 	sleep func(time.Duration)
 }
@@ -96,7 +95,6 @@ func (fi *FaultInjector) Fire(op FaultOp) error {
 	for _, p := range fi.points {
 		if p.Op == op && p.Invocation == n {
 			due = append(due, p)
-			fi.fired++
 		}
 	}
 	fi.mu.Unlock()

@@ -23,9 +23,6 @@ import (
 // shared by every job that names the graph; all fields are read-only
 // after construction and safe for concurrent use.
 type GraphEntry struct {
-	// Name is the canonical registry key (a dataset mnemonic, or the
-	// name an extra graph was registered under).
-	Name string
 	// Graph is the immutable CSR.
 	Graph *graph.Graph
 	// Info is the graph's Table-1 statistics and representation mix,
@@ -145,7 +142,7 @@ func (r *Registry) Get(name string) (*GraphEntry, error) {
 		// representation mix the service reports: tier assignment is a
 		// pure function of the CSR, so the footprint is exact at load
 		// time.
-		e.ge.Store(&GraphEntry{Name: e.name, Graph: g, Info: fingers.NewGraphInfo(e.name, g)})
+		e.ge.Store(&GraphEntry{Graph: g, Info: fingers.NewGraphInfo(e.name, g)})
 	})
 	return e.ge.Load(), e.err
 }

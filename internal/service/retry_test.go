@@ -382,11 +382,13 @@ func TestInjectedPanicIsTransient(t *testing.T) {
 	if st.Attempt != 2 {
 		t.Errorf("attempt %d, want 2", st.Attempt)
 	}
+	// The point is due at invocation 1 only, so two invocations (one per
+	// attempt) mean it fired once.
 	fi.mu.Lock()
-	fired := fi.fired
+	calls := fi.counts[OpSimulate]
 	fi.mu.Unlock()
-	if fired != 1 {
-		t.Errorf("injector fired %d times, want 1", fired)
+	if calls != 2 {
+		t.Errorf("simulate seam invoked %d times, want 2 (the panic fired once)", calls)
 	}
 }
 

@@ -33,11 +33,11 @@ type Corpus struct {
 	Points map[Key][]Point
 	// Bench holds every simbench report cell, across all reports.
 	Bench []BenchPoint
-	// Records and BenchReports count parsed inputs; RunFiles and
-	// BenchFiles the files they came from.
-	Records, BenchReports int
-	RunFiles, BenchFiles  int
-	Skips                 []Skip
+	// Records counts parsed run records; RunFiles and BenchFiles the
+	// files they and the simbench reports (one per file) came from.
+	Records              int
+	RunFiles, BenchFiles int
+	Skips                []Skip
 	// mtime resolves a file's fallback timestamp; tests inject a fixed
 	// clock so goldens do not depend on checkout times.
 	mtime func(path string) (time.Time, error)
@@ -202,7 +202,6 @@ func (c *Corpus) AddBenchFile(path, rel string) {
 		return
 	}
 	c.BenchFiles++
-	c.BenchReports++
 	at, fromMTime := time.Time{}, false
 	if t, ok := rep.StartTime(); ok {
 		at = t.UTC()
