@@ -140,6 +140,7 @@ func FuzzCounterMatchesOracle(f *testing.F) {
 	f.Add(int64(2), uint8(40), uint8(6), uint8(8), uint8(2), uint16(0b11111111), false, uint8(1)) // derives
 	f.Add(int64(4), uint8(45), uint8(4), uint8(6), uint8(2), uint16(0b111110), false, uint8(9))   // derives
 	f.Add(int64(3), uint8(50), uint8(3), uint8(2), uint8(1), uint16(0b111111), true, uint8(12))   // 4cl
+	f.Add(int64(5), uint8(63), uint8(7), uint8(10), uint8(1), uint16(0b111110), false, uint8(1))  // dia: subtract leaf below bitset nodes
 	f.Fuzz(func(t *testing.T, seed int64, n, mPer, triad, size uint8, edges uint16, edgeInduced bool, hub uint8) {
 		g := gen.PowerLawCluster(uint32(n%64)+2, int(mPer%8)+1, float64(triad%11)/10, seed)
 		k := int(size%3) + 3
