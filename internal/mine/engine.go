@@ -294,7 +294,7 @@ func (e *Engine) countLeafTask(n, child *Node, st *step, nv []uint32, v uint32) 
 	t := st.src
 	src, id := n.sets[t], n.setID[t]
 	child.sets[t], child.setID[t] = src, id
-	lo, hi, hasLo, hasHi := windowBounds(e.Plan, t, child.Verts)
+	lo, hi, hasLo, hasHi := windowBounds(e.Plan.Levels[t].Restrictions, child.Verts)
 	a, b := window(src, lo, hi, hasLo, hasHi)
 	marks := func() []uint64 { return e.marksFor(id, src) }
 	child.leafCount = countLeafWindow(st.op == plan.OpIntersect, src, a, b, nv, e.adj.DenseRow(v),
@@ -395,7 +395,7 @@ func (e *Engine) Candidates(n *Node) []uint32 {
 	if n.counted {
 		set = e.buildLeaf(n)
 	}
-	lo, hi, hasLo, hasHi := windowBounds(e.Plan, n.Level+1, n.Verts)
+	lo, hi, hasLo, hasHi := windowBounds(e.Plan.Levels[n.Level+1].Restrictions, n.Verts)
 	a, b := window(set, lo, hi, hasLo, hasHi)
 	win := set[a:b]
 	// Chosen vertices rarely appear in the window; copy only if needed.
@@ -430,7 +430,7 @@ func (e *Engine) LeafCount(n *Node) uint64 {
 		return n.leafCount
 	}
 	set := n.sets[n.Level+1]
-	lo, hi, hasLo, hasHi := windowBounds(e.Plan, n.Level+1, n.Verts)
+	lo, hi, hasLo, hasHi := windowBounds(e.Plan.Levels[n.Level+1].Restrictions, n.Verts)
 	a, b := window(set, lo, hi, hasLo, hasHi)
 	count := b - a
 	for _, u := range n.Verts {

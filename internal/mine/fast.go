@@ -1,6 +1,8 @@
 package mine
 
 import (
+	"math/bits"
+
 	"fingers/internal/graph"
 	"fingers/internal/plan"
 	"fingers/internal/setops"
@@ -20,7 +22,8 @@ import (
 //     result is computed with word-wise AND/AND-NOT over the words its
 //     readers' windows can reach, and kept as a bitset when its popcount
 //     says so (setops.KeepWords) — otherwise decoded to an array. Leaves
-//     over a bitset count with popcount(S & N(v) & window);
+//     over a bitset count with popcount(S & N(v) & window), and the
+//     children of a bitset node count theirs in its own word-wise loop;
 //   - mark-and-probe: every child of a search-tree node updates the
 //     node's candidate sets with its own neighbor list, so the first
 //     child to need a set marks it in a full-universe bitset, and each
@@ -63,6 +66,14 @@ type Counter struct {
 	// countedLeaf is countsLeaf(sched): level k−2's lone update is
 	// counted, not built.
 	countedLeaf bool
+	// leafShared holds the leaf level's restrictions on u_0 … u_{k−3},
+	// which all children of a level-(k−3) node share; ownLo and ownHi
+	// report a restriction on u_{k−2}, the bound each child sets itself
+	// (u_{k−1} > u_{k−2} and u_{k−1} < u_{k−2}).
+	leafShared   []plan.Restriction
+	ownLo, ownHi bool
+	// inLeaf is usedInLeaf's result buffer, with room for k−2 levels.
+	inLeaf []int
 }
 
 // cset is one slot's candidate set, held in one of two formats. As an
@@ -155,6 +166,17 @@ func newCounter(g *graph.Graph, pl *plan.Plan, adj *graph.HybridAdj) *Counter {
 		leaf:  leafAdjacency(pl),
 	}
 	c.countedLeaf = countsLeaf(c.sched)
+	for _, r := range pl.Levels[c.k-1].Restrictions {
+		switch {
+		case r.Earlier < c.k-2:
+			c.leafShared = append(c.leafShared, r)
+		case r.Greater:
+			c.ownLo = true
+		default:
+			c.ownHi = true
+		}
+	}
+	c.inLeaf = make([]int, 0, c.k)
 	c.eager = make([]int, len(c.sched))
 	for level, steps := range c.sched {
 		for _, st := range steps {
@@ -272,7 +294,7 @@ func (c *Counter) descend(level int, v uint32) uint64 {
 	eager := c.eager[level]
 	c.applySteps(level, f, steps[:eager], 0, nv, v)
 	set := &f.sets[level+1] // lazy steps never write this slot
-	lo, hi, hasLo, hasHi := windowBounds(c.pl, level+1, c.verts)
+	lo, hi, hasLo, hasHi := windowBounds(c.pl.Levels[level+1].Restrictions, c.verts)
 	used := c.verts[:level+1]
 	var total uint64
 	if set.hasArr() {
@@ -288,6 +310,10 @@ func (c *Counter) descend(level int, v uint32) uint64 {
 			total += c.descend(level+1, w)
 		}
 	} else {
+		// Walk the bitset word by word, with the bits outside the window
+		// and those of used vertices cleared. The children of a
+		// level-(k−3) node whose leaf counts a bitset count their leaves
+		// here instead of descending (see sharedLeaf).
 		first, end := 0, c.nwords<<6
 		if hasLo {
 			first = int(lo) + 1
@@ -295,16 +321,45 @@ func (c *Counter) descend(level int, v uint32) uint64 {
 		if hasHi {
 			end = int(hi)
 		}
-		for x := setops.NextBit(set.words, first, end); x < end; x = setops.NextBit(set.words, x+1, end) {
-			w := uint32(x)
-			if containsVert(used, w) {
-				continue
+		undecided := level == c.k-3 && c.countedLeaf
+		var sl sharedLeaf
+		for i := first >> 6; i<<6 < end; i++ {
+			word := set.words[i]
+			if i == first>>6 {
+				word &= ^uint64(0) << (first & 63)
 			}
-			if eager < len(steps) {
-				c.applySteps(level, f, steps, eager, nv, v)
-				eager = len(steps)
+			if rest := end - i<<6; rest < 64 {
+				word &= 1<<rest - 1
 			}
-			total += c.descend(level+1, w)
+			for _, u := range used {
+				if int(u>>6) == i {
+					word &^= 1 << (u & 63)
+				}
+			}
+			for ; word != 0; word &= word - 1 {
+				w := uint32(i<<6 + bits.TrailingZeros64(word))
+				if eager < len(steps) {
+					c.applySteps(level, f, steps, eager, nv, v)
+					eager = len(steps)
+				}
+				if undecided {
+					sl = c.sharedLeaf(f)
+					undecided = false
+				}
+				if sl.s == nil {
+					total += c.descend(level+1, w)
+					continue
+				}
+				// The child's own bound: the leaf's restriction on u_{k−2}.
+				clo, chi, cHasLo, cHasHi := sl.lo, sl.hi, sl.hasLo, sl.hasHi
+				if c.ownLo && (!cHasLo || w > clo) {
+					clo, cHasLo = w, true
+				}
+				if c.ownHi && (!cHasHi || w < chi) {
+					chi, cHasHi = w, true
+				}
+				total += c.leafCountWords(sl.op, sl.s, w, clo, chi, cHasLo, cHasHi, sl.in)
+			}
 		}
 	}
 	f.unmark()
@@ -526,10 +581,10 @@ func (c *Counter) subtractNeighborsInPlace(a []uint32, anc uint32) []uint32 {
 // symmetry-breaking window, excluding already-used vertices, without
 // materializing the result.
 func (c *Counter) leafCountUpdate(st *step, src *cset, v uint32) uint64 {
+	lo, hi, hasLo, hasHi := windowBounds(c.pl.Levels[c.k-1].Restrictions, c.verts)
 	if src.words != nil {
-		return c.leafCountWords(st.op, src, v)
+		return c.leafCountWords(st.op, src.words, v, lo, hi, hasLo, hasHi, c.usedInLeaf(src.words, lo, hi, hasLo, hasHi))
 	}
-	lo, hi, hasLo, hasHi := windowBounds(c.pl, c.k-1, c.verts)
 	a, b := window(src.arr, lo, hi, hasLo, hasHi)
 	if a == b {
 		return 0 // without fetching N(v) and v's row, a cache miss per leaf
@@ -567,35 +622,85 @@ func (c *Counter) leafCountDerived(op plan.OpKind, d *derived, v uint32) uint64 
 	return uint64(cnt)
 }
 
-// leafCountWords counts op(S, N(v)) within the leaf window for a bitset
-// candidate set S: popcount(S & N(v) & window) against a dense row, or
-// N(v)'s window-clipped elements probed against S's words. Used
-// vertices are excluded with bit tests.
-func (c *Counter) leafCountWords(op plan.OpKind, s *cset, v uint32) uint64 {
-	lo, hi, hasLo, hasHi := windowBounds(c.pl, c.k-1, c.verts)
+// sharedLeaf is what the children of one level-(k−3) node share when
+// the leaf below each counts op(S, N(u_{k−2})) for the same bitset S:
+// the leaf window's bounds on u_0 … u_{k−3}, and the levels below k−2
+// whose vertex lies in S inside them. s is nil when the children
+// descend one by one instead.
+type sharedLeaf struct {
+	op           plan.OpKind
+	s            []uint64
+	lo, hi       uint32
+	hasLo, hasHi bool
+	in           []int
+}
+
+// sharedLeaf resolves, once per level-(k−3) node f that has a child and
+// has run all its steps, what its children's leaves share. A leaf over
+// an array source or a derived result gets the zero sharedLeaf: its
+// children take the per-child path (leafCountUpdate, leafCountDerived).
+func (c *Counter) sharedLeaf(f *frame) sharedLeaf {
+	st := &c.sched[c.k-2][0]
+	s := f.sets[st.src].words
+	if s == nil || f.derived.marks != nil {
+		return sharedLeaf{}
+	}
+	sl := sharedLeaf{op: st.op, s: s}
+	sl.lo, sl.hi, sl.hasLo, sl.hasHi = windowBounds(c.leafShared, c.verts)
+	sl.in = c.usedInLeaf(s, sl.lo, sl.hi, sl.hasLo, sl.hasHi)
+	return sl
+}
+
+// usedInLeaf returns, in c.inLeaf, the levels i < k−2 whose vertex u_i
+// lies in the bitset S inside the open window (lo, hi). The window test
+// comes first: S's words are valid only inside its readers' windows.
+func (c *Counter) usedInLeaf(s []uint64, lo, hi uint32, hasLo, hasHi bool) []int {
+	in := c.inLeaf[:0]
+	for i, u := range c.verts[:c.k-2] {
+		if !(hasLo && u <= lo || hasHi && u >= hi) && setops.BitsContain(s, u) {
+			in = append(in, i)
+		}
+	}
+	return in
+}
+
+// leafCountWords counts op(S, N(v)) for a bitset candidate set S inside
+// the leaf window (lo, hi): popcount(S & N(v) & window) against v's
+// dense row, or N(v)'s window-clipped elements probed against S's
+// words. in lists the levels i < k−2 whose vertex lies in S (see
+// usedInLeaf); those inside the window, and v itself, are excluded by
+// their adjacency to v.
+func (c *Counter) leafCountWords(op plan.OpKind, s []uint64, v uint32, lo, hi uint32, hasLo, hasHi bool, in []int) uint64 {
 	row := c.adj.DenseRow(v)
 	var nv []uint32
 	var inter int
 	if row != nil {
 		c.stats.CountWord++
-		inter = setops.IntersectBitsCountBounded(s.words, row, lo, hi, hasLo, hasHi)
+		inter = setops.IntersectBitsCountBounded(s, row, lo, hi, hasLo, hasHi)
 	} else {
 		nv = c.g.Neighbors(v)
 		c.stats.CountProbe++
 		a, b := window(nv, lo, hi, hasLo, hasHi)
-		inter = setops.IntersectCountBits(nv[a:b], s.words)
+		inter = setops.IntersectCountBits(nv[a:b], s)
 	}
+	intersect := op == plan.OpIntersect
 	cnt := inter
-	if op != plan.OpIntersect {
-		cnt = setops.CountBitsBounded(s.words, lo, hi, hasLo, hasHi) - inter
+	if !intersect {
+		cnt = setops.CountBitsBounded(s, lo, hi, hasLo, hasHi) - inter
 	}
-	for i, u := range c.verts[:c.k-1] {
-		if hasLo && u <= lo || hasHi && u >= hi || !setops.BitsContain(s.words, u) {
+	for _, i := range in {
+		u := c.verts[i]
+		if hasLo && u <= lo || hasHi && u >= hi {
 			continue
 		}
-		if c.leaf.member(i, nv, row, u) == (op == plan.OpIntersect) {
+		if c.leaf.member(i, nv, row, u) == intersect {
 			cnt--
 		}
+	}
+	// v = u_{k−2} is no neighbour of itself, so only a subtraction
+	// counts it.
+	if !intersect && !(hasLo && v <= lo || hasHi && v >= hi) && setops.BitsContain(s, v) {
+		cnt--
 	}
 	return uint64(cnt)
 }
@@ -603,7 +708,7 @@ func (c *Counter) leafCountWords(op plan.OpKind, s *cset, v uint32) uint64 {
 // leafCountSet counts a materialized final-level set within its window,
 // excluding used vertices (the generic leaf path).
 func (c *Counter) leafCountSet(s *cset) uint64 {
-	lo, hi, hasLo, hasHi := windowBounds(c.pl, c.k-1, c.verts)
+	lo, hi, hasLo, hasHi := windowBounds(c.pl.Levels[c.k-1].Restrictions, c.verts)
 	if s.hasArr() {
 		a, b := window(s.arr, lo, hi, hasLo, hasHi)
 		cnt := b - a

@@ -317,12 +317,12 @@ func countLeafWindow(intersect bool, src []uint32, a, b int, nv []uint32, row []
 	return uint64(cnt)
 }
 
-// windowBounds resolves the symmetry-breaking restrictions of the given
-// level against the chosen vertices verts to the open interval (lo, hi):
-// candidates must be strictly greater than lo when hasLo and strictly
-// less than hi when hasHi.
-func windowBounds(pl *plan.Plan, level int, verts []uint32) (lo, hi uint32, hasLo, hasHi bool) {
-	for _, r := range pl.Levels[level].Restrictions {
+// windowBounds resolves a level's symmetry-breaking restrictions against
+// the chosen vertices verts to the open interval (lo, hi): candidates
+// must be strictly greater than lo when hasLo and strictly less than hi
+// when hasHi.
+func windowBounds(rs []plan.Restriction, verts []uint32) (lo, hi uint32, hasLo, hasHi bool) {
+	for _, r := range rs {
 		bound := verts[r.Earlier]
 		if r.Greater {
 			if !hasLo || bound > lo {

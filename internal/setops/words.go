@@ -59,31 +59,6 @@ func ClearBits(bits []uint64, s []uint32) {
 	}
 }
 
-// NextBit returns the smallest value v in [from, end) whose bit is set
-// in x, or end when there is none: bounded iteration over a bitset's
-// elements,
-//
-//	for v := NextBit(x, first, end); v < end; v = NextBit(x, v+1, end) {
-//		...
-//	}
-//
-// end must not exceed 64·len(x).
-func NextBit(x []uint64, from, end int) int {
-	if from >= end {
-		return end
-	}
-	i := from >> 6
-	if w := x[i] >> (from & 63); w != 0 {
-		return min(from+bits.TrailingZeros64(w), end)
-	}
-	for i++; i<<6 < end; i++ {
-		if w := x[i]; w != 0 {
-			return min(i<<6+bits.TrailingZeros64(w), end)
-		}
-	}
-	return end
-}
-
 // DecodeWordsInto appends the elements of x's words [lo, hi) to dst in
 // increasing order and returns the extended slice.
 func DecodeWordsInto(dst []uint32, x []uint64, lo, hi int) []uint32 {

@@ -29,9 +29,9 @@ func inRange(s []uint32, from, end int) []uint32 {
 // checkWordKernels runs every word kernel on the sets a and b over a
 // universe of n values (every element must be below n) and compares it
 // with the merge reference: AndWords/AndNotWords/CountWords/
-// DecodeWordsInto over the word range [wlo, whi), ClearBits, NextBit
-// iteration over the values [lo, hi), and the bounded popcounts over the
-// open window (lo, hi) under each choice of bounds.
+// DecodeWordsInto over the word range [wlo, whi), ClearBits, and the
+// bounded popcounts over the open window (lo, hi) under each choice of
+// bounds.
 func checkWordKernels(t *testing.T, a, b []uint32, n, wlo, whi int, lo, hi uint32) {
 	t.Helper()
 	x, y := wordsOf(a, n), wordsOf(b, n)
@@ -85,15 +85,6 @@ func checkWordKernels(t *testing.T, a, b []uint32, n, wlo, whi int, lo, hi uint3
 	ClearBits(cleared, b)
 	if got, want := DecodeWordsInto(nil, cleared, 0, words), Subtract(a, b); !slices.Equal(got, want) {
 		t.Fatalf("ClearBits %s = %v, want %v", name, got, want)
-	}
-
-	iterEnd := min(int(hi), words<<6)
-	var got []uint32
-	for v := NextBit(x, int(lo), iterEnd); v < iterEnd; v = NextBit(x, v+1, iterEnd) {
-		got = append(got, uint32(v))
-	}
-	if want := inRange(a, int(lo), iterEnd); !slices.Equal(got, want) {
-		t.Fatalf("NextBit over [%d,%d) %s = %v, want %v", lo, iterEnd, name, got, want)
 	}
 
 	for _, w := range []struct{ hasLo, hasHi bool }{
