@@ -15,6 +15,8 @@
 // of adjacent words and the cache is a single allocation.
 package mem
 
+import "math/bits"
+
 // Cycles counts accelerator clock cycles (1 GHz in the default config).
 type Cycles int64
 
@@ -144,8 +146,13 @@ type Cache struct {
 	tags    []int64
 	ways    int64
 	numSets int64
-	backing *DRAM
-	stats   CacheStats
+	// pow2 is set when LineBytes and numSets are powers of two: span
+	// then shifts by lineShift and setShift and masks with numSets−1
+	// instead of dividing.
+	pow2                bool
+	lineShift, setShift uint
+	backing             *DRAM
+	stats               CacheStats
 }
 
 // NewCache builds a cache from the config over the given DRAM.
@@ -164,14 +171,28 @@ func NewCache(cfg CacheConfig, backing *DRAM) *Cache {
 	for i := range tags {
 		tags[i] = -1
 	}
-	return &Cache{cfg: cfg, tags: tags, ways: int64(cfg.Ways), numSets: numSets, backing: backing}
+	c := &Cache{cfg: cfg, tags: tags, ways: int64(cfg.Ways), numSets: numSets, backing: backing}
+	if isPow2(cfg.LineBytes) && isPow2(numSets) {
+		c.pow2 = true
+		c.lineShift = uint(bits.TrailingZeros64(uint64(cfg.LineBytes)))
+		c.setShift = uint(bits.TrailingZeros64(uint64(numSets)))
+	}
+	return c
 }
+
+// isPow2 reports whether n is a positive power of two.
+func isPow2(n int64) bool { return n > 0 && n&(n-1) == 0 }
 
 // span returns the first line of [addr, addr+bytes) (bytes > 0), its
 // line count, and the set and tag of its first line. The range's lines
 // fall in consecutive sets, so callers step the set and carry into the
 // tag on wrap-around instead of dividing per line.
 func (c *Cache) span(addr, bytes int64) (first, lines, set, tag int64) {
+	if c.pow2 {
+		first = addr >> c.lineShift
+		lines = (addr+bytes-1)>>c.lineShift - first + 1
+		return first, lines, first & (c.numSets - 1), first >> c.setShift
+	}
 	first = addr / c.cfg.LineBytes
 	lines = (addr+bytes-1)/c.cfg.LineBytes - first + 1
 	return first, lines, first % c.numSets, first / c.numSets
