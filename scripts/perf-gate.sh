@@ -22,7 +22,7 @@ base=$1
 cd "$(dirname "$0")/.."
 root=$(pwd)
 out=$root/perf-gate
-workloads="sim-fit mine-sparse"
+workloads="sim-fit mine-sparse mine-dense"
 seconds=5
 
 git rev-parse --verify --quiet "$base^{commit}" >/dev/null || {
