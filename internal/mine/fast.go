@@ -72,8 +72,9 @@ type Counter struct {
 	// (u_{k−1} > u_{k−2} and u_{k−1} < u_{k−2}).
 	leafShared   []plan.Restriction
 	ownLo, ownHi bool
-	// inLeaf is usedInLeaf's result buffer, with room for k−2 levels.
-	inLeaf []int
+	// lowLevels lists the levels 0 … k−3; inLeaf is sharedLeaf's buffer
+	// for those of them whose vertex lies in the leaf's source.
+	lowLevels, inLeaf []int
 }
 
 // cset is one slot's candidate set, held in one of two formats. As an
@@ -176,7 +177,11 @@ func newCounter(g *graph.Graph, pl *plan.Plan, adj *graph.HybridAdj) *Counter {
 			c.ownHi = true
 		}
 	}
-	c.inLeaf = make([]int, 0, c.k)
+	c.lowLevels = make([]int, max(c.k-2, 0))
+	for i := range c.lowLevels {
+		c.lowLevels[i] = i
+	}
+	c.inLeaf = make([]int, 0, len(c.lowLevels))
 	c.eager = make([]int, len(c.sched))
 	for level, steps := range c.sched {
 		for _, st := range steps {
@@ -583,7 +588,7 @@ func (c *Counter) subtractNeighborsInPlace(a []uint32, anc uint32) []uint32 {
 func (c *Counter) leafCountUpdate(st *step, src *cset, v uint32) uint64 {
 	lo, hi, hasLo, hasHi := windowBounds(c.pl.Levels[c.k-1].Restrictions, c.verts)
 	if src.words != nil {
-		return c.leafCountWords(st.op, src.words, v, lo, hi, hasLo, hasHi, c.usedInLeaf(src.words, lo, hi, hasLo, hasHi))
+		return c.leafCountWords(st.op, src.words, v, lo, hi, hasLo, hasHi, c.lowLevels)
 	}
 	a, b := window(src.arr, lo, hi, hasLo, hasHi)
 	if a == b {
@@ -645,31 +650,24 @@ func (c *Counter) sharedLeaf(f *frame) sharedLeaf {
 	if s == nil || f.derived.marks != nil {
 		return sharedLeaf{}
 	}
-	sl := sharedLeaf{op: st.op, s: s}
+	sl := sharedLeaf{op: st.op, s: s, in: c.inLeaf[:0]}
 	sl.lo, sl.hi, sl.hasLo, sl.hasHi = windowBounds(c.leafShared, c.verts)
-	sl.in = c.usedInLeaf(s, sl.lo, sl.hi, sl.hasLo, sl.hasHi)
-	return sl
-}
-
-// usedInLeaf returns, in c.inLeaf, the levels i < k−2 whose vertex u_i
-// lies in the bitset S inside the open window (lo, hi). The window test
-// comes first: S's words are valid only inside its readers' windows.
-func (c *Counter) usedInLeaf(s []uint64, lo, hi uint32, hasLo, hasHi bool) []int {
-	in := c.inLeaf[:0]
-	for i, u := range c.verts[:c.k-2] {
-		if !(hasLo && u <= lo || hasHi && u >= hi) && setops.BitsContain(s, u) {
-			in = append(in, i)
+	for _, i := range c.lowLevels {
+		// The window test comes first: S's words are valid only inside
+		// its readers' windows.
+		if u := c.verts[i]; !(sl.hasLo && u <= sl.lo || sl.hasHi && u >= sl.hi) && setops.BitsContain(s, u) {
+			sl.in = append(sl.in, i)
 		}
 	}
-	return in
+	return sl
 }
 
 // leafCountWords counts op(S, N(v)) for a bitset candidate set S inside
 // the leaf window (lo, hi): popcount(S & N(v) & window) against v's
 // dense row, or N(v)'s window-clipped elements probed against S's
-// words. in lists the levels i < k−2 whose vertex lies in S (see
-// usedInLeaf); those inside the window, and v itself, are excluded by
-// their adjacency to v.
+// words. in lists the levels i < k−2 whose vertex may lie in S; those
+// in S inside the window, and v itself, are excluded by their adjacency
+// to v.
 func (c *Counter) leafCountWords(op plan.OpKind, s []uint64, v uint32, lo, hi uint32, hasLo, hasHi bool, in []int) uint64 {
 	row := c.adj.DenseRow(v)
 	var nv []uint32
@@ -690,15 +688,15 @@ func (c *Counter) leafCountWords(op plan.OpKind, s []uint64, v uint32, lo, hi ui
 	}
 	for _, i := range in {
 		u := c.verts[i]
-		if hasLo && u <= lo || hasHi && u >= hi {
+		if hasLo && u <= lo || hasHi && u >= hi || !setops.BitsContain(s, u) {
 			continue
 		}
 		if c.leaf.member(i, nv, row, u) == intersect {
 			cnt--
 		}
 	}
-	// v = u_{k−2} is no neighbour of itself, so only a subtraction
-	// counts it.
+	// v = u_{k−2} is no neighbour of itself: a subtraction keeps it,
+	// and must drop it.
 	if !intersect && !(hasLo && v <= lo || hasHi && v >= hi) && setops.BitsContain(s, v) {
 		cnt--
 	}
