@@ -17,6 +17,8 @@ import (
 // named pattern, vertex- and edge-induced (and, up to 4 vertices,
 // without symmetry breaking), each plan also mirrored (see mirror), at
 // hub threshold 1 and in the adaptive view, and leave no set marked.
+// (The adaptive view of graphs this small has no dense rows, since the
+// default hub threshold is at least 128, so it runs the array kernels.)
 // The grid holds subtract leaves (4star, dia), leaf windows bounded by
 // u_{k−2} from below (4cl) and from above (mirrored 4cl), which the test
 // checks from the plans, a subtract leaf whose unrestricted window holds
